@@ -15,7 +15,6 @@ from .algorithms import (
     fedx1_run,
     fedx2_estimate,
     fedx2_run,
-    fedx2_u_update,
     local_pair_run,
     local_sgd_run,
     momentum_update,
@@ -33,11 +32,9 @@ from .data import (
 )
 from .federation import (
     Buffer,
-    HistorySet,
+    Records,
     RoundDownload,
     RoundUpload,
-    ScoreRecord,
-    URecord,
     comm_cost,
     comm_cost_ints,
     server_aggregate,

@@ -11,9 +11,10 @@ then R rounds of K local steps between exchanges):
   from a shuffled buffer without replacement).
 * ``fedx2`` (nonlinear outer function): adds a per-positive-sample moving
   average ``u`` tracking the inner pairwise mean, a second lazy channel
-  carrying u-records (co-shuffled with the positive-side score records so
-  each drawn pair shares provenance), and a momentum average of the
-  gradient estimates; model and momentum are both averaged by the server.
+  carrying u-records (read at the same buffer positions as the
+  positive-side score records, so each drawn pair shares provenance), and
+  a momentum average of the gradient estimates; model and momentum are
+  both averaged by the server.
 
 Baselines: ``local_sgd`` (per-sample logistic loss, model averaging),
 ``local_pair`` (the same update rules with lazy factors replaced by fresh
@@ -23,7 +24,7 @@ moving-average machinery when the outer function is nonlinear).
 
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so any run is a pure function of
-(config, seed) at any thread count.
+(config, seed).
 """
 
 from __future__ import annotations
@@ -37,15 +38,11 @@ from scipy.special import expit
 
 from .data import ClientShard, FederatedDataset
 from .federation import (
-    SIDE_NEG,
-    SIDE_POS,
     Buffer,
-    HistorySet,
     InProcessTransport,
+    Records,
     RoundDownload,
     RoundUpload,
-    ScoreRecord,
-    URecord,
     comm_cost,
     run_round,
 )
@@ -156,64 +153,34 @@ def momentum_update(momentum: np.ndarray, estimate: np.ndarray, beta: float) -> 
 
 class UTable:
     """Per-positive-sample moving-average estimates of the inner pairwise
-    mean, keyed by sample id. Entries start at 0 and only change through
-    :meth:`update`."""
+    mean, indexed by the sample's position in its shard. Entries start at 0
+    and only change through :meth:`track`; ``touched`` marks the entries
+    that ever did."""
 
-    def __init__(self, ids) -> None:
-        self._values: dict[int, float] = {int(i): 0.0 for i in ids}
-        self._touched: set[int] = set()
+    def __init__(self, n_pos: int) -> None:
+        self.values = np.zeros(n_pos)
+        self.touched = np.zeros(n_pos, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
-    def value(self, sample_id: int) -> float:
-        try:
-            return self._values[int(sample_id)]
-        except KeyError:
-            raise ValueError(f"sample id {sample_id} is not in this u-table") from None
+    def track(self, positions: np.ndarray, inner: np.ndarray, gamma: float) -> None:
+        """Moving-average update of the tracked inner means (the tracker of
+        SOX, Wang & Yang, ICML 2022):
+        new = (1 - gamma) * old + gamma * inner at each position, reading
+        the pre-update values. Positions come from a without-replacement
+        batch, so none repeats."""
+        self.values[positions] = (1.0 - gamma) * self.values[positions] + gamma * inner
+        self.touched[positions] = True
 
-    def update(self, sample_id: int, value: float) -> None:
-        sid = int(sample_id)
-        if sid not in self._values:
-            raise ValueError(f"sample id {sample_id} is not in this u-table")
-        self._values[sid] = float(value)
-        self._touched.add(sid)
-
-    def touched(self, sample_id: int) -> bool:
-        return int(sample_id) in self._touched
-
-    def emission_value(self, sample_id: int, fallback: float) -> float:
-        """Stored value if the entry was ever updated, else ``fallback``.
+    def emission(self, positions: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+        """Stored values where the entry was ever updated, else ``fallback``.
 
         Never-updated entries hold the initial 0, which would blow up the
         clamped outer derivative downstream; the fallback is the same
         full-replacement estimate the round-0 bootstrap uses.
         """
-        if self.touched(sample_id):
-            return self.value(sample_id)
-        return float(fallback)
-
-    def snapshot(self) -> dict[int, float]:
-        return dict(self._values)
-
-
-def fedx2_u_update(
-    u_table: UTable,
-    sample_id: int,
-    fresh_score: float,
-    lazy_neg: ScoreRecord,
-    gamma: float,
-    loss_spec: PairwiseLossSpec,
-) -> float:
-    """Moving-average update of one tracked inner mean.
-
-    new = (1 - gamma) * old + gamma * loss(fresh_score, lazy_neg.value),
-    reading the pre-update value. Returns the new value.
-    """
-    old = u_table.value(sample_id)
-    new = (1.0 - gamma) * old + gamma * loss(loss_spec, fresh_score, lazy_neg.value)
-    u_table.update(sample_id, new)
-    return new
+        return np.where(self.touched[positions], self.values[positions], fallback)
 
 
 @dataclass(frozen=True)
@@ -239,11 +206,12 @@ class ClientState:
     model: np.ndarray
     momentum: np.ndarray | None = None
     u_table: UTable | None = None
-    pos_buffer: Buffer | None = None  # positive-side score records (paired with u-records under nonlinear f)
+    pos_buffer: Buffer | None = None  # positions into the received positive-side scores
     neg_buffer: Buffer | None = None
-    out_h1: list[ScoreRecord] = field(default_factory=list)
-    out_h2: list[ScoreRecord] = field(default_factory=list)
-    out_u: list[URecord] = field(default_factory=list)
+    paired_u: Records | None = None  # received u-records, row-aligned with pos_buffer.block
+    out_h1: list[Records] = field(default_factory=list)  # one block per emission
+    out_h2: list[Records] = field(default_factory=list)
+    out_u: list[Records] = field(default_factory=list)
     local_iters: int = 0
 
 
@@ -285,22 +253,18 @@ def _draw_batch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
     return rng.choice(n, size=min(batch, n), replace=False)
 
 
-def _record_values(records) -> np.ndarray:
-    return np.array([r.value for r in records], dtype=float)
-
-
 def fedx1_estimate(
     state: ClientState,
     iteration: int,
     z1_idx: np.ndarray,
     z2_idx: np.ndarray,
-    lazy_neg: list[ScoreRecord],
-    lazy_pos: list[ScoreRecord],
+    lazy_neg: np.ndarray,
+    lazy_pos: np.ndarray,
 ) -> np.ndarray:
     """Linear-outer gradient estimate from one pair of minibatches.
 
     Active factors (scores and score gradients of the sampled local data at
-    the current local model) pair elementwise with the lazy score records;
+    the current local model) pair elementwise with the lazy score values;
     the fresh scores are appended to the outgoing histories with provenance
     (client, iteration, sample id).
     """
@@ -311,17 +275,13 @@ def fedx1_estimate(
     x1, x2 = shard.pos_X[z1_idx], shard.neg_X[z2_idx]
     a = score_many(s.scorer, state.model, x1)
     b = score_many(s.scorer, state.model, x2)
-    lazy_neg_vals = _record_values(lazy_neg)
-    lazy_pos_vals = _record_values(lazy_pos)
-    d1, _ = loss_grads(s.loss, a, lazy_neg_vals)
-    _, d2 = loss_grads(s.loss, lazy_pos_vals, b)
+    d1, _ = loss_grads(s.loss, a, lazy_neg)
+    _, d2 = loss_grads(s.loss, lazy_pos, b)
     j1 = score_grad_many(s.scorer, state.model, x1)
     j2 = score_grad_many(s.scorer, state.model, x2)
     g = (np.asarray(d1) @ j1) / len(z1_idx) + (np.asarray(d2) @ j2) / len(z2_idx)
-    for sid, val in zip(shard.pos_ids[z1_idx], a):
-        state.out_h1.append(ScoreRecord(float(val), state.index, iteration, int(sid)))
-    for sid, val in zip(shard.neg_ids[z2_idx], b):
-        state.out_h2.append(ScoreRecord(float(val), state.index, iteration, int(sid)))
+    state.out_h1.append(Records.of(a, state.index, iteration, shard.pos_ids[z1_idx]))
+    state.out_h2.append(Records.of(b, state.index, iteration, shard.neg_ids[z2_idx]))
     return g
 
 
@@ -329,15 +289,15 @@ def fedx2_estimate(
     state: ClientState,
     z1_idx: np.ndarray,
     z2_idx: np.ndarray,
-    lazy_neg: list[ScoreRecord],
-    lazy_pos: list[ScoreRecord],
-    lazy_u: list[URecord],
+    lazy_neg: np.ndarray,
+    lazy_pos: np.ndarray,
+    lazy_u: np.ndarray,
 ) -> np.ndarray:
     """Nonlinear-outer gradient estimate.
 
     The positive-sample term weights each pair by the outer derivative at
     the just-updated tracked inner mean of that sample; the negative-sample
-    term weights by the outer derivative at the lazy u-record paired (same
+    term weights by the outer derivative at the lazy u-value paired (same
     provenance) with the lazy positive score. Pure: histories are not
     touched here.
     """
@@ -350,13 +310,10 @@ def fedx2_estimate(
     x1, x2 = shard.pos_X[z1_idx], shard.neg_X[z2_idx]
     a = score_many(s.scorer, state.model, x1)
     b = score_many(s.scorer, state.model, x2)
-    u_fresh = np.array(
-        [state.u_table.value(sid) for sid in shard.pos_ids[z1_idx]], dtype=float
-    )
-    d1, _ = loss_grads(s.loss, a, _record_values(lazy_neg))
-    _, d2 = loss_grads(s.loss, _record_values(lazy_pos), b)
-    w1 = np.asarray(outer_deriv(s.outer, u_fresh)) * np.asarray(d1)
-    w2 = np.asarray(outer_deriv(s.outer, _record_values(lazy_u))) * np.asarray(d2)
+    d1, _ = loss_grads(s.loss, a, lazy_neg)
+    _, d2 = loss_grads(s.loss, lazy_pos, b)
+    w1 = np.asarray(outer_deriv(s.outer, state.u_table.values[z1_idx])) * np.asarray(d1)
+    w2 = np.asarray(outer_deriv(s.outer, lazy_u)) * np.asarray(d2)
     j1 = score_grad_many(s.scorer, state.model, x1)
     j2 = score_grad_many(s.scorer, state.model, x2)
     return (w1 @ j1) / len(z1_idx) + (w2 @ j2) / len(z2_idx)
@@ -381,7 +338,7 @@ class _Program:
             if self.uses_momentum:
                 st.momentum = np.zeros_like(w0)
             if self.uses_u:
-                st.u_table = UTable(shard.pos_ids)
+                st.u_table = UTable(shard.n_pos)
             if self.shares_histories:
                 st.pos_buffer = Buffer()
                 st.neg_buffer = Buffer()
@@ -402,33 +359,25 @@ class _Program:
     def bootstrap_upload(self, st: ClientState) -> RoundUpload:
         if self.shares_histories:
             for k, z1, a, z2, b in self._bootstrap_batches(st):
-                for sid, val in zip(st.shard.pos_ids[z1], a):
-                    st.out_h1.append(ScoreRecord(float(val), st.index, k, int(sid)))
-                for sid, val in zip(st.shard.neg_ids[z2], b):
-                    st.out_h2.append(ScoreRecord(float(val), st.index, k, int(sid)))
+                ids1 = st.shard.pos_ids[z1]
+                st.out_h1.append(Records.of(a, st.index, k, ids1))
+                st.out_h2.append(Records.of(b, st.index, k, st.shard.neg_ids[z2]))
                 if self.uses_u:
                     # Full-replacement estimates so the first cross-client
                     # u-draws are well away from the outer-derivative clamp.
-                    for m, (sid, val) in enumerate(zip(st.shard.pos_ids[z1], a)):
-                        partner = b[m % len(b)]
-                        st.out_u.append(
-                            URecord(
-                                float(loss(self.settings.loss, val, partner)),
-                                st.index,
-                                k,
-                                int(sid),
-                            )
-                        )
+                    partner = b[np.arange(len(a)) % len(b)]
+                    inner = loss(self.settings.loss, a, partner)
+                    st.out_u.append(Records.of(inner, st.index, k, ids1))
         return self._upload(st)
 
     def _upload(self, st: ClientState) -> RoundUpload:
         up = RoundUpload(
             client=st.index,
             model=st.model.copy(),
-            h1=HistorySet(tuple(st.out_h1), SIDE_POS),
-            h2=HistorySet(tuple(st.out_h2), SIDE_NEG),
+            h1=Records.concat(st.out_h1),
+            h2=Records.concat(st.out_h2),
             momentum=st.momentum.copy() if self.uses_momentum else None,
-            u=tuple(st.out_u) if self.uses_u else None,
+            u=Records.concat(st.out_u) if self.uses_u else None,
         )
         st.out_h1.clear()
         st.out_h2.clear()
@@ -442,20 +391,16 @@ class _Program:
         if self.shares_histories:
             s = self.settings
             if self.uses_u:
+                # One buffer of positions serves both blocks, so every drawn
+                # (score, u) pair shares provenance.
                 if len(download.r1) != len(download.p or ()):
                     raise ValueError("positive-side scores and u-records must align")
-                paired = list(zip(download.r1.records, download.p))
-                st.pos_buffer.refill(
-                    paired, substream(s.seed, "buffer-pos", st.index, round_idx)
-                )
-            else:
-                st.pos_buffer.refill(
-                    download.r1.records,
-                    substream(s.seed, "buffer-pos", st.index, round_idx),
-                )
+                st.paired_u = download.p
+            st.pos_buffer.refill(
+                download.r1, substream(s.seed, "buffer-pos", st.index, round_idx)
+            )
             st.neg_buffer.refill(
-                download.r2.records,
-                substream(s.seed, "buffer-neg", st.index, round_idx),
+                download.r2, substream(s.seed, "buffer-neg", st.index, round_idx)
             )
 
     def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
@@ -473,12 +418,11 @@ class FedX1Program(_Program):
         g = substream(s.seed, "step", st.index, round_idx, k)
         z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
         z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-        lazy_neg = st.neg_buffer.draw(len(z1))
-        lazy_pos = st.pos_buffer.draw(len(z2))
+        lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
+        lazy_pos = st.pos_buffer.block.value[st.pos_buffer.draw(len(z2))]
         grad = fedx1_estimate(st, k, z1, z2, lazy_neg, lazy_pos)
         # Loss estimate pairs the fresh positive scores with their lazy partners.
-        fresh = [r.value for r in st.out_h1[-len(z1):]]
-        est = float(np.mean(loss(s.loss, np.array(fresh), _record_values(lazy_neg))))
+        est = float(np.mean(loss(s.loss, st.out_h1[-1].value, lazy_neg)))
         st.model = st.model - eta * grad
         return est
 
@@ -493,16 +437,14 @@ class FedX2Program(_Program):
         g = substream(s.seed, "step", st.index, round_idx, k)
         z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
         z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-        lazy_neg = st.neg_buffer.draw(len(z1))
-        pairs = st.pos_buffer.draw(len(z2))
-        lazy_pos = [p[0] for p in pairs]
-        lazy_u = [p[1] for p in pairs]
+        lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
+        paired = st.pos_buffer.draw(len(z2))
+        lazy_pos = st.pos_buffer.block.value[paired]
+        lazy_u = st.paired_u.value[paired]
 
         a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
-        for m, sid in enumerate(st.shard.pos_ids[z1]):
-            fedx2_u_update(
-                st.u_table, int(sid), float(a[m]), lazy_neg[m], s.hyper.gamma, s.loss
-            )
+        pair_loss = loss(s.loss, a, lazy_neg)
+        st.u_table.track(z1, pair_loss, s.hyper.gamma)
         grad = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
 
         if s.hyper.history_samples == "independent":
@@ -514,24 +456,16 @@ class FedX2Program(_Program):
             zh1, zh2 = z1, z2
             ah = a
             bh = score_many(s.scorer, st.model, st.shard.neg_X[zh2])
-        for sid, val in zip(st.shard.pos_ids[zh1], ah):
-            st.out_h1.append(ScoreRecord(float(val), st.index, k, int(sid)))
-        for sid, val in zip(st.shard.neg_ids[zh2], bh):
-            st.out_h2.append(ScoreRecord(float(val), st.index, k, int(sid)))
-        for m, (sid, val) in enumerate(zip(st.shard.pos_ids[zh1], ah)):
-            fallback = loss(s.loss, float(val), lazy_neg[m % len(lazy_neg)].value)
-            st.out_u.append(
-                URecord(
-                    st.u_table.emission_value(int(sid), fallback),
-                    st.index,
-                    k,
-                    int(sid),
-                )
-            )
+        ids1 = st.shard.pos_ids[zh1]
+        st.out_h1.append(Records.of(ah, st.index, k, ids1))
+        st.out_h2.append(Records.of(bh, st.index, k, st.shard.neg_ids[zh2]))
+        # zh1 and z1 have the same size, so lazy_neg gives one partner each.
+        u_emit = st.u_table.emission(zh1, loss(s.loss, ah, lazy_neg))
+        st.out_u.append(Records.of(u_emit, st.index, k, ids1))
 
         st.momentum = momentum_update(st.momentum, grad, s.hyper.beta)
         st.model = st.model - eta * st.momentum
-        return float(np.mean(loss(s.loss, a, _record_values(lazy_neg))))
+        return float(np.mean(pair_loss))
 
 
 class LocalSGDProgram(_Program):
@@ -587,20 +521,14 @@ class LocalPairProgram(_Program):
         n1, n2 = len(z1), len(z2)
         part_b = b[np.arange(n1) % n2]  # partner for each positive
         part_a = a[np.arange(n2) % n1]  # partner for each negative
+        pair_loss = loss(s.loss, a, part_b)
         d1, _ = loss_grads(s.loss, a, part_b)
         _, d2 = loss_grads(s.loss, part_a, b)
         j1 = score_grad_many(s.scorer, st.model, x1)
         j2 = score_grad_many(s.scorer, st.model, x2)
         if self.nonlinear:
-            ids1 = st.shard.pos_ids[z1]
-            for m, sid in enumerate(ids1):
-                old = st.u_table.value(int(sid))
-                st.u_table.update(
-                    int(sid),
-                    (1.0 - s.hyper.gamma) * old
-                    + s.hyper.gamma * loss(s.loss, float(a[m]), float(part_b[m])),
-                )
-            u1 = np.array([st.u_table.value(int(i)) for i in ids1])
+            st.u_table.track(z1, pair_loss, s.hyper.gamma)
+            u1 = st.u_table.values[z1]
             w1 = np.asarray(outer_deriv(s.outer, u1)) * np.asarray(d1)
             u2 = u1[np.arange(n2) % n1]
             w2 = np.asarray(outer_deriv(s.outer, u2)) * np.asarray(d2)
@@ -610,7 +538,7 @@ class LocalPairProgram(_Program):
         else:
             grad = (np.asarray(d1) @ j1) / n1 + (np.asarray(d2) @ j2) / n2
             st.model = st.model - eta * grad
-        return float(np.mean(loss(s.loss, a, part_b)))
+        return float(np.mean(pair_loss))
 
 
 class CentralizedProgram(_Program):
@@ -638,19 +566,8 @@ class CentralizedProgram(_Program):
         j2 = score_grad_many(s.scorer, st.model, x2)
         if self.nonlinear:
             lmat = loss(s.loss, a[:, None], b[None, :])
-            inner = lmat.mean(axis=1)
-            ids1 = st.shard.pos_ids[z1]
-            for m, sid in enumerate(ids1):
-                old = st.u_table.value(int(sid))
-                st.u_table.update(
-                    int(sid),
-                    (1.0 - s.hyper.gamma) * old + s.hyper.gamma * float(inner[m]),
-                )
-            fpu = np.asarray(
-                outer_deriv(
-                    s.outer, np.array([st.u_table.value(int(i)) for i in ids1])
-                )
-            )
+            st.u_table.track(z1, lmat.mean(axis=1), s.hyper.gamma)
+            fpu = np.asarray(outer_deriv(s.outer, st.u_table.values[z1]))
             grad = ((fpu * d1.sum(axis=1)) @ j1 + (fpu @ d2) @ j2) / (n1 * n2)
             st.momentum = momentum_update(st.momentum, grad, s.hyper.beta)
             st.model = st.model - eta * st.momentum
@@ -705,7 +622,6 @@ def _run_federation(
     trace_sink=None,
     eval_every: int = 1,
     oracle_every: int = 1,
-    threads: int = 0,
     iteration_trace: bool = False,
     pauc_fprs=DEFAULT_PAUC_FPRS,
 ) -> RunTrace:
@@ -748,7 +664,7 @@ def _run_federation(
 
     t_start = time.perf_counter()
     download, uploads = run_round(
-        states, lambda st, dl: program.bootstrap_upload(st), None, transport, threads
+        states, lambda st, dl: program.bootstrap_upload(st), None, transport
     )
     emit_round(0, t_start, download, uploads, 0)
 
@@ -774,7 +690,7 @@ def _run_federation(
             iter_records[st.index] = recs
             return program.build_upload(st, r)
 
-        download, uploads = run_round(states, client_round, download, transport, threads)
+        download, uploads = run_round(states, client_round, download, transport)
         if iteration_trace:
             for i in sorted(iter_records):
                 trace.iterations.extend(iter_records[i])

@@ -1,85 +1,91 @@
-"""Round-based communication fabric: score histories, shuffled buffers,
-u-record exchange, server aggregation, and message accounting.
+"""Round-based communication fabric: record blocks, shuffled buffers,
+server aggregation, and message accounting.
 
-One round = every client uploads (model, this round's histories, and for
-the nonlinear-f algorithm its momentum and u-records), the server averages
-the models (and momenta) and concatenates the record sets in client-index
-order, and the aggregate is broadcast back. Clients consume the received
-records through :class:`Buffer`, a shuffled queue drawn without replacement;
-records consumed in round r were produced in round r-1, never earlier,
-because buffers are flushed and refilled from the fresh aggregate each
-round.
+One round = every client uploads (model, this round's score records, and
+for the nonlinear-f algorithm its momentum and u-records), the server
+averages the models (and momenta) and concatenates the record blocks in
+client-index order, and the aggregate is broadcast back. Every record set
+is one :class:`Records` block of equal-length numpy columns. Clients consume
+a received block through :class:`Buffer`, a shuffled queue of positions into
+the shared block, drawn without replacement; records consumed in round r
+were produced in round r-1, never earlier, because buffers are flushed and
+refilled from the fresh aggregate each round.
 
 Record provenance (client, iteration, sample_id) is carried for
-testability; the math needs only the float values.
+testability; the math needs only the ``value`` column.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-SIDE_POS = "pos"  # records of positive-side (S1) scores
-SIDE_NEG = "neg"  # records of negative-side (S2) scores
+_COLUMNS = {
+    "value": np.float64,
+    "client": np.int32,
+    "iteration": np.int32,
+    "sample_id": np.int64,
+}
 
 
 class ProtocolError(RuntimeError):
     """A violation of the round exchange contract."""
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreRecord:
-    """One historical prediction score with provenance."""
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A block of communicated floats (scores or u-values): one row per
+    record, ``value`` with its provenance ``client``, ``iteration`` and
+    ``sample_id``, as equal-length columns."""
 
-    value: float
-    client: int
-    iteration: int
-    sample_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class URecord:
-    """One communicated inner-mean estimate with provenance."""
-
-    value: float
-    client: int
-    iteration: int
-    sample_id: int
-
-
-@dataclass(frozen=True)
-class HistorySet:
-    records: tuple[ScoreRecord, ...]
-    side: str
+    value: np.ndarray
+    client: np.ndarray
+    iteration: np.ndarray
+    sample_id: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.side not in (SIDE_POS, SIDE_NEG):
-            raise ValueError(f"unknown history side: {self.side!r}")
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if any(getattr(self, name).shape != self.value.shape for name in _COLUMNS):
+            raise ValueError("record columns must have equal shapes")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.value)
+
+    @classmethod
+    def of(cls, value, client: int, iteration: int, sample_id) -> Records:
+        """Records produced by one client at one iteration."""
+        n = len(sample_id)
+        return cls(value, np.full(n, client), np.full(n, iteration), sample_id)
+
+    @classmethod
+    def concat(cls, blocks: Sequence[Records]) -> Records:
+        """The blocks' rows in order; no blocks give an empty block."""
+        return cls(*(
+            np.concatenate([getattr(b, name) for b in blocks]) if blocks else []
+            for name in _COLUMNS
+        ))
 
 
 @dataclass(frozen=True)
 class RoundUpload:
     client: int
     model: np.ndarray
-    h1: HistorySet  # positive-side scores produced this round
-    h2: HistorySet  # negative-side scores produced this round
+    h1: Records  # positive-side scores produced this round
+    h2: Records  # negative-side scores produced this round
     momentum: np.ndarray | None = None  # nonlinear-f algorithms only
-    u: tuple[URecord, ...] | None = None  # nonlinear-f algorithms only
+    u: Records | None = None  # nonlinear-f algorithms only
 
 
 @dataclass(frozen=True)
 class RoundDownload:
     model: np.ndarray
-    r1: HistorySet  # aggregated positive-side history
-    r2: HistorySet  # aggregated negative-side history
+    r1: Records  # aggregated positive-side scores
+    r2: Records  # aggregated negative-side scores
     momentum: np.ndarray | None = None
-    p: tuple[URecord, ...] | None = None
+    p: Records | None = None  # aggregated u-records, row-aligned with r1
 
 
 def tree_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -95,7 +101,7 @@ def tree_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def server_aggregate(uploads: Sequence[RoundUpload]) -> RoundDownload:
-    """Average models (and momenta), concatenate record sets in client order.
+    """Average models (and momenta), concatenate record blocks in client order.
 
     Arrival order does not matter: uploads are sorted by client index before
     reducing. Client indices must be exactly 0..N-1.
@@ -118,74 +124,61 @@ def server_aggregate(uploads: Sequence[RoundUpload]) -> RoundDownload:
     if any(with_u) and not all(with_u):
         raise ProtocolError("u-records must be present on all uploads or none")
 
-    model = tree_mean([u.model for u in ordered])
-    momentum = tree_mean([u.momentum for u in ordered]) if all(with_momentum) else None
-    r1_records: list[ScoreRecord] = []
-    r2_records: list[ScoreRecord] = []
-    for u in ordered:
-        r1_records.extend(u.h1.records)
-        r2_records.extend(u.h2.records)
-    p: tuple[URecord, ...] | None = None
-    if all(with_u):
-        p = tuple(rec for u in ordered for rec in u.u)
     return RoundDownload(
-        model=model,
-        r1=HistorySet(tuple(r1_records), SIDE_POS),
-        r2=HistorySet(tuple(r2_records), SIDE_NEG),
-        momentum=momentum,
-        p=p,
+        model=tree_mean([u.model for u in ordered]),
+        r1=Records.concat([u.h1 for u in ordered]),
+        r2=Records.concat([u.h2 for u in ordered]),
+        momentum=tree_mean([u.momentum for u in ordered]) if all(with_momentum) else None,
+        p=Records.concat([u.u for u in ordered]) if all(with_u) else None,
     )
 
 
 class Buffer:
-    """Shuffled queue of received records, drawn sequentially without
-    replacement. If a draw exhausts the buffer mid-round it reshuffles the
-    same entries and continues (wrap-around); ``wraps`` counts those events
-    so tests can assert they never happen under default configurations.
+    """Shuffled queue of positions into a received record block, drawn
+    sequentially without replacement. If a draw exhausts the buffer
+    mid-round it reshuffles the same positions and continues (wrap-around);
+    ``wraps`` counts those events so tests can assert they never happen
+    under default configurations.
     """
 
     def __init__(self) -> None:
-        self._entries: list | None = None
+        self.block: Records | None = None  # the shared aggregate, not a copy
         self._order: np.ndarray | None = None
         self._rng: np.random.Generator | None = None
         self.cursor = 0
         self.wraps = 0
 
     def __len__(self) -> int:
-        return 0 if self._entries is None else len(self._entries)
+        return 0 if self.block is None else len(self.block)
 
-    def refill(self, received: Sequence, rng: np.random.Generator) -> None:
-        """Flush and replace contents with a permutation of ``received``."""
-        received = list(received)
-        if not received:
+    def refill(self, block: Records, rng: np.random.Generator) -> None:
+        """Flush and replace contents with a permutation of ``block``'s rows."""
+        if not len(block):
             raise ProtocolError("cannot refill a buffer from an empty aggregate")
-        self._entries = received
+        self.block = block
         self._rng = rng
         self._reshuffle()
 
     def _reshuffle(self) -> None:
-        assert self._entries is not None and self._rng is not None
-        self._order = self._rng.permutation(len(self._entries))
+        self._order = self._rng.permutation(len(self.block))
         self.cursor = 0
 
-    def draw(self, count: int) -> list:
-        """Next ``count`` entries in permutation order."""
-        if self._entries is None:
+    def draw(self, count: int) -> np.ndarray:
+        """Positions in ``block`` of the next ``count`` entries."""
+        if self.block is None:
             raise ProtocolError("buffer was never refilled")
         if count < 1:
             raise ValueError("count must be positive")
-        out = []
-        while len(out) < count:
-            if self.cursor >= len(self._entries):
+        parts = []
+        while count:
+            if self.cursor >= len(self._order):
                 self._reshuffle()
                 self.wraps += 1
-            out.append(self._entries[self._order[self.cursor]])
-            self.cursor += 1
-        return out
-
-
-def _u_len(u: tuple[URecord, ...] | None) -> int:
-    return 0 if u is None else len(u)
+            part = self._order[self.cursor:self.cursor + count]
+            parts.append(part)
+            self.cursor += len(part)
+            count -= len(part)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:
@@ -193,10 +186,10 @@ def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:
 
     Provenance integers are excluded; see :func:`comm_cost_ints`.
     """
-    up = upload.model.size + len(upload.h1) + len(upload.h2) + _u_len(upload.u)
+    up = upload.model.size + len(upload.h1) + len(upload.h2) + len(upload.u or ())
     if upload.momentum is not None:
         up += upload.momentum.size
-    down = download.model.size + len(download.r1) + len(download.r2) + _u_len(download.p)
+    down = download.model.size + len(download.r1) + len(download.r2) + len(download.p or ())
     if download.momentum is not None:
         down += download.momentum.size
     return int(up), int(down)
@@ -205,8 +198,8 @@ def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:
 def comm_cost_ints(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:
     """Provenance integers (client, iteration, sample_id per record),
     counted separately from the float payload."""
-    up = 3 * (len(upload.h1) + len(upload.h2) + _u_len(upload.u))
-    down = 3 * (len(download.r1) + len(download.r2) + _u_len(download.p))
+    up = 3 * (len(upload.h1) + len(upload.h2) + len(upload.u or ()))
+    down = 3 * (len(download.r1) + len(download.r2) + len(download.p or ()))
     return up, down
 
 
@@ -240,22 +233,15 @@ def run_round(
     round_fn: Callable,
     download: RoundDownload | None,
     transport: InProcessTransport,
-    threads: int = 0,
 ) -> tuple[RoundDownload, list[RoundUpload]]:
     """Execute one synchronous round.
 
     ``round_fn(client, download) -> RoundUpload`` runs each client's local
-    work (possibly in parallel across clients: each client owns its state
-    exclusively and all randomness is substream-derived, so any degree of
-    parallelism yields bitwise-identical results). All uploads are collected
-    before aggregation; no client observes round r+1 state before every
-    round-r upload is in.
+    work, one client after another in index order. All uploads are
+    collected before aggregation; no client observes round r+1 state before
+    every round-r upload is in.
     """
-    if threads > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            uploads = list(pool.map(lambda c: round_fn(c, download), clients))
-    else:
-        uploads = [round_fn(c, download) for c in clients]
+    uploads = [round_fn(c, download) for c in clients]
     for up in uploads:
         transport.upload(up)
     return transport.exchange(), uploads

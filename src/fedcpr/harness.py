@@ -13,7 +13,6 @@ per-iteration records go to a sibling ``<out>.iters.csv``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,8 +33,6 @@ from .losses import OuterFnSpec, PairwiseLossSpec
 from .model import ScorerSpec
 
 ALGORITHMS = ("fedx1", "fedx2", "local_sgd", "local_pair", "centralized")
-
-THREADS_ENV = "FEDX_THREADS"
 
 
 class ConfigError(ValueError):
@@ -353,15 +350,6 @@ class CsvTraceSink:
             self._iter_fh.close()
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
-    return max(0, n)
-
-
 def total_floats(trace: RunTrace, n_clients: int) -> int:
     """Floats communicated over the whole run, all clients, both directions."""
     return sum(
@@ -379,9 +367,7 @@ def run(
 ) -> RunTrace:
     """Execute one configured run, writing the trace incrementally.
 
-    ``seed`` overrides both the data seed and the run seed. Client-level
-    parallelism is capped by the FEDX_THREADS environment variable
-    (0 = serial); results are identical at any setting.
+    ``seed`` overrides both the data seed and the run seed.
     """
     if seed is not None:
         config = replace(
@@ -404,7 +390,6 @@ def run(
             trace_sink=sink,
             eval_every=config.eval_every_rounds,
             oracle_every=config.oracle_every_rounds,
-            threads=_threads_from_env(),
             iteration_trace=iteration_trace,
         )
         if config.algorithm == "fedx1":
@@ -454,6 +439,8 @@ def sweep(
         raise ConfigError(f"axis: must be K or N, got {axis!r}")
     if not values:
         raise ConfigError("values: must be nonempty")
+    if min(values) < 1:
+        raise ConfigError(f"values: must be positive, got {values}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     total_pos = base_config.data.n_pos_per_client * base_config.data.n_clients

@@ -1,9 +1,9 @@
 """AUC and one-way partial AUC with exact tie handling.
 
-Ties count 0.5 everywhere (Wilcoxon convention). ``auc`` is a sorted
-rank-based implementation; ``auc_bruteforce`` is the O(P·Q) pairwise
-definition it is verified against; keep both, they are independent routes
-to the same number.
+Ties count 0.5 everywhere (Wilcoxon convention). ``auc`` counts wins by
+binary search of each positive in the sorted negatives; ``auc_bruteforce``
+is the O(P·Q) pairwise definition it is verified against; keep both, they
+are independent routes to the same number.
 
 ``partial_auc`` restricts the comparison to the hardest (highest-scoring)
 floor(fpr_max·Q) negatives and reports the pairwise win rate of positives
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,14 @@ def _check_nonempty(ev: ScoredEval) -> None:
 def auc(ev: ScoredEval) -> float:
     """Probability a positive outranks a negative, ties counting 0.5."""
     _check_nonempty(ev)
-    p, q = ev.pos_scores.size, ev.neg_scores.size
-    ranks = rankdata(np.concatenate([ev.pos_scores, ev.neg_scores]), method="average")
-    pos_rank_sum = ranks[:p].sum()
-    return float((pos_rank_sum - p * (p + 1) / 2.0) / (p * q))
+    if np.isnan(ev.pos_scores).any() or np.isnan(ev.neg_scores).any():
+        return float("nan")  # a NaN score has no rank
+    neg = np.sort(ev.neg_scores)
+    below = np.searchsorted(neg, ev.pos_scores, side="left").sum()  # strict wins
+    not_above = np.searchsorted(neg, ev.pos_scores, side="right").sum()
+    # Integer and half-integer counts are exact in floating point.
+    wins = below + 0.5 * (not_above - below)
+    return float(wins / (ev.pos_scores.size * ev.neg_scores.size))
 
 
 def auc_bruteforce(ev: ScoredEval) -> float:

@@ -2,7 +2,7 @@
 
 Every random draw in the package flows through :func:`substream`, so any
 draw is attributable to a named stream and replays bitwise given the same
-seed, regardless of scheduling or thread count.
+seed, regardless of the order in which clients run.
 
 Derivation scheme (documented so an alternate-language port can reproduce
 the draws): the seed is encoded as 8 signed big-endian bytes, each tag is

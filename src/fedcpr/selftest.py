@@ -25,7 +25,7 @@ from .algorithms import (
     momentum_update,
 )
 from .data import DataConfig, build_dataset
-from .federation import Buffer, ScoreRecord, URecord
+from .federation import Buffer, Records
 from .losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
@@ -118,12 +118,10 @@ def _check_estimator_reduction() -> CheckResult:
     rng = np.random.default_rng(9)
     z1 = np.array([0, 2, 4])
     z2 = np.array([1, 3, 5, 7])
-    lazy_neg = [ScoreRecord(float(v), 0, 0, i) for i, v in enumerate(rng.normal(size=3))]
-    lazy_pos = [ScoreRecord(float(v), 1, 0, i) for i, v in enumerate(rng.normal(size=4))]
-    lazy_u = [URecord(1.0 + float(abs(v)), 1, 0, i)
-              for i, v in enumerate(rng.normal(size=4))]
-    for sid in st.shard.pos_ids[z1]:
-        st.u_table.update(int(sid), 1.5)
+    lazy_neg = rng.normal(size=3)
+    lazy_pos = rng.normal(size=4)
+    lazy_u = 1.0 + np.abs(rng.normal(size=4))
+    st.u_table.values[z1] = 1.5
     g2 = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
     g1 = fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos)
     ok = np.array_equal(g1, g2)
@@ -144,14 +142,14 @@ def _check_momentum_closed_form() -> CheckResult:
 
 
 def _check_buffer() -> CheckResult:
-    records = list(range(52))
+    block = Records.of(np.zeros(52), 0, 0, np.arange(52))
     buf = Buffer()
-    buf.refill(records, substream(1, "selftest-buffer"))
-    first = buf.draw(30) + buf.draw(22)
-    ok = sorted(first) == records and buf.wraps == 0
+    buf.refill(block, substream(1, "selftest-buffer"))
+    first = np.concatenate([buf.draw(30), buf.draw(22)])
+    ok = np.array_equal(np.sort(first), np.arange(52)) and buf.wraps == 0
     buf2 = Buffer()
-    buf2.refill(records, substream(1, "selftest-buffer"))
-    ok = ok and buf2.draw(52) == first
+    buf2.refill(block, substream(1, "selftest-buffer"))
+    ok = ok and np.array_equal(buf2.draw(52), first)
     return CheckResult("buffer permutation and replay", ok)
 
 

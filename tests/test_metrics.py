@@ -29,6 +29,10 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc(ScoredEval([1.0], []))
 
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc(ScoredEval([1.0, np.nan], [0.0])))
+        assert np.isnan(auc(ScoredEval([1.0], [np.nan, 0.0])))
+
     def test_matches_bruteforce_with_ties(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
