@@ -46,12 +46,20 @@ from .losses import (
     exact_grad,
     exact_inner,
     exact_objective,
+    exact_oracle,
     loss,
     loss_grads,
     outer_deriv,
     outer_value,
 )
-from .metrics import ScoredEval, auc, auc_bruteforce, partial_auc, partial_auc_bruteforce
+from .metrics import (
+    ScoredEval,
+    auc,
+    auc_and_partial_aucs,
+    auc_bruteforce,
+    partial_auc,
+    partial_auc_bruteforce,
+)
 from .model import ScorerSpec, finite_diff_grad, score, score_grad, score_many
 from .rng import substream
 

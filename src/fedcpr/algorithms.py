@@ -50,13 +50,12 @@ from .losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
     PairwiseLossSpec,
-    exact_grad,
-    exact_objective,
+    exact_oracle,
     loss,
     loss_grads,
     outer_deriv,
 )
-from .metrics import ScoredEval, auc, partial_auc
+from .metrics import ScoredEval, auc_and_partial_aucs
 from .model import ScorerSpec, init_params, score_grad_many, score_many
 from .rng import substream
 
@@ -594,11 +593,17 @@ class _Evaluator:
         self.eval_pos_X = dataset.eval_pos_X
         self.eval_neg_X = dataset.eval_neg_X
 
-    def oracle(self, w: np.ndarray) -> tuple[float, float]:
+    def oracle(self, w: np.ndarray, round_idx: int) -> tuple[float, float]:
+        """(objective, grad_norm_sq); raises rather than return inf or NaN."""
         s = self.settings
-        obj = exact_objective(s.loss, s.outer, s.scorer, w, self.pos_X, self.neg_X)
-        grad = exact_grad(s.loss, s.outer, s.scorer, w, self.pos_X, self.neg_X)
-        return obj, float(np.dot(grad, grad))
+        obj, grad = exact_oracle(s.loss, s.outer, s.scorer, w, self.pos_X, self.neg_X)
+        grad_sq = float(np.dot(grad, grad))
+        for name, value in (("objective", obj), ("grad_norm_sq", grad_sq)):
+            if not math.isfinite(value):
+                raise FloatingPointError(
+                    f"exact {name} is non-finite ({value}) at round {round_idx}"
+                )
+        return obj, grad_sq
 
     def held_out(self, w: np.ndarray) -> tuple[float, dict[float, float]]:
         s = self.settings
@@ -606,7 +611,7 @@ class _Evaluator:
             score_many(s.scorer, w, self.eval_pos_X),
             score_many(s.scorer, w, self.eval_neg_X),
         )
-        return auc(ev), {f: partial_auc(ev, f) for f in self.pauc_fprs}
+        return auc_and_partial_aucs(ev, self.pauc_fprs)
 
 
 def _due(round_idx: int, last_round: int, every: int) -> bool:
@@ -636,7 +641,7 @@ def _run_federation(
         up_floats, down_floats = comm_cost(uploads[0], download)
         objective = grad_sq = auc_val = pauc_val = None
         if _due(idx, hyper.R, oracle_every):
-            objective, grad_sq = evaluator.oracle(download.model)
+            objective, grad_sq = evaluator.oracle(download.model, idx)
         if _due(idx, hyper.R, eval_every):
             auc_val, pauc_val = evaluator.held_out(download.model)
         rec = RoundRecord(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import build_dataset
 from .harness import ConfigError, parse_config_file, run, sweep
-from .losses import exact_grad, exact_objective
+from .losses import exact_oracle
 from .model import init_params
 from .rng import substream
 from .selftest import run_selftest
@@ -82,8 +82,7 @@ def _cmd_oracle(args) -> int:
     w0 = init_params(config.scorer, substream(config.hyper.seed, "init"))
     _, pos_X = dataset.pos_union()
     _, neg_X = dataset.neg_union()
-    obj = exact_objective(config.loss, config.outer, config.scorer, w0, pos_X, neg_X)
-    grad = exact_grad(config.loss, config.outer, config.scorer, w0, pos_X, neg_X)
+    obj, grad = exact_oracle(config.loss, config.outer, config.scorer, w0, pos_X, neg_X)
     print(f"objective = {obj:.17g}")
     print(f"grad_norm_sq = {float(np.dot(grad, grad)):.17g}")
     print("grad = " + ",".join(format(v, ".17g") for v in grad))

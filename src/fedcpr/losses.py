@@ -1,13 +1,23 @@
-"""Pairwise losses, outer functions, and exact brute-force oracles.
+"""Pairwise losses, outer functions, and exact oracles.
 
 The objective being optimized everywhere in this package is
 
     (1/|S1|) * sum_{z in S1} f( (1/|S2|) * sum_{z' in S2} loss(h(w,z), h(w,z')) )
 
 with S1 the positive set, S2 the negative set, h the scorer, f the outer
-function. ``exact_inner``, ``exact_objective`` and ``exact_grad`` evaluate
-it (and its gradient) by exhaustive double loops over all pairs; they are
-the ground truth the stochastic estimators are tested against.
+function. ``exact_oracle`` evaluates it and its gradient exactly, over every
+pair, in one pass: both sets are scored once, the positives are swept in
+row blocks of about 2^15 pairs (each block takes the loss and its slope from
+one exp and adds into per-score weights, so nothing of size |S1| x |S2| is
+held), and one matmul per side with the score Jacobians ends it.
+``exact_objective`` and ``exact_grad`` are its two halves (the objective
+alone skips the gradient work). They are the ground truth the stochastic
+estimators are tested against; ``exact_inner`` gives one inner mean.
+
+For ``kl_opauc`` with ``kl_log`` (the KL-DRO form of one-way partial AUC)
+the sweep works in the log domain, with f = lambda * logsumexp and softmax
+weights for f' * dloss/db, so the oracle is finite wherever the objective
+is, although exp(m^2/lambda) of a single pair may overflow.
 
 Losses:
 
@@ -21,6 +31,7 @@ Losses:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,43 +71,39 @@ class OuterFnSpec:
 IDENTITY_OUTER = OuterFnSpec("identity")
 
 
+def _value_and_slope(spec: PairwiseLossSpec, a, b, slope: bool):
+    """Loss l(a, b) and, if slope, dl/db (= -dl/da for all three losses),
+    sharing one exp. a and b are float arrays that broadcast."""
+    if spec.kind == "psm_sigmoid":
+        s = expit(b - a)  # 1/(1+exp(a-b)), saturating at the 0/1 limits
+        return s, (s * (1.0 - s) if slope else None)
+    if spec.kind == "kl_opauc":
+        m = np.maximum(b + 1.0 - a, 0.0)
+        e = np.exp(m * m / spec.lam)
+        return e, (e * (2.0 * m / spec.lam) if slope else None)
+    d = 1.0 - (a - b)  # square
+    return np.square(d), (2.0 * d if slope else None)
+
+
 def loss(spec: PairwiseLossSpec, a, b):
     """Pairwise loss of a positive-side score a against negative-side b.
 
     Accepts scalars or broadcastable arrays.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if spec.kind == "psm_sigmoid":
-        out = expit(b - a)  # 1/(1+exp(a-b)), saturating at the 0/1 limits
-    elif spec.kind == "kl_opauc":
-        m = np.maximum(b + 1.0 - a, 0.0)
-        out = np.exp(m * m / spec.lam)
-    else:  # square
-        out = np.square(1.0 - (a - b))
+    out, _ = _value_and_slope(
+        spec, np.asarray(a, dtype=float), np.asarray(b, dtype=float), False
+    )
     return float(out) if out.ndim == 0 else out
 
 
 def loss_grads(spec: PairwiseLossSpec, a, b):
     """Partial derivatives (d loss/da, d loss/db). Scalars or arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if spec.kind == "psm_sigmoid":
-        s = expit(b - a)
-        da = -s * (1.0 - s)
-        db = s * (1.0 - s)
-    elif spec.kind == "kl_opauc":
-        m = np.maximum(b + 1.0 - a, 0.0)
-        common = np.exp(m * m / spec.lam) * (2.0 * m / spec.lam)
-        da = -common
-        db = common
-    else:  # square
-        t = 2.0 * (1.0 - (a - b))
-        da = -t
-        db = t
-    if da.ndim == 0:
-        return float(da), float(db)
-    return da, db
+    _, db = _value_and_slope(
+        spec, np.asarray(a, dtype=float), np.asarray(b, dtype=float), True
+    )
+    if db.ndim == 0:
+        return float(-db), float(db)
+    return -db, db
 
 
 def outer_value(spec: OuterFnSpec, s):
@@ -154,6 +161,90 @@ def exact_inner_all(
     return loss(loss_spec, a[:, None], b[None, :]).mean(axis=1)
 
 
+# Pairs per row block of the oracle sweep; a block holds
+# max(1, _BLOCK_PAIRS // |S2|) positives against every negative.
+_BLOCK_PAIRS = 2**15
+
+
+def _kl_log_block(loss_spec, outer, a, b, grad: bool):
+    """kl_opauc + kl_log on one row block, in the log domain.
+
+    With t = m^2/lambda_loss, log g_p = max_q t + log(mean_q exp(t - max_q t))
+    and L_p = max(log g_p, log u_floor), so f(g_p) = lambda_outer * L_p and
+    f'(g_p) * dl/db = lambda_outer * exp(t - L_p) * 2m/lambda_loss: finite
+    wherever the objective is, though exp(t) alone may overflow.
+    """
+    m = np.maximum(b[None, :] + 1.0 - a[:, None], 0.0)
+    t = np.multiply(m, m)
+    t /= loss_spec.lam
+    t_max = t.max(axis=1)
+    t -= t_max[:, None]
+    e = np.exp(t, out=t)
+    log_g = t_max + np.log(e.sum(axis=1) / b.shape[0])
+    log_g = np.maximum(log_g, math.log(outer.u_floor))
+    if not grad:
+        return outer.lam * log_g, None, None
+    # exp(t - L_p) * 2m/lambda_loss = [exp(t_max - L_p) * 2/lambda_loss] * e * m
+    scale = outer.lam * np.exp(t_max - log_g) * (2.0 / loss_spec.lam)
+    e *= m
+    return outer.lam * log_g, scale, e
+
+
+def _direct_block(loss_spec, outer, a, b, grad: bool):
+    """Any other pair on one row block: f(g_p), f'(g_p) and dl/db."""
+    lmat, slope = _value_and_slope(loss_spec, a[:, None], b[None, :], grad)
+    g = lmat.mean(axis=1)
+    return outer_value(outer, g), (outer_deriv(outer, g) if grad else None), slope
+
+
+def _sweep(loss_spec, outer, a, b, grad: bool):
+    """f(g_p) for every positive and, if grad, the per-score weights.
+
+    Returns (f, pos_w, neg_w) with pos_w[p] = sum_q f'(g_p) dl/da and
+    neg_w[q] = sum_p f'(g_p) dl/db, so that the gradient is
+    (pos_w @ J_pos + neg_w @ J_neg) / (PQ). Positives are swept in row
+    blocks of about _BLOCK_PAIRS pairs; nothing of size P x Q is held.
+    """
+    P, Q = a.shape[0], b.shape[0]
+    log_domain = (loss_spec.kind, outer.kind) == ("kl_opauc", "kl_log")
+    block = _kl_log_block if log_domain else _direct_block
+    rows = max(1, _BLOCK_PAIRS // Q)
+    f = np.empty(P)
+    pos_w = np.empty(P) if grad else None
+    neg_w = np.zeros(Q) if grad else None
+    for lo in range(0, P, rows):
+        hi = min(lo + rows, P)
+        f[lo:hi], scale, slope = block(loss_spec, outer, a[lo:hi], b, grad)
+        if grad:
+            pos_w[lo:hi] = scale * -slope.sum(axis=1)  # dl/da = -dl/db
+            neg_w += scale @ slope
+    return f, pos_w, neg_w
+
+
+def exact_oracle(
+    loss_spec: PairwiseLossSpec,
+    outer: OuterFnSpec,
+    scorer: ScorerSpec,
+    w: np.ndarray,
+    pos_X: np.ndarray,
+    neg_X: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Exact objective and gradient from one sweep over all pairs.
+
+    gradient = (1/(PQ)) * sum_{p,q} f'(g_p) * [d1loss_pq * grad h(z_p) + d2loss_pq * grad h(z'_q)]
+
+    This is the ground-truth oracle the stochastic estimators are tested
+    against. Both sets are scored once; the Jacobians enter in one matmul
+    per side at the end.
+    """
+    a, b = _pair_scores(scorer, w, pos_X, neg_X)
+    f, pos_w, neg_w = _sweep(loss_spec, outer, a, b, grad=True)
+    pos_J = score_grad_many(scorer, w, pos_X)  # (P, d)
+    neg_J = score_grad_many(scorer, w, neg_X)  # (Q, d)
+    grad = (pos_w @ pos_J + neg_w @ neg_J) / (a.shape[0] * b.shape[0])
+    return float(np.mean(f)), grad
+
+
 def exact_objective(
     loss_spec: PairwiseLossSpec,
     outer: OuterFnSpec,
@@ -162,9 +253,9 @@ def exact_objective(
     pos_X: np.ndarray,
     neg_X: np.ndarray,
 ) -> float:
-    """Full objective by exhaustive summation, O(|S1|·|S2|) loss evals."""
-    inner = exact_inner_all(loss_spec, scorer, w, pos_X, neg_X)
-    return float(np.mean(outer_value(outer, inner)))
+    """The objective of :func:`exact_oracle`, without the gradient work."""
+    a, b = _pair_scores(scorer, w, pos_X, neg_X)
+    return float(np.mean(_sweep(loss_spec, outer, a, b, grad=False)[0]))
 
 
 def exact_grad(
@@ -175,20 +266,5 @@ def exact_grad(
     pos_X: np.ndarray,
     neg_X: np.ndarray,
 ) -> np.ndarray:
-    """Analytic full gradient over all (positive, negative) pairs.
-
-    (1/(PQ)) * sum_{p,q} f'(g_p) * [d1loss_pq * grad h(z_p) + d2loss_pq * grad h(z'_q)]
-
-    This is the ground-truth oracle the stochastic estimators are tested
-    against.
-    """
-    a, b = _pair_scores(scorer, w, pos_X, neg_X)
-    P, Q = a.shape[0], b.shape[0]
-    lmat = loss(loss_spec, a[:, None], b[None, :])
-    fprime = outer_deriv(outer, lmat.mean(axis=1))  # f'(g_p), shape (P,)
-    d1, d2 = loss_grads(loss_spec, a[:, None], b[None, :])
-    pos_J = score_grad_many(scorer, w, pos_X)  # (P, d)
-    neg_J = score_grad_many(scorer, w, neg_X)  # (Q, d)
-    pos_w = fprime * d1.sum(axis=1)  # (P,)
-    neg_w = fprime @ d2  # (Q,)
-    return (pos_w @ pos_J + neg_w @ neg_J) / (P * Q)
+    """The gradient of :func:`exact_oracle`."""
+    return exact_oracle(loss_spec, outer, scorer, w, pos_X, neg_X)[1]

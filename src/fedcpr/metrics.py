@@ -7,7 +7,11 @@ are independent routes to the same number.
 
 ``partial_auc`` restricts the comparison to the hardest (highest-scoring)
 floor(fpr_max·Q) negatives and reports the pairwise win rate of positives
-against exactly those negatives, so partial_auc(fpr_max=1) == auc.
+against exactly those negatives, so partial_auc(fpr_max=1) == auc. The
+sorted route counts those wins in the top suffix of the same sorted
+negatives, so ``auc_and_partial_aucs`` gets auc and every partial AUC from
+one sort; ``partial_auc_bruteforce`` selects the negatives by ``lexsort``
+and counts pairs, the independent route.
 """
 
 from __future__ import annotations
@@ -32,17 +36,41 @@ def _check_nonempty(ev: ScoredEval) -> None:
         raise ValueError("both score sides must be nonempty")
 
 
+def _keep_count(q: int, fpr_max: float) -> int:
+    """floor(fpr_max * q) negatives, at least one, for fpr_max in (0, 1]."""
+    if not (0.0 < fpr_max <= 1.0):
+        raise ValueError("fpr_max must be in (0, 1]")
+    keep = int(np.floor(fpr_max * q))
+    if keep == 0:
+        raise ValueError(f"fpr_max={fpr_max} keeps zero of {q} negatives")
+    return keep
+
+
+def _win_rates(ev: ScoredEval, keeps) -> list[float]:
+    """Win rate of the positives against the top ``keep`` negatives, for
+    each keep, from one sort: the top keep of the ascending negatives are
+    the suffix past off = Q - keep, so a positive's wins there are its
+    wins overall less off, floored at 0."""
+    if np.isnan(ev.pos_scores).any() or np.isnan(ev.neg_scores).any():
+        return [float("nan")] * len(keeps)  # a NaN score has no rank
+    neg = np.sort(ev.neg_scores)
+    left = np.searchsorted(neg, ev.pos_scores, side="left")  # strict wins
+    right = np.searchsorted(neg, ev.pos_scores, side="right")  # wins + ties
+    rates = []
+    for keep in keeps:
+        off = neg.size - keep
+        below = np.maximum(left - off, 0).sum()
+        not_above = np.maximum(right - off, 0).sum()
+        # Integer and half-integer counts are exact in floating point.
+        wins = below + 0.5 * (not_above - below)
+        rates.append(float(wins / (ev.pos_scores.size * keep)))
+    return rates
+
+
 def auc(ev: ScoredEval) -> float:
     """Probability a positive outranks a negative, ties counting 0.5."""
     _check_nonempty(ev)
-    if np.isnan(ev.pos_scores).any() or np.isnan(ev.neg_scores).any():
-        return float("nan")  # a NaN score has no rank
-    neg = np.sort(ev.neg_scores)
-    below = np.searchsorted(neg, ev.pos_scores, side="left").sum()  # strict wins
-    not_above = np.searchsorted(neg, ev.pos_scores, side="right").sum()
-    # Integer and half-integer counts are exact in floating point.
-    wins = below + 0.5 * (not_above - below)
-    return float(wins / (ev.pos_scores.size * ev.neg_scores.size))
+    return _win_rates(ev, [ev.neg_scores.size])[0]
 
 
 def auc_bruteforce(ev: ScoredEval) -> float:
@@ -59,21 +87,24 @@ def auc_bruteforce(ev: ScoredEval) -> float:
 
 
 def _hardest_negatives(neg_scores: np.ndarray, fpr_max: float) -> np.ndarray:
-    if not (0.0 < fpr_max <= 1.0):
-        raise ValueError("fpr_max must be in (0, 1]")
-    q = neg_scores.size
-    keep = int(np.floor(fpr_max * q))
-    if keep == 0:
-        raise ValueError(f"fpr_max={fpr_max} keeps zero of {q} negatives")
+    keep = _keep_count(neg_scores.size, fpr_max)
     # Ties at the quantile boundary break by score then by position index.
-    order = np.lexsort((np.arange(q), -neg_scores))
+    order = np.lexsort((np.arange(neg_scores.size), -neg_scores))
     return neg_scores[order[:keep]]
 
 
 def partial_auc(ev: ScoredEval, fpr_max: float) -> float:
     """One-way partial AUC against the hardest fpr_max fraction of negatives."""
     _check_nonempty(ev)
-    return auc(ScoredEval(ev.pos_scores, _hardest_negatives(ev.neg_scores, fpr_max)))
+    return _win_rates(ev, [_keep_count(ev.neg_scores.size, fpr_max)])[0]
+
+
+def auc_and_partial_aucs(ev: ScoredEval, fprs) -> tuple[float, dict[float, float]]:
+    """auc(ev) and {f: partial_auc(ev, f) for f in fprs}, sorting once."""
+    _check_nonempty(ev)
+    q = ev.neg_scores.size
+    rates = _win_rates(ev, [q] + [_keep_count(q, f) for f in fprs])
+    return rates[0], dict(zip(fprs, rates[1:]))
 
 
 def partial_auc_bruteforce(ev: ScoredEval, fpr_max: float) -> float:

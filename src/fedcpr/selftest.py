@@ -30,8 +30,8 @@ from .losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
     PairwiseLossSpec,
-    exact_grad,
     exact_objective,
+    exact_oracle,
     loss,
 )
 from .metrics import ScoredEval, auc, auc_bruteforce, partial_auc
@@ -61,21 +61,41 @@ def _check_score_gradients() -> CheckResult:
                        f"worst rel err {worst:.2e}")
 
 
-def _check_exact_gradient() -> CheckResult:
-    rng = np.random.default_rng(5)
-    scorer = ScorerSpec("mlp1", 4, hidden_dim=3)
-    loss_spec = PairwiseLossSpec("kl_opauc", lam=2.0)
-    outer = OuterFnSpec("kl_log", lam=2.0)
-    pos = rng.standard_normal((5, 4))
-    neg = rng.standard_normal((7, 4))
-    w = 0.5 * rng.standard_normal(scorer.param_count)
-    g = exact_grad(loss_spec, outer, scorer, w, pos, neg)
+def _oracle_vs_finite_differences(name, scorer, lam, pos, neg, w) -> CheckResult:
+    """kl_opauc + kl_log: the oracle is finite and its gradient matches
+    central finite differences of the objective."""
+    loss_spec = PairwiseLossSpec("kl_opauc", lam=lam)
+    outer = OuterFnSpec("kl_log", lam=lam)
+    obj, g = exact_oracle(loss_spec, outer, scorer, w, pos, neg)
+    if not (np.isfinite(obj) and np.all(np.isfinite(g))):
+        return CheckResult(name, False, "non-finite")
     fd = finite_diff_grad(
         lambda v: exact_objective(loss_spec, outer, scorer, v, pos, neg), w, 1e-5
     )
     err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
-    return CheckResult("exact gradient vs finite differences", err <= 1e-5,
-                       f"rel err {err:.2e}")
+    return CheckResult(name, err <= 1e-5, f"objective {obj:.4g}, rel err {err:.2e}")
+
+
+def _check_exact_gradient() -> CheckResult:
+    rng = np.random.default_rng(5)
+    scorer = ScorerSpec("mlp1", 4, hidden_dim=3)
+    pos = rng.standard_normal((5, 4))
+    neg = rng.standard_normal((7, 4))
+    w = 0.5 * rng.standard_normal(scorer.param_count)
+    return _oracle_vs_finite_differences(
+        "exact gradient vs finite differences", scorer, 2.0, pos, neg, w
+    )
+
+
+def _check_log_domain_oracle() -> CheckResult:
+    # Far from the optimum exp(m^2/lambda) alone overflows (m^2 reaches 1e5).
+    rng = np.random.default_rng(17)
+    pos = rng.standard_normal((6, 4)) + 1.0
+    neg = rng.standard_normal((9, 4))
+    w = -30.0 * np.ones(4)  # every positive scored far below every negative
+    return _oracle_vs_finite_differences(
+        "log-domain oracle at a far point", ScorerSpec("linear", 4), 1.0, pos, neg, w
+    )
 
 
 def _check_psm_symmetry() -> CheckResult:
@@ -199,6 +219,7 @@ def run_selftest() -> list[CheckResult]:
     checks = [
         _check_score_gradients,
         _check_exact_gradient,
+        _check_log_domain_oracle,
         _check_psm_symmetry,
         _check_auc_routes,
         _check_estimator_reduction,

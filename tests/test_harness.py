@@ -295,6 +295,30 @@ class TestCli:
         res = _cli(["run", "--config", str(tmp_path / "nope.cfg")], tmp_path)
         assert res.returncode == 3, res.stderr
 
+    def test_oracle_overflow_is_runtime_error(self, tmp_path):
+        # kl_opauc + identity at lambda = 0.001: at the initial model some
+        # pair has m^2/lambda far above log(float max), so the true objective
+        # exceeds float64 and the run stops at round 0 rather than record inf.
+        text = TINY + "loss.kind = kl_opauc\nloss.lambda = 0.001\n"
+        cfg = parse_config(text)
+        from fedcpr.data import build_dataset
+        from fedcpr.model import init_params, score_many
+        from fedcpr.rng import substream
+
+        ds = build_dataset(cfg.data)
+        w0 = init_params(cfg.scorer, substream(cfg.hyper.seed, "init"))
+        a = score_many(cfg.scorer, w0, ds.pos_union()[1])
+        b = score_many(cfg.scorer, w0, ds.neg_union()[1])
+        m = max(b.max() + 1.0 - a.min(), 0.0)
+        assert m * m / 0.001 - np.log(a.size * b.size) > np.log(np.finfo(float).max)
+
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        res = _cli(["run", "--config", str(cfg_path), "--out",
+                    str(tmp_path / "t.csv")], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "objective" in res.stderr and "round 0" in res.stderr
+
     def test_oracle_prints_exact_values(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY)

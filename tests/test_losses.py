@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fedcpr.data import DataConfig, build_dataset
 from fedcpr.losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
@@ -12,12 +13,13 @@ from fedcpr.losses import (
     exact_grad,
     exact_inner,
     exact_objective,
+    exact_oracle,
     loss,
     loss_grads,
     outer_deriv,
     outer_value,
 )
-from fedcpr.model import ScorerSpec, finite_diff_grad, score
+from fedcpr.model import ScorerSpec, finite_diff_grad, score, score_grad_many, score_many
 
 PSM = PairwiseLossSpec("psm_sigmoid")
 KL = PairwiseLossSpec("kl_opauc", lam=2.0)
@@ -237,3 +239,93 @@ class TestExactOracles:
             b = rng.uniform(-3, 3)
             a = b + 1.0 + rng.uniform(0, 2)
             assert loss_grads(KL, a, b) == (0.0, 0.0)
+
+
+def _direct_oracle(loss_spec, outer, scorer, w, pos, neg):
+    """Objective and gradient straight from the definition, on the full
+    P x Q matrices: finite only where every exp(m^2/lambda) is."""
+    a, b = score_many(scorer, w, pos), score_many(scorer, w, neg)
+    lmat = loss(loss_spec, a[:, None], b[None, :])
+    da, db = loss_grads(loss_spec, a[:, None], b[None, :])
+    g = lmat.mean(axis=1)
+    fp = outer_deriv(outer, g)[:, None]
+    grad = (fp * da).sum(axis=1) @ score_grad_many(scorer, w, pos)
+    grad += (fp * db).sum(axis=0) @ score_grad_many(scorer, w, neg)
+    return float(np.mean(outer_value(outer, g))), grad / lmat.size
+
+
+def _assert_matches_direct(loss_spec, outer, scorer, w, pos, neg, rtol=1e-12):
+    obj, grad = exact_oracle(loss_spec, outer, scorer, w, pos, neg)
+    want_obj, want_grad = _direct_oracle(loss_spec, outer, scorer, w, pos, neg)
+    assert np.isfinite(want_obj) and np.all(np.isfinite(want_grad))
+    assert abs(obj - want_obj) <= rtol * abs(want_obj)
+    assert np.linalg.norm(grad - want_grad) <= rtol * np.linalg.norm(want_grad)
+    assert exact_objective(loss_spec, outer, scorer, w, pos, neg) == obj
+    np.testing.assert_array_equal(exact_grad(loss_spec, outer, scorer, w, pos, neg), grad)
+
+
+class TestExactOracleSweep:
+    @pytest.mark.parametrize("outer", ALL_OUTERS, ids=lambda o: o.kind)
+    @pytest.mark.parametrize("loss_spec", ALL_LOSSES, ids=lambda s: s.kind)
+    def test_matches_direct_formula(self, loss_spec, outer):
+        rng = np.random.default_rng(9)
+        for scorer in (LIN3, ScorerSpec("mlp1", 3, hidden_dim=2)):
+            # One block, then several blocks of 10 rows (Q = 3000).
+            for n_pos, n_neg in ((7, 5), (45, 3000)):
+                pos, neg = _instance(rng, n_pos, n_neg)
+                w = 0.6 * rng.standard_normal(scorer.param_count)
+                _assert_matches_direct(loss_spec, outer, scorer, w, pos, neg)
+
+    @pytest.mark.parametrize("n_pos,n_neg", [(70, 1000), (3, 2**15 + 1)])
+    def test_block_edges(self, n_pos, n_neg):
+        # 32-row blocks with a last block of 6 rows; then Q > 2^15, so every
+        # block holds one row.
+        rng = np.random.default_rng(10)
+        pos, neg = _instance(rng, n_pos, n_neg)
+        w = 0.6 * rng.standard_normal(3)
+        for loss_spec, outer in ((KL, KL_LOG), (PSM, KL_LOG), (SQ, IDENTITY_OUTER)):
+            _assert_matches_direct(loss_spec, outer, LIN3, w, pos, neg)
+
+    def test_u_floor_clamp_branch(self):
+        rng = np.random.default_rng(11)
+        outer = OuterFnSpec("kl_log", lam=2.0, u_floor=3.0)
+        pos, neg = _instance(rng, 40, 30)
+        w = rng.standard_normal(3)
+        inner = np.array([exact_inner(KL, LIN3, w, x, neg) for x in pos])
+        assert (inner < 3.0).any() and (inner > 3.0).any()  # both branches
+        _assert_matches_direct(KL, outer, LIN3, w, pos, neg)
+
+    def test_finite_at_stress_point(self):
+        # w = -10 (mu+ - mu-)/||mu+ - mu-|| on 1024 x 5120 pairs: every positive
+        # scores far below every negative, and exp(m^2/lambda) overflows.
+        ds = build_dataset(DataConfig(n_pos_per_client=64, n_neg_per_client=320,
+                                      input_dim=8, n_clients=16, seed=0))
+        pos, neg = ds.pos_union()[1], ds.neg_union()[1]
+        diff = pos.mean(axis=0) - neg.mean(axis=0)
+        w = -10.0 * diff / np.linalg.norm(diff)
+        scorer = ScorerSpec("linear", 8)
+        obj, grad = exact_oracle(KL, KL_LOG, scorer, w, pos, neg)
+        assert np.isfinite(obj) and np.all(np.isfinite(grad))
+
+        # Reference, one positive at a time: logsumexp for f, softmax weights
+        # for f'(g_p) * dl/db.
+        a, b = pos @ w, neg @ w
+        want_obj, want_grad, t_top = 0.0, np.zeros(8), 0.0
+        for a_p, x_p in zip(a, pos):
+            m = np.maximum(b + 1.0 - a_p, 0.0)
+            t = m * m / KL.lam
+            t_top = max(t_top, t.max())
+            e = np.exp(t - t.max())
+            want_obj += KL_LOG.lam * (t.max() + math.log(e.sum() / b.size))
+            weights = KL_LOG.lam * (e / e.sum()) * (2.0 * m / KL.lam)
+            want_grad += weights @ neg - weights.sum() * x_p
+        want_obj /= a.size
+        want_grad /= a.size
+        assert t_top > math.log(np.finfo(float).max)  # exp(t) overflows
+        assert abs(obj - want_obj) <= 1e-9 * abs(want_obj)
+        assert np.linalg.norm(grad - want_grad) <= 1e-6 * np.linalg.norm(want_grad)
+
+        fd = finite_diff_grad(
+            lambda v: exact_objective(KL, KL_LOG, scorer, v, pos, neg), w, 1e-5
+        )
+        assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcpr.metrics import (
     ScoredEval,
     auc,
+    auc_and_partial_aucs,
     auc_bruteforce,
     partial_auc,
     partial_auc_bruteforce,
@@ -101,3 +104,31 @@ class TestPartialAuc:
         ev = ScoredEval([5.0, 4.0], [6.0, 4.5, 1.0, 0.5, 0.1, 0.0])
         vals = [partial_auc(ev, f) for f in (1.0, 0.5, 1.0 / 3.0)]
         assert vals[0] >= vals[1] >= vals[2]
+
+
+# Integer-valued scores from a narrow range: ties on both sides and at the
+# boundary of the kept negatives.
+_tie_heavy = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40)
+
+
+class TestOneSortRoute:
+    @settings(max_examples=200, deadline=None)
+    @given(pos=_tie_heavy, neg=_tie_heavy)
+    def test_bit_equal_to_bruteforce_for_every_fpr(self, pos, neg):
+        ev = ScoredEval(pos, neg)
+        q = len(neg)
+        # fpr = k/q keeps k negatives (or k - 1 when k/q rounds down), for
+        # every k; plus fprs between the grid points.
+        fprs = sorted({k / q for k in range(1, q + 1)}
+                      | {(k + 0.5) / q for k in range(1, q)})
+        auc_val, paucs = auc_and_partial_aucs(ev, fprs)
+        assert auc_val == auc_bruteforce(ev) == auc(ev)
+        for f in fprs:
+            assert paucs[f] == partial_auc_bruteforce(ev, f) == partial_auc(ev, f)
+
+    def test_validates_each_fpr(self):
+        ev = ScoredEval([1.0], [0.0, 0.5])
+        with pytest.raises(ValueError):
+            auc_and_partial_aucs(ev, (0.5, 0.3))
+        with pytest.raises(ValueError):
+            auc_and_partial_aucs(ev, (1.5,))
