@@ -10,14 +10,10 @@ from .algorithms import (
     HyperParams,
     RunTrace,
     UTable,
-    centralized_run,
     fedx1_estimate,
-    fedx1_run,
     fedx2_estimate,
-    fedx2_run,
-    local_pair_run,
-    local_sgd_run,
     momentum_update,
+    simulate,
     theory_schedule,
 )
 from .data import (

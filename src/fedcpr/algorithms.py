@@ -22,6 +22,9 @@ local partner scores, no history exchange), and ``centralized`` (one worker
 on the union dataset; all pairs of the two minibatches, with the
 moving-average machinery when the outer function is nonlinear).
 
+All five run through :func:`simulate`; each is one ``_Program`` in
+:data:`PROGRAMS`, plugged into the shared round engine.
+
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so any run is a pure function of
 (config, seed).
@@ -47,7 +50,6 @@ from .federation import (
     run_round,
 )
 from .losses import (
-    IDENTITY_OUTER,
     OuterFnSpec,
     PairwiseLossSpec,
     exact_oracle,
@@ -77,6 +79,7 @@ class HyperParams:
     history_samples: str = "independent"  # or "reuse": history/u emission batches
 
     def __post_init__(self) -> None:
+        # Each message starts with the field's config key name.
         # eta = 0 is legal: frozen-model protocols rely on it.
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
@@ -92,7 +95,9 @@ class HyperParams:
         if self.lr_decay_every is not None and self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1 or none")
         if self.history_samples not in ("independent", "reuse"):
-            raise ValueError("history_samples must be 'independent' or 'reuse'")
+            raise ValueError(
+                f"history_samples must be independent or reuse, got {self.history_samples!r}"
+            )
 
     def eta_at(self, local_iter: int) -> float:
         """Step size in effect at a client's lifetime local iteration."""
@@ -468,7 +473,9 @@ class FedX2Program(_Program):
 
 
 class LocalSGDProgram(_Program):
-    """Per-sample logistic loss on local data, model averaging each round."""
+    """Per-sample logistic loss on local data, model averaging each round.
+    The configured pairwise loss and outer function are used only for
+    objective reporting."""
 
     def init_states(self, dataset: FederatedDataset) -> list[ClientState]:
         states = super().init_states(dataset)
@@ -540,6 +547,12 @@ class LocalPairProgram(_Program):
         return float(np.mean(pair_loss))
 
 
+def _union_dataset(dataset: FederatedDataset) -> FederatedDataset:
+    pos_ids, pos_X = dataset.pos_union()
+    neg_ids, neg_X = dataset.neg_union()
+    return replace(dataset, shards=(ClientShard(pos_ids, pos_X, neg_ids, neg_X),))
+
+
 class CentralizedProgram(_Program):
     """Single worker over the union dataset; every pair of the two
     minibatches contributes. Nonlinear outer is the moving-average tracker
@@ -550,6 +563,9 @@ class CentralizedProgram(_Program):
         self.nonlinear = settings.outer.kind != "identity"
         self.uses_momentum = self.nonlinear
         self.uses_u = self.nonlinear
+
+    def init_states(self, dataset: FederatedDataset) -> list[ClientState]:
+        return super().init_states(_union_dataset(dataset))
 
     def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
         s = self.settings
@@ -576,10 +592,27 @@ class CentralizedProgram(_Program):
         return float(np.mean(loss(s.loss, a[:, None], b[None, :])))
 
 
-def _union_dataset(dataset: FederatedDataset) -> FederatedDataset:
-    pos_ids, pos_X = dataset.pos_union()
-    neg_ids, neg_X = dataset.neg_union()
-    return replace(dataset, shards=(ClientShard(pos_ids, pos_X, neg_ids, neg_X),))
+PROGRAMS = {
+    "fedx1": FedX1Program,
+    "fedx2": FedX2Program,
+    "local_sgd": LocalSGDProgram,
+    "local_pair": LocalPairProgram,
+    "centralized": CentralizedProgram,
+}
+ALGORITHMS = tuple(PROGRAMS)
+# fedx1's estimator is the linear-outer one and fedx2's the nonlinear one;
+# the baselines take either outer function and branch on it.
+REQUIRED_OUTER = {"fedx1": "identity", "fedx2": "kl_log"}
+
+
+def check_algorithm(algorithm: str, outer: OuterFnSpec) -> None:
+    """Raise ValueError, its message starting with the config key at fault,
+    unless ``algorithm`` is known and runs with ``outer``."""
+    if algorithm not in PROGRAMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    required = REQUIRED_OUTER.get(algorithm, outer.kind)
+    if outer.kind != required:
+        raise ValueError(f"outer.kind must be {required} for {algorithm}, got {outer.kind!r}")
 
 
 class _Evaluator:
@@ -620,9 +653,13 @@ def _due(round_idx: int, last_round: int, every: int) -> bool:
     return every > 0 and round_idx % every == 0
 
 
-def _run_federation(
-    program: _Program,
+def simulate(
+    algorithm: str,
     dataset: FederatedDataset,
+    scorer: ScorerSpec,
+    loss_spec: PairwiseLossSpec,
+    outer: OuterFnSpec,
+    hyper: HyperParams,
     *,
     trace_sink=None,
     eval_every: int = 1,
@@ -630,8 +667,19 @@ def _run_federation(
     iteration_trace: bool = False,
     pauc_fprs=DEFAULT_PAUC_FPRS,
 ) -> RunTrace:
-    settings = program.settings
-    hyper = settings.hyper
+    """Run one of :data:`ALGORITHMS`: the bootstrap exchange, then ``hyper.R``
+    rounds of ``hyper.K`` local steps per client.
+
+    ``trace_sink`` (``on_round``/``on_iteration``) sees each record as it is
+    made. The exact oracle and the held-out metrics are taken at rounds 0
+    and R and every ``oracle_every``/``eval_every`` rounds (0 = never
+    between). Raises ValueError for an unknown algorithm or one that does
+    not run with ``outer`` (see :data:`REQUIRED_OUTER`), and
+    FloatingPointError at the first non-finite model or oracle value.
+    """
+    check_algorithm(algorithm, outer)
+    settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)
+    program = PROGRAMS[algorithm](settings)
     states = program.init_states(dataset)
     transport = InProcessTransport(len(states))
     evaluator = _Evaluator(dataset, settings, pauc_fprs)
@@ -687,7 +735,7 @@ def _run_federation(
                 if not np.all(np.isfinite(st.model)):
                     raise FloatingPointError(
                         f"model diverged (non-finite entries) on client {st.index} "
-                        f"at round {r}, iteration {k}; reduce the step size"
+                        f"at round {r}, iteration {k}"
                     )
                 st.local_iters += 1
                 if iteration_trace:
@@ -706,79 +754,3 @@ def _run_federation(
 
     trace.final_model = download.model.copy()
     return trace
-
-
-def fedx1_run(
-    dataset: FederatedDataset,
-    scorer: ScorerSpec,
-    loss_spec: PairwiseLossSpec,
-    hyper: HyperParams,
-    **engine_kwargs,
-) -> RunTrace:
-    """Linear-outer federated run. The outer function is forced to identity."""
-    settings = RunSettings("fedx1", scorer, loss_spec, IDENTITY_OUTER, hyper)
-    return _run_federation(FedX1Program(settings), dataset, **engine_kwargs)
-
-
-def fedx2_run(
-    dataset: FederatedDataset,
-    scorer: ScorerSpec,
-    loss_spec: PairwiseLossSpec,
-    outer: OuterFnSpec,
-    hyper: HyperParams,
-    **engine_kwargs,
-) -> RunTrace:
-    """Nonlinear-outer federated run; requires a nonlinear outer function."""
-    if outer.kind == "identity":
-        raise ValueError("fedx2 requires a nonlinear outer function (kl_log)")
-    settings = RunSettings("fedx2", scorer, loss_spec, outer, hyper)
-    return _run_federation(FedX2Program(settings), dataset, **engine_kwargs)
-
-
-def local_sgd_run(
-    dataset: FederatedDataset,
-    scorer: ScorerSpec,
-    loss_spec: PairwiseLossSpec,
-    outer: OuterFnSpec,
-    hyper: HyperParams,
-    **engine_kwargs,
-) -> RunTrace:
-    """Logistic-loss local SGD with model averaging. The configured pairwise
-    loss and outer function are used only for objective reporting."""
-    settings = RunSettings("local_sgd", scorer, loss_spec, outer, hyper)
-    return _run_federation(LocalSGDProgram(settings), dataset, **engine_kwargs)
-
-
-def local_pair_run(
-    dataset: FederatedDataset,
-    scorer: ScorerSpec,
-    loss_spec: PairwiseLossSpec,
-    outer: OuterFnSpec,
-    hyper: HyperParams,
-    **engine_kwargs,
-) -> RunTrace:
-    settings = RunSettings("local_pair", scorer, loss_spec, outer, hyper)
-    return _run_federation(LocalPairProgram(settings), dataset, **engine_kwargs)
-
-
-def centralized_run(
-    dataset: FederatedDataset,
-    scorer: ScorerSpec,
-    loss_spec: PairwiseLossSpec,
-    outer: OuterFnSpec,
-    hyper: HyperParams,
-    **engine_kwargs,
-) -> RunTrace:
-    settings = RunSettings("centralized", scorer, loss_spec, outer, hyper)
-    return _run_federation(
-        CentralizedProgram(settings), _union_dataset(dataset), **engine_kwargs
-    )
-
-
-RUNNERS = {
-    "fedx1": fedx1_run,
-    "fedx2": fedx2_run,
-    "local_sgd": local_sgd_run,
-    "local_pair": local_pair_run,
-    "centralized": centralized_run,
-}

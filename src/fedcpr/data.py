@@ -45,6 +45,7 @@ class DataConfig:
     cluster_std: float = 1.0
 
     def __post_init__(self) -> None:
+        # Each message starts with the field's config key name.
         for name in ("n_pos_per_client", "n_neg_per_client", "input_dim", "n_clients"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -2,8 +2,11 @@
 
 Config files are flat ``section.key = value`` lines with ``#`` comments.
 Every key has a documented default (empty file = default run: 16 clients,
-K=32, B1=B2=32, beta=0.1). Unknown keys, type errors and invariant
-violations raise :class:`ConfigError` naming the offending key.
+K=32, B1=B2=32, beta=0.1). Unknown keys, type errors, non-finite numbers
+and invariant violations raise :class:`ConfigError` naming the offending
+key. ``_SCHEMA`` states each key once; each section's invariants are checked
+by that section's dataclass, and the checks that span sections by
+:class:`RunConfig`.
 
 Traces are CSV, one record per round, written incrementally so a crash
 leaves a valid prefix. Line 1 is a ``# config:`` comment echoing the full
@@ -13,6 +16,7 @@ per-iteration records go to a sibling ``<out>.iters.csv``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,17 +26,12 @@ from .algorithms import (
     IterationRecord,
     RoundRecord,
     RunTrace,
-    centralized_run,
-    fedx1_run,
-    fedx2_run,
-    local_pair_run,
-    local_sgd_run,
+    check_algorithm,
+    simulate,
 )
 from .data import DataConfig, build_dataset
 from .losses import OuterFnSpec, PairwiseLossSpec
 from .model import ScorerSpec
-
-ALGORITHMS = ("fedx1", "fedx2", "local_sgd", "local_pair", "centralized")
 
 
 class ConfigError(ValueError):
@@ -51,6 +50,16 @@ class RunConfig:
     oracle_every_rounds: int = 1
     output_path: str = "trace.csv"
 
+    def __post_init__(self) -> None:
+        # RunConfig's own fields and the checks that span sections; each
+        # message starts with the key at fault.
+        for name in ("eval_every_rounds", "oracle_every_rounds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.scorer.input_dim != self.data.input_dim:
+            raise ValueError("scorer.input_dim must match data.input_dim")
+        check_algorithm(self.algorithm, self.outer)
+
 
 def _parse_int(key: str, raw: str) -> int:
     try:
@@ -61,9 +70,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _parse_opt_int(key: str, raw: str) -> int | None:
@@ -76,7 +88,9 @@ def _parse_str(key: str, raw: str) -> str:
     return raw
 
 
-# key -> (parser, default)
+# The one table of config keys: key -> (parser, default), in echo order. A
+# key "section.name" sets field `name` of that section's dataclass (`lam`
+# for `lambda`, a Python keyword); a bare key sets a field of RunConfig.
 _SCHEMA = {
     "algorithm": (_parse_str, "fedx1"),
     "eval_every_rounds": (_parse_int, 1),
@@ -115,10 +129,30 @@ _SCHEMA = {
     "hyper.history_samples": (_parse_str, "independent"),
 }
 
+_SECTIONS = {
+    "data": DataConfig,
+    "scorer": ScorerSpec,
+    "loss": PairwiseLossSpec,
+    "outer": OuterFnSpec,
+    "hyper": HyperParams,
+}
 
-def _check(condition: bool, key: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{key}: {message}")
+
+def _place(key: str) -> tuple[str, str]:
+    """(section, field) that a key sets; section "" is RunConfig itself."""
+    section, _, name = key.rpartition(".")
+    return section, "lam" if name == "lambda" else name
+
+
+def _build(cls, section: str, fields: dict):
+    """``cls(**fields)``, its ValueError turned into a ConfigError naming the
+    key: each message starts with the key's part after ``section``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        key = f"{section}.{name}" if section else name
+        raise ConfigError(f"{key}: {rest}" if key in _SCHEMA else str(exc)) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -138,111 +172,17 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key}: set more than once")
         raw[key] = value
 
-    vals: dict[str, object] = {}
+    fields: dict[str, dict] = {"": {}, **{section: {} for section in _SECTIONS}}
     for key, (parser, default) in _SCHEMA.items():
-        vals[key] = parser(key, raw[key]) if key in raw else default
-
-    algorithm = vals["algorithm"]
-    _check(algorithm in ALGORITHMS, "algorithm", f"must be one of {ALGORITHMS}")
-    _check(vals["eval_every_rounds"] >= 0, "eval_every_rounds", "must be >= 0")
-    _check(vals["oracle_every_rounds"] >= 0, "oracle_every_rounds", "must be >= 0")
-
-    for key in ("data.n_pos_per_client", "data.n_neg_per_client", "data.input_dim",
-                "data.n_clients"):
-        _check(vals[key] >= 1, key, "must be >= 1")
-    _check(0.0 <= vals["data.flip_fraction"] <= 1.0, "data.flip_fraction",
-           "must be in [0, 1]")
-    _check(vals["data.hetero_var"] >= 0, "data.hetero_var", "must be >= 0")
-    _check(vals["data.cluster_std"] > 0, "data.cluster_std", "must be positive")
-
-    _check(vals["scorer.kind"] in ("linear", "mlp1"), "scorer.kind",
-           "must be linear or mlp1")
-    if vals["scorer.input_dim"] is None:
-        vals["scorer.input_dim"] = vals["data.input_dim"]
-    _check(vals["scorer.input_dim"] == vals["data.input_dim"], "scorer.input_dim",
-           "must match data.input_dim")
-    if vals["scorer.kind"] == "mlp1":
-        _check(vals["scorer.hidden_dim"] >= 1, "scorer.hidden_dim", "must be >= 1")
-        _check(vals["scorer.activation"] == "tanh", "scorer.activation",
-               "only tanh is supported")
-
-    _check(vals["loss.kind"] in ("psm_sigmoid", "kl_opauc", "square"), "loss.kind",
-           "must be psm_sigmoid, kl_opauc or square")
-    if vals["loss.kind"] == "kl_opauc":
-        _check(vals["loss.lambda"] > 0, "loss.lambda", "must be positive")
-    _check(vals["outer.kind"] in ("identity", "kl_log"), "outer.kind",
-           "must be identity or kl_log")
-    if vals["outer.kind"] == "kl_log":
-        _check(vals["outer.lambda"] > 0, "outer.lambda", "must be positive")
-        _check(vals["outer.u_floor"] > 0, "outer.u_floor", "must be positive")
-
-    _check(vals["hyper.eta"] >= 0, "hyper.eta", "must be >= 0")
-    for key in ("hyper.K", "hyper.R", "hyper.B1", "hyper.B2"):
-        _check(vals[key] >= 1, key, "must be >= 1")
-    for key in ("hyper.gamma", "hyper.beta"):
-        _check(0.0 < vals[key] <= 1.0, key, "must be in (0, 1]")
-    if vals["hyper.lr_decay_every"] is not None:
-        _check(vals["hyper.lr_decay_every"] >= 1, "hyper.lr_decay_every",
-               "must be >= 1 or none")
-    _check(vals["hyper.lr_decay_factor"] > 0, "hyper.lr_decay_factor",
-           "must be positive")
-    _check(vals["hyper.history_samples"] in ("independent", "reuse"),
-           "hyper.history_samples", "must be independent or reuse")
-
-    if algorithm == "fedx1":
-        _check(vals["outer.kind"] == "identity", "outer.kind",
-               "fedx1 requires outer.kind = identity")
-    if algorithm == "fedx2":
-        _check(vals["outer.kind"] == "kl_log", "outer.kind",
-               "fedx2 requires outer.kind = kl_log")
-
-    data = DataConfig(
-        n_pos_per_client=vals["data.n_pos_per_client"],
-        n_neg_per_client=vals["data.n_neg_per_client"],
-        input_dim=vals["data.input_dim"],
-        n_clients=vals["data.n_clients"],
-        hetero_step=vals["data.hetero_step"],
-        hetero_base=vals["data.hetero_base"],
-        hetero_var=vals["data.hetero_var"],
-        flip_fraction=vals["data.flip_fraction"],
-        seed=vals["data.seed"],
-        cluster_sep=vals["data.cluster_sep"],
-        cluster_std=vals["data.cluster_std"],
-    )
-    scorer = ScorerSpec(
-        kind=vals["scorer.kind"],
-        input_dim=vals["scorer.input_dim"],
-        hidden_dim=vals["scorer.hidden_dim"] if vals["scorer.kind"] == "mlp1" else 0,
-        activation="tanh",
-    )
-    loss = PairwiseLossSpec(kind=vals["loss.kind"], lam=vals["loss.lambda"])
-    outer = OuterFnSpec(
-        kind=vals["outer.kind"], lam=vals["outer.lambda"], u_floor=vals["outer.u_floor"]
-    )
-    hyper = HyperParams(
-        eta=vals["hyper.eta"],
-        K=vals["hyper.K"],
-        R=vals["hyper.R"],
-        B1=vals["hyper.B1"],
-        B2=vals["hyper.B2"],
-        gamma=vals["hyper.gamma"],
-        beta=vals["hyper.beta"],
-        lr_decay_every=vals["hyper.lr_decay_every"],
-        lr_decay_factor=vals["hyper.lr_decay_factor"],
-        seed=vals["hyper.seed"],
-        history_samples=vals["hyper.history_samples"],
-    )
-    return RunConfig(
-        algorithm=algorithm,
-        data=data,
-        scorer=scorer,
-        loss=loss,
-        outer=outer,
-        hyper=hyper,
-        eval_every_rounds=vals["eval_every_rounds"],
-        oracle_every_rounds=vals["oracle_every_rounds"],
-        output_path=vals["output_path"],
-    )
+        section, name = _place(key)
+        fields[section][name] = parser(key, raw[key]) if key in raw else default
+    scorer = fields["scorer"]
+    if scorer["input_dim"] is None:
+        scorer["input_dim"] = fields["data"]["input_dim"]
+    if scorer["kind"] == "linear":  # the mlp1 shape keys do not apply
+        scorer.update(hidden_dim=0, activation="tanh")
+    sections = {s: _build(cls, s, fields[s]) for s, cls in _SECTIONS.items()}
+    return _build(RunConfig, "", {**fields[""], **sections})
 
 
 def parse_config_file(path: str | Path) -> RunConfig:
@@ -251,46 +191,12 @@ def parse_config_file(path: str | Path) -> RunConfig:
 
 def config_echo(config: RunConfig) -> str:
     """The resolved config as flat key=value pairs, in schema order."""
-    c = config
-    opt = lambda v: "none" if v is None else v
-    items = {
-        "algorithm": c.algorithm,
-        "eval_every_rounds": c.eval_every_rounds,
-        "oracle_every_rounds": c.oracle_every_rounds,
-        "output_path": c.output_path,
-        "data.n_pos_per_client": c.data.n_pos_per_client,
-        "data.n_neg_per_client": c.data.n_neg_per_client,
-        "data.input_dim": c.data.input_dim,
-        "data.n_clients": c.data.n_clients,
-        "data.hetero_step": c.data.hetero_step,
-        "data.hetero_base": c.data.hetero_base,
-        "data.hetero_var": c.data.hetero_var,
-        "data.flip_fraction": c.data.flip_fraction,
-        "data.seed": c.data.seed,
-        "data.cluster_sep": c.data.cluster_sep,
-        "data.cluster_std": c.data.cluster_std,
-        "scorer.kind": c.scorer.kind,
-        "scorer.input_dim": c.scorer.input_dim,
-        "scorer.hidden_dim": c.scorer.hidden_dim,
-        "scorer.activation": c.scorer.activation,
-        "loss.kind": c.loss.kind,
-        "loss.lambda": c.loss.lam,
-        "outer.kind": c.outer.kind,
-        "outer.lambda": c.outer.lam,
-        "outer.u_floor": c.outer.u_floor,
-        "hyper.eta": c.hyper.eta,
-        "hyper.K": c.hyper.K,
-        "hyper.R": c.hyper.R,
-        "hyper.B1": c.hyper.B1,
-        "hyper.B2": c.hyper.B2,
-        "hyper.gamma": c.hyper.gamma,
-        "hyper.beta": c.hyper.beta,
-        "hyper.lr_decay_every": opt(c.hyper.lr_decay_every),
-        "hyper.lr_decay_factor": c.hyper.lr_decay_factor,
-        "hyper.seed": c.hyper.seed,
-        "hyper.history_samples": c.hyper.history_samples,
-    }
-    return " ".join(f"{k}={v}" for k, v in items.items())
+    pairs = []
+    for key in _SCHEMA:
+        section, name = _place(key)
+        value = getattr(getattr(config, section) if section else config, name)
+        pairs.append(f"{key}={'none' if value is None else value}")
+    return " ".join(pairs)
 
 
 def _fmt(value) -> str:
@@ -377,36 +283,21 @@ def run(
         )
     out_path = Path(out) if out is not None else Path(config.output_path)
     config = replace(config, output_path=str(out_path))
-    sink = CsvTraceSink(
-        out_path,
-        config,
-        iteration_path=out_path.with_name(out_path.name + ".iters.csv")
-        if iteration_trace
-        else None,
-    )
+    iter_path = out_path.with_name(out_path.name + ".iters.csv") if iteration_trace else None
+    sink = CsvTraceSink(out_path, config, iteration_path=iter_path)
     try:
-        dataset = build_dataset(config.data)
-        kwargs = dict(
+        trace = simulate(
+            config.algorithm,
+            build_dataset(config.data),
+            config.scorer,
+            config.loss,
+            config.outer,
+            config.hyper,
             trace_sink=sink,
             eval_every=config.eval_every_rounds,
             oracle_every=config.oracle_every_rounds,
             iteration_trace=iteration_trace,
         )
-        if config.algorithm == "fedx1":
-            trace = fedx1_run(dataset, config.scorer, config.loss, config.hyper, **kwargs)
-        elif config.algorithm == "fedx2":
-            trace = fedx2_run(
-                dataset, config.scorer, config.loss, config.outer, config.hyper, **kwargs
-            )
-        else:
-            runner = {
-                "local_sgd": local_sgd_run,
-                "local_pair": local_pair_run,
-                "centralized": centralized_run,
-            }[config.algorithm]
-            trace = runner(
-                dataset, config.scorer, config.loss, config.outer, config.hyper, **kwargs
-            )
     finally:
         sink.close()
     if not quiet:
@@ -418,6 +309,12 @@ def run(
             f"floats={total_floats(trace, config.data.n_clients)}"
         )
     return trace
+
+
+# The columns of summary.csv, and the keys of each row ``sweep`` returns.
+SUMMARY_COLUMNS = (
+    "value", "final_objective", "final_pauc_0.3", "final_pauc_0.5", "total_floats"
+)
 
 
 def sweep(
@@ -448,7 +345,7 @@ def sweep(
 
     rows: list[dict] = []
     with open(out_dir / "summary.csv", "w") as summary:
-        summary.write("value,final_objective,final_pauc_0.3,final_pauc_0.5,total_floats\n")
+        summary.write(",".join(SUMMARY_COLUMNS) + "\n")
         summary.flush()
         for value in values:
             if axis == "K":
@@ -468,31 +365,12 @@ def sweep(
                         n_neg_per_client=total_neg // value,
                     ),
                 )
-            trace = run(
-                cfg, out=out_dir / f"trace_{axis}{value}.csv", quiet=quiet
-            )
+            trace = run(cfg, out=out_dir / f"trace_{axis}{value}.csv", quiet=quiet)
             final = trace.final_round()
             pauc = final.pauc or {}
-            row = {
-                "value": value,
-                "final_objective": final.objective,
-                "final_pauc_0.3": pauc.get(0.3),
-                "final_pauc_0.5": pauc.get(0.5),
-                "total_floats": total_floats(trace, cfg.data.n_clients),
-            }
-            rows.append(row)
-            summary.write(
-                ",".join(
-                    _fmt(row[c])
-                    for c in (
-                        "value",
-                        "final_objective",
-                        "final_pauc_0.3",
-                        "final_pauc_0.5",
-                        "total_floats",
-                    )
-                )
-                + "\n"
-            )
+            cells = (value, final.objective, pauc.get(0.3), pauc.get(0.5),
+                     total_floats(trace, cfg.data.n_clients))
+            rows.append(dict(zip(SUMMARY_COLUMNS, cells)))
+            summary.write(",".join(_fmt(v) for v in cells) + "\n")
             summary.flush()
     return rows

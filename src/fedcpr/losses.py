@@ -49,8 +49,9 @@ class PairwiseLossSpec:
     lam: float = 1.0  # kl_opauc only
 
     def __post_init__(self) -> None:
+        # Each message starts with the field's config key name.
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind: {self.kind!r}")
+            raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.kind == "kl_opauc" and self.lam <= 0:
             raise ValueError("lambda must be positive for kl_opauc")
 
@@ -63,9 +64,11 @@ class OuterFnSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in OUTER_KINDS:
-            raise ValueError(f"unknown outer kind: {self.kind!r}")
-        if self.kind == "kl_log" and (self.lam <= 0 or self.u_floor <= 0):
-            raise ValueError("lambda and u_floor must be positive for kl_log")
+            raise ValueError(f"kind must be one of {OUTER_KINDS}, got {self.kind!r}")
+        if self.kind == "kl_log" and self.lam <= 0:
+            raise ValueError("lambda must be positive for kl_log")
+        if self.kind == "kl_log" and self.u_floor <= 0:
+            raise ValueError("u_floor must be positive for kl_log")
 
 
 IDENTITY_OUTER = OuterFnSpec("identity")

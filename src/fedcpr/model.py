@@ -29,15 +29,16 @@ class ScorerSpec:
     activation: str = "tanh"  # mlp1 only
 
     def __post_init__(self) -> None:
+        # Each message starts with the field's config key name.
         if self.kind not in ("linear", "mlp1"):
-            raise ValueError(f"unknown scorer kind: {self.kind!r}")
+            raise ValueError(f"kind must be linear or mlp1, got {self.kind!r}")
         if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+            raise ValueError("input_dim must be >= 1")
         if self.kind == "mlp1":
             if self.hidden_dim < 1:
-                raise ValueError("hidden_dim must be positive for mlp1")
+                raise ValueError("hidden_dim must be >= 1 for mlp1")
             if self.activation != "tanh":
-                raise ValueError(f"unsupported activation: {self.activation!r}")
+                raise ValueError(f"activation must be tanh, got {self.activation!r}")
 
     @property
     def param_count(self) -> int:

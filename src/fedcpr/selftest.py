@@ -19,10 +19,9 @@ from .algorithms import (
     HyperParams,
     RunSettings,
     fedx1_estimate,
-    fedx1_run,
     fedx2_estimate,
-    fedx2_run,
     momentum_update,
+    simulate,
 )
 from .data import DataConfig, build_dataset
 from .federation import Buffer, Records
@@ -179,7 +178,8 @@ def _fedx1_trace(seed: int):
                      seed=seed)
     ds = build_dataset(cfg)
     hyper = HyperParams(eta=0.05, K=4, R=3, B1=2, B2=2, seed=seed)
-    return fedx1_run(ds, ScorerSpec("linear", 3), PairwiseLossSpec("square"), hyper)
+    return simulate("fedx1", ds, ScorerSpec("linear", 3), PairwiseLossSpec("square"),
+                    IDENTITY_OUTER, hyper)
 
 
 def _check_comm_accounting() -> CheckResult:
@@ -209,8 +209,8 @@ def _check_replay() -> CheckResult:
         outer=OuterFnSpec("kl_log", lam=2.0),
         hyper=hyper,
     )
-    t1 = fedx2_run(ds, **kw)
-    t2 = fedx2_run(ds, **kw)
+    t1 = simulate("fedx2", ds, **kw)
+    t2 = simulate("fedx2", ds, **kw)
     same = same and np.array_equal(t1.final_model, t2.final_model)
     return CheckResult("deterministic replay", same)
 

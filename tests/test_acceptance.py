@@ -15,10 +15,9 @@ from fedcpr.algorithms import (
     HyperParams,
     RunSettings,
     fedx1_estimate,
-    fedx1_run,
     fedx2_estimate,
-    fedx2_run,
     momentum_update,
+    simulate,
     theory_schedule,
 )
 from fedcpr.data import DataConfig, build_dataset
@@ -302,7 +301,8 @@ def test_criterion_4_convex_convergence():
 
     hyper = HyperParams(eta=0.05, K=8, R=300, B1=8, B2=8, seed=1,
                         lr_decay_every=800, lr_decay_factor=0.1)
-    trace = fedx1_run(ds, scorer, sq, hyper, eval_every=0, oracle_every=0)
+    trace = simulate("fedx1", ds, scorer, sq, IDENTITY_OUTER, hyper,
+                     eval_every=0, oracle_every=0)
     gap = trace.final_round().objective - f_opt
     elapsed = time.perf_counter() - t0
     _report(
@@ -332,7 +332,8 @@ def test_criterion_5_fedx2_stationarity_trend():
         ds = build_dataset(cfg)
         hyper = HyperParams(eta=sched.eta, K=K, R=R, B1=32, B2=32,
                             gamma=sched.gamma, beta=sched.beta, seed=seed)
-        trace = fedx2_run(ds, scorer, kl, outer, hyper, eval_every=0, oracle_every=1)
+        trace = simulate("fedx2", ds, scorer, kl, outer, hyper,
+                         eval_every=0, oracle_every=1)
         g = [rec.grad_norm_sq for rec in trace.rounds[1:]]
         running_mean_at_R = float(np.mean(g))
         ratios.append(running_mean_at_R / g[0])
@@ -432,15 +433,15 @@ def test_criterion_7_communication_accounting():
         hyper = HyperParams(eta=0.01, K=k, R=2, B1=b, B2=b, seed=trial)
         if trial % 2 == 0:
             scorer = ScorerSpec("linear", dim)
-            trace = fedx1_run(ds, scorer, PairwiseLossSpec("square"), hyper,
-                              eval_every=0, oracle_every=0)
+            trace = simulate("fedx1", ds, scorer, PairwiseLossSpec("square"),
+                             IDENTITY_OUTER, hyper, eval_every=0, oracle_every=0)
             d = scorer.param_count
             expect_up = d + 2 * k * b
         else:
             scorer = ScorerSpec("mlp1", dim, hidden_dim=2)
-            trace = fedx2_run(ds, scorer, PairwiseLossSpec("kl_opauc", lam=2.0),
-                              OuterFnSpec("kl_log", lam=2.0), hyper,
-                              eval_every=0, oracle_every=0)
+            trace = simulate("fedx2", ds, scorer, PairwiseLossSpec("kl_opauc", lam=2.0),
+                             OuterFnSpec("kl_log", lam=2.0), hyper,
+                             eval_every=0, oracle_every=0)
             d = scorer.param_count
             expect_up = 2 * d + 3 * k * b
         ups = {rec.uplink_floats for rec in trace.rounds}
@@ -529,8 +530,8 @@ def test_criterion_9_flip_robustness():
                              flip_fraction=0.2, seed=seed)
             ds = build_dataset(cfg)
             hyper = HyperParams(eta=0.05, K=8, R=150, B1=16, B2=16, seed=seed)
-            trace = fedx1_run(ds, scorer, PairwiseLossSpec(kind), hyper,
-                              eval_every=0, oracle_every=0)
+            trace = simulate("fedx1", ds, scorer, PairwiseLossSpec(kind),
+                             IDENTITY_OUTER, hyper, eval_every=0, oracle_every=0)
             final_auc[kind] = trace.final_round().auc
         gaps.append(final_auc["psm_sigmoid"] - final_auc["square"])
         wins += final_auc["psm_sigmoid"] > final_auc["square"]

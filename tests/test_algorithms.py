@@ -15,14 +15,10 @@ from fedcpr.algorithms import (
     RunSettings,
     UTable,
     _union_dataset,
-    centralized_run,
     fedx1_estimate,
-    fedx1_run,
     fedx2_estimate,
-    fedx2_run,
-    local_pair_run,
-    local_sgd_run,
     momentum_update,
+    simulate,
     theory_schedule,
 )
 from fedcpr.data import ClientShard, DataConfig, build_dataset
@@ -213,18 +209,29 @@ def _dataset(n_clients=2, n_pos=5, n_neg=9, dim=3, seed=3, **kw):
 
 
 class TestFedX1Run:
+    def test_requires_identity_outer(self):
+        # The outer function is checked, never silently replaced.
+        ds = _dataset()
+        with pytest.raises(ValueError, match="outer.kind"):
+            simulate("fedx1", ds, ScorerSpec("linear", 3), KL, KL_LOG, HyperParams())
+
+    def test_unknown_algorithm_rejected(self):
+        ds = _dataset()
+        with pytest.raises(ValueError, match="algorithm"):
+            simulate("fedx3", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, HyperParams())
+
     def test_zero_eta_returns_initial_model(self):
         ds = _dataset(n_clients=1)
         hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, seed=5)
-        trace = fedx1_run(ds, ScorerSpec("linear", 3), SQ, hyper)
+        trace = simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
         w0 = init_params(ScorerSpec("linear", 3), substream(5, "init"))
         np.testing.assert_array_equal(trace.final_model, w0)
 
     def test_deterministic_replay(self):
         ds = _dataset()
         hyper = HyperParams(eta=0.05, K=3, R=4, B1=2, B2=3, seed=6)
-        t1 = fedx1_run(ds, ScorerSpec("linear", 3), SQ, hyper)
-        t2 = fedx1_run(ds, ScorerSpec("linear", 3), SQ, hyper)
+        t1 = simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
+        t2 = simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
         np.testing.assert_array_equal(t1.final_model, t2.final_model)
         assert [r.objective for r in t1.rounds] == [r.objective for r in t2.rounds]
         assert [r.auc for r in t1.rounds] == [r.auc for r in t2.rounds]
@@ -232,13 +239,13 @@ class TestFedX1Run:
     def test_objective_improves_on_easy_instance(self):
         ds = _dataset(n_pos=8, n_neg=16)
         hyper = HyperParams(eta=0.05, K=8, R=12, B1=4, B2=4, seed=7)
-        trace = fedx1_run(ds, ScorerSpec("linear", 3), SQ, hyper)
+        trace = simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
         assert trace.rounds[-1].objective < trace.rounds[0].objective
 
     def test_round_records_structure(self):
         ds = _dataset()
         hyper = HyperParams(eta=0.01, K=2, R=3, B1=2, B2=2, seed=8)
-        trace = fedx1_run(ds, ScorerSpec("linear", 3), SQ, hyper)
+        trace = simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
         assert [r.round for r in trace.rounds] == [0, 1, 2, 3]
         d, K, B = 3, 2, 2
         for rec in trace.rounds:
@@ -248,8 +255,8 @@ class TestFedX1Run:
     def test_eval_cadence(self):
         ds = _dataset()
         hyper = HyperParams(eta=0.01, K=2, R=4, B1=2, B2=2, seed=8)
-        trace = fedx1_run(ds, ScorerSpec("linear", 3), SQ, hyper,
-                          eval_every=2, oracle_every=3)
+        trace = simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper,
+                         eval_every=2, oracle_every=3)
         assert [r.auc is not None for r in trace.rounds] == [
             True, False, True, False, True
         ]
@@ -262,14 +269,14 @@ class TestFedX2Run:
     def test_requires_nonlinear_outer(self):
         ds = _dataset()
         with pytest.raises(ValueError):
-            fedx2_run(ds, ScorerSpec("linear", 3), KL, IDENTITY_OUTER, HyperParams())
+            simulate("fedx2", ds, ScorerSpec("linear", 3), KL, IDENTITY_OUTER, HyperParams())
 
     def test_deterministic_replay(self):
         ds = _dataset()
         hyper = HyperParams(eta=0.01, K=3, R=3, B1=2, B2=2, gamma=0.3, beta=0.4, seed=9)
         kw = dict(scorer=ScorerSpec("linear", 3), loss_spec=KL, outer=KL_LOG, hyper=hyper)
-        t1 = fedx2_run(ds, **kw)
-        t2 = fedx2_run(ds, **kw)
+        t1 = simulate("fedx2", ds, **kw)
+        t2 = simulate("fedx2", ds, **kw)
         np.testing.assert_array_equal(t1.final_model, t2.final_model)
 
     def test_beta_one_matches_manual_raw_updates(self):
@@ -278,7 +285,7 @@ class TestFedX2Run:
         ds = _dataset(n_clients=1, n_pos=4, n_neg=6)
         hyper = HyperParams(eta=0.02, K=2, R=1, B1=2, B2=2, gamma=0.5, beta=1.0, seed=10)
         scorer = ScorerSpec("linear", 3)
-        trace = fedx2_run(ds, scorer, KL, KL_LOG, hyper)
+        trace = simulate("fedx2", ds, scorer, KL, KL_LOG, hyper)
 
         settings = RunSettings("fedx2", scorer, KL, KL_LOG, hyper)
         program = FedX2Program(settings)
@@ -372,8 +379,8 @@ class TestFedX2Run:
         hyper = HyperParams(eta=0.1, K=1, R=1, B1=1, B2=1, gamma=1.0, beta=0.3,
                             seed=24)
         scorer = ScorerSpec("linear", 3)
-        t_fed = fedx2_run(ds, scorer, KL, KL_LOG, hyper)
-        t_cen = centralized_run(ds, scorer, KL, KL_LOG, hyper)
+        t_fed = simulate("fedx2", ds, scorer, KL, KL_LOG, hyper)
+        t_cen = simulate("centralized", ds, scorer, KL, KL_LOG, hyper)
         w0 = init_params(scorer, substream(24, "init"))
         assert not np.array_equal(t_fed.final_model, w0)  # a real step happened
         np.testing.assert_allclose(t_fed.final_model, t_cen.final_model, rtol=1e-15)
@@ -432,8 +439,8 @@ class TestFedX2Run:
         h_ind = HyperParams(eta=0.02, K=2, R=2, B1=2, B2=2, seed=14)
         h_reuse = HyperParams(eta=0.02, K=2, R=2, B1=2, B2=2, seed=14,
                               history_samples="reuse")
-        t_ind = fedx2_run(ds, hyper=h_ind, **kw)
-        t_reuse = fedx2_run(ds, hyper=h_reuse, **kw)
+        t_ind = simulate("fedx2", ds, hyper=h_ind, **kw)
+        t_reuse = simulate("fedx2", ds, hyper=h_reuse, **kw)
         assert not np.array_equal(t_ind.final_model, t_reuse.final_model)
 
 
@@ -474,8 +481,8 @@ class TestBaselines:
         ds = _dataset(n_clients=1, n_pos=6, n_neg=9)
         hyper = HyperParams(eta=0.0, K=2, R=2, B1=2, B2=2, seed=16)
         scorer = ScorerSpec("linear", 3)
-        t_lp = local_pair_run(ds, scorer, SQ, IDENTITY_OUTER, hyper)
-        t_ce = centralized_run(ds, scorer, SQ, IDENTITY_OUTER, hyper)
+        t_lp = simulate("local_pair", ds, scorer, SQ, IDENTITY_OUTER, hyper)
+        t_ce = simulate("centralized", ds, scorer, SQ, IDENTITY_OUTER, hyper)
         w0 = init_params(scorer, substream(16, "init"))
         np.testing.assert_array_equal(t_lp.final_model, w0)
         np.testing.assert_array_equal(t_ce.final_model, w0)
@@ -486,8 +493,8 @@ class TestBaselines:
         ds = _dataset(n_clients=1, n_pos=6, n_neg=9)
         hyper = HyperParams(eta=0.05, K=3, R=3, B1=1, B2=1, seed=17)
         scorer = ScorerSpec("linear", 3)
-        t_lp = local_pair_run(ds, scorer, SQ, IDENTITY_OUTER, hyper)
-        t_ce = centralized_run(ds, scorer, SQ, IDENTITY_OUTER, hyper)
+        t_lp = simulate("local_pair", ds, scorer, SQ, IDENTITY_OUTER, hyper)
+        t_ce = simulate("centralized", ds, scorer, SQ, IDENTITY_OUTER, hyper)
         np.testing.assert_allclose(t_lp.final_model, t_ce.final_model, rtol=1e-12)
 
     def test_centralized_full_batch_gamma_one_is_exact_gradient_descent(self):
@@ -511,29 +518,29 @@ class TestBaselines:
         ds = _dataset(n_clients=1, n_pos=6, n_neg=10)
         hyper = HyperParams(eta=0.02, K=2, R=8, B1=6, B2=10, gamma=1.0, beta=1.0,
                             seed=19)
-        trace = centralized_run(ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
+        trace = simulate("centralized", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
         objs = [r.objective for r in trace.rounds]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
     def test_local_sgd_improves_auc(self):
         ds = _dataset(n_clients=2, n_pos=20, n_neg=40)
         hyper = HyperParams(eta=0.1, K=10, R=10, B1=8, B2=8, seed=20)
-        trace = local_sgd_run(ds, ScorerSpec("linear", 3), PSM, IDENTITY_OUTER, hyper)
+        trace = simulate("local_sgd", ds, ScorerSpec("linear", 3), PSM, IDENTITY_OUTER, hyper)
         assert trace.rounds[-1].auc > 0.8
 
-    @pytest.mark.parametrize("runner", [local_sgd_run, local_pair_run, centralized_run])
-    def test_baseline_replay_determinism(self, runner):
+    @pytest.mark.parametrize("algorithm", ["local_sgd", "local_pair", "centralized"])
+    def test_baseline_replay_determinism(self, algorithm):
         ds = _dataset()
         hyper = HyperParams(eta=0.03, K=2, R=2, B1=2, B2=2, seed=21)
-        t1 = runner(ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
-        t2 = runner(ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
+        t1 = simulate(algorithm, ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
+        t2 = simulate(algorithm, ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
         np.testing.assert_array_equal(t1.final_model, t2.final_model)
 
     def test_nonlinear_local_pair_runs(self):
         ds = _dataset()
         hyper = HyperParams(eta=0.01, K=2, R=2, B1=2, B2=2, gamma=0.5, beta=0.5,
                             seed=22)
-        trace = local_pair_run(ds, ScorerSpec("linear", 3), KL, KL_LOG, hyper)
+        trace = simulate("local_pair", ds, ScorerSpec("linear", 3), KL, KL_LOG, hyper)
         assert np.all(np.isfinite(trace.final_model))
 
     def test_divergence_raises_instead_of_nan(self):
@@ -544,8 +551,8 @@ class TestBaselines:
                             seed=23)
         with pytest.raises(FloatingPointError, match="diverged"):
             with np.errstate(over="ignore", invalid="ignore"):
-                fedx2_run(ds, ScorerSpec("linear", 3), KL, KL_LOG, hyper,
-                          eval_every=0, oracle_every=0)
+                simulate("fedx2", ds, ScorerSpec("linear", 3), KL, KL_LOG, hyper,
+                         eval_every=0, oracle_every=0)
 
 
 class TestTheorySchedule:

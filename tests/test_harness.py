@@ -1,14 +1,18 @@
 """Config parsing, trace output, sweeps, and the CLI surface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedcpr
+from fedcpr.algorithms import ALGORITHMS, REQUIRED_OUTER
 from fedcpr.harness import (
     ConfigError,
     CsvTraceSink,
@@ -128,6 +132,122 @@ class TestParseConfig:
         assert cfg.algorithm == "fedx2"
         assert cfg.hyper.K == 32 and cfg.hyper.lr_decay_every == 5000
         assert cfg.data.n_clients == 16
+
+
+# One invalid value per invariant, each with the key its error must name.
+INVALID_VALUES = [
+    ("data.n_pos_per_client", "data.n_pos_per_client = 0"),
+    ("data.n_neg_per_client", "data.n_neg_per_client = 0"),
+    ("data.input_dim", "data.input_dim = 0"),
+    ("data.n_clients", "data.n_clients = 0"),
+    ("data.flip_fraction", "data.flip_fraction = 1.5"),
+    ("data.hetero_var", "data.hetero_var = -1"),
+    ("data.cluster_std", "data.cluster_std = 0"),
+    ("scorer.kind", "scorer.kind = x"),
+    ("scorer.hidden_dim", "scorer.kind = mlp1\nscorer.hidden_dim = 0"),
+    ("scorer.activation", "scorer.kind = mlp1\nscorer.activation = relu"),
+    ("loss.kind", "loss.kind = x"),
+    ("loss.lambda", "loss.kind = kl_opauc\nloss.lambda = 0"),
+    ("outer.kind", "algorithm = local_pair\nouter.kind = x"),
+    ("outer.lambda", "algorithm = fedx2\nouter.kind = kl_log\nouter.lambda = 0"),
+    ("outer.u_floor", "algorithm = fedx2\nouter.kind = kl_log\nouter.u_floor = 0"),
+    ("hyper.eta", "hyper.eta = -0.1"),
+    ("hyper.K", "hyper.K = 0"),
+    ("hyper.R", "hyper.R = 0"),
+    ("hyper.B1", "hyper.B1 = 0"),
+    ("hyper.B2", "hyper.B2 = 0"),
+    ("hyper.gamma", "hyper.gamma = 0"),
+    ("hyper.beta", "hyper.beta = 1.5"),
+    ("hyper.lr_decay_every", "hyper.lr_decay_every = 0"),
+    ("hyper.lr_decay_factor", "hyper.lr_decay_factor = 0"),
+    ("hyper.history_samples", "hyper.history_samples = x"),
+    ("algorithm", "algorithm = x"),
+    ("eval_every_rounds", "eval_every_rounds = -1"),
+    ("oracle_every_rounds", "oracle_every_rounds = -1"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "key,text", INVALID_VALUES, ids=[key for key, _ in INVALID_VALUES]
+    )
+    def test_invalid_value_names_its_key(self, key, text):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            parse_config(text + "\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["data.cluster_sep", "data.hetero_step", "loss.lambda", "outer.u_floor",
+         "hyper.eta", "hyper.lr_decay_factor"],
+    )
+    def test_non_finite_float_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite"):
+            parse_config(f"{key} = {raw}\n")
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def _config_texts(draw):
+    """A config over every key but output_path, each value legal."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    outer_kind = REQUIRED_OUTER.get(algorithm) or draw(
+        st.sampled_from(["identity", "kl_log"])
+    )
+    loss_kind = draw(st.sampled_from(["psm_sigmoid", "kl_opauc", "square"]))
+    input_dim = draw(st.integers(1, 10**6))
+    positive = _finite(min_value=0.0, exclude_min=True)
+    count = st.integers(1, 10**6)
+    seed = st.integers(-(2**63), 2**63 - 1)
+    values = {
+        "algorithm": algorithm,
+        "eval_every_rounds": draw(st.integers(0, 10**6)),
+        "oracle_every_rounds": draw(st.integers(0, 10**6)),
+        "data.n_pos_per_client": draw(count),
+        "data.n_neg_per_client": draw(count),
+        "data.input_dim": input_dim,
+        "data.n_clients": draw(count),
+        "data.hetero_step": draw(_finite()),
+        "data.hetero_base": draw(_finite()),
+        "data.hetero_var": draw(_finite(min_value=0.0)),
+        "data.flip_fraction": draw(_finite(min_value=0.0, max_value=1.0)),
+        "data.seed": draw(seed),
+        "data.cluster_sep": draw(_finite()),
+        "data.cluster_std": draw(positive),
+        "scorer.kind": draw(st.sampled_from(["linear", "mlp1"])),
+        "scorer.input_dim": draw(st.sampled_from(["none", input_dim])),
+        "scorer.hidden_dim": draw(count),
+        "scorer.activation": "tanh",
+        "loss.kind": loss_kind,
+        "loss.lambda": draw(positive if loss_kind == "kl_opauc" else _finite()),
+        "outer.kind": outer_kind,
+        "outer.lambda": draw(positive if outer_kind == "kl_log" else _finite()),
+        "outer.u_floor": draw(positive if outer_kind == "kl_log" else _finite()),
+        "hyper.eta": draw(_finite(min_value=0.0)),
+        "hyper.K": draw(count),
+        "hyper.R": draw(count),
+        "hyper.B1": draw(count),
+        "hyper.B2": draw(count),
+        "hyper.gamma": draw(_finite(min_value=0.0, max_value=1.0, exclude_min=True)),
+        "hyper.beta": draw(_finite(min_value=0.0, max_value=1.0, exclude_min=True)),
+        "hyper.lr_decay_every": draw(st.sampled_from(["none"]) | count),
+        "hyper.lr_decay_factor": draw(positive),
+        "hyper.seed": draw(seed),
+        "hyper.history_samples": draw(st.sampled_from(["independent", "reuse"])),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+class TestEchoRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_config_texts())
+    def test_parse_echo_parse_is_identity(self, text):
+        cfg = parse_config(text)
+        echoed = config_echo(cfg)
+        assert parse_config("\n".join(echoed.split())) == cfg
 
 
 class TestRun:
@@ -290,6 +410,14 @@ class TestCli:
         res = _cli(["run", "--config", str(bad)], tmp_path)
         assert res.returncode == 2, res.stderr
         assert "hyper.K" in res.stderr
+
+    def test_non_finite_value_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("loss.lambda = inf\n")
+        res = _cli(["run", "--config", str(bad)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "loss.lambda" in res.stderr
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_missing_config_is_runtime_error(self, tmp_path):
         res = _cli(["run", "--config", str(tmp_path / "nope.cfg")], tmp_path)
