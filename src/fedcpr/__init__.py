@@ -40,7 +40,6 @@ from .losses import (
     OuterFnSpec,
     PairwiseLossSpec,
     exact_grad,
-    exact_inner,
     exact_objective,
     exact_oracle,
     loss,
@@ -56,7 +55,7 @@ from .metrics import (
     partial_auc,
     partial_auc_bruteforce,
 )
-from .model import ScorerSpec, finite_diff_grad, score, score_grad, score_many
+from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
 from .rng import substream
 
 __version__ = "0.1.0"

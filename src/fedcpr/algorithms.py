@@ -25,6 +25,19 @@ moving-average machinery when the outer function is nonlinear).
 All five run through :func:`simulate`; each is one ``_Program`` in
 :data:`PROGRAMS`, plugged into the shared round engine.
 
+The round engine. A client's K local steps in round r read only its own
+state and the round r-1 aggregate, so step k of every client is independent
+work. Clients whose shards share a shape form a :class:`ClientGroup`:
+models and momenta stacked as (G, d), u-tables as (G, n_pos). At the start
+of a round the engine makes every client's random draws (per client, as the
+substream scheme fixes them) and gathers the features and lazy records into
+(K, G, ...) arrays; then each local step k is one stacked call of the
+program's ``local_step`` per group, the estimators being functions over the
+client axis. Fresh scores and u-values go into per-round (K, G, B) arrays,
+and each client's upload builds its :class:`Records` once. Stacked matmuls
+loop the same BLAS calls over the client axis, so every value is bit for bit
+what the clients would compute one after another.
+
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so any run is a pure function of
 (config, seed).
@@ -34,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -42,12 +55,11 @@ from scipy.special import expit
 from .data import ClientShard, FederatedDataset
 from .federation import (
     Buffer,
-    InProcessTransport,
     Records,
     RoundDownload,
     RoundUpload,
     comm_cost,
-    run_round,
+    server_aggregate,
 )
 from .losses import (
     OuterFnSpec,
@@ -98,6 +110,8 @@ class HyperParams:
             raise ValueError(
                 f"history_samples must be independent or reuse, got {self.history_samples!r}"
             )
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError("seed must be a signed 64-bit integer")
 
     def eta_at(self, local_iter: int) -> float:
         """Step size in effect at a client's lifetime local iteration."""
@@ -157,34 +171,35 @@ def momentum_update(momentum: np.ndarray, estimate: np.ndarray, beta: float) -> 
 
 class UTable:
     """Per-positive-sample moving-average estimates of the inner pairwise
-    mean, indexed by the sample's position in its shard. Entries start at 0
-    and only change through :meth:`track`; ``touched`` marks the entries
-    that ever did."""
+    mean, indexed by the sample's position in its shard, or by (client row,
+    position) for a stack of equal shards. Entries start at 0 and only
+    change through :meth:`track`; ``touched`` marks the entries that ever
+    did."""
 
-    def __init__(self, n_pos: int) -> None:
-        self.values = np.zeros(n_pos)
-        self.touched = np.zeros(n_pos, dtype=bool)
+    def __init__(self, shape: int | tuple[int, ...]) -> None:
+        self.values = np.zeros(shape)
+        self.touched = np.zeros(shape, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def track(self, positions: np.ndarray, inner: np.ndarray, gamma: float) -> None:
+    def track(self, index, inner: np.ndarray, gamma: float) -> None:
         """Moving-average update of the tracked inner means (the tracker of
         SOX, Wang & Yang, ICML 2022):
-        new = (1 - gamma) * old + gamma * inner at each position, reading
-        the pre-update values. Positions come from a without-replacement
-        batch, so none repeats."""
-        self.values[positions] = (1.0 - gamma) * self.values[positions] + gamma * inner
-        self.touched[positions] = True
+        new = (1 - gamma) * old + gamma * inner at each indexed entry,
+        reading the pre-update values. Positions come from a
+        without-replacement batch, so none repeats."""
+        self.values[index] = (1.0 - gamma) * self.values[index] + gamma * inner
+        self.touched[index] = True
 
-    def emission(self, positions: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    def emission(self, index, fallback: np.ndarray) -> np.ndarray:
         """Stored values where the entry was ever updated, else ``fallback``.
 
         Never-updated entries hold the initial 0, which would blow up the
         clamped outer derivative downstream; the fallback is the same
         full-replacement estimate the round-0 bootstrap uses.
         """
-        return np.where(self.touched[positions], self.values[positions], fallback)
+        return np.where(self.touched[index], self.values[index], fallback)
 
 
 @dataclass(frozen=True)
@@ -198,25 +213,6 @@ class RunSettings:
     @property
     def seed(self) -> int:
         return self.hyper.seed
-
-
-@dataclass
-class ClientState:
-    """One client's exclusively-owned mutable state."""
-
-    index: int
-    shard: ClientShard
-    settings: RunSettings
-    model: np.ndarray
-    momentum: np.ndarray | None = None
-    u_table: UTable | None = None
-    pos_buffer: Buffer | None = None  # positions into the received positive-side scores
-    neg_buffer: Buffer | None = None
-    paired_u: Records | None = None  # received u-records, row-aligned with pos_buffer.block
-    out_h1: list[Records] = field(default_factory=list)  # one block per emission
-    out_h2: list[Records] = field(default_factory=list)
-    out_u: list[Records] = field(default_factory=list)
-    local_iters: int = 0
 
 
 @dataclass
@@ -257,178 +253,289 @@ def _draw_batch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
     return rng.choice(n, size=min(batch, n), replace=False)
 
 
-def fedx1_estimate(
-    state: ClientState,
-    iteration: int,
-    z1_idx: np.ndarray,
-    z2_idx: np.ndarray,
-    lazy_neg: np.ndarray,
-    lazy_pos: np.ndarray,
-) -> np.ndarray:
-    """Linear-outer gradient estimate from one pair of minibatches.
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` per client: (..., n) and (..., n, d) give (..., d)."""
+    return (v[..., None, :] @ m)[..., 0, :]
 
-    Active factors (scores and score gradients of the sampled local data at
-    the current local model) pair elementwise with the lazy score values;
-    the fresh scores are appended to the outgoing histories with provenance
-    (client, iteration, sample id).
+
+def _pair_gradient(scorer, w, x1, x2, d1, d2) -> np.ndarray:
+    """(d1 @ J(x1)) / n1 + (d2 @ J(x2)) / n2 per client, J the score
+    Jacobian at that client's model."""
+    j1 = score_grad_many(scorer, w, x1)
+    j2 = score_grad_many(scorer, w, x2)
+    return _vecmat(d1, j1) / x1.shape[-2] + _vecmat(d2, j2) / x2.shape[-2]
+
+
+def fedx1_estimate(s: RunSettings, w, x1, x2, a, b, lazy_neg, lazy_pos) -> np.ndarray:
+    """Linear-outer gradient estimates (G, d) for a stack of G clients.
+
+    ``w`` holds the models (G, d), ``x1``/``x2`` the sampled rows (G, n,
+    input_dim) and ``a``/``b`` their scores at ``w``: the active factors,
+    paired elementwise with the lazy scores ``lazy_neg`` and ``lazy_pos``.
     """
-    if len(z1_idx) != len(lazy_neg) or len(z2_idx) != len(lazy_pos):
+    if a.shape != lazy_neg.shape or b.shape != lazy_pos.shape:
         raise ValueError("each active sample needs exactly one lazy record")
-    s = state.settings
-    shard = state.shard
-    x1, x2 = shard.pos_X[z1_idx], shard.neg_X[z2_idx]
-    a = score_many(s.scorer, state.model, x1)
-    b = score_many(s.scorer, state.model, x2)
     d1, _ = loss_grads(s.loss, a, lazy_neg)
     _, d2 = loss_grads(s.loss, lazy_pos, b)
-    j1 = score_grad_many(s.scorer, state.model, x1)
-    j2 = score_grad_many(s.scorer, state.model, x2)
-    g = (np.asarray(d1) @ j1) / len(z1_idx) + (np.asarray(d2) @ j2) / len(z2_idx)
-    state.out_h1.append(Records.of(a, state.index, iteration, shard.pos_ids[z1_idx]))
-    state.out_h2.append(Records.of(b, state.index, iteration, shard.neg_ids[z2_idx]))
-    return g
+    return _pair_gradient(s.scorer, w, x1, x2, d1, d2)
 
 
 def fedx2_estimate(
-    state: ClientState,
-    z1_idx: np.ndarray,
-    z2_idx: np.ndarray,
-    lazy_neg: np.ndarray,
-    lazy_pos: np.ndarray,
-    lazy_u: np.ndarray,
+    s: RunSettings, w, x1, x2, a, b, lazy_neg, lazy_pos, u1, lazy_u
 ) -> np.ndarray:
-    """Nonlinear-outer gradient estimate.
+    """Nonlinear-outer gradient estimates, one per client of a stack.
 
-    The positive-sample term weights each pair by the outer derivative at
-    the just-updated tracked inner mean of that sample; the negative-sample
-    term weights by the outer derivative at the lazy u-value paired (same
-    provenance) with the lazy positive score. Pure: histories are not
-    touched here.
+    As :func:`fedx1_estimate`, but the positive-sample term weights each
+    pair by the outer derivative at ``u1``, the just-updated tracked inner
+    means of the sampled positives, and the negative-sample term by the
+    outer derivative at the lazy u-value ``lazy_u`` paired (same
+    provenance) with the lazy positive score.
     """
-    if len(z1_idx) != len(lazy_neg):
+    if a.shape != lazy_neg.shape:
         raise ValueError("each positive sample needs exactly one lazy negative score")
-    if len(z2_idx) != len(lazy_pos) or len(z2_idx) != len(lazy_u):
+    if not b.shape == lazy_pos.shape == lazy_u.shape:
         raise ValueError("each negative sample needs one lazy (score, u) pair")
-    s = state.settings
-    shard = state.shard
-    x1, x2 = shard.pos_X[z1_idx], shard.neg_X[z2_idx]
-    a = score_many(s.scorer, state.model, x1)
-    b = score_many(s.scorer, state.model, x2)
     d1, _ = loss_grads(s.loss, a, lazy_neg)
     _, d2 = loss_grads(s.loss, lazy_pos, b)
-    w1 = np.asarray(outer_deriv(s.outer, state.u_table.values[z1_idx])) * np.asarray(d1)
-    w2 = np.asarray(outer_deriv(s.outer, lazy_u)) * np.asarray(d2)
-    j1 = score_grad_many(s.scorer, state.model, x1)
-    j2 = score_grad_many(s.scorer, state.model, x2)
-    return (w1 @ j1) / len(z1_idx) + (w2 @ j2) / len(z2_idx)
+    w1 = outer_deriv(s.outer, u1) * d1
+    w2 = outer_deriv(s.outer, lazy_u) * d2
+    return _pair_gradient(s.scorer, w, x1, x2, w1, w2)
+
+
+def _round_records(client: int, values: np.ndarray, sample_ids: np.ndarray) -> Records:
+    """One client's records of a round from its (K, n) values and sample
+    ids: row k*n + m is entry m of iteration k."""
+    K, n = values.shape
+    return Records(
+        values.reshape(-1),
+        np.full(K * n, client, dtype=np.int32),
+        np.repeat(np.arange(K, dtype=np.int32), n),
+        sample_ids.reshape(-1),
+    )
+
+
+_NO_RECORDS = Records.concat([])
+
+
+class ClientGroup:
+    """Clients whose shards have one shape, with their data and state
+    stacked along a leading client axis of length G.
+
+    A round's draws are (K, G, n) arrays of positions, its lazy records
+    (``lazy_neg``, ...) and emitted records (K, G, n) arrays of values, so
+    step k reads slice k.
+    """
+
+    def __init__(self, clients: list[int], shards: list[ClientShard], w0: np.ndarray):
+        self.clients = clients
+        self.index = np.array(clients)
+        self.rows = np.arange(len(clients))[:, None]  # pairs with (G, n) positions
+        self.pos_ids = np.stack([sh.pos_ids for sh in shards])
+        self.pos_X = np.stack([sh.pos_X for sh in shards])
+        self.neg_ids = np.stack([sh.neg_ids for sh in shards])
+        self.neg_X = np.stack([sh.neg_X for sh in shards])
+        self.n_pos, self.n_neg = self.pos_X.shape[1], self.neg_X.shape[1]
+        self.model = np.tile(w0, (len(clients), 1))
+        self.momentum: np.ndarray | None = None
+        self.u_table: UTable | None = None
+        self.pos_buffers: list[Buffer] = []  # positions into the received r1
+        self.neg_buffers: list[Buffer] = []
+        self.draws: list[np.ndarray] = []
+        self.emitted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def sampled(self, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Step k's rows at draws ``first`` (positives) and ``first + 1``
+        (negatives), (G, n1, input_dim) and (G, n2, input_dim)."""
+        return (self.pos_X[self.rows, self.draws[first][k]],
+                self.neg_X[self.rows, self.draws[first + 1][k]])
+
+    def scores(self, s: RunSettings, X: np.ndarray) -> np.ndarray:
+        return score_many(s.scorer, self.model, X)
+
+    def descend(self, s: RunSettings, grad: np.ndarray, eta: float) -> None:
+        """One model step along ``grad``, through the momentum if any."""
+        if self.momentum is None:
+            self.model = self.model - eta * grad
+        else:
+            self.momentum = momentum_update(self.momentum, grad, s.hyper.beta)
+            self.model = self.model - eta * self.momentum
 
 
 class _Program:
-    """Per-algorithm client behavior plugged into the shared round engine."""
+    """One algorithm over the shared round engine. Every client's step k
+    runs as one stacked operation per :class:`ClientGroup`; only the
+    per-client random draws, fixed by the substream scheme, loop over
+    clients, once per round in :meth:`begin_round`."""
 
     uses_momentum = False
     uses_u = False
     shares_histories = False
 
-    def __init__(self, settings: RunSettings) -> None:
+    def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
         self.settings = settings
-
-    def init_states(self, dataset: FederatedDataset) -> list[ClientState]:
-        s = self.settings
-        w0 = init_params(s.scorer, substream(s.seed, "init"))
-        states = []
-        for i, shard in enumerate(dataset.shards):
-            st = ClientState(index=i, shard=shard, settings=s, model=w0.copy())
+        w0 = init_params(settings.scorer, substream(settings.seed, "init"))
+        shards = self._shards(dataset)
+        self.n_clients = len(shards)
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for i, sh in enumerate(shards):
+            by_shape.setdefault((sh.n_pos, sh.n_neg), []).append(i)
+        self.groups = [
+            ClientGroup(clients, [shards[i] for i in clients], w0)
+            for clients in by_shape.values()
+        ]
+        for grp in self.groups:
             if self.uses_momentum:
-                st.momentum = np.zeros_like(w0)
+                grp.momentum = np.zeros_like(grp.model)
             if self.uses_u:
-                st.u_table = UTable(shard.n_pos)
+                grp.u_table = UTable((len(grp.clients), grp.n_pos))
             if self.shares_histories:
-                st.pos_buffer = Buffer()
-                st.neg_buffer = Buffer()
-            states.append(st)
-        return states
+                grp.pos_buffers = [Buffer() for _ in grp.clients]
+                grp.neg_buffers = [Buffer() for _ in grp.clients]
 
-    def _bootstrap_batches(self, st: ClientState):
-        """K per-iteration batches per side, scored at the initial model."""
+    def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
+        return dataset.shards
+
+    def _pair_draw(self, grp: ClientGroup):
+        h = self.settings.hyper
+        return lambda g: (_draw_batch(g, grp.n_pos, h.B1), _draw_batch(g, grp.n_neg, h.B2))
+
+    def bootstrap_uploads(self) -> list[RoundUpload]:
+        """Round 0: models (and zero momenta) with, for the history-sharing
+        programs, K batches per side scored at the initial model."""
+        if self.shares_histories:
+            for grp in self.groups:
+                self._bootstrap_records(grp)
+        return self.uploads()
+
+    def _bootstrap_records(self, grp: ClientGroup) -> None:
         s = self.settings
-        for k in range(s.hyper.K):
-            g = substream(s.seed, "bootstrap", st.index, k)
-            z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
-            z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-            a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
-            b = score_many(s.scorer, st.model, st.shard.neg_X[z2])
-            yield k, z1, a, z2, b
-
-    def bootstrap_upload(self, st: ClientState) -> RoundUpload:
-        if self.shares_histories:
-            for k, z1, a, z2, b in self._bootstrap_batches(st):
-                ids1 = st.shard.pos_ids[z1]
-                st.out_h1.append(Records.of(a, st.index, k, ids1))
-                st.out_h2.append(Records.of(b, st.index, k, st.shard.neg_ids[z2]))
-                if self.uses_u:
-                    # Full-replacement estimates so the first cross-client
-                    # u-draws are well away from the outer-derivative clamp.
-                    partner = b[np.arange(len(a)) % len(b)]
-                    inner = loss(self.settings.loss, a, partner)
-                    st.out_u.append(Records.of(inner, st.index, k, ids1))
-        return self._upload(st)
-
-    def _upload(self, st: ClientState) -> RoundUpload:
-        up = RoundUpload(
-            client=st.index,
-            model=st.model.copy(),
-            h1=Records.concat(st.out_h1),
-            h2=Records.concat(st.out_h2),
-            momentum=st.momentum.copy() if self.uses_momentum else None,
-            u=Records.concat(st.out_u) if self.uses_u else None,
+        z1, z2 = self._draws(
+            grp, self._pair_draw(grp), lambda i, k: substream(s.seed, "bootstrap", i, k)
         )
-        st.out_h1.clear()
-        st.out_h2.clear()
-        st.out_u.clear()
-        return up
+        ids1 = grp.pos_ids[grp.rows, z1]
+        a = grp.scores(s, grp.pos_X[grp.rows, z1])
+        b = grp.scores(s, grp.neg_X[grp.rows, z2])
+        grp.emitted = {"h1": (a, ids1), "h2": (b, grp.neg_ids[grp.rows, z2])}
+        if self.uses_u:
+            # Full-replacement estimates so the first cross-client u-draws
+            # are well away from the outer-derivative clamp.
+            partner = b[..., np.arange(a.shape[-1]) % b.shape[-1]]
+            grp.emitted["u"] = (loss(s.loss, a, partner), ids1)
 
-    def begin_round(self, st: ClientState, download: RoundDownload, round_idx: int) -> None:
-        st.model = download.model.copy()
-        if self.uses_momentum and download.momentum is not None:
-            st.momentum = download.momentum.copy()
-        if self.shares_histories:
-            s = self.settings
-            if self.uses_u:
-                # One buffer of positions serves both blocks, so every drawn
-                # (score, u) pair shares provenance.
-                if len(download.r1) != len(download.p or ()):
-                    raise ValueError("positive-side scores and u-records must align")
-                st.paired_u = download.p
-            st.pos_buffer.refill(
-                download.r1, substream(s.seed, "buffer-pos", st.index, round_idx)
-            )
-            st.neg_buffer.refill(
-                download.r2, substream(s.seed, "buffer-neg", st.index, round_idx)
-            )
+    def _draws(self, grp: ClientGroup, draw, stream) -> list[np.ndarray]:
+        """``draw(stream(client, k))`` for every client and local step k,
+        each returned index array stacked to (K, G, n)."""
+        K = self.settings.hyper.K
+        per = [draw(stream(i, k)) for k in range(K) for i in grp.clients]
+        return [np.array(col).reshape(K, len(grp.clients), -1) for col in zip(*per)]
 
-    def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
+    def begin_round(self, download: RoundDownload, round_idx: int) -> None:
+        """Take the aggregate, refill the buffers and make the round's draws."""
+        for grp in self.groups:
+            G = len(grp.clients)
+            grp.model = np.tile(download.model, (G, 1))
+            if self.uses_momentum:
+                grp.momentum = np.tile(download.momentum, (G, 1))
+            grp.draws = self._draws(
+                grp,
+                self._step_draw(grp),
+                lambda i, k: substream(self.settings.seed, "step", i, round_idx, k),
+            )
+            if self.shares_histories:
+                self._refill(grp, download, round_idx)
+            self._prepare(grp, download)
+
+    def _step_draw(self, grp: ClientGroup):
+        return self._pair_draw(grp)
+
+    def _refill(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> None:
+        """Refill every client's buffers from the aggregate and draw the
+        round's lazy records: ``neg_at`` (K, G, n1) positions into r2 and
+        ``pos_at`` (K, G, n2) into r1. Each client draws its K steps' entries
+        in one call, which gives the same positions as K draws."""
+        seed, K = self.settings.seed, self.settings.hyper.K
+        n1, n2 = grp.draws[0].shape[-1], grp.draws[1].shape[-1]
+        for i, pos, neg in zip(grp.clients, grp.pos_buffers, grp.neg_buffers):
+            pos.refill(download.r1, substream(seed, "buffer-pos", i, round_idx))
+            neg.refill(download.r2, substream(seed, "buffer-neg", i, round_idx))
+        grp.neg_at = np.stack([b.draw(K * n1).reshape(K, n1) for b in grp.neg_buffers], axis=1)
+        grp.pos_at = np.stack([b.draw(K * n2).reshape(K, n2) for b in grp.pos_buffers], axis=1)
+        grp.lazy_neg = download.r2.value[grp.neg_at]
+        grp.lazy_pos = download.r1.value[grp.pos_at]
+
+    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
+        """Per-round setup from the draws, ahead of the K stacked steps."""
+
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
+        """Step k of every client in ``grp``; returns their loss estimates."""
         raise NotImplementedError
 
-    def build_upload(self, st: ClientState, round_idx: int) -> RoundUpload:
-        return self._upload(st)
+    def step(self, k: int, eta: float) -> np.ndarray:
+        """Local step k of every client; returns the loss estimates in
+        client order."""
+        est = np.empty(self.n_clients)
+        for grp in self.groups:
+            est[grp.index] = self.local_step(grp, k, eta)
+        return est
+
+    def finite(self) -> np.ndarray:
+        """Per client, whether every model entry is finite."""
+        ok = np.empty(self.n_clients, dtype=bool)
+        for grp in self.groups:
+            ok[grp.index] = np.isfinite(grp.model).all(axis=1)
+        return ok
+
+    def models(self) -> np.ndarray:
+        """The client models, (N, d) in client order."""
+        out = np.empty((self.n_clients, self.groups[0].model.shape[1]))
+        for grp in self.groups:
+            out[grp.index] = grp.model
+        return out
+
+    def buffer_wraps(self) -> int:
+        return sum(b.wraps for grp in self.groups for b in grp.pos_buffers + grp.neg_buffers)
+
+    def uploads(self) -> list[RoundUpload]:
+        """Every client's upload, in client order; each block of records is
+        built once from the round's arrays."""
+        ups: list[RoundUpload | None] = [None] * self.n_clients
+        for grp in self.groups:
+            for j, i in enumerate(grp.clients):
+                rec = {
+                    name: _round_records(i, values[:, j], ids[:, j])
+                    for name, (values, ids) in grp.emitted.items()
+                }
+                ups[i] = RoundUpload(
+                    client=i,
+                    model=grp.model[j].copy(),
+                    h1=rec.get("h1", _NO_RECORDS),
+                    h2=rec.get("h2", _NO_RECORDS),
+                    momentum=None if grp.momentum is None else grp.momentum[j].copy(),
+                    u=rec.get("u"),
+                )
+        return ups
 
 
 class FedX1Program(_Program):
     shares_histories = True
 
-    def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
+    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
+        z1, z2 = grp.draws
+        grp.emitted = {
+            "h1": (np.empty(z1.shape), grp.pos_ids[grp.rows, z1]),
+            "h2": (np.empty(z2.shape), grp.neg_ids[grp.rows, z2]),
+        }
+
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
-        g = substream(s.seed, "step", st.index, round_idx, k)
-        z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
-        z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-        lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
-        lazy_pos = st.pos_buffer.block.value[st.pos_buffer.draw(len(z2))]
-        grad = fedx1_estimate(st, k, z1, z2, lazy_neg, lazy_pos)
+        (x1, x2), lazy_neg = grp.sampled(k), grp.lazy_neg[k]
+        a, b = grp.scores(s, x1), grp.scores(s, x2)
+        grad = fedx1_estimate(s, grp.model, x1, x2, a, b, lazy_neg, grp.lazy_pos[k])
+        grp.emitted["h1"][0][k] = a
+        grp.emitted["h2"][0][k] = b
+        grp.descend(s, grad, eta)
         # Loss estimate pairs the fresh positive scores with their lazy partners.
-        est = float(np.mean(loss(s.loss, st.out_h1[-1].value, lazy_neg)))
-        st.model = st.model - eta * grad
-        return est
+        return loss(s.loss, a, lazy_neg).mean(axis=-1)
 
 
 class FedX2Program(_Program):
@@ -436,40 +543,51 @@ class FedX2Program(_Program):
     uses_u = True
     shares_histories = True
 
-    def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
+    def _step_draw(self, grp: ClientGroup):
+        pair = self._pair_draw(grp)
+        if self.settings.hyper.history_samples == "reuse":
+            return pair
+        # Independent emission batches, drawn after the update batches.
+        return lambda g: pair(g) + pair(g)
+
+    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
+        if len(download.r1) != len(download.p or ()):
+            raise ValueError("positive-side scores and u-records must align")
+        # One buffer of positions serves both blocks, so every drawn
+        # (score, u) pair shares provenance.
+        grp.lazy_u = download.p.value[grp.pos_at]
+        zh1, zh2 = grp.draws[-2:]  # emission batches; in "reuse" mode the update ones
+        ids1 = grp.pos_ids[grp.rows, zh1]
+        grp.emitted = {
+            "h1": (np.empty(zh1.shape), ids1),
+            "h2": (np.empty(zh2.shape), grp.neg_ids[grp.rows, zh2]),
+            "u": (np.empty(zh1.shape), ids1),
+        }
+
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
-        g = substream(s.seed, "step", st.index, round_idx, k)
-        z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
-        z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-        lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
-        paired = st.pos_buffer.draw(len(z2))
-        lazy_pos = st.pos_buffer.block.value[paired]
-        lazy_u = st.paired_u.value[paired]
-
-        a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
+        (x1, x2), lazy_neg = grp.sampled(k), grp.lazy_neg[k]
+        a = grp.scores(s, x1)
         pair_loss = loss(s.loss, a, lazy_neg)
-        st.u_table.track(z1, pair_loss, s.hyper.gamma)
-        grad = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
-
-        if s.hyper.history_samples == "independent":
-            zh1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
-            zh2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-            ah = score_many(s.scorer, st.model, st.shard.pos_X[zh1])
-            bh = score_many(s.scorer, st.model, st.shard.neg_X[zh2])
+        at = (grp.rows, grp.draws[0][k])
+        grp.u_table.track(at, pair_loss, s.hyper.gamma)
+        b = grp.scores(s, x2)
+        grad = fedx2_estimate(s, grp.model, x1, x2, a, b, lazy_neg, grp.lazy_pos[k],
+                              grp.u_table.values[at], grp.lazy_u[k])
+        if len(grp.draws) > 2:
+            xh1, xh2 = grp.sampled(k, 2)
+            ah, bh = grp.scores(s, xh1), grp.scores(s, xh2)
         else:
-            zh1, zh2 = z1, z2
-            ah = a
-            bh = score_many(s.scorer, st.model, st.shard.neg_X[zh2])
-        ids1 = st.shard.pos_ids[zh1]
-        st.out_h1.append(Records.of(ah, st.index, k, ids1))
-        st.out_h2.append(Records.of(bh, st.index, k, st.shard.neg_ids[zh2]))
-        # zh1 and z1 have the same size, so lazy_neg gives one partner each.
-        u_emit = st.u_table.emission(zh1, loss(s.loss, ah, lazy_neg))
-        st.out_u.append(Records.of(u_emit, st.index, k, ids1))
-
-        st.momentum = momentum_update(st.momentum, grad, s.hyper.beta)
-        st.model = st.model - eta * st.momentum
-        return float(np.mean(pair_loss))
+            ah, bh = a, b
+        grp.emitted["h1"][0][k] = ah
+        grp.emitted["h2"][0][k] = bh
+        # The emission batch has the update batch's size, so lazy_neg gives
+        # one partner each.
+        grp.emitted["u"][0][k] = grp.u_table.emission(
+            (grp.rows, grp.draws[-2][k]), loss(s.loss, ah, lazy_neg)
+        )
+        grp.descend(s, grad, eta)
+        return pair_loss.mean(axis=-1)
 
 
 class LocalSGDProgram(_Program):
@@ -477,28 +595,24 @@ class LocalSGDProgram(_Program):
     The configured pairwise loss and outer function are used only for
     objective reporting."""
 
-    def init_states(self, dataset: FederatedDataset) -> list[ClientState]:
-        states = super().init_states(dataset)
-        self._union_X = [
-            np.vstack([st.shard.pos_X, st.shard.neg_X]) for st in states
-        ]
-        self._union_y = [
-            np.concatenate([np.ones(st.shard.n_pos), -np.ones(st.shard.n_neg)])
-            for st in states
-        ]
-        return states
+    def _step_draw(self, grp: ClientGroup):
+        h = self.settings.hyper
+        return lambda g: (_draw_batch(g, grp.n_pos + grp.n_neg, h.B1 + h.B2),)
 
-    def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
+    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
+        (idx,) = grp.draws
+        union = np.concatenate([grp.pos_X, grp.neg_X], axis=1)
+        labels = np.concatenate([np.ones(grp.n_pos), -np.ones(grp.n_neg)])
+        grp.x1, grp.y = union[grp.rows, idx], labels[idx]
+
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
-        g = substream(s.seed, "step", st.index, round_idx, k)
-        X, y = self._union_X[st.index], self._union_y[st.index]
-        idx = _draw_batch(g, X.shape[0], s.hyper.B1 + s.hyper.B2)
-        xb, yb = X[idx], y[idx]
-        scores = score_many(s.scorer, st.model, xb)
+        xb, yb = grp.x1[k], grp.y[k]
+        scores = grp.scores(s, xb)
         coeff = -yb * expit(-yb * scores)
-        grad = coeff @ score_grad_many(s.scorer, st.model, xb) / len(idx)
-        st.model = st.model - eta * grad
-        return float(np.mean(np.logaddexp(0.0, -yb * scores)))
+        grad = _vecmat(coeff, score_grad_many(s.scorer, grp.model, xb)) / xb.shape[-2]
+        grp.descend(s, grad, eta)
+        return np.logaddexp(0.0, -yb * scores).mean(axis=-1)
 
 
 class LocalPairProgram(_Program):
@@ -507,50 +621,34 @@ class LocalPairProgram(_Program):
     when the batch sizes differ). Nonlinear outer adds the local
     moving-average tracker and averaged momentum."""
 
-    def __init__(self, settings: RunSettings) -> None:
-        super().__init__(settings)
-        self.nonlinear = settings.outer.kind != "identity"
-        self.uses_momentum = self.nonlinear
-        self.uses_u = self.nonlinear
+    def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
+        self.uses_momentum = self.uses_u = settings.outer.kind != "identity"
+        super().__init__(settings, dataset)
 
-    def bootstrap_upload(self, st: ClientState) -> RoundUpload:
-        return self._upload(st)  # model (and zero momentum) only
-
-    def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
-        g = substream(s.seed, "step", st.index, round_idx, k)
-        z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
-        z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-        x1, x2 = st.shard.pos_X[z1], st.shard.neg_X[z2]
-        a = score_many(s.scorer, st.model, x1)
-        b = score_many(s.scorer, st.model, x2)
-        n1, n2 = len(z1), len(z2)
-        part_b = b[np.arange(n1) % n2]  # partner for each positive
-        part_a = a[np.arange(n2) % n1]  # partner for each negative
+        x1, x2 = grp.sampled(k)
+        a, b = grp.scores(s, x1), grp.scores(s, x2)
+        n1, n2 = a.shape[-1], b.shape[-1]
+        part_b = b[:, np.arange(n1) % n2]  # partner for each positive
+        part_a = a[:, np.arange(n2) % n1]  # partner for each negative
         pair_loss = loss(s.loss, a, part_b)
-        d1, _ = loss_grads(s.loss, a, part_b)
-        _, d2 = loss_grads(s.loss, part_a, b)
-        j1 = score_grad_many(s.scorer, st.model, x1)
-        j2 = score_grad_many(s.scorer, st.model, x2)
-        if self.nonlinear:
-            st.u_table.track(z1, pair_loss, s.hyper.gamma)
-            u1 = st.u_table.values[z1]
-            w1 = np.asarray(outer_deriv(s.outer, u1)) * np.asarray(d1)
-            u2 = u1[np.arange(n2) % n1]
-            w2 = np.asarray(outer_deriv(s.outer, u2)) * np.asarray(d2)
-            grad = (w1 @ j1) / n1 + (w2 @ j2) / n2
-            st.momentum = momentum_update(st.momentum, grad, s.hyper.beta)
-            st.model = st.model - eta * st.momentum
+        if self.uses_u:
+            at = (grp.rows, grp.draws[0][k])
+            grp.u_table.track(at, pair_loss, s.hyper.gamma)
+            u1 = grp.u_table.values[at]
+            grad = fedx2_estimate(s, grp.model, x1, x2, a, b, part_b, part_a,
+                                  u1, u1[:, np.arange(n2) % n1])
         else:
-            grad = (np.asarray(d1) @ j1) / n1 + (np.asarray(d2) @ j2) / n2
-            st.model = st.model - eta * grad
-        return float(np.mean(pair_loss))
+            grad = fedx1_estimate(s, grp.model, x1, x2, a, b, part_b, part_a)
+        grp.descend(s, grad, eta)
+        return pair_loss.mean(axis=-1)
 
 
-def _union_dataset(dataset: FederatedDataset) -> FederatedDataset:
+def _union_shard(dataset: FederatedDataset) -> ClientShard:
     pos_ids, pos_X = dataset.pos_union()
     neg_ids, neg_X = dataset.neg_union()
-    return replace(dataset, shards=(ClientShard(pos_ids, pos_X, neg_ids, neg_X),))
+    return ClientShard(pos_ids, pos_X, neg_ids, neg_X)
 
 
 class CentralizedProgram(_Program):
@@ -558,38 +656,32 @@ class CentralizedProgram(_Program):
     minibatches contributes. Nonlinear outer is the moving-average tracker
     algorithm with fresh same-iteration negative scores and momentum."""
 
-    def __init__(self, settings: RunSettings) -> None:
-        super().__init__(settings)
-        self.nonlinear = settings.outer.kind != "identity"
-        self.uses_momentum = self.nonlinear
-        self.uses_u = self.nonlinear
+    def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
+        self.uses_momentum = self.uses_u = settings.outer.kind != "identity"
+        super().__init__(settings, dataset)
 
-    def init_states(self, dataset: FederatedDataset) -> list[ClientState]:
-        return super().init_states(_union_dataset(dataset))
+    def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
+        return (_union_shard(dataset),)
 
-    def local_step(self, st: ClientState, round_idx: int, k: int, eta: float) -> float:
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
-        g = substream(s.seed, "step", st.index, round_idx, k)
-        z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
-        z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
-        x1, x2 = st.shard.pos_X[z1], st.shard.neg_X[z2]
-        a = score_many(s.scorer, st.model, x1)
-        b = score_many(s.scorer, st.model, x2)
-        n1, n2 = len(z1), len(z2)
-        d1, d2 = loss_grads(s.loss, a[:, None], b[None, :])  # (n1, n2)
-        j1 = score_grad_many(s.scorer, st.model, x1)
-        j2 = score_grad_many(s.scorer, st.model, x2)
-        if self.nonlinear:
-            lmat = loss(s.loss, a[:, None], b[None, :])
-            st.u_table.track(z1, lmat.mean(axis=1), s.hyper.gamma)
-            fpu = np.asarray(outer_deriv(s.outer, st.u_table.values[z1]))
-            grad = ((fpu * d1.sum(axis=1)) @ j1 + (fpu @ d2) @ j2) / (n1 * n2)
-            st.momentum = momentum_update(st.momentum, grad, s.hyper.beta)
-            st.model = st.model - eta * st.momentum
-            return float(lmat.mean())
-        grad = (d1.sum(axis=1) @ j1 + d2.sum(axis=0) @ j2) / (n1 * n2)
-        st.model = st.model - eta * grad
-        return float(np.mean(loss(s.loss, a[:, None], b[None, :])))
+        x1, x2 = grp.sampled(k)
+        a, b = grp.scores(s, x1), grp.scores(s, x2)
+        a, b = a[..., :, None], b[..., None, :]  # (G, n1, n2) pairs
+        n_pairs = a.shape[-2] * b.shape[-1]
+        d1, d2 = loss_grads(s.loss, a, b)
+        j1 = score_grad_many(s.scorer, grp.model, x1)
+        j2 = score_grad_many(s.scorer, grp.model, x2)
+        lmat = loss(s.loss, a, b)
+        if self.uses_u:
+            at = (grp.rows, grp.draws[0][k])
+            grp.u_table.track(at, lmat.mean(axis=-1), s.hyper.gamma)
+            fpu = outer_deriv(s.outer, grp.u_table.values[at])
+            grad = (_vecmat(fpu * d1.sum(axis=-1), j1) + _vecmat(_vecmat(fpu, d2), j2)) / n_pairs
+        else:
+            grad = (_vecmat(d1.sum(axis=-1), j1) + _vecmat(d2.sum(axis=-2), j2)) / n_pairs
+        grp.descend(s, grad, eta)
+        return lmat.mean(axis=(-2, -1))
 
 
 PROGRAMS = {
@@ -679,9 +771,7 @@ def simulate(
     """
     check_algorithm(algorithm, outer)
     settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)
-    program = PROGRAMS[algorithm](settings)
-    states = program.init_states(dataset)
-    transport = InProcessTransport(len(states))
+    program = PROGRAMS[algorithm](settings, dataset)
     evaluator = _Evaluator(dataset, settings, pauc_fprs)
     trace = RunTrace(settings=settings)
 
@@ -707,50 +797,41 @@ def simulate(
         if trace_sink is not None:
             trace_sink.on_round(rec)
 
-    def total_wraps() -> int:
-        return sum(
-            buf.wraps
-            for st in states
-            for buf in (st.pos_buffer, st.neg_buffer)
-            if buf is not None
-        )
-
     t_start = time.perf_counter()
-    download, uploads = run_round(
-        states, lambda st, dl: program.bootstrap_upload(st), None, transport
-    )
+    uploads = program.bootstrap_uploads()
+    download = server_aggregate(uploads)
     emit_round(0, t_start, download, uploads, 0)
 
+    n, K = program.n_clients, hyper.K
     for r in range(1, hyper.R + 1):
         t_start = time.perf_counter()
-        wraps_before = total_wraps()
-        iter_records: dict[int, list[IterationRecord]] = {}
-
-        def client_round(st: ClientState, dl: RoundDownload) -> RoundUpload:
-            program.begin_round(st, dl, r)
-            recs = []
-            for k in range(hyper.K):
-                eta_k = hyper.eta_at(st.local_iters)
-                est = program.local_step(st, r, k, eta_k)
-                if not np.all(np.isfinite(st.model)):
-                    raise FloatingPointError(
-                        f"model diverged (non-finite entries) on client {st.index} "
-                        f"at round {r}, iteration {k}"
-                    )
-                st.local_iters += 1
-                if iteration_trace:
-                    recs.append(IterationRecord(st.index, r, k, est, eta_k))
-            iter_records[st.index] = recs
-            return program.build_upload(st, r)
-
-        download, uploads = run_round(states, client_round, download, transport)
+        wraps_before = program.buffer_wraps()
+        program.begin_round(download, r)
+        etas = [hyper.eta_at((r - 1) * K + k) for k in range(K)]
+        estimates = np.empty((K, n))
+        first_bad = np.full(n, K)  # first non-finite iteration per client
+        for k, eta_k in enumerate(etas):
+            estimates[k] = program.step(k, eta_k)
+            first_bad[~program.finite() & (first_bad > k)] = k
+        if (first_bad < K).any():
+            # The lowest-index client that diverged, at its first
+            # non-finite iteration: what running the clients one after
+            # another would have met first.
+            i = int(np.argmax(first_bad < K))
+            raise FloatingPointError(
+                f"model diverged (non-finite entries) on client {i} "
+                f"at round {r}, iteration {first_bad[i]}"
+            )
+        uploads = program.uploads()
+        download = server_aggregate(uploads)
         if iteration_trace:
-            for i in sorted(iter_records):
-                trace.iterations.extend(iter_records[i])
-                if trace_sink is not None:
-                    for rec in iter_records[i]:
+            for i in range(n):
+                for k, eta_k in enumerate(etas):
+                    rec = IterationRecord(i, r, k, float(estimates[k, i]), eta_k)
+                    trace.iterations.append(rec)
+                    if trace_sink is not None:
                         trace_sink.on_iteration(rec)
-        emit_round(r, t_start, download, uploads, total_wraps() - wraps_before)
+        emit_round(r, t_start, download, uploads, program.buffer_wraps() - wraps_before)
 
     trace.final_model = download.model.copy()
     return trace

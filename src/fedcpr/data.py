@@ -55,6 +55,8 @@ class DataConfig:
             raise ValueError("hetero_var must be >= 0")
         if self.cluster_std <= 0:
             raise ValueError("cluster_std must be positive")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError("seed must be a signed 64-bit integer")
 
     def client_mean_shift(self, client: int) -> float:
         return self.hetero_base + client * self.hetero_step

@@ -1,15 +1,20 @@
-"""Round-based communication fabric: record blocks, shuffled buffers,
-server aggregation, and message accounting.
+"""Communication fabric: record blocks, shuffled buffers, server
+aggregation, and message accounting.
 
 One round = every client uploads (model, this round's score records, and
 for the nonlinear-f algorithm its momentum and u-records), the server
 averages the models (and momenta) and concatenates the record blocks in
-client-index order, and the aggregate is broadcast back. Every record set
-is one :class:`Records` block of equal-length numpy columns. Clients consume
-a received block through :class:`Buffer`, a shuffled queue of positions into
-the shared block, drawn without replacement; records consumed in round r
-were produced in round r-1, never earlier, because buffers are flushed and
-refilled from the fresh aggregate each round.
+client-index order, and the aggregate is broadcast back. The round engine
+in :mod:`fedcpr.algorithms` drives this: it builds all N uploads after every
+client's K local steps, then calls :func:`server_aggregate` once, so no
+client sees round r+1 state before every round-r upload is in.
+
+Every record set is one :class:`Records` block of equal-length numpy
+columns. Clients consume a received block through :class:`Buffer`, a
+shuffled queue of positions into the shared block, drawn without
+replacement; records consumed in round r were produced in round r-1, never
+earlier, because buffers are flushed and refilled from the fresh aggregate
+each round.
 
 Record provenance (client, iteration, sample_id) is carried for
 testability; the math needs only the ``value`` column.
@@ -18,7 +23,7 @@ testability; the math needs only the ``value`` column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,12 +58,6 @@ class Records:
 
     def __len__(self) -> int:
         return len(self.value)
-
-    @classmethod
-    def of(cls, value, client: int, iteration: int, sample_id) -> Records:
-        """Records produced by one client at one iteration."""
-        n = len(sample_id)
-        return cls(value, np.full(n, client), np.full(n, iteration), sample_id)
 
     @classmethod
     def concat(cls, blocks: Sequence[Records]) -> Records:
@@ -201,47 +200,3 @@ def comm_cost_ints(upload: RoundUpload, download: RoundDownload) -> tuple[int, i
     up = 3 * (len(upload.h1) + len(upload.h2) + len(upload.u or ()))
     down = 3 * (len(download.r1) + len(download.r2) + len(download.p or ()))
     return up, down
-
-
-class InProcessTransport:
-    """The one mandated transport: an in-process mailbox with deterministic
-    delivery. Contract: all N clients upload, the server aggregates once
-    (barrier: no partial aggregation), and the single aggregate is the
-    download for every client. A socket transport could implement the same
-    two methods without touching algorithm code.
-    """
-
-    def __init__(self, n_clients: int) -> None:
-        self.n_clients = n_clients
-        self._pending: list[RoundUpload] = []
-
-    def upload(self, message: RoundUpload) -> None:
-        self._pending.append(message)
-
-    def exchange(self) -> RoundDownload:
-        if len(self._pending) != self.n_clients:
-            raise ProtocolError(
-                f"expected {self.n_clients} uploads, got {len(self._pending)}"
-            )
-        download = server_aggregate(self._pending)
-        self._pending = []
-        return download
-
-
-def run_round(
-    clients: Sequence,
-    round_fn: Callable,
-    download: RoundDownload | None,
-    transport: InProcessTransport,
-) -> tuple[RoundDownload, list[RoundUpload]]:
-    """Execute one synchronous round.
-
-    ``round_fn(client, download) -> RoundUpload`` runs each client's local
-    work, one client after another in index order. All uploads are
-    collected before aggregation; no client observes round r+1 state before
-    every round-r upload is in.
-    """
-    uploads = [round_fn(c, download) for c in clients]
-    for up in uploads:
-        transport.upload(up)
-    return transport.exchange(), uploads

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .algorithms import (
@@ -144,11 +145,11 @@ def _place(key: str) -> tuple[str, str]:
     return section, "lam" if name == "lambda" else name
 
 
-def _build(cls, section: str, fields: dict):
-    """``cls(**fields)``, its ValueError turned into a ConfigError naming the
+def _build(make, section: str, fields: dict):
+    """``make(**fields)``, its ValueError turned into a ConfigError naming the
     key: each message starts with the key's part after ``section``."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
         key = f"{section}.{name}" if section else name
@@ -242,13 +243,15 @@ class CsvTraceSink:
         row += [rec.uplink_floats, rec.downlink_floats, rec.buffer_wraps]
         self._fh.write(",".join(_fmt(v) for v in row) + "\n")
         self._fh.flush()
+        if self._iter_fh is not None:
+            # The round's iteration rows came before it: one flush per round.
+            self._iter_fh.flush()
 
     def on_iteration(self, rec: IterationRecord) -> None:
         if self._iter_fh is None:
             return
         row = [rec.client, rec.round, rec.iteration, rec.loss_estimate, rec.step_size]
         self._iter_fh.write(",".join(_fmt(v) for v in row) + "\n")
-        self._iter_fh.flush()
 
     def close(self) -> None:
         self._fh.close()
@@ -278,8 +281,8 @@ def run(
     if seed is not None:
         config = replace(
             config,
-            data=replace(config.data, seed=seed),
-            hyper=replace(config.hyper, seed=seed),
+            data=_build(partial(replace, config.data), "data", {"seed": seed}),
+            hyper=_build(partial(replace, config.hyper), "hyper", {"seed": seed}),
         )
     out_path = Path(out) if out is not None else Path(config.output_path)
     config = replace(config, output_path=str(out_path))

@@ -12,7 +12,7 @@ one exp and adds into per-score weights, so nothing of size |S1| x |S2| is
 held), and one matmul per side with the score Jacobians ends it.
 ``exact_objective`` and ``exact_grad`` are its two halves (the objective
 alone skips the gradient work). They are the ground truth the stochastic
-estimators are tested against; ``exact_inner`` gives one inner mean.
+estimators are tested against.
 
 For ``kl_opauc`` with ``kl_log`` (the KL-DRO form of one-way partial AUC)
 the sweep works in the log domain, with f = lambda * logsumexp and softmax
@@ -135,33 +135,6 @@ def _pair_scores(
     if pos_X.shape[0] == 0 or neg_X.shape[0] == 0:
         raise ValueError("positive and negative sets must both be nonempty")
     return score_many(scorer, w, pos_X), score_many(scorer, w, neg_X)
-
-
-def exact_inner(
-    loss_spec: PairwiseLossSpec,
-    scorer: ScorerSpec,
-    w: np.ndarray,
-    x: np.ndarray,
-    neg_X: np.ndarray,
-) -> float:
-    """Mean loss of one positive sample x against every negative row."""
-    if neg_X.shape[0] == 0:
-        raise ValueError("negative set must be nonempty")
-    a = score_many(scorer, w, x[None, :])[0]
-    b = score_many(scorer, w, neg_X)
-    return float(np.mean(loss(loss_spec, a, b)))
-
-
-def exact_inner_all(
-    loss_spec: PairwiseLossSpec,
-    scorer: ScorerSpec,
-    w: np.ndarray,
-    pos_X: np.ndarray,
-    neg_X: np.ndarray,
-) -> np.ndarray:
-    """exact_inner for every positive row at once, shape (|S1|,)."""
-    a, b = _pair_scores(scorer, w, pos_X, neg_X)
-    return loss(loss_spec, a[:, None], b[None, :]).mean(axis=1)
 
 
 # Pairs per row block of the oracle sweep; a block holds

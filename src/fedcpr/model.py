@@ -47,15 +47,16 @@ class ScorerSpec:
         return self.input_dim * self.hidden_dim + self.hidden_dim
 
     def _split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """mlp1 parameter views: (hidden matrix, output vector)."""
+        """mlp1 parameter views, (hidden matrices, output vectors), keeping
+        any leading client axes of w."""
         h, d = self.hidden_dim, self.input_dim
-        return w[: h * d].reshape(h, d), w[h * d :]
+        return w[..., : h * d].reshape(*w.shape[:-1], h, d), w[..., h * d :]
 
 
 def _check_dims(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> None:
-    if w.shape != (spec.param_count,):
+    if w.shape[-1:] != (spec.param_count,):
         raise ValueError(
-            f"parameter vector has length {w.shape}, expected ({spec.param_count},)"
+            f"parameter vector has length {w.shape[-1:]}, expected ({spec.param_count},)"
         )
     if x.shape[-1] != spec.input_dim:
         raise ValueError(
@@ -63,47 +64,33 @@ def _check_dims(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> None:
         )
 
 
-def score(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> float:
-    """Scalar prediction score for one sample."""
-    _check_dims(spec, w, x)
-    if spec.kind == "linear":
-        return float(np.dot(w, x))
-    hidden_w, out_w = spec._split(w)
-    return float(np.dot(out_w, np.tanh(hidden_w @ x)))
-
-
 def score_many(spec: ScorerSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Scores for a batch of samples (rows of X). Returns shape (n,)."""
+    """Scores for a batch of samples (rows of X), shape (n,).
+
+    With leading client axes, w of shape (..., d) and X of shape
+    (..., n, input_dim) give (..., n): each client's batch at its own model.
+    The matmuls stack over those axes, so each client's scores are bit for
+    bit what its own 2-D call gives.
+    """
     _check_dims(spec, w, X)
     if spec.kind == "linear":
-        return X @ w
+        return (X @ w[..., None])[..., 0]
     hidden_w, out_w = spec._split(w)
-    return np.tanh(X @ hidden_w.T) @ out_w
-
-
-def score_grad(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of score with respect to w, length param_count."""
-    _check_dims(spec, w, x)
-    if spec.kind == "linear":
-        return np.array(x, dtype=float, copy=True)
-    hidden_w, out_w = spec._split(w)
-    t = np.tanh(hidden_w @ x)
-    # d/dW_hidden = outer(out_w * (1 - t^2), x); d/dw_out = t
-    hidden_grad = np.outer(out_w * (1.0 - t * t), x)
-    return np.concatenate([hidden_grad.ravel(), t])
+    return (np.tanh(X @ np.swapaxes(hidden_w, -1, -2)) @ out_w[..., None])[..., 0]
 
 
 def score_grad_many(spec: ScorerSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per-sample score gradients, shape (n, param_count)."""
+    """Per-sample score gradients, shape (n, param_count), or
+    (..., n, param_count) with leading client axes as in :func:`score_many`."""
     _check_dims(spec, w, X)
     if spec.kind == "linear":
         return np.array(X, dtype=float, copy=True)
     hidden_w, out_w = spec._split(w)
-    t = np.tanh(X @ hidden_w.T)  # (n, hidden)
-    coeff = out_w * (1.0 - t * t)  # (n, hidden)
-    hidden_grad = coeff[:, :, None] * X[:, None, :]  # (n, hidden, input)
-    n = X.shape[0]
-    return np.concatenate([hidden_grad.reshape(n, -1), t], axis=1)
+    t = np.tanh(X @ np.swapaxes(hidden_w, -1, -2))  # (..., n, hidden)
+    # d/dW_hidden = outer(out_w * (1 - t^2), x); d/dw_out = t
+    coeff = out_w[..., None, :] * (1.0 - t * t)  # (..., n, hidden)
+    hidden_grad = coeff[..., :, None] * X[..., None, :]  # (..., n, hidden, input)
+    return np.concatenate([hidden_grad.reshape(*t.shape[:-1], -1), t], axis=-1)
 
 
 def finite_diff_grad(

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
-    FedX1Program,
-    FedX2Program,
     HyperParams,
     RunSettings,
     fedx1_estimate,
@@ -34,7 +32,7 @@ from .losses import (
     loss,
 )
 from .metrics import ScoredEval, auc, auc_bruteforce, partial_auc
-from .model import ScorerSpec, finite_diff_grad, score, score_grad
+from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
 from .rng import substream
 
 
@@ -51,9 +49,9 @@ def _check_score_gradients() -> CheckResult:
     for spec in (ScorerSpec("linear", 6), ScorerSpec("mlp1", 5, hidden_dim=3)):
         for _ in range(20):
             w = rng.standard_normal(spec.param_count)
-            x = rng.standard_normal(spec.input_dim)
-            g = score_grad(spec, w, x)
-            fd = finite_diff_grad(lambda v: score(spec, v, x), w, 1e-5)
+            x = rng.standard_normal((1, spec.input_dim))
+            g = score_grad_many(spec, w, x)[0]
+            fd = finite_diff_grad(lambda v: score_many(spec, v, x)[0], w, 1e-5)
             err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             worst = max(worst, err)
     return CheckResult("score gradients vs finite differences", worst <= 1e-5,
@@ -121,28 +119,21 @@ def _check_auc_routes() -> CheckResult:
     return CheckResult("auc sorted vs brute force", True)
 
 
-def _toy_states(outer):
-    cfg = DataConfig(n_pos_per_client=5, n_neg_per_client=9, input_dim=4,
-                     n_clients=2, hetero_var=0, hetero_base=0, hetero_step=0, seed=2)
-    ds = build_dataset(cfg)
-    hyper = HyperParams(eta=0.05, K=3, R=2, B1=3, B2=4, seed=2)
-    settings = RunSettings("fedx2", ScorerSpec("linear", 4),
-                           PairwiseLossSpec("kl_opauc", lam=2.0), outer, hyper)
-    program = FedX2Program(settings)
-    return program.init_states(ds)[0]
-
-
 def _check_estimator_reduction() -> CheckResult:
-    st = _toy_states(IDENTITY_OUTER)
+    # One client (a stack of G = 1): 3 positive and 4 negative rows.
     rng = np.random.default_rng(9)
-    z1 = np.array([0, 2, 4])
-    z2 = np.array([1, 3, 5, 7])
-    lazy_neg = rng.normal(size=3)
-    lazy_pos = rng.normal(size=4)
-    lazy_u = 1.0 + np.abs(rng.normal(size=4))
-    st.u_table.values[z1] = 1.5
-    g2 = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
-    g1 = fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos)
+    settings = RunSettings("fedx2", ScorerSpec("linear", 4),
+                           PairwiseLossSpec("kl_opauc", lam=2.0), IDENTITY_OUTER,
+                           HyperParams())
+    w = rng.standard_normal((1, 4))
+    x1, x2 = rng.standard_normal((1, 3, 4)), rng.standard_normal((1, 4, 4))
+    a, b = score_many(settings.scorer, w, x1), score_many(settings.scorer, w, x2)
+    lazy_neg = rng.normal(size=(1, 3))
+    lazy_pos = rng.normal(size=(1, 4))
+    lazy_u = 1.0 + np.abs(rng.normal(size=(1, 4)))
+    g2 = fedx2_estimate(settings, w, x1, x2, a, b, lazy_neg, lazy_pos,
+                        np.full((1, 3), 1.5), lazy_u)
+    g1 = fedx1_estimate(settings, w, x1, x2, a, b, lazy_neg, lazy_pos)
     ok = np.array_equal(g1, g2)
     return CheckResult("fedx2 with identity outer equals fedx1", ok)
 
@@ -161,7 +152,7 @@ def _check_momentum_closed_form() -> CheckResult:
 
 
 def _check_buffer() -> CheckResult:
-    block = Records.of(np.zeros(52), 0, 0, np.arange(52))
+    block = Records(np.zeros(52), np.zeros(52), np.zeros(52), np.arange(52))
     buf = Buffer()
     buf.refill(block, substream(1, "selftest-buffer"))
     first = np.concatenate([buf.draw(30), buf.draw(22)])

@@ -1,0 +1,378 @@
+"""Reference implementations the tests check the package against.
+
+* Scalar scoring (``score``, ``score_grad``) and one inner mean
+  (``exact_inner``, ``exact_inner_all``), written per sample.
+* ``records_of``: the records of one client at one iteration.
+* The per-client round: each client keeps its own state and takes its K
+  local steps one after another, building its records step by step, as
+  the simulator did before the stacked round engine. :func:`reference_rounds`
+  runs it; the engine must match it bit for bit.
+* ``one_client_fedx1``/``one_client_fedx2``: the package's stacked
+  estimators called on one client's state, a stack of G = 1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+from scipy.special import expit
+
+from fedcpr import algorithms
+from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
+from fedcpr.data import ClientShard, FederatedDataset
+from fedcpr.federation import Buffer, Records, RoundDownload, RoundUpload, server_aggregate
+from fedcpr.losses import PairwiseLossSpec, loss, loss_grads, outer_deriv
+from fedcpr.model import ScorerSpec, init_params, score_grad_many, score_many
+from fedcpr.rng import substream
+
+
+# ------------------------------------------------------------ scalar scoring
+
+def _check_dims(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> None:
+    if w.shape != (spec.param_count,):
+        raise ValueError(f"parameter vector has length {w.shape}")
+    if x.shape[-1] != spec.input_dim:
+        raise ValueError(f"feature vector has length {x.shape[-1]}")
+
+
+def score(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> float:
+    """Scalar prediction score for one sample."""
+    _check_dims(spec, w, x)
+    if spec.kind == "linear":
+        return float(np.dot(w, x))
+    h, d = spec.hidden_dim, spec.input_dim
+    hidden_w, out_w = w[: h * d].reshape(h, d), w[h * d :]
+    return float(np.dot(out_w, np.tanh(hidden_w @ x)))
+
+
+def score_grad(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of score with respect to w, length param_count."""
+    _check_dims(spec, w, x)
+    if spec.kind == "linear":
+        return np.array(x, dtype=float, copy=True)
+    h, d = spec.hidden_dim, spec.input_dim
+    hidden_w, out_w = w[: h * d].reshape(h, d), w[h * d :]
+    t = np.tanh(hidden_w @ x)
+    # d/dW_hidden = outer(out_w * (1 - t^2), x); d/dw_out = t
+    hidden_grad = np.outer(out_w * (1.0 - t * t), x)
+    return np.concatenate([hidden_grad.ravel(), t])
+
+
+def exact_inner(
+    loss_spec: PairwiseLossSpec,
+    scorer: ScorerSpec,
+    w: np.ndarray,
+    x: np.ndarray,
+    neg_X: np.ndarray,
+) -> float:
+    """Mean loss of one positive sample x against every negative row."""
+    if neg_X.shape[0] == 0:
+        raise ValueError("negative set must be nonempty")
+    a = score_many(scorer, w, x[None, :])[0]
+    b = score_many(scorer, w, neg_X)
+    return float(np.mean(loss(loss_spec, a, b)))
+
+
+def exact_inner_all(
+    loss_spec: PairwiseLossSpec,
+    scorer: ScorerSpec,
+    w: np.ndarray,
+    pos_X: np.ndarray,
+    neg_X: np.ndarray,
+) -> np.ndarray:
+    """exact_inner for every positive row at once, shape (|S1|,)."""
+    if pos_X.shape[0] == 0 or neg_X.shape[0] == 0:
+        raise ValueError("positive and negative sets must both be nonempty")
+    a, b = score_many(scorer, w, pos_X), score_many(scorer, w, neg_X)
+    return loss(loss_spec, a[:, None], b[None, :]).mean(axis=1)
+
+
+def records_of(value, client: int, iteration: int, sample_id) -> Records:
+    """Records produced by one client at one iteration."""
+    n = len(sample_id)
+    return Records(value, np.full(n, client), np.full(n, iteration), sample_id)
+
+
+# ------------------------------------------------------ the per-client round
+
+@dataclass
+class ClientState:
+    """One client's exclusively-owned mutable state."""
+
+    index: int
+    shard: ClientShard
+    settings: RunSettings
+    model: np.ndarray
+    momentum: np.ndarray | None = None
+    u_table: UTable | None = None
+    pos_buffer: Buffer | None = None
+    neg_buffer: Buffer | None = None
+    paired_u: Records | None = None  # received u-records, row-aligned with pos_buffer.block
+    out_h1: list[Records] = field(default_factory=list)  # one block per emission
+    out_h2: list[Records] = field(default_factory=list)
+    out_u: list[Records] = field(default_factory=list)
+
+
+def _draw_batch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
+    return rng.choice(n, size=min(batch, n), replace=False)
+
+
+def fedx1_estimate(st, iteration, z1, z2, lazy_neg, lazy_pos):
+    """Linear-outer estimate of one client; appends its fresh scores to the
+    outgoing histories with provenance."""
+    if len(z1) != len(lazy_neg) or len(z2) != len(lazy_pos):
+        raise ValueError("each active sample needs exactly one lazy record")
+    s, shard = st.settings, st.shard
+    x1, x2 = shard.pos_X[z1], shard.neg_X[z2]
+    a = score_many(s.scorer, st.model, x1)
+    b = score_many(s.scorer, st.model, x2)
+    d1, _ = loss_grads(s.loss, a, lazy_neg)
+    _, d2 = loss_grads(s.loss, lazy_pos, b)
+    j1 = score_grad_many(s.scorer, st.model, x1)
+    j2 = score_grad_many(s.scorer, st.model, x2)
+    g = (np.asarray(d1) @ j1) / len(z1) + (np.asarray(d2) @ j2) / len(z2)
+    st.out_h1.append(records_of(a, st.index, iteration, shard.pos_ids[z1]))
+    st.out_h2.append(records_of(b, st.index, iteration, shard.neg_ids[z2]))
+    return g
+
+
+def fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u):
+    """Nonlinear-outer estimate of one client, at its tracked means."""
+    if len(z1) != len(lazy_neg):
+        raise ValueError("each positive sample needs exactly one lazy negative score")
+    if len(z2) != len(lazy_pos) or len(z2) != len(lazy_u):
+        raise ValueError("each negative sample needs one lazy (score, u) pair")
+    s, shard = st.settings, st.shard
+    x1, x2 = shard.pos_X[z1], shard.neg_X[z2]
+    a = score_many(s.scorer, st.model, x1)
+    b = score_many(s.scorer, st.model, x2)
+    d1, _ = loss_grads(s.loss, a, lazy_neg)
+    _, d2 = loss_grads(s.loss, lazy_pos, b)
+    w1 = np.asarray(outer_deriv(s.outer, st.u_table.values[z1])) * np.asarray(d1)
+    w2 = np.asarray(outer_deriv(s.outer, lazy_u)) * np.asarray(d2)
+    j1 = score_grad_many(s.scorer, st.model, x1)
+    j2 = score_grad_many(s.scorer, st.model, x2)
+    return (w1 @ j1) / len(z1) + (w2 @ j2) / len(z2)
+
+
+class ReferenceProgram:
+    """All five algorithms, one client at a time."""
+
+    def __init__(self, settings: RunSettings) -> None:
+        self.settings = s = settings
+        self.alg = s.algorithm
+        nonlinear = s.outer.kind != "identity"
+        self.shares_histories = self.alg in ("fedx1", "fedx2")
+        self.uses_u = self.alg == "fedx2" or (self.alg in ("local_pair", "centralized") and nonlinear)
+        self.uses_momentum = self.uses_u
+
+    def init_states(self, dataset: FederatedDataset) -> list[ClientState]:
+        s = self.settings
+        if self.alg == "centralized":
+            pos_ids, pos_X = dataset.pos_union()
+            neg_ids, neg_X = dataset.neg_union()
+            dataset = replace(dataset, shards=(ClientShard(pos_ids, pos_X, neg_ids, neg_X),))
+        w0 = init_params(s.scorer, substream(s.seed, "init"))
+        states = []
+        for i, shard in enumerate(dataset.shards):
+            st = ClientState(index=i, shard=shard, settings=s, model=w0.copy())
+            if self.uses_momentum:
+                st.momentum = np.zeros_like(w0)
+            if self.uses_u:
+                st.u_table = UTable(shard.n_pos)
+            if self.shares_histories:
+                st.pos_buffer, st.neg_buffer = Buffer(), Buffer()
+            states.append(st)
+        return states
+
+    def bootstrap_upload(self, st: ClientState) -> RoundUpload:
+        s = self.settings
+        if self.shares_histories:
+            for k in range(s.hyper.K):
+                g = substream(s.seed, "bootstrap", st.index, k)
+                z1 = _draw_batch(g, st.shard.n_pos, s.hyper.B1)
+                z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
+                a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
+                b = score_many(s.scorer, st.model, st.shard.neg_X[z2])
+                ids1 = st.shard.pos_ids[z1]
+                st.out_h1.append(records_of(a, st.index, k, ids1))
+                st.out_h2.append(records_of(b, st.index, k, st.shard.neg_ids[z2]))
+                if self.uses_u:
+                    partner = b[np.arange(len(a)) % len(b)]
+                    st.out_u.append(records_of(loss(s.loss, a, partner), st.index, k, ids1))
+        return self.build_upload(st)
+
+    def build_upload(self, st: ClientState) -> RoundUpload:
+        up = RoundUpload(
+            client=st.index,
+            model=st.model.copy(),
+            h1=Records.concat(st.out_h1),
+            h2=Records.concat(st.out_h2),
+            momentum=st.momentum.copy() if self.uses_momentum else None,
+            u=Records.concat(st.out_u) if self.shares_histories and self.uses_u else None,
+        )
+        st.out_h1, st.out_h2, st.out_u = [], [], []
+        return up
+
+    def begin_round(self, st: ClientState, download: RoundDownload, r: int) -> None:
+        s = self.settings
+        st.model = download.model.copy()
+        if self.uses_momentum:
+            st.momentum = download.momentum.copy()
+        if self.shares_histories:
+            st.paired_u = download.p
+            st.pos_buffer.refill(download.r1, substream(s.seed, "buffer-pos", st.index, r))
+            st.neg_buffer.refill(download.r2, substream(s.seed, "buffer-neg", st.index, r))
+
+    def local_step(self, st: ClientState, r: int, k: int, eta: float) -> float:
+        s, h = self.settings, self.settings.hyper
+        g = substream(s.seed, "step", st.index, r, k)
+        if self.alg == "local_sgd":
+            X = np.vstack([st.shard.pos_X, st.shard.neg_X])
+            y = np.concatenate([np.ones(st.shard.n_pos), -np.ones(st.shard.n_neg)])
+            idx = _draw_batch(g, X.shape[0], h.B1 + h.B2)
+            xb, yb = X[idx], y[idx]
+            scores = score_many(s.scorer, st.model, xb)
+            coeff = -yb * expit(-yb * scores)
+            grad = coeff @ score_grad_many(s.scorer, st.model, xb) / len(idx)
+            st.model = st.model - eta * grad
+            return float(np.mean(np.logaddexp(0.0, -yb * scores)))
+        z1 = _draw_batch(g, st.shard.n_pos, h.B1)
+        z2 = _draw_batch(g, st.shard.n_neg, h.B2)
+        if self.alg == "fedx1":
+            lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
+            lazy_pos = st.pos_buffer.block.value[st.pos_buffer.draw(len(z2))]
+            grad = fedx1_estimate(st, k, z1, z2, lazy_neg, lazy_pos)
+            est = float(np.mean(loss(s.loss, st.out_h1[-1].value, lazy_neg)))
+            st.model = st.model - eta * grad
+            return est
+        if self.alg == "fedx2":
+            return self._fedx2_step(st, g, k, z1, z2, eta)
+        x1, x2 = st.shard.pos_X[z1], st.shard.neg_X[z2]
+        a = score_many(s.scorer, st.model, x1)
+        b = score_many(s.scorer, st.model, x2)
+        n1, n2 = len(z1), len(z2)
+        j1 = score_grad_many(s.scorer, st.model, x1)
+        j2 = score_grad_many(s.scorer, st.model, x2)
+        if self.alg == "local_pair":
+            part_b, part_a = b[np.arange(n1) % n2], a[np.arange(n2) % n1]
+            pair_loss = loss(s.loss, a, part_b)
+            d1, _ = loss_grads(s.loss, a, part_b)
+            _, d2 = loss_grads(s.loss, part_a, b)
+            if self.uses_u:
+                st.u_table.track(z1, pair_loss, h.gamma)
+                u1 = st.u_table.values[z1]
+                w1 = np.asarray(outer_deriv(s.outer, u1)) * np.asarray(d1)
+                w2 = np.asarray(outer_deriv(s.outer, u1[np.arange(n2) % n1])) * np.asarray(d2)
+                grad = (w1 @ j1) / n1 + (w2 @ j2) / n2
+                st.momentum = momentum_update(st.momentum, grad, h.beta)
+                st.model = st.model - eta * st.momentum
+            else:
+                grad = (np.asarray(d1) @ j1) / n1 + (np.asarray(d2) @ j2) / n2
+                st.model = st.model - eta * grad
+            return float(np.mean(pair_loss))
+        # centralized
+        d1, d2 = loss_grads(s.loss, a[:, None], b[None, :])
+        if self.uses_u:
+            lmat = loss(s.loss, a[:, None], b[None, :])
+            st.u_table.track(z1, lmat.mean(axis=1), h.gamma)
+            fpu = np.asarray(outer_deriv(s.outer, st.u_table.values[z1]))
+            grad = ((fpu * d1.sum(axis=1)) @ j1 + (fpu @ d2) @ j2) / (n1 * n2)
+            st.momentum = momentum_update(st.momentum, grad, h.beta)
+            st.model = st.model - eta * st.momentum
+            return float(lmat.mean())
+        grad = (d1.sum(axis=1) @ j1 + d2.sum(axis=0) @ j2) / (n1 * n2)
+        st.model = st.model - eta * grad
+        return float(np.mean(loss(s.loss, a[:, None], b[None, :])))
+
+    def _fedx2_step(self, st, g, k, z1, z2, eta) -> float:
+        s, h = self.settings, self.settings.hyper
+        lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
+        paired = st.pos_buffer.draw(len(z2))
+        lazy_pos = st.pos_buffer.block.value[paired]
+        lazy_u = st.paired_u.value[paired]
+        a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
+        pair_loss = loss(s.loss, a, lazy_neg)
+        st.u_table.track(z1, pair_loss, h.gamma)
+        grad = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
+        if h.history_samples == "independent":
+            zh1 = _draw_batch(g, st.shard.n_pos, h.B1)
+            zh2 = _draw_batch(g, st.shard.n_neg, h.B2)
+            ah = score_many(s.scorer, st.model, st.shard.pos_X[zh1])
+        else:
+            zh1, zh2, ah = z1, z2, a
+        bh = score_many(s.scorer, st.model, st.shard.neg_X[zh2])
+        ids1 = st.shard.pos_ids[zh1]
+        st.out_h1.append(records_of(ah, st.index, k, ids1))
+        st.out_h2.append(records_of(bh, st.index, k, st.shard.neg_ids[zh2]))
+        u_emit = st.u_table.emission(zh1, loss(s.loss, ah, lazy_neg))
+        st.out_u.append(records_of(u_emit, st.index, k, ids1))
+        st.momentum = momentum_update(st.momentum, grad, h.beta)
+        st.model = st.model - eta * st.momentum
+        return float(np.mean(pair_loss))
+
+
+def _one_client(st, z1, z2):
+    s, w = st.settings, st.model[None]
+    x1, x2 = st.shard.pos_X[z1][None], st.shard.neg_X[z2][None]
+    return s, w, x1, x2, score_many(s.scorer, w, x1), score_many(s.scorer, w, x2)
+
+
+def one_client_fedx1(st, z1, z2, lazy_neg, lazy_pos) -> np.ndarray:
+    """The package's fedx1 estimate for ``st`` at the sampled rows."""
+    args = _one_client(st, z1, z2)
+    return algorithms.fedx1_estimate(*args, lazy_neg[None], lazy_pos[None])[0]
+
+
+def one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u) -> np.ndarray:
+    """The package's fedx2 estimate for ``st``, at its tracked means of z1."""
+    args = _one_client(st, z1, z2)
+    return algorithms.fedx2_estimate(*args, lazy_neg[None], lazy_pos[None],
+                                     st.u_table.values[z1][None], lazy_u[None])[0]
+
+
+@dataclass
+class ReferenceRound:
+    uploads: list[RoundUpload]
+    download: RoundDownload
+    estimates: np.ndarray  # (K, N)
+    wraps: int
+
+
+def reference_rounds(
+    algorithm: str,
+    dataset: FederatedDataset,
+    scorer: ScorerSpec,
+    loss_spec: PairwiseLossSpec,
+    outer,
+    hyper: HyperParams,
+) -> list[ReferenceRound]:
+    """Round 0 and rounds 1..R, each client's K steps one after another in
+    client order. Raises FloatingPointError at the first non-finite model,
+    naming its client, round and iteration."""
+    program = ReferenceProgram(RunSettings(algorithm, scorer, loss_spec, outer, hyper))
+    states = program.init_states(dataset)
+
+    def wraps() -> int:
+        return sum(b.wraps for st in states for b in (st.pos_buffer, st.neg_buffer) if b)
+
+    uploads = [program.bootstrap_upload(st) for st in states]
+    rounds = [ReferenceRound(uploads, server_aggregate(uploads), np.empty((0, len(states))), 0)]
+    for r in range(1, hyper.R + 1):
+        before = wraps()
+        estimates = np.empty((hyper.K, len(states)))
+        uploads = []
+        for st in states:
+            program.begin_round(st, rounds[-1].download, r)
+            for k in range(hyper.K):
+                est = program.local_step(st, r, k, hyper.eta_at((r - 1) * hyper.K + k))
+                if not np.all(np.isfinite(st.model)):
+                    raise FloatingPointError(
+                        f"model diverged (non-finite entries) on client {st.index} "
+                        f"at round {r}, iteration {k}"
+                    )
+                estimates[k, st.index] = est
+            uploads.append(program.build_upload(st))
+        rounds.append(ReferenceRound(uploads, server_aggregate(uploads), estimates, wraps() - before))
+    return rounds

@@ -9,26 +9,26 @@ import time
 
 import numpy as np
 import pytest
+from reference import ClientState, exact_inner_all, one_client_fedx1, one_client_fedx2
 
 from fedcpr.algorithms import (
     FedX1Program,
     HyperParams,
     RunSettings,
+    UTable,
     fedx1_estimate,
-    fedx2_estimate,
     momentum_update,
     simulate,
     theory_schedule,
 )
 from fedcpr.data import DataConfig, build_dataset
-from fedcpr.federation import InProcessTransport, run_round
+from fedcpr.federation import server_aggregate
 from fedcpr.harness import parse_config, run as harness_run, sweep
 from fedcpr.losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
     PairwiseLossSpec,
     exact_grad,
-    exact_inner_all,
     exact_objective,
     loss_grads,
     outer_deriv,
@@ -121,12 +121,9 @@ def test_criterion_2_fedx1_unbiasedness():
     loss_spec = PairwiseLossSpec("psm_sigmoid")
     hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, seed=42)
     settings = RunSettings("fedx1", scorer, loss_spec, IDENTITY_OUTER, hyper)
-    program = FedX1Program(settings)
-    states = program.init_states(ds)
-    transport = InProcessTransport(4)
-    download, _ = run_round(
-        states, lambda st, dl: program.bootstrap_upload(st), None, transport
-    )
+    program = FedX1Program(settings, ds)
+    download = server_aggregate(program.bootstrap_uploads())
+    grp = program.groups[0]  # equal shards: all four clients
 
     # Leg A: the estimator through the real exchange machinery equals an
     # independent scalar recomputation, and under eta=0 every lazy record
@@ -139,21 +136,26 @@ def test_criterion_2_fedx1_unbiasedness():
             all_scores[int(sid)] = float(np.dot(w0, x))
     machinery_ok = True
     for r in range(1, 301):
-        uploads = []
-        for st in states:
-            program.begin_round(st, download, r)
-            g = substream(42, "step", st.index, r, 0)
-            z1 = g.choice(st.shard.n_pos, size=1, replace=False)
-            z2 = g.choice(st.shard.n_neg, size=1, replace=False)
-            neg_block, pos_block = st.neg_buffer.block, st.pos_buffer.block
-            (jn,), (jp,) = st.neg_buffer.draw(1), st.pos_buffer.draw(1)
+        program.begin_round(download, r)
+        # The engine's step-0 estimate for every client at once.
+        x1, x2 = grp.sampled(0)
+        a_now, b_now = score_many(scorer, grp.model, x1), score_many(scorer, grp.model, x2)
+        ests = fedx1_estimate(settings, grp.model, x1, x2, a_now, b_now,
+                              grp.lazy_neg[0], grp.lazy_pos[0])
+        for j, i in enumerate(grp.clients):
+            shard = ds.shards[i]
+            g = substream(42, "step", i, r, 0)
+            z1 = g.choice(shard.n_pos, size=1, replace=False)
+            z2 = g.choice(shard.n_neg, size=1, replace=False)
+            neg_block, pos_block = download.r2, download.r1
+            (jn,), (jp,) = grp.neg_at[0, j], grp.pos_at[0, j]
             lazy_neg, lazy_pos = neg_block.value[[jn]], pos_block.value[[jp]]
-            est = fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos)
-            a = float(np.dot(w0, st.shard.pos_X[z1[0]]))
-            b = float(np.dot(w0, st.shard.neg_X[z2[0]]))
+            est = ests[j]
+            a = float(np.dot(w0, shard.pos_X[z1[0]]))
+            b = float(np.dot(w0, shard.neg_X[z2[0]]))
             manual = (
-                _scalar_d1_psm(a, lazy_neg[0]) * st.shard.pos_X[z1[0]]
-                + _scalar_d2_psm(lazy_pos[0], b) * st.shard.neg_X[z2[0]]
+                _scalar_d1_psm(a, lazy_neg[0]) * shard.pos_X[z1[0]]
+                + _scalar_d2_psm(lazy_pos[0], b) * shard.neg_X[z2[0]]
             )
             frozen = (
                 lazy_neg[0] == all_scores[int(neg_block.sample_id[jn])]
@@ -161,10 +163,8 @@ def test_criterion_2_fedx1_unbiasedness():
             )
             if not (np.allclose(est, manual, rtol=1e-12) and frozen):
                 machinery_ok = False
-            uploads.append(program.build_upload(st, r))
-        from fedcpr.federation import server_aggregate
-
-        download = server_aggregate(uploads)
+        program.step(0, hyper.eta)
+        download = server_aggregate(program.uploads())
 
     # Leg B: 1e5 i.i.d. draws of the same (verified) estimator distribution:
     # active sample uniform on the client shard, lazy record uniform over
@@ -222,7 +222,6 @@ def test_criterion_3_fedx2_exact_u_consistency():
     # independent scalar recomputation on a few hundred random draws.
     hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, seed=42)
     settings = RunSettings("fedx2", scorer, loss_spec, outer, hyper)
-    from fedcpr.algorithms import ClientState, UTable
 
     lam = 2.0
     check_rng = substream(42, "exact-u-check")
@@ -240,7 +239,7 @@ def test_criterion_3_fedx2_exact_u_consistency():
         lazy_neg = b_all[jl, [il]]
         lazy_pos = a_all[jp, [ip]]
         lazy_u = u_exact[jp, [ip]]
-        est = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
+        est = one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
         a, b = float(a_all[i, z1[0]]), float(b_all[i, z2[0]])
         m1 = max(lazy_neg[0] + 1.0 - a, 0.0)
         d1 = -math.exp(m1 * m1 / lam) * (2.0 * m1 / lam)
@@ -352,7 +351,6 @@ def test_criterion_5_fedx2_stationarity_trend():
 def test_criterion_6_reduction_identities():
     t0 = time.perf_counter()
     # (a) identity-outer estimator equality, exact.
-    from fedcpr.algorithms import ClientState, UTable
     from fedcpr.data import ClientShard
 
     rng = np.random.default_rng(1006)
@@ -374,8 +372,8 @@ def test_criterion_6_reduction_identities():
     lazy_pos = rng.standard_normal(3)
     lazy_u = rng.uniform(1, 2, 3)
     eq_a = np.array_equal(
-        fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u),
-        fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos),
+        one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u),
+        one_client_fedx1(st, z1, z2, lazy_neg, lazy_pos),
     )
 
     # (b) momentum closed form to 1e-12.

@@ -5,24 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from reference import ClientState, one_client_fedx1, one_client_fedx2
+
 from fedcpr.algorithms import (
     CentralizedProgram,
-    ClientState,
     FedX1Program,
     FedX2Program,
     HyperParams,
-    LocalPairProgram,
     RunSettings,
     UTable,
-    _union_dataset,
-    fedx1_estimate,
-    fedx2_estimate,
     momentum_update,
     simulate,
     theory_schedule,
 )
-from fedcpr.data import ClientShard, DataConfig, build_dataset
-from fedcpr.federation import InProcessTransport, Records, run_round
+from fedcpr.data import ClientShard, DataConfig, FederatedDataset, build_dataset
+from fedcpr.federation import server_aggregate
 from fedcpr.losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
@@ -71,8 +68,8 @@ class TestFedX1Estimate:
         a = float(w @ shard.pos_X[0])
         b = float(w @ shard.neg_X[0])
         st = _state(LIN2, PSM, IDENTITY_OUTER, w, shard)
-        g = fedx1_estimate(st, 0, np.array([0]), np.array([0]),
-                           _values([a]), _values([b]))
+        g = one_client_fedx1(st, np.array([0]), np.array([0]),
+                             _values([a]), _values([b]))
         np.testing.assert_allclose(
             g, -0.25 * shard.pos_X[0] + 0.25 * shard.neg_X[0], rtol=1e-15
         )
@@ -81,24 +78,36 @@ class TestFedX1Estimate:
         # w=[1,-1], fresh scores 1.0 and -2.5, lazy 0.2 and 0.7:
         # -0.4*[2,1] + (-4.4)*[0.5,3] = [-3.0, -13.6]
         st = _state(LIN2, SQ, IDENTITY_OUTER, [1.0, -1.0], _shard2())
-        g = fedx1_estimate(st, 3, np.array([0]), np.array([0]),
-                           _values([0.2]), _values([0.7]))
+        g = one_client_fedx1(st, np.array([0]), np.array([0]),
+                             _values([0.2]), _values([0.7]))
         np.testing.assert_allclose(g, [-3.0, -13.6], rtol=1e-15)
 
     def test_appends_fresh_scores_with_provenance(self):
-        st = _state(LIN2, SQ, IDENTITY_OUTER, [1.0, -1.0], _shard2())
-        fedx1_estimate(st, 3, np.array([1]), np.array([0]),
-                       _values([0.2]), _values([0.7]))
-        h1, h2 = Records.concat(st.out_h1), Records.concat(st.out_h2)
-        assert (list(h1.client), list(h1.iteration), list(h1.sample_id)) == ([0], [3], [1])
-        assert (list(h2.client), list(h2.iteration), list(h2.sample_id)) == ([0], [3], [2])
-        assert list(h1.value) == [1.0] and list(h2.value) == [-2.5]
+        # A frozen-model round on one client: the upload carries each step's
+        # fresh scores with (client, iteration, sample id) provenance.
+        shard = _shard2()
+        ds = FederatedDataset((shard,), shard.pos_ids, shard.pos_X, shard.neg_ids, shard.neg_X)
+        hyper = HyperParams(eta=0.0, K=4, R=1, B1=1, B2=1, seed=3)
+        program = FedX1Program(RunSettings("fedx1", LIN2, SQ, IDENTITY_OUTER, hyper), ds)
+        program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
+        for k in range(hyper.K):
+            program.step(k, hyper.eta)
+        up = program.uploads()[0]
+        w = program.models()[0]
+        for k in range(hyper.K):
+            g = substream(3, "step", 0, 1, k)
+            z1, z2 = g.choice(2, size=1, replace=False), g.choice(2, size=1, replace=False)
+            h1, h2 = (rec.iteration == k for rec in (up.h1, up.h2))
+            assert (list(up.h1.client[h1]), list(up.h1.sample_id[h1])) == ([0], list(shard.pos_ids[z1]))
+            assert (list(up.h2.client[h2]), list(up.h2.sample_id[h2])) == ([0], list(shard.neg_ids[z2]))
+            assert list(up.h1.value[h1]) == [w @ shard.pos_X[z1[0]]]
+            assert list(up.h2.value[h2]) == [w @ shard.neg_X[z2[0]]]
 
     def test_batch_size_mismatch_rejected(self):
         st = _state(LIN2, SQ, IDENTITY_OUTER, [1.0, -1.0], _shard2())
         with pytest.raises(ValueError):
-            fedx1_estimate(st, 0, np.array([0, 1]), np.array([0]),
-                           _values([0.2]), _values([0.7]))
+            one_client_fedx1(st, np.array([0, 1]), np.array([0]),
+                             _values([0.2]), _values([0.7]))
 
 
 def _track(table, position, fresh, lazy_neg, gamma):
@@ -163,23 +172,23 @@ class TestFedX2Estimate:
         lazy_neg = _values([0.2, -0.6])
         lazy_pos = _values([0.9, 0.1])
         lazy_u = _values([2.0, 3.0])
-        g2 = fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
-        g1 = fedx1_estimate(st, 0, z1, z2, lazy_neg, lazy_pos)
+        g2 = one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u)
+        g1 = one_client_fedx1(st, z1, z2, lazy_neg, lazy_pos)
         np.testing.assert_array_equal(g1, g2)
 
     def test_clamped_outer_derivative_stays_finite(self):
         shard = _shard2()
         st = _state(LIN2, KL, KL_LOG, [0.3, 0.8], shard, with_u=True)
         # u left at its initial 0: the clamp bounds f' at lambda / u_floor.
-        g = fedx2_estimate(st, np.array([0]), np.array([0]),
-                           _values([0.0]), _values([0.0]), _values([0.0]))
+        g = one_client_fedx2(st, np.array([0]), np.array([0]),
+                             _values([0.0]), _values([0.0]), _values([0.0]))
         assert np.all(np.isfinite(g))
 
     def test_pairing_length_mismatch_rejected(self):
         st = _state(LIN2, KL, KL_LOG, [0.3, 0.8], _shard2(), with_u=True)
         with pytest.raises(ValueError):
-            fedx2_estimate(st, np.array([0]), np.array([0]),
-                           _values([0.0]), _values([0.0]), _values([0.0, 1.0]))
+            one_client_fedx2(st, np.array([0]), np.array([0]),
+                             _values([0.0]), _values([0.0]), _values([0.0, 1.0]))
 
 
 class TestMomentum:
@@ -288,36 +297,26 @@ class TestFedX2Run:
         trace = simulate("fedx2", ds, scorer, KL, KL_LOG, hyper)
 
         settings = RunSettings("fedx2", scorer, KL, KL_LOG, hyper)
-        program = FedX2Program(settings)
-        states = program.init_states(ds)
-        transport = InProcessTransport(1)
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
-        st = states[0]
-        program.begin_round(st, download, 1)
+        program = FedX2Program(settings, ds)
+        download = server_aggregate(program.bootstrap_uploads())
+        program.begin_round(download, 1)
         for k in range(hyper.K):
-            program.local_step(st, 1, k, hyper.eta)
-        np.testing.assert_array_equal(trace.final_model, st.model)
+            program.step(k, hyper.eta)
+        np.testing.assert_array_equal(trace.final_model, program.models()[0])
 
     def test_u_table_locality_and_emission_counts(self):
         ds = _dataset(n_clients=2, n_pos=6, n_neg=8)
         hyper = HyperParams(eta=0.01, K=2, R=1, B1=3, B2=2, gamma=0.5, seed=11)
         settings = RunSettings("fedx2", ScorerSpec("linear", 3), KL, KL_LOG, hyper)
-        program = FedX2Program(settings)
-        states = program.init_states(ds)
-        transport = InProcessTransport(2)
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
-        st = states[0]
-        program.begin_round(st, download, 1)
-        before = st.u_table.values.copy()
-        emitted_before = len(Records.concat(st.out_u))
-        program.local_step(st, 1, 0, hyper.eta)
-        changed = np.flatnonzero(before != st.u_table.values)
+        program = FedX2Program(settings, ds)
+        download = server_aggregate(program.bootstrap_uploads())
+        program.begin_round(download, 1)
+        table = program.groups[0].u_table
+        before = table.values.copy()
+        program.step(0, hyper.eta)
+        changed = np.flatnonzero(before[0] != table.values[0])
         assert len(changed) == hyper.B1
-        assert len(Records.concat(st.out_u)) - emitted_before == hyper.B1
+        assert np.count_nonzero(program.uploads()[0].u.iteration == 0) == hyper.B1
 
     def test_emitted_u_values_never_zero(self):
         # Never-updated entries emit the full-replacement fallback, of which
@@ -325,35 +324,24 @@ class TestFedX2Run:
         ds = _dataset(n_clients=2, n_pos=8, n_neg=8)
         hyper = HyperParams(eta=0.01, K=2, R=3, B1=2, B2=2, gamma=0.4, seed=12)
         settings = RunSettings("fedx2", ScorerSpec("linear", 3), KL, KL_LOG, hyper)
-        program = FedX2Program(settings)
-        states = program.init_states(ds)
-        transport = InProcessTransport(2)
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
+        program = FedX2Program(settings, ds)
+        download = server_aggregate(program.bootstrap_uploads())
         for r in range(1, hyper.R + 1):
-            emitted = []
-
-            def client_round(st, dl, r=r):
-                program.begin_round(st, dl, r)
-                for k in range(hyper.K):
-                    program.local_step(st, r, k, hyper.eta)
-                emitted.extend(st.out_u)
-                return program.build_upload(st, r)
-
-            download, _ = run_round(states, client_round, download, transport)
+            program.begin_round(download, r)
+            for k in range(hyper.K):
+                program.step(k, hyper.eta)
+            uploads = program.uploads()
+            emitted = [up.u for up in uploads]
+            download = server_aggregate(uploads)
             assert all(block.value.min() > 0 for block in emitted)
 
     def test_paired_lazy_draws_share_provenance(self):
         ds = _dataset(n_clients=2, n_pos=4, n_neg=4)
         hyper = HyperParams(eta=0.01, K=2, R=1, B1=2, B2=2, gamma=0.5, seed=13)
         settings = RunSettings("fedx2", ScorerSpec("linear", 3), KL, KL_LOG, hyper)
-        program = FedX2Program(settings)
-        states = program.init_states(ds)
-        transport = InProcessTransport(2)
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
+        program = FedX2Program(settings, ds)
+        download = server_aggregate(program.bootstrap_uploads())
+
         def provenance(block, positions):
             return list(zip(block.client[positions], block.iteration[positions],
                             block.sample_id[positions]))
@@ -362,10 +350,11 @@ class TestFedX2Run:
         every = np.arange(len(download.r1))
         assert provenance(download.r1, every) == provenance(download.p, every)
         # ...and one drawn position indexes both, preserving the pairing.
-        st = states[0]
-        program.begin_round(st, download, 1)
-        drawn = st.pos_buffer.draw(len(download.r1))
-        assert provenance(st.pos_buffer.block, drawn) == provenance(st.paired_u, drawn)
+        program.begin_round(download, 1)
+        grp = program.groups[0]
+        drawn = grp.pos_at[:, 0].reshape(-1)
+        assert provenance(grp.pos_buffers[0].block, drawn) == provenance(download.p, drawn)
+        assert grp.lazy_u[:, 0].reshape(-1).tobytes() == download.p.value[drawn].tobytes()
 
     def test_single_pair_first_round_matches_centralized_direction(self):
         # On a 1-positive/1-negative instance every draw is the same sample,
@@ -395,34 +384,20 @@ class TestFedX2Run:
         hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, gamma=1.0, beta=1.0,
                             seed=25)
         settings = RunSettings("fedx2", scorer, KL, KL_LOG, hyper)
-        program = FedX2Program(settings)
-        states = program.init_states(ds)
-        transport = InProcessTransport(2)
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
-        from fedcpr.federation import server_aggregate
+        program = FedX2Program(settings, ds)
+        bootstrap = server_aggregate(program.bootstrap_uploads())
 
+        # Every round starts from the frozen-model bootstrap aggregate; one
+        # step per client, gamma = 1 and beta = 1, so each client's momentum
+        # after the step is its raw estimate.
+        grp = program.groups[0]
         draws = []
         for r in range(1, 2001):
-            uploads = []
+            program.begin_round(bootstrap, r)
+            program.step(0, 0.0)
             gsum = np.zeros(3)
-            for st in states:
-                program.begin_round(st, download, r)
-                g = substream(25, "step", st.index, r, 0)
-                z1 = g.choice(st.shard.n_pos, size=1, replace=False)
-                z2 = g.choice(st.shard.n_neg, size=1, replace=False)
-                lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(1)]
-                paired = st.pos_buffer.draw(1)
-
-                a = score_many(scorer, st.model, st.shard.pos_X[z1])
-                st.u_table.track(z1, loss(KL, a, lazy_neg), 1.0)
-                gsum += fedx2_estimate(st, z1, z2, lazy_neg,
-                                       st.pos_buffer.block.value[paired],
-                                       st.paired_u.value[paired])
-                st.out_h1.clear(); st.out_h2.clear(); st.out_u.clear()
-                uploads.append(program.bootstrap_upload(st))
-            download = server_aggregate(uploads)
+            for estimate in grp.momentum:
+                gsum += estimate
             draws.append(gsum / 2)
         mean = np.mean(draws, axis=0)
         truth = exact_grad(KL, KL_LOG, scorer, w0, ds.pos_union()[1],
@@ -452,22 +427,17 @@ class TestBaselines:
         settings = RunSettings("local_sgd", scorer, PSM, IDENTITY_OUTER, hyper)
         from fedcpr.algorithms import LocalSGDProgram
 
-        program = LocalSGDProgram(settings)
-        states = program.init_states(ds)
-        transport = InProcessTransport(2)
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
-        st = states[0]
-        program.begin_round(st, download, 1)
-        w0 = st.model.copy()
-        program.local_step(st, 1, 0, hyper.eta)
-        grad = (w0 - st.model) / hyper.eta
+        program = LocalSGDProgram(settings, ds)
+        program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
+        w0 = program.models()[0]
+        program.step(0, hyper.eta)
+        grad = (w0 - program.models()[0]) / hyper.eta
 
         # Reconstruct the drawn batch from the same substream.
         g = substream(hyper.seed, "step", 0, 1, 0)
-        X = np.vstack([st.shard.pos_X, st.shard.neg_X])
-        y = np.concatenate([np.ones(st.shard.n_pos), -np.ones(st.shard.n_neg)])
+        shard = ds.shards[0]
+        X = np.vstack([shard.pos_X, shard.neg_X])
+        y = np.concatenate([np.ones(shard.n_pos), -np.ones(shard.n_neg)])
         idx = g.choice(X.shape[0], size=6, replace=False)
 
         def batch_loss(w):
@@ -505,12 +475,11 @@ class TestBaselines:
                             seed=18)
         scorer = ScorerSpec("linear", 3)
         settings = RunSettings("centralized", scorer, KL, KL_LOG, hyper)
-        program = CentralizedProgram(settings)
-        states = program.init_states(_union_dataset(ds))
-        st = states[0]
-        w0 = st.model.copy()
-        program.local_step(st, 1, 0, hyper.eta)
-        step_dir = (w0 - st.model) / hyper.eta
+        program = CentralizedProgram(settings, ds)
+        program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
+        w0 = program.models()[0]
+        program.step(0, hyper.eta)
+        step_dir = (w0 - program.models()[0]) / hyper.eta
         expected = exact_grad(KL, KL_LOG, scorer, w0, pos_X, neg_X)
         np.testing.assert_allclose(step_dir, expected, rtol=1e-12)
 

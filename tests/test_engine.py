@@ -1,0 +1,132 @@
+"""The stacked round engine against the per-client reference round."""
+
+import numpy as np
+import pytest
+from reference import reference_rounds
+
+from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings, simulate
+from fedcpr.data import DataConfig, build_dataset, load_dataset
+from fedcpr.federation import server_aggregate
+from fedcpr.losses import IDENTITY_OUTER, OuterFnSpec, PairwiseLossSpec
+from fedcpr.model import ScorerSpec
+
+PSM = PairwiseLossSpec("psm_sigmoid")
+KL = PairwiseLossSpec("kl_opauc", lam=2.0)
+KL_LOG = OuterFnSpec("kl_log", lam=2.0)
+
+# (algorithm, loss, outer, history_samples): all five algorithms, each
+# outer function the baselines branch on, and both fedx2 emission modes.
+VARIANTS = {
+    "fedx1": ("fedx1", PSM, IDENTITY_OUTER, "independent"),
+    "fedx2": ("fedx2", KL, KL_LOG, "independent"),
+    "fedx2-reuse": ("fedx2", KL, KL_LOG, "reuse"),
+    "local_sgd": ("local_sgd", PSM, IDENTITY_OUTER, "independent"),
+    "local_pair": ("local_pair", PSM, IDENTITY_OUTER, "independent"),
+    "local_pair-kl_log": ("local_pair", KL, KL_LOG, "independent"),
+    "centralized": ("centralized", PSM, IDENTITY_OUTER, "independent"),
+    "centralized-kl_log": ("centralized", KL, KL_LOG, "independent"),
+}
+
+
+def _ragged_dataset():
+    """Four clients with unequal (positive, negative) counts, written by
+    hand in the export format: clients 0 and 2 share a shape."""
+    rng = np.random.default_rng(123)
+    lines, sid = [], 0
+    clients = [(0, 3, 7), (1, 5, 9), (2, 3, 7), (3, 2, 4), (-1, 12, 30)]
+    for client, n_pos, n_neg in clients:
+        for group, count, shift in ((0, n_pos, 0.7), (1, n_neg, -0.7)):
+            for _ in range(count):
+                feats = ",".join(repr(float(v)) for v in rng.standard_normal(4) + shift)
+                lines.append(f"{sid}\t{group}\t{client}\t{feats}")
+                sid += 1
+    return load_dataset("\n".join(lines) + "\n")
+
+
+def _equal_dataset(n_clients=3, n_pos=5, n_neg=9):
+    return build_dataset(DataConfig(
+        n_pos_per_client=n_pos, n_neg_per_client=n_neg, input_dim=4,
+        n_clients=n_clients, seed=31,
+    ))
+
+
+# case -> (dataset factory, scorer, hyper)
+CASES = {
+    "equal": (_equal_dataset, ScorerSpec("mlp1", 4, hidden_dim=3),
+              HyperParams(eta=0.05, K=4, R=3, B1=3, B2=4, gamma=0.3, beta=0.4, seed=5)),
+    "ragged": (_ragged_dataset, ScorerSpec("linear", 4),
+               HyperParams(eta=0.01, K=5, R=3, B1=4, B2=6, gamma=0.3, beta=0.4, seed=3)),
+    # fedx1's wrap config: the negative buffer holds K entries, drawn 4 per step.
+    "wrap-n1": (lambda: _equal_dataset(n_clients=1, n_pos=4, n_neg=20),
+                ScorerSpec("linear", 4),
+                HyperParams(eta=0.01, K=6, R=3, B1=4, B2=1, seed=8)),
+    # fedx2's wrap config: the positive buffer holds N*K entries, drawn 9 per step.
+    "wrap-n2": (lambda: _equal_dataset(n_clients=2, n_pos=4, n_neg=20),
+                ScorerSpec("mlp1", 4, hidden_dim=2),
+                HyperParams(eta=0.01, K=6, R=3, B1=1, B2=9, seed=9)),
+}
+
+
+def _engine_rounds(algorithm, dataset, scorer, loss_spec, outer, hyper):
+    """The engine's uploads, aggregates, estimates and wraps, round by round."""
+    program = PROGRAMS[algorithm](RunSettings(algorithm, scorer, loss_spec, outer, hyper), dataset)
+    uploads = program.bootstrap_uploads()
+    rounds = [(uploads, server_aggregate(uploads), np.empty((0, program.n_clients)), 0)]
+    for r in range(1, hyper.R + 1):
+        before = program.buffer_wraps()
+        program.begin_round(rounds[-1][1], r)
+        est = np.array([program.step(k, hyper.eta_at((r - 1) * hyper.K + k))
+                        for k in range(hyper.K)])
+        uploads = program.uploads()
+        rounds.append((uploads, server_aggregate(uploads), est, program.buffer_wraps() - before))
+    return rounds
+
+
+def _columns(records):
+    if records is None:
+        return None
+    return [(col.dtype.str, col.tobytes()) for col in
+            (records.value, records.client, records.iteration, records.sample_id)]
+
+
+def _upload_bytes(up):
+    return (up.client, up.model.tobytes(),
+            None if up.momentum is None else up.momentum.tobytes(),
+            _columns(up.h1), _columns(up.h2), _columns(up.u))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_engine_matches_per_client_reference(case, variant):
+    make, scorer, hyper = CASES[case]
+    algorithm, loss_spec, outer, history = VARIANTS[variant]
+    hyper = HyperParams(**{**vars(hyper), "history_samples": history})
+    ds = make()
+    got = _engine_rounds(algorithm, ds, scorer, loss_spec, outer, hyper)
+    want = reference_rounds(algorithm, ds, scorer, loss_spec, outer, hyper)
+    assert len(got) == len(want) == hyper.R + 1
+    for (uploads, download, est, wraps), ref in zip(got, want):
+        assert [_upload_bytes(u) for u in uploads] == [_upload_bytes(u) for u in ref.uploads]
+        assert download.model.tobytes() == ref.download.model.tobytes()
+        assert est.tobytes() == ref.estimates.tobytes()
+        assert wraps == ref.wraps
+    if case.startswith("wrap") and algorithm in ("fedx1", "fedx2"):
+        assert sum(r.wraps for r in want) > 0
+
+
+def test_divergence_names_the_per_client_first_failure():
+    # Round 1 of this run: client 1 goes non-finite at iteration 1, client
+    # 2 at 2 and client 0 at 6. One client after another, client 0 fails
+    # first, so that is the failure to name.
+    ds = build_dataset(DataConfig(n_pos_per_client=6, n_neg_per_client=30, input_dim=3,
+                                  n_clients=4, hetero_var=0, hetero_base=0,
+                                  hetero_step=0, seed=7))
+    hyper = HyperParams(eta=0.05, K=8, R=30, B1=2, B2=2, gamma=0.2, beta=0.2, seed=7)
+    args = ("fedx2", ds, ScorerSpec("linear", 3), KL, KL_LOG, hyper)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError) as want:
+            reference_rounds(*args)
+        with pytest.raises(FloatingPointError) as got:
+            simulate(*args, eval_every=0, oracle_every=0)
+    assert str(got.value) == str(want.value)
+    assert "client 0 at round 1, iteration 6" in str(got.value)

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import records_of
+
 from fedcpr.algorithms import FedX1Program, HyperParams, RunSettings
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.federation import (
     Buffer,
-    InProcessTransport,
     ProtocolError,
     Records,
     RoundUpload,
     comm_cost,
     comm_cost_ints,
-    run_round,
     server_aggregate,
     tree_mean,
 )
@@ -28,7 +28,7 @@ from fedcpr.rng import substream
 
 def _records(client, count, iteration=0):
     ids = np.arange(count)
-    return Records.of(client * 100.0 + ids, client, iteration, ids)
+    return records_of(client * 100.0 + ids, client, iteration, ids)
 
 
 def _upload(client, model, k=2, momentum=None, u=None):
@@ -169,7 +169,7 @@ class TestCommCost:
 
     def test_nonlinear_algorithm_example(self):
         d, k = 10, 4
-        u = Records.of(np.ones(k), 0, 0, np.arange(k))
+        u = records_of(np.ones(k), 0, 0, np.arange(k))
         up = _upload(0, np.zeros(d), k=k, momentum=np.zeros(d), u=u)
         up2 = _upload(1, np.zeros(d), k=k, momentum=np.zeros(d), u=u)
         down = server_aggregate([up, up2])
@@ -194,29 +194,24 @@ def _fedx1_fixture(n_clients=2, K=3, B=2, eta=0.05, seed=9):
         "fedx1", ScorerSpec("linear", 3), PairwiseLossSpec("square"),
         IDENTITY_OUTER, hyper,
     )
-    program = FedX1Program(settings)
-    return program, program.init_states(ds), hyper
+    return FedX1Program(settings, ds), hyper
 
 
-def _one_round(program, states, hyper, download, round_idx, transport):
-    def client_round(st, dl):
-        program.begin_round(st, dl, round_idx)
-        for k in range(hyper.K):
-            program.local_step(st, round_idx, k, hyper.eta)
-        return program.build_upload(st, round_idx)
-
-    return run_round(states, client_round, download, transport)
+def _one_round(program, hyper, download, round_idx):
+    """One round through the engine: (aggregate, uploads)."""
+    program.begin_round(download, round_idx)
+    for k in range(hyper.K):
+        program.step(k, hyper.eta)
+    uploads = program.uploads()
+    return server_aggregate(uploads), uploads
 
 
 class TestRoundContract:
     def test_history_partition_of_provenance(self):
-        program, states, hyper = _fedx1_fixture()
-        transport = InProcessTransport(len(states))
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
-        download, uploads = _one_round(program, states, hyper, download, 1, transport)
-        n, k, b = len(states), hyper.K, hyper.B1
+        program, hyper = _fedx1_fixture()
+        download = server_aggregate(program.bootstrap_uploads())
+        download, uploads = _one_round(program, hyper, download, 1)
+        n, k, b = program.n_clients, hyper.K, hyper.B1
         for hist in (download.r1, download.r2):
             assert len(hist) == n * k * b
             for client in range(n):
@@ -225,51 +220,44 @@ class TestRoundContract:
                 assert set(hist.iteration[mine]) == set(range(k))
 
     def test_lazy_records_are_exactly_one_round_stale(self):
-        program, states, hyper = _fedx1_fixture()
-        transport = InProcessTransport(len(states))
-        download0, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
+        # One client, so the round's K*B lazy negatives are one full lap.
+        program, hyper = _fedx1_fixture(n_clients=1)
+        download0 = server_aggregate(program.bootstrap_uploads())
         # After the round-1 refill, each buffer holds exactly the round-0
         # aggregate (flush + replace), so every draw is one round stale.
-        st = states[0]
-        program.begin_round(st, download0, 1)
-        drained = st.neg_buffer.draw(len(download0.r2))
-        assert sorted(_rows(st.neg_buffer.block, drained)) == sorted(_rows(download0.r2))
-        assert st.neg_buffer.wraps == 0
+        program.begin_round(download0, 1)
+        grp = program.groups[0]
+        buf = grp.neg_buffers[0]
+        drained = grp.neg_at[:, 0].reshape(-1)
+        assert sorted(_rows(buf.block, drained)) == sorted(_rows(download0.r2))
+        assert buf.wraps == 0
 
     def test_zero_eta_keeps_models_at_global_model(self):
-        program, states, hyper = _fedx1_fixture(eta=0.0)
-        transport = InProcessTransport(len(states))
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
+        program, hyper = _fedx1_fixture(eta=0.0)
+        download = server_aggregate(program.bootstrap_uploads())
         w0 = download.model.copy()
-        download, uploads = _one_round(program, states, hyper, download, 1, transport)
+        download, uploads = _one_round(program, hyper, download, 1)
         for up in uploads:
             np.testing.assert_array_equal(up.model, w0)
         np.testing.assert_array_equal(download.model, w0)
 
     def test_models_differ_before_aggregation_equal_after_download(self):
-        program, states, hyper = _fedx1_fixture(eta=0.1)
-        transport = InProcessTransport(len(states))
-        download, _ = run_round(
-            states, lambda st, dl: program.bootstrap_upload(st), None, transport
-        )
-        download, uploads = _one_round(program, states, hyper, download, 1, transport)
+        program, hyper = _fedx1_fixture(eta=0.1)
+        download = server_aggregate(program.bootstrap_uploads())
+        download, uploads = _one_round(program, hyper, download, 1)
         assert not np.array_equal(uploads[0].model, uploads[1].model)
         np.testing.assert_array_equal(
             download.model, tree_mean([uploads[0].model, uploads[1].model])
         )
-        for st in states:
-            program.begin_round(st, download, 2)
-        np.testing.assert_array_equal(states[0].model, states[1].model)
+        program.begin_round(download, 2)
+        models = program.models()
+        np.testing.assert_array_equal(models[0], models[1])
 
     def test_barrier_requires_all_uploads(self):
-        transport = InProcessTransport(2)
-        transport.upload(_upload(0, [0.0]))
+        # The engine aggregates all N uploads at once; a set missing a
+        # client is rejected.
         with pytest.raises(ProtocolError):
-            transport.exchange()
+            server_aggregate([_upload(1, [0.0])])
 
 
 _draw_plans = st.tuples(
@@ -326,7 +314,7 @@ def _fed_uploads(n_clients, d, K, B1, B2, nonlinear, rng):
 
     def block(client, b):
         return Records.concat([
-            Records.of(rng.standard_normal(b), client, k, rng.integers(0, 99, b))
+            records_of(rng.standard_normal(b), client, k, rng.integers(0, 99, b))
             for k in range(K)
         ])
 

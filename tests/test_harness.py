@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedcpr
-from fedcpr.algorithms import ALGORITHMS, REQUIRED_OUTER
+from fedcpr.algorithms import ALGORITHMS, REQUIRED_OUTER, simulate
+from fedcpr.data import build_dataset
 from fedcpr.harness import (
     ConfigError,
     CsvTraceSink,
@@ -175,6 +176,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             parse_config(text + "\n")
 
+    @pytest.mark.parametrize("value", [2**63, 2**64, -(2**63) - 1])
+    @pytest.mark.parametrize("key", ["data.seed", "hyper.seed"])
+    def test_seed_outside_signed_64_bits_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            parse_config(f"{key} = {value}\n")
+
+    def test_seed_override_outside_signed_64_bits_names_its_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="^data.seed: "):
+            run(parse_config(TINY), seed=2**64, out=tmp_path / "t.csv", quiet=True)
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "key",
@@ -317,6 +328,25 @@ class TestRun:
         assert len(lines) == 1 + n * K * R
         assert len(trace.iterations) == n * K * R
 
+    def test_iteration_rows_on_disk_once_their_round_is(self, tmp_path):
+        cfg = parse_config(TINY)
+        side = tmp_path / "t.csv.iters.csv"
+        on_disk = []
+
+        class Probe(CsvTraceSink):
+            def on_round(self, rec):
+                super().on_round(rec)
+                on_disk.append(len(side.read_text().splitlines()))
+
+        sink = Probe(tmp_path / "t.csv", cfg, iteration_path=side)
+        try:
+            simulate(cfg.algorithm, build_dataset(cfg.data), cfg.scorer, cfg.loss,
+                     cfg.outer, cfg.hyper, trace_sink=sink, iteration_trace=True)
+        finally:
+            sink.close()
+        n, K, R = cfg.data.n_clients, cfg.hyper.K, cfg.hyper.R
+        assert on_disk == [1 + n * K * r for r in range(R + 1)]
+
     def test_total_floats_accounting(self, tmp_path):
         cfg = parse_config(TINY)
         trace = run(cfg, out=tmp_path / "t.csv", quiet=True)
@@ -410,6 +440,13 @@ class TestCli:
         res = _cli(["run", "--config", str(bad)], tmp_path)
         assert res.returncode == 2, res.stderr
         assert "hyper.K" in res.stderr
+
+    def test_seed_override_outside_signed_64_bits_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        res = _cli(["run", "--config", str(cfg_path), "--seed", str(2**64)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "data.seed" in res.stderr
 
     def test_non_finite_value_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import exact_inner, score
 
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.losses import (
@@ -11,7 +12,6 @@ from fedcpr.losses import (
     OuterFnSpec,
     PairwiseLossSpec,
     exact_grad,
-    exact_inner,
     exact_objective,
     exact_oracle,
     loss,
@@ -19,7 +19,7 @@ from fedcpr.losses import (
     outer_deriv,
     outer_value,
 )
-from fedcpr.model import ScorerSpec, finite_diff_grad, score, score_grad_many, score_many
+from fedcpr.model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
 
 PSM = PairwiseLossSpec("psm_sigmoid")
 KL = PairwiseLossSpec("kl_opauc", lam=2.0)

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
+from reference import score, score_grad
 
 from fedcpr.model import (
     ScorerSpec,
     finite_diff_grad,
     init_params,
-    score,
-    score_grad,
     score_grad_many,
     score_many,
 )
