@@ -27,10 +27,10 @@ from .data import (
     load_dataset,
 )
 from .federation import (
-    Buffer,
     Records,
     RoundDownload,
     RoundUpload,
+    buffer_draw,
     comm_cost,
     comm_cost_ints,
     server_aggregate,

@@ -7,14 +7,15 @@ then R rounds of K local steps between exchanges):
 * ``fedx1`` (linear outer function): each local step combines *active*
   factors (fresh scores and score gradients of locally sampled data at the
   current local model) with *lazy* factors (score records produced on all
-  machines during the previous round, delivered via the server and drawn
-  from a shuffled buffer without replacement).
+  machines during the previous round, delivered via the server and read at
+  positions that :func:`~fedcpr.federation.buffer_draw` draws without
+  replacement).
 * ``fedx2`` (nonlinear outer function): adds a per-positive-sample moving
   average ``u`` tracking the inner pairwise mean, a second lazy channel
-  carrying u-records (read at the same buffer positions as the
-  positive-side score records, so each drawn pair shares provenance), and
-  a momentum average of the gradient estimates; model and momentum are
-  both averaged by the server.
+  carrying u-records (read at the same positions as the positive-side
+  score records, so each drawn pair shares provenance), and a momentum
+  average of the gradient estimates; model and momentum are both averaged
+  by the server.
 
 Baselines: ``local_sgd`` (per-sample logistic loss, model averaging),
 ``local_pair`` (the same update rules with lazy factors replaced by fresh
@@ -22,8 +23,10 @@ local partner scores, no history exchange), and ``centralized`` (one worker
 on the union dataset; all pairs of the two minibatches, with the
 moving-average machinery when the outer function is nonlinear).
 
-All five run through :func:`simulate`; each is one ``_Program`` in
-:data:`PROGRAMS`, plugged into the shared round engine.
+All five run through :func:`simulate`, each as the program
+:data:`PROGRAMS` names. fedx1, fedx2 and local_pair are one
+:class:`PairwiseProgram`; local_sgd and centralized subclass it with their
+own local step.
 
 The round engine. A client's K local steps in round r read only its own
 state and the round r-1 aggregate, so step k of every client is independent
@@ -54,11 +57,11 @@ from scipy.special import expit
 
 from .data import ClientShard, FederatedDataset
 from .federation import (
-    Buffer,
     Records,
     RoundDownload,
     RoundUpload,
     comm_cost,
+    buffer_draw,
     server_aggregate,
 )
 from .losses import (
@@ -144,6 +147,9 @@ def theory_schedule(
         raise ValueError("target_eps must be in (0, 1)")
     if scale <= 0:
         raise ValueError("scale must be positive")
+    for name, value in (("n_clients", n_clients), ("max_shard", max_shard)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     eps = target_eps
     if kind == "fedx1":
         return HyperParams(
@@ -179,9 +185,6 @@ class UTable:
     def __init__(self, shape: int | tuple[int, ...]) -> None:
         self.values = np.zeros(shape)
         self.touched = np.zeros(shape, dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def track(self, index, inner: np.ndarray, gamma: float) -> None:
         """Moving-average update of the tracked inner means (the tracker of
@@ -338,8 +341,6 @@ class ClientGroup:
         self.model = np.tile(w0, (len(clients), 1))
         self.momentum: np.ndarray | None = None
         self.u_table: UTable | None = None
-        self.pos_buffers: list[Buffer] = []  # positions into the received r1
-        self.neg_buffers: list[Buffer] = []
         self.draws: list[np.ndarray] = []
         self.emitted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -361,15 +362,29 @@ class ClientGroup:
             self.model = self.model - eta * self.momentum
 
 
-class _Program:
-    """One algorithm over the shared round engine. Every client's step k
-    runs as one stacked operation per :class:`ClientGroup`; only the
-    per-client random draws, fixed by the substream scheme, loop over
-    clients, once per round in :meth:`begin_round`."""
+def _cycle(batch: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` entries of each client's batch, cycling when the
+    batch is shorter: one partner per sample of an n-sized batch."""
+    return batch[..., np.arange(n) % batch.shape[-1]]
 
-    uses_momentum = False
-    uses_u = False
-    shares_histories = False
+
+class PairwiseProgram:
+    """The round engine, with the pairwise local step of fedx1, fedx2 and
+    local_pair; the two other baselines replace the step. Every client's
+    step k runs as one stacked operation per :class:`ClientGroup`; only the
+    per-client random draws, fixed by the substream scheme, loop over
+    clients, once per round in :meth:`begin_round`.
+
+    Two values read from the settings tell the three algorithms apart:
+
+    * ``lazy`` (fedx1, fedx2): partner scores are the previous round's
+      records at :func:`buffer_draw` positions, and each step's fresh
+      scores go out for the next round. Otherwise (local_pair) they are
+      the cycled opposite-side local batch.
+    * ``nonlinear`` (an outer function other than identity): the u-tracker,
+      the momentum and :func:`fedx2_estimate`; otherwise
+      :func:`fedx1_estimate`.
+    """
 
     def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
         self.settings = settings
@@ -383,14 +398,14 @@ class _Program:
             ClientGroup(clients, [shards[i] for i in clients], w0)
             for clients in by_shape.values()
         ]
-        for grp in self.groups:
-            if self.uses_momentum:
+        self.lazy = settings.algorithm in ("fedx1", "fedx2")
+        # local_sgd's update has no outer function; the configured one only
+        # enters the reported objective.
+        self.nonlinear = settings.outer.kind != "identity" and settings.algorithm != "local_sgd"
+        if self.nonlinear:
+            for grp in self.groups:
                 grp.momentum = np.zeros_like(grp.model)
-            if self.uses_u:
                 grp.u_table = UTable((len(grp.clients), grp.n_pos))
-            if self.shares_histories:
-                grp.pos_buffers = [Buffer() for _ in grp.clients]
-                grp.neg_buffers = [Buffer() for _ in grp.clients]
 
     def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
         return dataset.shards
@@ -399,29 +414,6 @@ class _Program:
         h = self.settings.hyper
         return lambda g: (_draw_batch(g, grp.n_pos, h.B1), _draw_batch(g, grp.n_neg, h.B2))
 
-    def bootstrap_uploads(self) -> list[RoundUpload]:
-        """Round 0: models (and zero momenta) with, for the history-sharing
-        programs, K batches per side scored at the initial model."""
-        if self.shares_histories:
-            for grp in self.groups:
-                self._bootstrap_records(grp)
-        return self.uploads()
-
-    def _bootstrap_records(self, grp: ClientGroup) -> None:
-        s = self.settings
-        z1, z2 = self._draws(
-            grp, self._pair_draw(grp), lambda i, k: substream(s.seed, "bootstrap", i, k)
-        )
-        ids1 = grp.pos_ids[grp.rows, z1]
-        a = grp.scores(s, grp.pos_X[grp.rows, z1])
-        b = grp.scores(s, grp.neg_X[grp.rows, z2])
-        grp.emitted = {"h1": (a, ids1), "h2": (b, grp.neg_ids[grp.rows, z2])}
-        if self.uses_u:
-            # Full-replacement estimates so the first cross-client u-draws
-            # are well away from the outer-derivative clamp.
-            partner = b[..., np.arange(a.shape[-1]) % b.shape[-1]]
-            grp.emitted["u"] = (loss(s.loss, a, partner), ids1)
-
     def _draws(self, grp: ClientGroup, draw, stream) -> list[np.ndarray]:
         """``draw(stream(client, k))`` for every client and local step k,
         each returned index array stacked to (K, G, n)."""
@@ -429,46 +421,119 @@ class _Program:
         per = [draw(stream(i, k)) for k in range(K) for i in grp.clients]
         return [np.array(col).reshape(K, len(grp.clients), -1) for col in zip(*per)]
 
-    def begin_round(self, download: RoundDownload, round_idx: int) -> None:
-        """Take the aggregate, refill the buffers and make the round's draws."""
+    def bootstrap_uploads(self) -> list[RoundUpload]:
+        """Round 0: models (and zero momenta) with, for the lazy programs,
+        K batches per side scored at the initial model."""
+        s = self.settings
+        for grp in self.groups if self.lazy else ():
+            z1, z2 = self._draws(
+                grp, self._pair_draw(grp), lambda i, k: substream(s.seed, "bootstrap", i, k)
+            )
+            ids1 = grp.pos_ids[grp.rows, z1]
+            a = grp.scores(s, grp.pos_X[grp.rows, z1])
+            b = grp.scores(s, grp.neg_X[grp.rows, z2])
+            grp.emitted = {"h1": (a, ids1), "h2": (b, grp.neg_ids[grp.rows, z2])}
+            if self.nonlinear:
+                # Full-replacement estimates so the first cross-client
+                # u-draws are well away from the outer-derivative clamp.
+                grp.emitted["u"] = (loss(s.loss, a, _cycle(b, a.shape[-1])), ids1)
+        return self.uploads()
+
+    def begin_round(self, download: RoundDownload, round_idx: int) -> int:
+        """Take the aggregate and make the round's draws; returns the
+        number of buffer wraps they took."""
+        wraps = 0
         for grp in self.groups:
             G = len(grp.clients)
             grp.model = np.tile(download.model, (G, 1))
-            if self.uses_momentum:
+            if grp.momentum is not None:
                 grp.momentum = np.tile(download.momentum, (G, 1))
             grp.draws = self._draws(
                 grp,
                 self._step_draw(grp),
                 lambda i, k: substream(self.settings.seed, "step", i, round_idx, k),
             )
-            if self.shares_histories:
-                self._refill(grp, download, round_idx)
-            self._prepare(grp, download)
+            wraps += self._prepare(grp, download, round_idx)
+        return wraps
 
     def _step_draw(self, grp: ClientGroup):
-        return self._pair_draw(grp)
+        pair = self._pair_draw(grp)
+        if not (self.lazy and self.nonlinear) or self.settings.hyper.history_samples == "reuse":
+            return pair
+        # Independent emission batches, drawn after the update batches.
+        return lambda g: pair(g) + pair(g)
 
-    def _refill(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> None:
-        """Refill every client's buffers from the aggregate and draw the
-        round's lazy records: ``neg_at`` (K, G, n1) positions into r2 and
-        ``pos_at`` (K, G, n2) into r1. Each client draws its K steps' entries
-        in one call, which gives the same positions as K draws."""
-        seed, K = self.settings.seed, self.settings.hyper.K
-        n1, n2 = grp.draws[0].shape[-1], grp.draws[1].shape[-1]
-        for i, pos, neg in zip(grp.clients, grp.pos_buffers, grp.neg_buffers):
-            pos.refill(download.r1, substream(seed, "buffer-pos", i, round_idx))
-            neg.refill(download.r2, substream(seed, "buffer-neg", i, round_idx))
-        grp.neg_at = np.stack([b.draw(K * n1).reshape(K, n1) for b in grp.neg_buffers], axis=1)
-        grp.pos_at = np.stack([b.draw(K * n2).reshape(K, n2) for b in grp.pos_buffers], axis=1)
+    def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
+        """For the lazy programs, draw the round's lazy records: ``neg_at``
+        (K, G, n1) positions into r2 and ``pos_at`` (K, G, n2) into r1.
+        Returns the buffer wraps."""
+        if not self.lazy:
+            return 0
+
+        def positions(side: str, block: Records, n: int) -> tuple[np.ndarray, int]:
+            # One draw of all K steps' entries per client: the same
+            # positions as K draws of n.
+            K = self.settings.hyper.K
+            drawn = [
+                buffer_draw(substream(self.settings.seed, side, i, round_idx), len(block), K * n)
+                for i in grp.clients
+            ]
+            at = np.stack([pos.reshape(K, n) for pos, _ in drawn], axis=1)
+            return at, sum(wraps for _, wraps in drawn)
+
+        grp.neg_at, neg_wraps = positions("buffer-neg", download.r2, grp.draws[0].shape[-1])
+        grp.pos_at, pos_wraps = positions("buffer-pos", download.r1, grp.draws[1].shape[-1])
         grp.lazy_neg = download.r2.value[grp.neg_at]
         grp.lazy_pos = download.r1.value[grp.pos_at]
-
-    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
-        """Per-round setup from the draws, ahead of the K stacked steps."""
+        zh1, zh2 = grp.draws[-2:]  # emission batches; else the update ones
+        ids1 = grp.pos_ids[grp.rows, zh1]
+        grp.emitted = {
+            "h1": (np.empty(zh1.shape), ids1),
+            "h2": (np.empty(zh2.shape), grp.neg_ids[grp.rows, zh2]),
+        }
+        if self.nonlinear:
+            if len(download.r1) != len(download.p or ()):
+                raise ValueError("positive-side scores and u-records must align")
+            # One set of positions serves both blocks, so every drawn
+            # (score, u) pair shares provenance.
+            grp.lazy_u = download.p.value[grp.pos_at]
+            grp.emitted["u"] = (np.empty(zh1.shape), ids1)
+        return neg_wraps + pos_wraps
 
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         """Step k of every client in ``grp``; returns their loss estimates."""
-        raise NotImplementedError
+        s = self.settings
+        x1, x2 = grp.sampled(k)
+        a, b = grp.scores(s, x1), grp.scores(s, x2)
+        if self.lazy:
+            part_b, part_a = grp.lazy_neg[k], grp.lazy_pos[k]
+        else:  # m-th with m-th, cycling when the batch sizes differ
+            part_b, part_a = _cycle(b, a.shape[-1]), _cycle(a, b.shape[-1])
+        pair_loss = loss(s.loss, a, part_b)
+        if self.nonlinear:
+            at = (grp.rows, grp.draws[0][k])
+            grp.u_table.track(at, pair_loss, s.hyper.gamma)
+            u1 = grp.u_table.values[at]
+            part_u = grp.lazy_u[k] if self.lazy else _cycle(u1, b.shape[-1])
+            grad = fedx2_estimate(s, grp.model, x1, x2, a, b, part_b, part_a, u1, part_u)
+        else:
+            grad = fedx1_estimate(s, grp.model, x1, x2, a, b, part_b, part_a)
+        if self.lazy:
+            # Records for the next round, scored at the pre-step model: the
+            # emission batches, or the update ones (fedx1, "reuse" mode).
+            if len(grp.draws) > 2:
+                xh1, xh2 = grp.sampled(k, 2)
+                a, b = grp.scores(s, xh1), grp.scores(s, xh2)
+            grp.emitted["h1"][0][k] = a
+            grp.emitted["h2"][0][k] = b
+            if self.nonlinear:
+                # The emission batch has the update batch's size, so part_b
+                # gives one partner each.
+                grp.emitted["u"][0][k] = grp.u_table.emission(
+                    (grp.rows, grp.draws[-2][k]), loss(s.loss, a, part_b)
+                )
+        grp.descend(s, grad, eta)
+        return pair_loss.mean(axis=-1)
 
     def step(self, k: int, eta: float) -> np.ndarray:
         """Local step k of every client; returns the loss estimates in
@@ -492,9 +557,6 @@ class _Program:
             out[grp.index] = grp.model
         return out
 
-    def buffer_wraps(self) -> int:
-        return sum(b.wraps for grp in self.groups for b in grp.pos_buffers + grp.neg_buffers)
-
     def uploads(self) -> list[RoundUpload]:
         """Every client's upload, in client order; each block of records is
         built once from the round's arrays."""
@@ -516,81 +578,7 @@ class _Program:
         return ups
 
 
-class FedX1Program(_Program):
-    shares_histories = True
-
-    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
-        z1, z2 = grp.draws
-        grp.emitted = {
-            "h1": (np.empty(z1.shape), grp.pos_ids[grp.rows, z1]),
-            "h2": (np.empty(z2.shape), grp.neg_ids[grp.rows, z2]),
-        }
-
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
-        s = self.settings
-        (x1, x2), lazy_neg = grp.sampled(k), grp.lazy_neg[k]
-        a, b = grp.scores(s, x1), grp.scores(s, x2)
-        grad = fedx1_estimate(s, grp.model, x1, x2, a, b, lazy_neg, grp.lazy_pos[k])
-        grp.emitted["h1"][0][k] = a
-        grp.emitted["h2"][0][k] = b
-        grp.descend(s, grad, eta)
-        # Loss estimate pairs the fresh positive scores with their lazy partners.
-        return loss(s.loss, a, lazy_neg).mean(axis=-1)
-
-
-class FedX2Program(_Program):
-    uses_momentum = True
-    uses_u = True
-    shares_histories = True
-
-    def _step_draw(self, grp: ClientGroup):
-        pair = self._pair_draw(grp)
-        if self.settings.hyper.history_samples == "reuse":
-            return pair
-        # Independent emission batches, drawn after the update batches.
-        return lambda g: pair(g) + pair(g)
-
-    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
-        if len(download.r1) != len(download.p or ()):
-            raise ValueError("positive-side scores and u-records must align")
-        # One buffer of positions serves both blocks, so every drawn
-        # (score, u) pair shares provenance.
-        grp.lazy_u = download.p.value[grp.pos_at]
-        zh1, zh2 = grp.draws[-2:]  # emission batches; in "reuse" mode the update ones
-        ids1 = grp.pos_ids[grp.rows, zh1]
-        grp.emitted = {
-            "h1": (np.empty(zh1.shape), ids1),
-            "h2": (np.empty(zh2.shape), grp.neg_ids[grp.rows, zh2]),
-            "u": (np.empty(zh1.shape), ids1),
-        }
-
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
-        s = self.settings
-        (x1, x2), lazy_neg = grp.sampled(k), grp.lazy_neg[k]
-        a = grp.scores(s, x1)
-        pair_loss = loss(s.loss, a, lazy_neg)
-        at = (grp.rows, grp.draws[0][k])
-        grp.u_table.track(at, pair_loss, s.hyper.gamma)
-        b = grp.scores(s, x2)
-        grad = fedx2_estimate(s, grp.model, x1, x2, a, b, lazy_neg, grp.lazy_pos[k],
-                              grp.u_table.values[at], grp.lazy_u[k])
-        if len(grp.draws) > 2:
-            xh1, xh2 = grp.sampled(k, 2)
-            ah, bh = grp.scores(s, xh1), grp.scores(s, xh2)
-        else:
-            ah, bh = a, b
-        grp.emitted["h1"][0][k] = ah
-        grp.emitted["h2"][0][k] = bh
-        # The emission batch has the update batch's size, so lazy_neg gives
-        # one partner each.
-        grp.emitted["u"][0][k] = grp.u_table.emission(
-            (grp.rows, grp.draws[-2][k]), loss(s.loss, ah, lazy_neg)
-        )
-        grp.descend(s, grad, eta)
-        return pair_loss.mean(axis=-1)
-
-
-class LocalSGDProgram(_Program):
+class LocalSGDProgram(PairwiseProgram):
     """Per-sample logistic loss on local data, model averaging each round.
     The configured pairwise loss and outer function are used only for
     objective reporting."""
@@ -599,11 +587,12 @@ class LocalSGDProgram(_Program):
         h = self.settings.hyper
         return lambda g: (_draw_batch(g, grp.n_pos + grp.n_neg, h.B1 + h.B2),)
 
-    def _prepare(self, grp: ClientGroup, download: RoundDownload) -> None:
+    def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
         (idx,) = grp.draws
         union = np.concatenate([grp.pos_X, grp.neg_X], axis=1)
         labels = np.concatenate([np.ones(grp.n_pos), -np.ones(grp.n_neg)])
         grp.x1, grp.y = union[grp.rows, idx], labels[idx]
+        return 0
 
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
@@ -615,53 +604,13 @@ class LocalSGDProgram(_Program):
         return np.logaddexp(0.0, -yb * scores).mean(axis=-1)
 
 
-class LocalPairProgram(_Program):
-    """Pairwise updates on local pairs only: the lazy slots are filled with
-    fresh local scores of the opposite-side batch (m-th with m-th, cycling
-    when the batch sizes differ). Nonlinear outer adds the local
-    moving-average tracker and averaged momentum."""
-
-    def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
-        self.uses_momentum = self.uses_u = settings.outer.kind != "identity"
-        super().__init__(settings, dataset)
-
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
-        s = self.settings
-        x1, x2 = grp.sampled(k)
-        a, b = grp.scores(s, x1), grp.scores(s, x2)
-        n1, n2 = a.shape[-1], b.shape[-1]
-        part_b = b[:, np.arange(n1) % n2]  # partner for each positive
-        part_a = a[:, np.arange(n2) % n1]  # partner for each negative
-        pair_loss = loss(s.loss, a, part_b)
-        if self.uses_u:
-            at = (grp.rows, grp.draws[0][k])
-            grp.u_table.track(at, pair_loss, s.hyper.gamma)
-            u1 = grp.u_table.values[at]
-            grad = fedx2_estimate(s, grp.model, x1, x2, a, b, part_b, part_a,
-                                  u1, u1[:, np.arange(n2) % n1])
-        else:
-            grad = fedx1_estimate(s, grp.model, x1, x2, a, b, part_b, part_a)
-        grp.descend(s, grad, eta)
-        return pair_loss.mean(axis=-1)
-
-
-def _union_shard(dataset: FederatedDataset) -> ClientShard:
-    pos_ids, pos_X = dataset.pos_union()
-    neg_ids, neg_X = dataset.neg_union()
-    return ClientShard(pos_ids, pos_X, neg_ids, neg_X)
-
-
-class CentralizedProgram(_Program):
+class CentralizedProgram(PairwiseProgram):
     """Single worker over the union dataset; every pair of the two
     minibatches contributes. Nonlinear outer is the moving-average tracker
     algorithm with fresh same-iteration negative scores and momentum."""
 
-    def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
-        self.uses_momentum = self.uses_u = settings.outer.kind != "identity"
-        super().__init__(settings, dataset)
-
     def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
-        return (_union_shard(dataset),)
+        return (ClientShard(*dataset.pos_union(), *dataset.neg_union()),)
 
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
@@ -673,7 +622,7 @@ class CentralizedProgram(_Program):
         j1 = score_grad_many(s.scorer, grp.model, x1)
         j2 = score_grad_many(s.scorer, grp.model, x2)
         lmat = loss(s.loss, a, b)
-        if self.uses_u:
+        if self.nonlinear:
             at = (grp.rows, grp.draws[0][k])
             grp.u_table.track(at, lmat.mean(axis=-1), s.hyper.gamma)
             fpu = outer_deriv(s.outer, grp.u_table.values[at])
@@ -685,10 +634,10 @@ class CentralizedProgram(_Program):
 
 
 PROGRAMS = {
-    "fedx1": FedX1Program,
-    "fedx2": FedX2Program,
+    "fedx1": PairwiseProgram,
+    "fedx2": PairwiseProgram,
     "local_sgd": LocalSGDProgram,
-    "local_pair": LocalPairProgram,
+    "local_pair": PairwiseProgram,
     "centralized": CentralizedProgram,
 }
 ALGORITHMS = tuple(PROGRAMS)
@@ -805,8 +754,7 @@ def simulate(
     n, K = program.n_clients, hyper.K
     for r in range(1, hyper.R + 1):
         t_start = time.perf_counter()
-        wraps_before = program.buffer_wraps()
-        program.begin_round(download, r)
+        wraps = program.begin_round(download, r)
         etas = [hyper.eta_at((r - 1) * K + k) for k in range(K)]
         estimates = np.empty((K, n))
         first_bad = np.full(n, K)  # first non-finite iteration per client
@@ -831,7 +779,7 @@ def simulate(
                     trace.iterations.append(rec)
                     if trace_sink is not None:
                         trace_sink.on_iteration(rec)
-        emit_round(r, t_start, download, uploads, program.buffer_wraps() - wraps_before)
+        emit_round(r, t_start, download, uploads, wraps)
 
     trace.final_model = download.model.copy()
     return trace

@@ -242,17 +242,31 @@ def dump_dataset(dataset: FederatedDataset) -> str:
 
 
 def load_dataset(text: str) -> FederatedDataset:
-    """Inverse of dump_dataset."""
+    """Inverse of dump_dataset. Raises ValueError, naming the line, for a
+    line without 4 tab-separated fields, a group other than 0 or 1, a
+    client below -1, a repeated sample id, or a feature count unlike the
+    first row's."""
     by_bucket: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
-    max_client = -1
-    for line in text.splitlines():
+    seen: set[int] = set()
+    width = max_client = -1
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        sid_s, group_s, client_s, feats_s = line.split("\t")
-        sid, group, client = int(sid_s), int(group_s), int(client_s)
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        sid, group, client = (int(v) for v in fields[:3])
+        feats = np.array([float(v) for v in fields[3].split(",")], dtype=float)
+        width = len(feats) if width < 0 else width
         if group not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"bad group value: {group}")
-        feats = np.array([float(v) for v in feats_s.split(",")], dtype=float)
+            raise ValueError(f"line {lineno}: bad group value: {group}")
+        if client < -1:
+            raise ValueError(f"line {lineno}: client must be >= -1, got {client}")
+        if sid in seen:
+            raise ValueError(f"line {lineno}: duplicate sample id {sid}")
+        if len(feats) != width:
+            raise ValueError(f"line {lineno}: {len(feats)} features, the first row has {width}")
+        seen.add(sid)
         ids, rows = by_bucket.setdefault((client, group), ([], []))
         ids.append(sid)
         rows.append(feats)

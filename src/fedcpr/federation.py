@@ -1,4 +1,4 @@
-"""Communication fabric: record blocks, shuffled buffers, server
+"""Communication fabric: record blocks, shuffled buffer draws, server
 aggregation, and message accounting.
 
 One round = every client uploads (model, this round's score records, and
@@ -10,11 +10,11 @@ client's K local steps, then calls :func:`server_aggregate` once, so no
 client sees round r+1 state before every round-r upload is in.
 
 Every record set is one :class:`Records` block of equal-length numpy
-columns. Clients consume a received block through :class:`Buffer`, a
-shuffled queue of positions into the shared block, drawn without
-replacement; records consumed in round r were produced in round r-1, never
-earlier, because buffers are flushed and refilled from the fresh aggregate
-each round.
+columns. Clients read a received block at the positions
+:func:`buffer_draw` gives: a shuffle of the whole block, drawn without
+replacement. Records consumed in round r were produced in round r-1, never
+earlier, because every round's draws are made afresh from that round's
+aggregate.
 
 Record provenance (client, iteration, sample_id) is carried for
 testability; the math needs only the ``value`` column.
@@ -132,52 +132,24 @@ def server_aggregate(uploads: Sequence[RoundUpload]) -> RoundDownload:
     )
 
 
-class Buffer:
-    """Shuffled queue of positions into a received record block, drawn
-    sequentially without replacement. If a draw exhausts the buffer
-    mid-round it reshuffles the same positions and continues (wrap-around);
-    ``wraps`` counts those events so tests can assert they never happen
-    under default configurations.
+def buffer_draw(
+    rng: np.random.Generator, size: int, count: int
+) -> tuple[np.ndarray, int]:
+    """``count`` positions into a received block of ``size`` records, drawn
+    without replacement from a shuffle of the block, and the wraps.
+
+    When the draws exhaust the block mid-round, the same positions are
+    reshuffled and drawing continues (wrap-around); ``wraps`` counts those
+    events so tests can assert they never happen under default
+    configurations. Each lap is the next ``rng.permutation(size)``.
     """
-
-    def __init__(self) -> None:
-        self.block: Records | None = None  # the shared aggregate, not a copy
-        self._order: np.ndarray | None = None
-        self._rng: np.random.Generator | None = None
-        self.cursor = 0
-        self.wraps = 0
-
-    def __len__(self) -> int:
-        return 0 if self.block is None else len(self.block)
-
-    def refill(self, block: Records, rng: np.random.Generator) -> None:
-        """Flush and replace contents with a permutation of ``block``'s rows."""
-        if not len(block):
-            raise ProtocolError("cannot refill a buffer from an empty aggregate")
-        self.block = block
-        self._rng = rng
-        self._reshuffle()
-
-    def _reshuffle(self) -> None:
-        self._order = self._rng.permutation(len(self.block))
-        self.cursor = 0
-
-    def draw(self, count: int) -> np.ndarray:
-        """Positions in ``block`` of the next ``count`` entries."""
-        if self.block is None:
-            raise ProtocolError("buffer was never refilled")
-        if count < 1:
-            raise ValueError("count must be positive")
-        parts = []
-        while count:
-            if self.cursor >= len(self._order):
-                self._reshuffle()
-                self.wraps += 1
-            part = self._order[self.cursor:self.cursor + count]
-            parts.append(part)
-            self.cursor += len(part)
-            count -= len(part)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if not size:
+        raise ProtocolError("cannot draw from an empty aggregate")
+    if count < 1:
+        raise ValueError("count must be positive")
+    laps = -(-count // size)  # ceil(count / size)
+    order = [rng.permutation(size) for _ in range(laps)]
+    return (order[0] if laps == 1 else np.concatenate(order))[:count], laps - 1
 
 
 def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:

@@ -226,15 +226,19 @@ class CsvTraceSink:
         iteration_path: str | Path | None = None,
     ) -> None:
         self.pauc_fprs = tuple(pauc_fprs)
-        self._fh = open(path, "w")
-        self._fh.write(f"# config: {config_echo(config)}\n")
-        self._fh.write(",".join(trace_columns(self.pauc_fprs)) + "\n")
-        self._fh.flush()
         self._iter_fh = None
-        if iteration_path is not None:
-            self._iter_fh = open(iteration_path, "w")
-            self._iter_fh.write("client,round,iteration,loss_estimate,step_size\n")
-            self._iter_fh.flush()
+        self._fh = open(path, "w")
+        try:
+            self._fh.write(f"# config: {config_echo(config)}\n")
+            self._fh.write(",".join(trace_columns(self.pauc_fprs)) + "\n")
+            self._fh.flush()
+            if iteration_path is not None:
+                self._iter_fh = open(iteration_path, "w")
+                self._iter_fh.write("client,round,iteration,loss_estimate,step_size\n")
+                self._iter_fh.flush()
+        except BaseException:
+            self.close()  # closes whatever opened before the failure
+            raise
 
     def on_round(self, rec: RoundRecord) -> None:
         pauc = rec.pauc or {}

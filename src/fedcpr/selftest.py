@@ -22,7 +22,7 @@ from .algorithms import (
     simulate,
 )
 from .data import DataConfig, build_dataset
-from .federation import Buffer, Records
+from .federation import buffer_draw
 from .losses import (
     IDENTITY_OUTER,
     OuterFnSpec,
@@ -152,14 +152,10 @@ def _check_momentum_closed_form() -> CheckResult:
 
 
 def _check_buffer() -> CheckResult:
-    block = Records(np.zeros(52), np.zeros(52), np.zeros(52), np.arange(52))
-    buf = Buffer()
-    buf.refill(block, substream(1, "selftest-buffer"))
-    first = np.concatenate([buf.draw(30), buf.draw(22)])
-    ok = np.array_equal(np.sort(first), np.arange(52)) and buf.wraps == 0
-    buf2 = Buffer()
-    buf2.refill(block, substream(1, "selftest-buffer"))
-    ok = ok and np.array_equal(buf2.draw(52), first)
+    first, wraps = buffer_draw(substream(1, "selftest-buffer"), 52, 52)
+    ok = np.array_equal(np.sort(first), np.arange(52)) and wraps == 0
+    again, _ = buffer_draw(substream(1, "selftest-buffer"), 52, 52)
+    ok = ok and np.array_equal(again, first)
     return CheckResult("buffer permutation and replay", ok)
 
 

@@ -3,6 +3,9 @@
 * Scalar scoring (``score``, ``score_grad``) and one inner mean
   (``exact_inner``, ``exact_inner_all``), written per sample.
 * ``records_of``: the records of one client at one iteration.
+* ``Buffer``: a stateful shuffled queue of positions into a received
+  block, drawn step by step; :func:`fedcpr.federation.buffer_draw` must
+  give the same positions and wraps in one call.
 * The per-client round: each client keeps its own state and takes its K
   local steps one after another, building its records step by step, as
   the simulator did before the stacked round engine. :func:`reference_rounds`
@@ -21,7 +24,13 @@ from scipy.special import expit
 from fedcpr import algorithms
 from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
 from fedcpr.data import ClientShard, FederatedDataset
-from fedcpr.federation import Buffer, Records, RoundDownload, RoundUpload, server_aggregate
+from fedcpr.federation import (
+    ProtocolError,
+    Records,
+    RoundDownload,
+    RoundUpload,
+    server_aggregate,
+)
 from fedcpr.losses import PairwiseLossSpec, loss, loss_grads, outer_deriv
 from fedcpr.model import ScorerSpec, init_params, score_grad_many, score_many
 from fedcpr.rng import substream
@@ -92,6 +101,44 @@ def records_of(value, client: int, iteration: int, sample_id) -> Records:
     """Records produced by one client at one iteration."""
     n = len(sample_id)
     return Records(value, np.full(n, client), np.full(n, iteration), sample_id)
+
+
+class Buffer:
+    """Shuffled queue of positions into a received record block, drawn
+    sequentially without replacement. If a draw exhausts the buffer
+    mid-round it reshuffles the same positions and continues (wrap-around);
+    ``wraps`` counts those events.
+    """
+
+    def __init__(self) -> None:
+        self.block: Records | None = None  # the shared aggregate, not a copy
+        self.cursor = 0
+        self.wraps = 0
+
+    def refill(self, block: Records, rng: np.random.Generator) -> None:
+        """Flush and replace contents with a permutation of ``block``'s rows."""
+        if not len(block):
+            raise ProtocolError("cannot refill a buffer from an empty aggregate")
+        self.block = block
+        self._rng = rng
+        self._reshuffle()
+
+    def _reshuffle(self) -> None:
+        self._order = self._rng.permutation(len(self.block))
+        self.cursor = 0
+
+    def draw(self, count: int) -> np.ndarray:
+        """Positions in ``block`` of the next ``count`` entries."""
+        parts = []
+        while count:
+            if self.cursor >= len(self._order):
+                self._reshuffle()
+                self.wraps += 1
+            part = self._order[self.cursor:self.cursor + count]
+            parts.append(part)
+            self.cursor += len(part)
+            count -= len(part)
+        return np.concatenate(parts)
 
 
 # ------------------------------------------------------ the per-client round

@@ -12,7 +12,7 @@ import pytest
 from reference import ClientState, exact_inner_all, one_client_fedx1, one_client_fedx2
 
 from fedcpr.algorithms import (
-    FedX1Program,
+    PROGRAMS,
     HyperParams,
     RunSettings,
     UTable,
@@ -121,7 +121,7 @@ def test_criterion_2_fedx1_unbiasedness():
     loss_spec = PairwiseLossSpec("psm_sigmoid")
     hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, seed=42)
     settings = RunSettings("fedx1", scorer, loss_spec, IDENTITY_OUTER, hyper)
-    program = FedX1Program(settings, ds)
+    program = PROGRAMS["fedx1"](settings, ds)
     download = server_aggregate(program.bootstrap_uploads())
     grp = program.groups[0]  # equal shards: all four clients
 

@@ -8,9 +8,8 @@ import pytest
 from reference import ClientState, one_client_fedx1, one_client_fedx2
 
 from fedcpr.algorithms import (
+    PROGRAMS,
     CentralizedProgram,
-    FedX1Program,
-    FedX2Program,
     HyperParams,
     RunSettings,
     UTable,
@@ -88,7 +87,7 @@ class TestFedX1Estimate:
         shard = _shard2()
         ds = FederatedDataset((shard,), shard.pos_ids, shard.pos_X, shard.neg_ids, shard.neg_X)
         hyper = HyperParams(eta=0.0, K=4, R=1, B1=1, B2=1, seed=3)
-        program = FedX1Program(RunSettings("fedx1", LIN2, SQ, IDENTITY_OUTER, hyper), ds)
+        program = PROGRAMS["fedx1"](RunSettings("fedx1", LIN2, SQ, IDENTITY_OUTER, hyper), ds)
         program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
         for k in range(hyper.K):
             program.step(k, hyper.eta)
@@ -297,7 +296,7 @@ class TestFedX2Run:
         trace = simulate("fedx2", ds, scorer, KL, KL_LOG, hyper)
 
         settings = RunSettings("fedx2", scorer, KL, KL_LOG, hyper)
-        program = FedX2Program(settings, ds)
+        program = PROGRAMS["fedx2"](settings, ds)
         download = server_aggregate(program.bootstrap_uploads())
         program.begin_round(download, 1)
         for k in range(hyper.K):
@@ -308,7 +307,7 @@ class TestFedX2Run:
         ds = _dataset(n_clients=2, n_pos=6, n_neg=8)
         hyper = HyperParams(eta=0.01, K=2, R=1, B1=3, B2=2, gamma=0.5, seed=11)
         settings = RunSettings("fedx2", ScorerSpec("linear", 3), KL, KL_LOG, hyper)
-        program = FedX2Program(settings, ds)
+        program = PROGRAMS["fedx2"](settings, ds)
         download = server_aggregate(program.bootstrap_uploads())
         program.begin_round(download, 1)
         table = program.groups[0].u_table
@@ -324,7 +323,7 @@ class TestFedX2Run:
         ds = _dataset(n_clients=2, n_pos=8, n_neg=8)
         hyper = HyperParams(eta=0.01, K=2, R=3, B1=2, B2=2, gamma=0.4, seed=12)
         settings = RunSettings("fedx2", ScorerSpec("linear", 3), KL, KL_LOG, hyper)
-        program = FedX2Program(settings, ds)
+        program = PROGRAMS["fedx2"](settings, ds)
         download = server_aggregate(program.bootstrap_uploads())
         for r in range(1, hyper.R + 1):
             program.begin_round(download, r)
@@ -339,7 +338,7 @@ class TestFedX2Run:
         ds = _dataset(n_clients=2, n_pos=4, n_neg=4)
         hyper = HyperParams(eta=0.01, K=2, R=1, B1=2, B2=2, gamma=0.5, seed=13)
         settings = RunSettings("fedx2", ScorerSpec("linear", 3), KL, KL_LOG, hyper)
-        program = FedX2Program(settings, ds)
+        program = PROGRAMS["fedx2"](settings, ds)
         download = server_aggregate(program.bootstrap_uploads())
 
         def provenance(block, positions):
@@ -353,7 +352,7 @@ class TestFedX2Run:
         program.begin_round(download, 1)
         grp = program.groups[0]
         drawn = grp.pos_at[:, 0].reshape(-1)
-        assert provenance(grp.pos_buffers[0].block, drawn) == provenance(download.p, drawn)
+        assert provenance(download.r1, drawn) == provenance(download.p, drawn)
         assert grp.lazy_u[:, 0].reshape(-1).tobytes() == download.p.value[drawn].tobytes()
 
     def test_single_pair_first_round_matches_centralized_direction(self):
@@ -384,7 +383,7 @@ class TestFedX2Run:
         hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, gamma=1.0, beta=1.0,
                             seed=25)
         settings = RunSettings("fedx2", scorer, KL, KL_LOG, hyper)
-        program = FedX2Program(settings, ds)
+        program = PROGRAMS["fedx2"](settings, ds)
         bootstrap = server_aggregate(program.bootstrap_uploads())
 
         # Every round starts from the frozen-model bootstrap aggregate; one
@@ -557,6 +556,15 @@ class TestTheorySchedule:
             theory_schedule("sgd", 0.1, 1)
         with pytest.raises(ValueError):
             theory_schedule("fedx1", 0.1, 1, scale=0.0)
+
+    @pytest.mark.parametrize("kind, kwargs, name", [
+        ("fedx1", dict(n_clients=0), "n_clients"),
+        ("fedx2", dict(n_clients=4, max_shard=0), "max_shard"),
+        ("fedx2", dict(n_clients=4, max_shard=-1), "max_shard"),
+    ])
+    def test_nonpositive_counts_name_the_argument(self, kind, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            theory_schedule(kind, 0.1, **kwargs)
 
 
 class TestHyperParams:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcpr.data import (
     DataConfig,
@@ -204,3 +206,77 @@ class TestExport:
         sid, group, client, feats = line.split("\t")
         assert (sid, group, client) == ("0", "0", "0")
         assert len(feats.split(",")) == 2
+
+
+def _edit_field(line: str, index: int, edit) -> str:
+    fields = line.split("\t")
+    fields[index] = edit(fields[index])
+    return "\t".join(fields)
+
+
+def _drop_feature(feats: str) -> str:
+    return feats.rsplit(",", 1)[0]
+
+
+# name -> (edit of the dumped lines, the line the error names, its message)
+_MALFORMED = {
+    "client below -1": (
+        lambda lines: [_edit_field(lines[0], 2, lambda _: "-2")] + lines[1:],
+        1, "client must be >= -1"),
+    "width differs between clients": (
+        lambda lines: [_edit_field(ln, 3, _drop_feature) if ln.split("\t")[2] == "1" else ln
+                       for ln in lines],
+        6, "2 features, the first row has 3"),
+    "width differs inside a client": (
+        lambda lines: lines[:1] + [_edit_field(lines[1], 3, _drop_feature)] + lines[2:],
+        2, "2 features, the first row has 3"),
+    "duplicate sample id": (
+        lambda lines: lines[:2] + [_edit_field(lines[2], 0, lambda _: lines[0].split("\t")[0])]
+        + lines[3:],
+        3, "duplicate sample id 0"),
+    "three fields": (
+        lambda lines: lines[:3] + ["\t".join(lines[3].split("\t")[:3])] + lines[4:],
+        4, "expected 4 tab-separated fields, got 3"),
+}
+
+
+class TestLoadRejects:
+    @pytest.mark.parametrize("case", list(_MALFORMED))
+    def test_malformed_line_is_named(self, case):
+        edit, lineno, message = _MALFORMED[case]
+        ds = generate(clean_config(n_pos_per_client=2, n_neg_per_client=3, input_dim=3))
+        lines = edit(dump_dataset(ds).splitlines())
+        with pytest.raises(ValueError, match=f"^line {lineno}: {message}"):
+            load_dataset("\n".join(lines) + "\n")
+
+
+_data_configs = st.builds(
+    clean_config,
+    n_pos_per_client=st.integers(1, 4),
+    n_neg_per_client=st.integers(1, 5),
+    input_dim=st.integers(1, 3),
+    n_clients=st.integers(1, 3),
+    hetero_step=st.floats(-0.5, 0.5),
+    hetero_base=st.floats(-1.0, 1.0),
+    hetero_var=st.floats(0.0, 2.0),
+    flip_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+
+
+class TestExportProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(_data_configs)
+    def test_load_of_dump_is_the_dataset_bit_for_bit(self, cfg):
+        ds = build_dataset(cfg)
+        text = dump_dataset(ds)
+        back = load_dataset(text)
+
+        def columns(d):
+            cols = [d.eval_pos_ids, d.eval_pos_X, d.eval_neg_ids, d.eval_neg_X]
+            for s in d.shards:
+                cols += [s.pos_ids, s.pos_X, s.neg_ids, s.neg_X]
+            return [(c.dtype.str, c.shape, c.tobytes()) for c in cols]
+
+        assert columns(back) == columns(ds)
+        assert dump_dataset(back) == text

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import records_of
+from reference import Buffer, records_of
 
-from fedcpr.algorithms import FedX1Program, HyperParams, RunSettings
+from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.federation import (
-    Buffer,
     ProtocolError,
     Records,
     RoundUpload,
     comm_cost,
     comm_cost_ints,
+    buffer_draw,
     server_aggregate,
     tree_mean,
 )
@@ -108,56 +108,44 @@ class TestServerAggregate:
 
 class TestBuffer:
     def test_single_entry(self):
-        buf = Buffer()
-        block = _records(0, 1)
-        buf.refill(block, substream(0, "t"))
-        assert list(buf.draw(1)) == [0]
-        assert buf.block is block
-        assert buf.cursor == 1
+        drawn, wraps = buffer_draw(substream(0, "t"), 1, 1)
+        assert list(drawn) == [0]
+        assert wraps == 0
 
     def test_same_stream_same_permutation(self):
-        block = _records(0, 52)
-        a, b = Buffer(), Buffer()
-        a.refill(block, substream(3, "perm"))
-        b.refill(block, substream(3, "perm"))
-        np.testing.assert_array_equal(a.draw(52), b.draw(52))
+        a, _ = buffer_draw(substream(3, "perm"), 52, 52)
+        b, _ = buffer_draw(substream(3, "perm"), 52, 52)
+        np.testing.assert_array_equal(a, b)
 
     def test_entries_are_a_permutation(self):
-        buf = Buffer()
-        buf.refill(_records(0, 52), substream(4, "perm"))
-        assert sorted(buf.draw(52)) == list(range(52))
-        assert buf.wraps == 0
+        drawn, wraps = buffer_draw(substream(4, "perm"), 52, 52)
+        assert sorted(drawn) == list(range(52))
+        assert wraps == 0
 
     def test_sequential_draws_without_repeats(self):
-        buf = Buffer()
-        buf.refill(_records(0, 5), substream(5, "seq"))
-        first = buf.draw(2)
-        second = buf.draw(2)
+        drawn, _ = buffer_draw(substream(5, "seq"), 5, 4)
+        first, second = drawn[:2], drawn[2:]
         assert len(set(first) | set(second)) == 4
 
     def test_each_entry_exactly_once_over_k_draws(self):
         k = 9
-        buf = Buffer()
-        buf.refill(_records(0, k), substream(6, "k"))
-        drawn = [buf.draw(1)[0] for _ in range(k)]
+        drawn, wraps = buffer_draw(substream(6, "k"), k, k)
         assert sorted(drawn) == list(range(k))
-        assert buf.wraps == 0
+        assert wraps == 0
 
     def test_wraparound_reshuffles_and_continues(self):
-        buf = Buffer()
-        buf.refill(_records(0, 3), substream(7, "wrap"))
-        out = buf.draw(5)
+        out, wraps = buffer_draw(substream(7, "wrap"), 3, 5)
         assert sorted(out[:3]) == [0, 1, 2]
         assert set(out[3:]) <= {0, 1, 2}
-        assert buf.wraps == 1
-
-    def test_never_refilled_rejected(self):
-        with pytest.raises(ProtocolError):
-            Buffer().draw(1)
+        assert wraps == 1
 
     def test_empty_refill_rejected(self):
         with pytest.raises(ProtocolError):
-            Buffer().refill(Records.concat([]), substream(8, "e"))
+            buffer_draw(substream(8, "e"), 0, 1)
+
+    def test_nonpositive_count_rejected(self):
+        with pytest.raises(ValueError):
+            buffer_draw(substream(8, "c"), 3, 0)
 
 
 class TestCommCost:
@@ -194,7 +182,7 @@ def _fedx1_fixture(n_clients=2, K=3, B=2, eta=0.05, seed=9):
         "fedx1", ScorerSpec("linear", 3), PairwiseLossSpec("square"),
         IDENTITY_OUTER, hyper,
     )
-    return FedX1Program(settings, ds), hyper
+    return PROGRAMS["fedx1"](settings, ds), hyper
 
 
 def _one_round(program, hyper, download, round_idx):
@@ -223,14 +211,14 @@ class TestRoundContract:
         # One client, so the round's K*B lazy negatives are one full lap.
         program, hyper = _fedx1_fixture(n_clients=1)
         download0 = server_aggregate(program.bootstrap_uploads())
-        # After the round-1 refill, each buffer holds exactly the round-0
-        # aggregate (flush + replace), so every draw is one round stale.
-        program.begin_round(download0, 1)
+        # Round 1 draws its lazy records from exactly the round-0 aggregate,
+        # so every draw is one round stale.
+        wraps = program.begin_round(download0, 1)
         grp = program.groups[0]
-        buf = grp.neg_buffers[0]
         drained = grp.neg_at[:, 0].reshape(-1)
-        assert sorted(_rows(buf.block, drained)) == sorted(_rows(download0.r2))
-        assert buf.wraps == 0
+        assert sorted(_rows(download0.r2, drained)) == sorted(_rows(download0.r2))
+        assert grp.lazy_neg[:, 0].reshape(-1).tobytes() == download0.r2.value[drained].tobytes()
+        assert wraps == 0
 
     def test_zero_eta_keeps_models_at_global_model(self):
         program, hyper = _fedx1_fixture(eta=0.0)
@@ -271,9 +259,7 @@ class TestBufferProperties:
     @given(_draw_plans)
     def test_each_lap_is_a_permutation(self, plan):
         n, sizes, seed = plan
-        buf = Buffer()
-        buf.refill(_records(0, n), substream(seed, "prop"))
-        drawn = np.concatenate([buf.draw(c) for c in sizes])
+        drawn, _ = buffer_draw(substream(seed, "prop"), n, sum(sizes))
         for start in range(0, len(drawn), n):
             lap = drawn[start:start + n]
             assert len(set(lap)) == len(lap)  # no repeats within a lap
@@ -283,30 +269,29 @@ class TestBufferProperties:
     @given(_draw_plans)
     def test_wraps_count_the_laps_crossed(self, plan):
         n, sizes, seed = plan
-        buf = Buffer()
-        buf.refill(_records(0, n), substream(seed, "prop"))
-        for c in sizes:
-            buf.draw(c)
-        assert buf.wraps == math.ceil(sum(sizes) / n) - 1
+        _, wraps = buffer_draw(substream(seed, "prop"), n, sum(sizes))
+        assert wraps == math.ceil(sum(sizes) / n) - 1
 
     @given(_draw_plans)
     def test_same_substream_replays_the_same_positions(self, plan):
-        # The second buffer draws one position at a time: batched draws
-        # must equal the entry-by-entry queue, wraps included.
+        # The reference buffers draw in the plan's chunks and one position
+        # at a time: both must equal the one-call draw, wraps included.
         n, sizes, seed = plan
+        drawn, wraps = buffer_draw(substream(seed, "prop"), n, sum(sizes))
         a, b = Buffer(), Buffer()
         a.refill(_records(0, n), substream(seed, "prop"))
         b.refill(_records(1, n), substream(seed, "prop"))
-        drawn = []
+        chunks = []
         for c in sizes:
-            drawn.append(a.draw(c))
+            chunks.append(a.draw(c))
             one_by_one = np.concatenate([b.draw(1) for _ in range(c)])
-            np.testing.assert_array_equal(drawn[-1], one_by_one)
-        assert a.wraps == b.wraps
+            np.testing.assert_array_equal(chunks[-1], one_by_one)
+        assert a.wraps == b.wraps == wraps
+        np.testing.assert_array_equal(np.concatenate(chunks), drawn)
         # Each lap is the substream's next permutation of the block.
         rng = substream(seed, "prop")
-        laps = np.concatenate([rng.permutation(n) for _ in range(a.wraps + 1)])
-        np.testing.assert_array_equal(np.concatenate(drawn), laps[:sum(sizes)])
+        laps = np.concatenate([rng.permutation(n) for _ in range(wraps + 1)])
+        np.testing.assert_array_equal(drawn, laps[:sum(sizes)])
 
 
 def _fed_uploads(n_clients, d, K, B1, B2, nonlinear, rng):

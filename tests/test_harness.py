@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedcpr
+from fedcpr import harness
 from fedcpr.algorithms import ALGORITHMS, REQUIRED_OUTER, simulate
 from fedcpr.data import build_dataset
 from fedcpr.harness import (
@@ -297,6 +298,20 @@ class TestRun:
         cfg = parse_config(TINY)
         with pytest.raises(OSError):
             run(cfg, out=tmp_path / "missing_dir" / "t.csv", quiet=True)
+
+    def test_unopenable_iteration_file_closes_the_round_file(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(harness, "open", recording_open, raising=False)
+        (tmp_path / "t.csv.iters.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            run(parse_config(TINY), out=tmp_path / "t.csv", iteration_trace=True, quiet=True)
+        assert [fh.name for fh in opened] == [str(tmp_path / "t.csv")]
+        assert all(fh.closed for fh in opened)
 
     def test_seed_override_changes_both_streams(self, tmp_path):
         cfg = parse_config(TINY)
