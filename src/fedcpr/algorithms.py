@@ -32,8 +32,10 @@ The round engine. A client's K local steps in round r read only its own
 state and the round r-1 aggregate, so step k of every client is independent
 work. Clients whose shards share a shape form a :class:`ClientGroup`:
 models and momenta stacked as (G, d), u-tables as (G, n_pos). At the start
-of a round the engine makes every client's random draws (per client, as the
-substream scheme fixes them) and gathers the features and lazy records into
+of a round the engine makes every client-step's minibatch draws of the group
+in one :func:`~fedcpr.rng.choices` call (each row bit for bit the
+``Generator.choice`` calls of that client-step's substream), makes each
+client's buffer draws, and gathers the features and lazy records into
 (K, G, ...) arrays; then each local step k is one stacked call of the
 program's ``local_step`` per group, the estimators being functions over the
 client axis. Fresh scores and u-values go into per-round (K, G, B) arrays,
@@ -74,7 +76,7 @@ from .losses import (
 )
 from .metrics import ScoredEval, auc_and_partial_aucs
 from .model import ScorerSpec, init_params, score_grad_many, score_many
-from .rng import substream
+from .rng import choices, substream
 
 DEFAULT_PAUC_FPRS = (0.3, 0.5)
 
@@ -251,9 +253,10 @@ class RunTrace:
         return self.rounds[-1]
 
 
-def _draw_batch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
-    """Indices of a without-replacement minibatch of size min(batch, n)."""
-    return rng.choice(n, size=min(batch, n), replace=False)
+def _batch(n: int, batch: int) -> tuple[int, int]:
+    """The (pop, size) spec of a without-replacement minibatch of size
+    min(batch, n) out of n."""
+    return n, min(batch, n)
 
 
 def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -372,8 +375,7 @@ class PairwiseProgram:
     """The round engine, with the pairwise local step of fedx1, fedx2 and
     local_pair; the two other baselines replace the step. Every client's
     step k runs as one stacked operation per :class:`ClientGroup`; only the
-    per-client random draws, fixed by the substream scheme, loop over
-    clients, once per round in :meth:`begin_round`.
+    buffer draws loop over clients, once per round in :meth:`begin_round`.
 
     Two values read from the settings tell the three algorithms apart:
 
@@ -385,6 +387,9 @@ class PairwiseProgram:
       the momentum and :func:`fedx2_estimate`; otherwise
       :func:`fedx1_estimate`.
     """
+
+    # What each local step checks for non-finite entries, in this order.
+    WATCHED = ("pair-loss estimate", "u-value", "gradient estimate", "model")
 
     def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
         self.settings = settings
@@ -410,25 +415,23 @@ class PairwiseProgram:
     def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
         return dataset.shards
 
-    def _pair_draw(self, grp: ClientGroup):
+    def _pair_draw(self, grp: ClientGroup) -> list[tuple[int, int]]:
         h = self.settings.hyper
-        return lambda g: (_draw_batch(g, grp.n_pos, h.B1), _draw_batch(g, grp.n_neg, h.B2))
+        return [_batch(grp.n_pos, h.B1), _batch(grp.n_neg, h.B2)]
 
-    def _draws(self, grp: ClientGroup, draw, stream) -> list[np.ndarray]:
-        """``draw(stream(client, k))`` for every client and local step k,
-        each returned index array stacked to (K, G, n)."""
-        K = self.settings.hyper.K
-        per = [draw(stream(i, k)) for k in range(K) for i in grp.clients]
-        return [np.array(col).reshape(K, len(grp.clients), -1) for col in zip(*per)]
+    def _draws(self, grp: ClientGroup, specs, purpose: str, *tags) -> list[np.ndarray]:
+        """The draws of ``specs`` from stream ``(purpose, client, *tags, k)``
+        of every client and local step k, one (K, G, size) array per spec."""
+        K, G = self.settings.hyper.K, len(grp.clients)
+        streams = [(purpose, i, *tags, k) for k in range(K) for i in grp.clients]
+        return [d.reshape(K, G, d.shape[1]) for d in choices(self.settings.seed, streams, specs)]
 
     def bootstrap_uploads(self) -> list[RoundUpload]:
         """Round 0: models (and zero momenta) with, for the lazy programs,
         K batches per side scored at the initial model."""
         s = self.settings
         for grp in self.groups if self.lazy else ():
-            z1, z2 = self._draws(
-                grp, self._pair_draw(grp), lambda i, k: substream(s.seed, "bootstrap", i, k)
-            )
+            z1, z2 = self._draws(grp, self._pair_draw(grp), "bootstrap")
             ids1 = grp.pos_ids[grp.rows, z1]
             a = grp.scores(s, grp.pos_X[grp.rows, z1])
             b = grp.scores(s, grp.neg_X[grp.rows, z2])
@@ -448,20 +451,16 @@ class PairwiseProgram:
             grp.model = np.tile(download.model, (G, 1))
             if grp.momentum is not None:
                 grp.momentum = np.tile(download.momentum, (G, 1))
-            grp.draws = self._draws(
-                grp,
-                self._step_draw(grp),
-                lambda i, k: substream(self.settings.seed, "step", i, round_idx, k),
-            )
+            grp.draws = self._draws(grp, self._step_draw(grp), "step", round_idx)
             wraps += self._prepare(grp, download, round_idx)
         return wraps
 
-    def _step_draw(self, grp: ClientGroup):
+    def _step_draw(self, grp: ClientGroup) -> list[tuple[int, int]]:
         pair = self._pair_draw(grp)
         if not (self.lazy and self.nonlinear) or self.settings.hyper.history_samples == "reuse":
             return pair
         # Independent emission batches, drawn after the update batches.
-        return lambda g: pair(g) + pair(g)
+        return pair + pair
 
     def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
         """For the lazy programs, draw the round's lazy records: ``neg_at``
@@ -500,8 +499,10 @@ class PairwiseProgram:
             grp.emitted["u"] = (np.empty(zh1.shape), ids1)
         return neg_wraps + pos_wraps
 
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
-        """Step k of every client in ``grp``; returns their loss estimates."""
+    def local_step(self, grp: ClientGroup, k: int, eta: float):
+        """Step k of every client in ``grp``; returns their loss estimates,
+        tracked u-values of the sampled positives (None without a tracker)
+        and gradient estimates."""
         s = self.settings
         x1, x2 = grp.sampled(k)
         a, b = grp.scores(s, x1), grp.scores(s, x2)
@@ -510,6 +511,7 @@ class PairwiseProgram:
         else:  # m-th with m-th, cycling when the batch sizes differ
             part_b, part_a = _cycle(b, a.shape[-1]), _cycle(a, b.shape[-1])
         pair_loss = loss(s.loss, a, part_b)
+        u1 = None
         if self.nonlinear:
             at = (grp.rows, grp.draws[0][k])
             grp.u_table.track(at, pair_loss, s.hyper.gamma)
@@ -533,22 +535,24 @@ class PairwiseProgram:
                     (grp.rows, grp.draws[-2][k]), loss(s.loss, a, part_b)
                 )
         grp.descend(s, grad, eta)
-        return pair_loss.mean(axis=-1)
+        return pair_loss.mean(axis=-1), u1, grad
 
-    def step(self, k: int, eta: float) -> np.ndarray:
-        """Local step k of every client; returns the loss estimates in
+    def step(self, k: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Local step k of every client. Returns the loss estimates and, per
+        client, the index in :attr:`WATCHED` of the first quantity with a
+        non-finite entry (``len(WATCHED)`` where there is none), both in
         client order."""
         est = np.empty(self.n_clients)
+        bad = np.full(self.n_clients, len(self.WATCHED))
         for grp in self.groups:
-            est[grp.index] = self.local_step(grp, k, eta)
-        return est
-
-    def finite(self) -> np.ndarray:
-        """Per client, whether every model entry is finite."""
-        ok = np.empty(self.n_clients, dtype=bool)
-        for grp in self.groups:
-            ok[grp.index] = np.isfinite(grp.model).all(axis=1)
-        return ok
+            loss_est, u, grad = self.local_step(grp, k, eta)
+            est[grp.index] = loss_est
+            watched = enumerate((loss_est, u, grad, grp.model))
+            for q, value in reversed(list(watched)):  # the earliest one wins
+                if value is not None and not np.isfinite(value).all():
+                    rows = ~np.isfinite(value.reshape(len(grp.clients), -1)).all(axis=1)
+                    bad[grp.index[rows]] = q
+        return est, bad
 
     def models(self) -> np.ndarray:
         """The client models, (N, d) in client order."""
@@ -583,9 +587,9 @@ class LocalSGDProgram(PairwiseProgram):
     The configured pairwise loss and outer function are used only for
     objective reporting."""
 
-    def _step_draw(self, grp: ClientGroup):
+    def _step_draw(self, grp: ClientGroup) -> list[tuple[int, int]]:
         h = self.settings.hyper
-        return lambda g: (_draw_batch(g, grp.n_pos + grp.n_neg, h.B1 + h.B2),)
+        return [_batch(grp.n_pos + grp.n_neg, h.B1 + h.B2)]
 
     def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
         (idx,) = grp.draws
@@ -601,7 +605,7 @@ class LocalSGDProgram(PairwiseProgram):
         coeff = -yb * expit(-yb * scores)
         grad = _vecmat(coeff, score_grad_many(s.scorer, grp.model, xb)) / xb.shape[-2]
         grp.descend(s, grad, eta)
-        return np.logaddexp(0.0, -yb * scores).mean(axis=-1)
+        return np.logaddexp(0.0, -yb * scores).mean(axis=-1), None, grad
 
 
 class CentralizedProgram(PairwiseProgram):
@@ -622,15 +626,17 @@ class CentralizedProgram(PairwiseProgram):
         j1 = score_grad_many(s.scorer, grp.model, x1)
         j2 = score_grad_many(s.scorer, grp.model, x2)
         lmat = loss(s.loss, a, b)
+        u = None
         if self.nonlinear:
             at = (grp.rows, grp.draws[0][k])
             grp.u_table.track(at, lmat.mean(axis=-1), s.hyper.gamma)
-            fpu = outer_deriv(s.outer, grp.u_table.values[at])
+            u = grp.u_table.values[at]
+            fpu = outer_deriv(s.outer, u)
             grad = (_vecmat(fpu * d1.sum(axis=-1), j1) + _vecmat(_vecmat(fpu, d2), j2)) / n_pairs
         else:
             grad = (_vecmat(d1.sum(axis=-1), j1) + _vecmat(d2.sum(axis=-2), j2)) / n_pairs
         grp.descend(s, grad, eta)
-        return lmat.mean(axis=(-2, -1))
+        return lmat.mean(axis=(-2, -1)), u, grad
 
 
 PROGRAMS = {
@@ -716,7 +722,8 @@ def simulate(
     and R and every ``oracle_every``/``eval_every`` rounds (0 = never
     between). Raises ValueError for an unknown algorithm or one that does
     not run with ``outer`` (see :data:`REQUIRED_OUTER`), and
-    FloatingPointError at the first non-finite model or oracle value.
+    FloatingPointError at the first non-finite oracle value or quantity of
+    a local step (:attr:`PairwiseProgram.WATCHED`).
     """
     check_algorithm(algorithm, outer)
     settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)
@@ -758,16 +765,19 @@ def simulate(
         etas = [hyper.eta_at((r - 1) * K + k) for k in range(K)]
         estimates = np.empty((K, n))
         first_bad = np.full(n, K)  # first non-finite iteration per client
+        what = np.empty(n, dtype=int)  # and its first non-finite quantity
         for k, eta_k in enumerate(etas):
-            estimates[k] = program.step(k, eta_k)
-            first_bad[~program.finite() & (first_bad > k)] = k
+            estimates[k], bad = program.step(k, eta_k)
+            fresh = (bad < len(program.WATCHED)) & (first_bad == K)
+            first_bad[fresh] = k
+            what[fresh] = bad[fresh]
         if (first_bad < K).any():
             # The lowest-index client that diverged, at its first
             # non-finite iteration: what running the clients one after
             # another would have met first.
             i = int(np.argmax(first_bad < K))
             raise FloatingPointError(
-                f"model diverged (non-finite entries) on client {i} "
+                f"diverged: non-finite {program.WATCHED[what[i]]} on client {i} "
                 f"at round {r}, iteration {first_bad[i]}"
             )
         uploads = program.uploads()

@@ -33,7 +33,7 @@ from .losses import (
 )
 from .metrics import ScoredEval, auc, auc_bruteforce, partial_auc
 from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
-from .rng import substream
+from .rng import choices, substream
 
 
 @dataclass
@@ -159,6 +159,21 @@ def _check_buffer() -> CheckResult:
     return CheckResult("buffer permutation and replay", ok)
 
 
+def _check_batched_draws() -> CheckResult:
+    # The batched draw reproduces numpy's choice from PCG64's raw output; an
+    # installed numpy whose choice differs fails here rather than in a trace.
+    name = "batched draws equal Generator.choice"
+    streams = [("selftest-choices", i) for i in range(300)]
+    specs = [(20, 20), (9, 9), (1000, 1000), (4, 4)]  # the batched route
+    got = choices(1, streams, specs)
+    for row, tags in enumerate(streams):
+        g = substream(1, *tags)
+        for (pop, size), drawn in zip(specs, got):
+            if not np.array_equal(drawn[row], g.choice(pop, size, replace=False)):
+                return CheckResult(name, False, f"stream {tags}, choice({pop}, {size})")
+    return CheckResult(name, True, f"{len(streams)} streams x {len(specs)} draws")
+
+
 def _fedx1_trace(seed: int):
     cfg = DataConfig(n_pos_per_client=4, n_neg_per_client=8, input_dim=3,
                      n_clients=2, hetero_var=0, hetero_base=0, hetero_step=0,
@@ -212,6 +227,7 @@ def run_selftest() -> list[CheckResult]:
         _check_estimator_reduction,
         _check_momentum_closed_form,
         _check_buffer,
+        _check_batched_draws,
         _check_comm_accounting,
         _check_replay,
     ]

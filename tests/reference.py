@@ -272,7 +272,10 @@ class ReferenceProgram:
             st.pos_buffer.refill(download.r1, substream(s.seed, "buffer-pos", st.index, r))
             st.neg_buffer.refill(download.r2, substream(s.seed, "buffer-neg", st.index, r))
 
-    def local_step(self, st: ClientState, r: int, k: int, eta: float) -> float:
+    def local_step(self, st: ClientState, r: int, k: int, eta: float):
+        """One local step of one client. Returns its pair-loss estimate,
+        tracked u-values of the sampled positives (None without a tracker)
+        and gradient estimate."""
         s, h = self.settings, self.settings.hyper
         g = substream(s.seed, "step", st.index, r, k)
         if self.alg == "local_sgd":
@@ -284,7 +287,7 @@ class ReferenceProgram:
             coeff = -yb * expit(-yb * scores)
             grad = coeff @ score_grad_many(s.scorer, st.model, xb) / len(idx)
             st.model = st.model - eta * grad
-            return float(np.mean(np.logaddexp(0.0, -yb * scores)))
+            return float(np.mean(np.logaddexp(0.0, -yb * scores))), None, grad
         z1 = _draw_batch(g, st.shard.n_pos, h.B1)
         z2 = _draw_batch(g, st.shard.n_neg, h.B2)
         if self.alg == "fedx1":
@@ -293,7 +296,7 @@ class ReferenceProgram:
             grad = fedx1_estimate(st, k, z1, z2, lazy_neg, lazy_pos)
             est = float(np.mean(loss(s.loss, st.out_h1[-1].value, lazy_neg)))
             st.model = st.model - eta * grad
-            return est
+            return est, None, grad
         if self.alg == "fedx2":
             return self._fedx2_step(st, g, k, z1, z2, eta)
         x1, x2 = st.shard.pos_X[z1], st.shard.neg_X[z2]
@@ -315,10 +318,10 @@ class ReferenceProgram:
                 grad = (w1 @ j1) / n1 + (w2 @ j2) / n2
                 st.momentum = momentum_update(st.momentum, grad, h.beta)
                 st.model = st.model - eta * st.momentum
-            else:
-                grad = (np.asarray(d1) @ j1) / n1 + (np.asarray(d2) @ j2) / n2
-                st.model = st.model - eta * grad
-            return float(np.mean(pair_loss))
+                return float(np.mean(pair_loss)), u1, grad
+            grad = (np.asarray(d1) @ j1) / n1 + (np.asarray(d2) @ j2) / n2
+            st.model = st.model - eta * grad
+            return float(np.mean(pair_loss)), None, grad
         # centralized
         d1, d2 = loss_grads(s.loss, a[:, None], b[None, :])
         if self.uses_u:
@@ -328,12 +331,12 @@ class ReferenceProgram:
             grad = ((fpu * d1.sum(axis=1)) @ j1 + (fpu @ d2) @ j2) / (n1 * n2)
             st.momentum = momentum_update(st.momentum, grad, h.beta)
             st.model = st.model - eta * st.momentum
-            return float(lmat.mean())
+            return float(lmat.mean()), st.u_table.values[z1], grad
         grad = (d1.sum(axis=1) @ j1 + d2.sum(axis=0) @ j2) / (n1 * n2)
         st.model = st.model - eta * grad
-        return float(np.mean(loss(s.loss, a[:, None], b[None, :])))
+        return float(np.mean(loss(s.loss, a[:, None], b[None, :]))), None, grad
 
-    def _fedx2_step(self, st, g, k, z1, z2, eta) -> float:
+    def _fedx2_step(self, st, g, k, z1, z2, eta):
         s, h = self.settings, self.settings.hyper
         lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
         paired = st.pos_buffer.draw(len(z2))
@@ -357,7 +360,7 @@ class ReferenceProgram:
         st.out_u.append(records_of(u_emit, st.index, k, ids1))
         st.momentum = momentum_update(st.momentum, grad, h.beta)
         st.model = st.model - eta * st.momentum
-        return float(np.mean(pair_loss))
+        return float(np.mean(pair_loss)), st.u_table.values[z1], grad
 
 
 def _one_client(st, z1, z2):
@@ -396,8 +399,9 @@ def reference_rounds(
     hyper: HyperParams,
 ) -> list[ReferenceRound]:
     """Round 0 and rounds 1..R, each client's K steps one after another in
-    client order. Raises FloatingPointError at the first non-finite model,
-    naming its client, round and iteration."""
+    client order. Raises FloatingPointError at the first step with a
+    non-finite pair-loss estimate, u-value, gradient estimate or model,
+    checked in that order, naming it, its client, round and iteration."""
     program = ReferenceProgram(RunSettings(algorithm, scorer, loss_spec, outer, hyper))
     states = program.init_states(dataset)
 
@@ -413,12 +417,13 @@ def reference_rounds(
         for st in states:
             program.begin_round(st, rounds[-1].download, r)
             for k in range(hyper.K):
-                est = program.local_step(st, r, k, hyper.eta_at((r - 1) * hyper.K + k))
-                if not np.all(np.isfinite(st.model)):
-                    raise FloatingPointError(
-                        f"model diverged (non-finite entries) on client {st.index} "
-                        f"at round {r}, iteration {k}"
-                    )
+                est, u, grad = program.local_step(st, r, k, hyper.eta_at((r - 1) * hyper.K + k))
+                watched = (("pair-loss estimate", est), ("u-value", u),
+                           ("gradient estimate", grad), ("model", st.model))
+                for name, value in watched:
+                    if value is not None and not np.all(np.isfinite(value)):
+                        raise FloatingPointError(f"diverged: non-finite {name} on client {st.index} "
+                                                 f"at round {r}, iteration {k}")
                 estimates[k, st.index] = est
             uploads.append(program.build_upload(st))
         rounds.append(ReferenceRound(uploads, server_aggregate(uploads), estimates, wraps() - before))

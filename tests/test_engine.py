@@ -74,7 +74,7 @@ def _engine_rounds(algorithm, dataset, scorer, loss_spec, outer, hyper):
     rounds = [(uploads, server_aggregate(uploads), np.empty((0, program.n_clients)), 0)]
     for r in range(1, hyper.R + 1):
         wraps = program.begin_round(rounds[-1][1], r)
-        est = np.array([program.step(k, hyper.eta_at((r - 1) * hyper.K + k))
+        est = np.array([program.step(k, hyper.eta_at((r - 1) * hyper.K + k))[0]
                         for k in range(hyper.K)])
         uploads = program.uploads()
         rounds.append((uploads, server_aggregate(uploads), est, wraps))

@@ -499,6 +499,18 @@ class TestCli:
         assert res.returncode == 3, res.stderr
         assert "objective" in res.stderr and "round 0" in res.stderr
 
+    def test_divergence_names_the_non_finite_quantity(self, tmp_path):
+        # local_pair with kl_opauc + kl_log on the default data: at round 1,
+        # iteration 1 client 0's pair-loss estimate and u-values are still
+        # finite and its gradient estimate is not.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("algorithm = local_pair\nloss.kind = kl_opauc\n"
+                            "outer.kind = kl_log\nhyper.eta = 0.01\n")
+        res = _cli(["run", "--config", str(cfg_path), "--out",
+                    str(tmp_path / "t.csv")], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "diverged: non-finite gradient estimate on client 0 at round 1, iteration 1" in res.stderr
+
     def test_oracle_prints_exact_values(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY)

@@ -1,0 +1,131 @@
+"""The batched minibatch draw against numpy's ``Generator.choice``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedcpr import rng
+from fedcpr.rng import choices, derive_key, substream
+
+
+def _one_by_one(seed, streams, specs):
+    """The draws as the port contract states them: per stream, one
+    generator and its choice calls spec after spec."""
+    out = [[] for _ in specs]
+    for tags in streams:
+        g = substream(seed, *tags)
+        for col, (pop, size) in zip(out, specs):
+            col.append(g.choice(pop, size, replace=False))
+    return out
+
+
+def _assert_same(seed, streams, specs):
+    got = choices(seed, streams, specs)
+    want = _one_by_one(seed, streams, specs)
+    assert len(got) == len(specs)
+    for (pop, size), batch, rows in zip(specs, got, want):
+        assert batch.shape == (len(streams), size) and batch.dtype == np.int64
+        for s, row in enumerate(rows):
+            assert np.array_equal(batch[s], row), (streams[s], pop, size)
+
+
+@st.composite
+def _whole_population_specs(draw):
+    """Spec lists on the batched route: pop == size, small and up to
+    numpy's 10000 limit; now and then a pop > size spec, which sends the
+    whole list to the per-stream route."""
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.one_of(st.integers(0, 64), st.integers(65, 10000)))
+        size = draw(st.one_of(st.just(n), st.just(n), st.integers(0, n)))
+        specs.append((n, size))
+    return specs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-(2**63), 2**63 - 1), n_streams=st.integers(1, 6),
+       specs=_whole_population_specs())
+def test_batched_draws_equal_generator_choice(seed, n_streams, specs):
+    _assert_same(seed, [("prop", i, 3) for i in range(n_streams)], specs)
+
+
+def test_many_streams_of_a_fedx2_round():
+    # One round of the default fedx2 config's four draws per client-step.
+    streams = [("step", i, 2, k) for k in range(32) for i in range(16)]
+    _assert_same(0, streams, [(4, 4), (20, 20), (4, 4), (20, 20)])
+
+
+def test_lemire_rejections_and_running_out_of_words(monkeypatch):
+    # A bound of 3 * 2**30 - 1 rejects a word with probability about 1/4,
+    # so some of the 200 rows need more words than the first guess.
+    # Generator.integers with dtype uint32 reads the same Lemire draws.
+    j = 3 * 2**30 - 1
+    keys = [derive_key(5, "reject", i) for i in range(200)]
+    first = rng._words(keys, 2)[:, 0]
+    rejected = ((first * np.uint64(j + 1)) & np.uint64(0xFFFFFFFF)) < (2**32 - 1 - j) % (j + 1)
+    assert 20 < rejected.sum() < 80
+    counts = []
+    words = rng._words
+    monkeypatch.setattr(rng, "_words", lambda ks, n: counts.append(n) or words(ks, n))
+    got = rng._bounded(keys, np.full(12, j, dtype=np.uint64))
+    assert len(counts) > 1
+    for row, key in zip(got, keys):
+        g = np.random.Generator(np.random.PCG64(key))
+        assert np.array_equal(row, g.integers(0, j, endpoint=True, size=12, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("specs", [
+    [(10000, 10000), (7, 7)],  # the largest batched spec
+    [(10001, 10001), (7, 7)],  # numpy's tail-shuffle regime
+    [(10001, 201), (7, 3)],  # tail regime, then a Floyd spec
+    [(20, 20), (7, 3), (4, 4)],  # one pop > size spec routes the whole list
+    [(2**32 + 5, 3), (7, 7)],  # 64-bit bounds
+])
+def test_route_boundaries(specs):
+    _assert_same(11, [("route", i) for i in range(5)], specs)
+
+
+@pytest.mark.parametrize("key", [0, 12345, 2**32 - 1, 2**40 + 17, 2**64 - 1,
+                                 2**127, 2**128 - 1])
+def test_batched_seeding_equals_pcg64(key):
+    raw = np.random.PCG64(key).random_raw(5)
+    want = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=-1).reshape(-1)
+    got = rng._words([key, 3, key], 10)
+    assert got.shape == (3, 10)
+    assert np.array_equal(got[0], want) and np.array_equal(got[2], want)
+
+
+# Literal draws of substream(seed, *tags).choice, spec after spec, taken with
+# numpy 2.4.6. If a numpy upgrade changes choice, both this test and the
+# equality tests above fail; if only choices changes, only those fail.
+GOLDEN = [
+    (0, ("step", 0, 1, 0), [(4, 4), (20, 20), (4, 4), (20, 20)], [
+        [0, 3, 1, 2],
+        [12, 13, 18, 19, 1, 5, 2, 4, 9, 7, 11, 15, 17, 3, 16, 8, 6, 0, 14, 10],
+        [2, 3, 1, 0],
+        [9, 4, 15, 13, 17, 1, 18, 2, 16, 0, 5, 19, 8, 7, 12, 6, 14, 11, 3, 10],
+    ]),
+    (7, ("bootstrap", 3, 5), [(40, 9), (1000, 12)], [
+        [22, 24, 36, 26, 16, 15, 10, 3, 2],
+        [217, 52, 109, 180, 323, 140, 522, 459, 287, 87, 937, 849],
+    ]),
+    (-5, ("golden",), [(3 * 2**30, 2), (12, 5), (1, 1)], [
+        [678904481, 738639259],
+        [1, 0, 2, 9, 11],
+        [0],
+    ]),
+]
+
+
+@pytest.mark.parametrize("seed, tags, specs, want", GOLDEN)
+def test_golden_draws(seed, tags, specs, want):
+    got = choices(seed, [tags], specs)
+    assert [row[0].tolist() for row in got] == want
+    g = substream(seed, *tags)
+    assert [g.choice(pop, size, replace=False).tolist() for pop, size in specs] == want
+
+
+def test_size_above_population_rejected():
+    with pytest.raises(ValueError, match="cannot draw 5 of 4"):
+        choices(0, [("x",)], [(4, 5)])
