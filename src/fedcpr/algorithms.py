@@ -34,8 +34,10 @@ work. Clients whose shards share a shape form a :class:`ClientGroup`:
 models and momenta stacked as (G, d), u-tables as (G, n_pos). At the start
 of a round the engine makes every client-step's minibatch draws of the group
 in one :func:`~fedcpr.rng.choices` call (each row bit for bit the
-``Generator.choice`` calls of that client-step's substream), makes each
-client's buffer draws, and gathers the features and lazy records into
+``Generator.choice`` calls of that client-step's substream), seeds the
+group's buffer streams of each side in one :func:`~fedcpr.rng.substreams`
+pass, makes each client's :func:`~fedcpr.federation.buffer_draw` on its
+stream in turn, and gathers the features and lazy records into
 (K, G, ...) arrays; then each local step k is one stacked call of the
 program's ``local_step`` per group, the estimators being functions over the
 client axis. Fresh scores and u-values go into per-round (K, G, B) arrays,
@@ -76,7 +78,7 @@ from .losses import (
 )
 from .metrics import ScoredEval, auc_and_partial_aucs
 from .model import ScorerSpec, init_params, score_grad_many, score_many
-from .rng import choices, substream
+from .rng import choices, substream, substreams
 
 DEFAULT_PAUC_FPRS = (0.3, 0.5)
 
@@ -471,11 +473,13 @@ class PairwiseProgram:
 
         def positions(side: str, block: Records, n: int) -> tuple[np.ndarray, int]:
             # One draw of all K steps' entries per client: the same
-            # positions as K draws of n.
+            # positions as K draws of n. Each client's draw is done before
+            # the next stream is taken, as substreams requires.
             K = self.settings.hyper.K
+            streams = [(side, i, round_idx) for i in grp.clients]
             drawn = [
-                buffer_draw(substream(self.settings.seed, side, i, round_idx), len(block), K * n)
-                for i in grp.clients
+                buffer_draw(g, len(block), K * n)
+                for g in substreams(self.settings.seed, streams)
             ]
             at = np.stack([pos.reshape(K, n) for pos, _ in drawn], axis=1)
             return at, sum(wraps for _, wraps in drawn)

@@ -141,15 +141,18 @@ def buffer_draw(
     When the draws exhaust the block mid-round, the same positions are
     reshuffled and drawing continues (wrap-around); ``wraps`` counts those
     events so tests can assert they never happen under default
-    configurations. Each lap is the next ``rng.permutation(size)``.
+    configurations. Each lap is the next ``rng.permutation(size)``; the
+    positions come back in an array of their own, so no lap outlives the
+    call.
     """
     if not size:
         raise ProtocolError("cannot draw from an empty aggregate")
     if count < 1:
         raise ValueError("count must be positive")
-    laps = -(-count // size)  # ceil(count / size)
-    order = [rng.permutation(size) for _ in range(laps)]
-    return (order[0] if laps == 1 else np.concatenate(order))[:count], laps - 1
+    out = np.empty(count, dtype=np.int64)
+    for done in range(0, count, size):
+        out[done:done + size] = rng.permutation(size)[:count - done]
+    return out, (count - 1) // size
 
 
 def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:

@@ -32,22 +32,32 @@ Port contract (what an alternate-language port needs besides PCG64):
   regime ``pop > 10000 and size > pop // 50``, where numpy shuffles the tail
   of a full ``arange(pop)`` instead.
 
-:func:`choices` draws whole-population minibatches (``pop == size``) of many
-streams at once from this contract, bit for bit what ``Generator.choice``
-gives.
+Batched seeding restates the Key and Seeding steps for S tag tuples at once
+and adds nothing to the contract: the SHA-256 inputs are the bytes
+:func:`derive_key` hashes, the pool mixing runs on (S, 4) uint32 arrays, and
+128-bit numbers are (high, low) uint64 halves. All streams then advance
+together, one PCG64 step ``state * M + inc`` per 64-bit output, followed by
+its XSL-RR output. :func:`substreams` resets one shared generator to each
+stream's start, and :func:`choices` draws whole-population minibatches
+(``pop == size``) of many streams from those words, bit for bit what
+``Generator.choice`` gives.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator
 
 import numpy as np
 
 Tag = int | str
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _32 = np.uint64(_MASK32), np.uint64(32)
+# PCG64's multiplier: its high half, its low half and that half's 32-bit pieces.
+_M_HI, _M_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF)
+_M0, _M1 = np.uint64(_PCG64_MULT & _MASK32), np.uint64(_PCG64_MULT >> 32 & _MASK32)
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -66,25 +76,66 @@ _STATE_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
+def _tag_bytes(tag: Tag) -> bytes:
+    if isinstance(tag, bool):  # bool is an int subclass; reject ambiguity
+        raise TypeError("bool tags are not allowed")
+    if isinstance(tag, int):
+        return b"i" + int(tag).to_bytes(8, "big", signed=True)
+    if isinstance(tag, str):
+        return b"s" + tag.encode("utf-8") + b"\x00"
+    raise TypeError(f"unsupported tag type: {type(tag).__name__}")
+
+
 def derive_key(seed: int, *tags: Tag) -> int:
     """Map (seed, tags) to a 128-bit integer key. Pure function."""
-    buf = bytearray(int(seed).to_bytes(8, "big", signed=True))
-    for tag in tags:
-        if isinstance(tag, bool):  # bool is an int subclass; reject ambiguity
-            raise TypeError("bool tags are not allowed")
-        if isinstance(tag, int):
-            buf += b"i" + int(tag).to_bytes(8, "big", signed=True)
-        elif isinstance(tag, str):
-            buf += b"s" + tag.encode("utf-8") + b"\x00"
-        else:
-            raise TypeError(f"unsupported tag type: {type(tag).__name__}")
-    digest = hashlib.sha256(bytes(buf)).digest()
-    return int.from_bytes(digest[:16], "big", signed=False)
+    buf = int(seed).to_bytes(8, "big", signed=True) + b"".join(map(_tag_bytes, tags))
+    return int.from_bytes(hashlib.sha256(buf).digest()[:16], "big", signed=False)
 
 
 def substream(seed: int, *tags: Tag) -> np.random.Generator:
     """Return a fresh PCG64 generator for the named substream."""
     return np.random.Generator(np.random.PCG64(derive_key(seed, *tags)))
+
+
+def substreams(
+    seed: int, streams: list[tuple[Tag, ...]]
+) -> Iterator[np.random.Generator]:
+    """``substream(seed, *tags)`` for each tag tuple in turn, every stream
+    seeded in one pass up front. One generator is reset to each stream's
+    start, so a yielded generator is valid only until the next is taken."""
+    bitgen = np.random.PCG64(0)  # its state is set per stream below
+    gen = np.random.Generator(bitgen)
+
+    def reset(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> np.random.Generator:
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                        "has_uint32": 0, "uinteger": 0}
+        return gen
+
+    return map(reset, *_start(_keys(seed, streams)).tolist())
+
+
+def _keys(seed: int, streams: list[tuple[Tag, ...]]) -> np.ndarray:
+    """``derive_key(seed, *tags)`` of every tag tuple, as (S, 4) uint32:
+    each key's little-endian 32-bit words."""
+    head = int(seed).to_bytes(8, "big", signed=True)
+    encoded: dict[Tag, bytes] = {}
+
+    def enc(tag: Tag) -> bytes:
+        # Only exact int and str tags are kept: True == 1 and
+        # np.int64(3) == 3 must still reach _tag_bytes and be rejected.
+        if type(tag) not in (int, str):
+            return _tag_bytes(tag)
+        if tag not in encoded:
+            encoded[tag] = _tag_bytes(tag)
+        return encoded[tag]
+
+    # digest[15::-1]: the key's 16 bytes, little-endian.
+    keys = b"".join(
+        hashlib.sha256(head + b"".join([enc(t) for t in tags])).digest()[15::-1]
+        for tags in streams
+    )
+    return np.frombuffer(keys, "<u4").reshape(len(streams), 4)
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -94,10 +145,10 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def _seed_words(keys: list[int]) -> np.ndarray:
-    """``SeedSequence(key).generate_state(8, uint32)`` for every key, (S, 8)."""
-    entropy = b"".join(k.to_bytes(16, "little") for k in keys)
-    pool = _hashmix(np.frombuffer(entropy, "<u4").reshape(-1, 4), _POOL_CONSTS[:5])
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(8, uint32)`` for every row of
+    (S, 4) key words, (S, 8)."""
+    pool = _hashmix(keys, _POOL_CONSTS[:5])
     t = 4
     for src in range(4):
         dst = [d for d in range(4) if d != src]
@@ -108,40 +159,69 @@ def _seed_words(keys: list[int]) -> np.ndarray:
     return _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS)
 
 
-def _words(keys: list[int], count: int) -> np.ndarray:
-    """At least the first ``count`` 32-bit words of ``PCG64(key)`` per key,
-    as (S, 2 * ceil(count / 2)) uint64, in the order ``next_uint32`` reads
-    them."""
-    bitgen = np.random.PCG64(0)  # its state is set per key below
-    raw = np.empty((len(keys), (count + 1) // 2), dtype=np.uint64)
-    for row, s in enumerate(_seed_words(keys).tolist()):
-        initstate = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
-        inc = ((s[5] << 96 | s[4] << 64 | s[7] << 32 | s[6]) << 1 | 1) & _MASK128
-        state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        raw[row] = bitgen.random_raw(raw.shape[1])
-    return np.stack([raw & np.uint64(_MASK32), raw >> np.uint64(32)], axis=-1).reshape(len(keys), -1)
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """``a + b mod 2**128`` on (high, low) uint64 halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
 
 
-def _bounded(keys: list[int], bounds: np.ndarray) -> np.ndarray:
-    """Lemire draws in [0, bounds[t]] for t in order from each key's PCG64
-    words, (S, len(bounds)) int64."""
+def _lcg(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One PCG64 step, ``state * M + inc mod 2**128``, on 64-bit halves. The
+    low halves' full product is taken from 32-bit pieces; uint64 wraps."""
+    l0, l1 = lo & _U32, lo >> _32
+    p00, p01, p10 = l0 * _M0, l0 * _M1, l1 * _M0
+    mid = (p00 >> _32) + (p01 & _U32) + (p10 & _U32)
+    prod_hi = l1 * _M1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32) + hi * _M_LO + lo * _M_HI
+    return _add128(prod_hi, mid << _32 | p00 & _U32, inc_hi, inc_lo)
+
+
+def _start(keys: np.ndarray) -> np.ndarray:
+    """The state of ``PCG64(key)`` for every row of (S, 4) key words, as
+    (4, S) uint64 rows: state high and low half, inc high and low half."""
+    s = _seed_words(keys).T.astype(np.uint64)
+    init_hi, init_lo = s[1] << _32 | s[0], s[3] << _32 | s[2]
+    seq_hi, seq_lo = s[5] << _32 | s[4], s[7] << _32 | s[6]
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    state = _lcg(*_add128(inc_hi, inc_lo, init_hi, init_lo), inc_hi, inc_lo)
+    return np.array([*state, inc_hi, inc_lo])
+
+
+def _words(start: np.ndarray, count: int) -> np.ndarray:
+    """At least the first ``count`` 32-bit words of every stream that
+    ``start`` (:func:`_start`) seeds, as (S, 2 * ceil(count / 2)) uint64, in
+    the order ``next_uint32`` reads them. All streams advance together; the
+    XSL-RR output is taken over the whole (T, S) block of states."""
+    hi, lo, inc_hi, inc_lo = start
+    T, S = (count + 1) // 2, start.shape[1]
+    his, los = np.empty((T, S), dtype=np.uint64), np.empty((T, S), dtype=np.uint64)
+    for t in range(T):
+        hi, lo = _lcg(hi, lo, inc_hi, inc_lo)
+        his[t], los[t] = hi, lo
+    x, rot = his ^ los, his >> np.uint64(58)
+    raw = (x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))).T
+    return np.stack([raw & _U32, raw >> _32], axis=-1).reshape(S, 2 * T)
+
+
+def _bounded(start: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Lemire draws in [0, bounds[t]] for t in order from the PCG64 words
+    of every stream that ``start`` seeds, (S, len(bounds)) int64."""
+    S = start.shape[1]
     excl = bounds + np.uint64(1)
-    threshold = (np.uint64(_MASK32) - bounds) % excl
-    rows = np.arange(len(keys))[:, None]
-    words = _words(keys, len(bounds) + 8)  # room for a few rejections
+    threshold = (_U32 - bounds) % excl
+    rows = np.arange(S)[:, None]
+    words = _words(start, len(bounds) + 8)  # room for a few rejections
     # at[s, t]: the word draw t of row s reads; every rejection moves the
     # draw and all later ones of that row on by one word.
-    at = np.broadcast_to(np.arange(len(bounds)), (len(keys), len(bounds)))
+    at = np.broadcast_to(np.arange(len(bounds)), (S, len(bounds)))
     while True:
         if at.size and at[:, -1].max() >= words.shape[1]:  # rare: draw more words
-            words = _words(keys, 2 * words.shape[1])
+            words = _words(start, 2 * words.shape[1])
             continue
         m = words[rows, at] * excl
-        rejected = (m & np.uint64(_MASK32)) < threshold
+        rejected = (m & _U32) < threshold
         if not rejected.any():
-            return (m >> np.uint64(32)).astype(np.int64)
+            return (m >> _32).astype(np.int64)
         at = at + (np.cumsum(rejected, axis=1) > 0)
 
 
@@ -185,14 +265,15 @@ def choices(
             raise ValueError(f"cannot draw {size} of {pop} without replacement")
     if any(_per_stream(*spec) for spec in specs):
         gens = [substream(seed, *tags) for tags in streams]
-        return [np.array([g.choice(pop, size, replace=False) for g in gens]).reshape(len(gens), size)
+        return [np.array([g.choice(pop, size, replace=False) for g in gens],
+                         dtype=np.int64).reshape(len(gens), size)
                 for pop, size in specs]
     # Per spec: Floyd's draws for j = 1, ..., n - 1 (j = 0 reads no word),
     # then the shuffle's for i = n - 1, ..., 1.
     bounds = np.concatenate(
         [np.r_[np.arange(1, n), np.arange(n - 1, 0, -1)] for n, _ in specs]
     ).astype(np.uint64)
-    drawn = _bounded([derive_key(seed, *tags) for tags in streams], bounds)
+    drawn = _bounded(_start(_keys(seed, streams)), bounds)
     out, end = [], 0
     for n, _ in specs:
         swaps = max(n - 1, 0)

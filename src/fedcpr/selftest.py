@@ -33,7 +33,7 @@ from .losses import (
 )
 from .metrics import ScoredEval, auc, auc_bruteforce, partial_auc
 from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
-from .rng import choices, substream
+from .rng import choices, substream, substreams
 
 
 @dataclass
@@ -174,6 +174,21 @@ def _check_batched_draws() -> CheckResult:
     return CheckResult(name, True, f"{len(streams)} streams x {len(specs)} draws")
 
 
+def _check_batched_seeding() -> CheckResult:
+    # The one-pass seeding restates numpy's SeedSequence and PCG64; an
+    # installed numpy that seeds differently fails here.
+    name = "batched seeding equals substream"
+    streams = [("step", i, 3, k) for i in range(50) for k in range(4)]
+    streams += [(side, i, 3) for side in ("buffer-pos", "buffer-neg") for i in range(50)]
+    for g, tags in zip(substreams(1, streams), streams):
+        want = substream(1, *tags)
+        if g.bit_generator.state != want.bit_generator.state or not np.array_equal(
+            g.permutation(52), want.permutation(52)
+        ):
+            return CheckResult(name, False, f"stream {tags}")
+    return CheckResult(name, True, f"{len(streams)} streams")
+
+
 def _fedx1_trace(seed: int):
     cfg = DataConfig(n_pos_per_client=4, n_neg_per_client=8, input_dim=3,
                      n_clients=2, hetero_var=0, hetero_base=0, hetero_step=0,
@@ -228,6 +243,7 @@ def run_selftest() -> list[CheckResult]:
         _check_momentum_closed_form,
         _check_buffer,
         _check_batched_draws,
+        _check_batched_seeding,
         _check_comm_accounting,
         _check_replay,
     ]

@@ -23,7 +23,7 @@ from fedcpr.federation import (
 )
 from fedcpr.losses import IDENTITY_OUTER, PairwiseLossSpec
 from fedcpr.model import ScorerSpec
-from fedcpr.rng import substream
+from fedcpr.rng import substream, substreams
 
 
 def _records(client, count, iteration=0):
@@ -292,6 +292,37 @@ class TestBufferProperties:
         rng = substream(seed, "prop")
         laps = np.concatenate([rng.permutation(n) for _ in range(wraps + 1)])
         np.testing.assert_array_equal(drawn, laps[:sum(sizes)])
+
+
+@st.composite
+def _batched_plans(draw):
+    """(size, count) with count below, at or above the block length (two or
+    three laps), for a few clients of one side and round."""
+    size = draw(st.integers(1, 60))
+    count = draw(st.one_of(
+        st.integers(1, size), st.just(size),
+        st.integers(size + 1, 3 * size) if size > 1 else st.integers(2, 3),
+    ))
+    return size, count, draw(st.integers(1, 5)), draw(st.integers(-(2**63), 2**63 - 1))
+
+
+class TestBatchedBufferDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(_batched_plans(), st.sampled_from(["buffer-pos", "buffer-neg"]), st.integers(0, 99))
+    def test_equal_substream_and_reference_buffer(self, plan, side, r):
+        size, count, n_clients, seed = plan
+        streams = [(side, i, r) for i in range(n_clients)]
+        got = [buffer_draw(g, size, count) for g in substreams(seed, streams)]
+        for (drawn, wraps), tags in zip(got, streams):
+            want, want_wraps = buffer_draw(substream(seed, *tags), size, count)
+            np.testing.assert_array_equal(drawn, want)
+            assert wraps == want_wraps == math.ceil(count / size) - 1
+            ref = Buffer()
+            ref.refill(_records(0, size), substream(seed, *tags))
+            np.testing.assert_array_equal(ref.draw(count), drawn)
+            assert ref.wraps == wraps
+            # The positions own their memory: no whole lap is kept alive.
+            assert drawn.base is None and drawn.nbytes == count * drawn.itemsize
 
 
 def _fed_uploads(n_clients, d, K, B1, B2, nonlinear, rng):

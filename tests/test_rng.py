@@ -1,12 +1,14 @@
 """The batched minibatch draw against numpy's ``Generator.choice``."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcpr import rng
-from fedcpr.rng import choices, derive_key, substream
+from fedcpr.rng import choices, derive_key, substream, substreams
 
 
 def _one_by_one(seed, streams, specs):
@@ -18,6 +20,12 @@ def _one_by_one(seed, streams, specs):
         for col, (pop, size) in zip(out, specs):
             col.append(g.choice(pop, size, replace=False))
     return out
+
+
+def _start(keys):
+    """The batched PCG64 start of integer keys, as ``PCG64(key)`` seeds them."""
+    entropy = b"".join(k.to_bytes(16, "little") for k in keys)
+    return rng._start(np.frombuffer(entropy, "<u4").reshape(len(keys), 4))
 
 
 def _assert_same(seed, streams, specs):
@@ -62,13 +70,14 @@ def test_lemire_rejections_and_running_out_of_words(monkeypatch):
     # Generator.integers with dtype uint32 reads the same Lemire draws.
     j = 3 * 2**30 - 1
     keys = [derive_key(5, "reject", i) for i in range(200)]
-    first = rng._words(keys, 2)[:, 0]
+    start = _start(keys)
+    first = rng._words(start, 2)[:, 0]
     rejected = ((first * np.uint64(j + 1)) & np.uint64(0xFFFFFFFF)) < (2**32 - 1 - j) % (j + 1)
     assert 20 < rejected.sum() < 80
     counts = []
     words = rng._words
-    monkeypatch.setattr(rng, "_words", lambda ks, n: counts.append(n) or words(ks, n))
-    got = rng._bounded(keys, np.full(12, j, dtype=np.uint64))
+    monkeypatch.setattr(rng, "_words", lambda st, n: counts.append(n) or words(st, n))
+    got = rng._bounded(start, np.full(12, j, dtype=np.uint64))
     assert len(counts) > 1
     for row, key in zip(got, keys):
         g = np.random.Generator(np.random.PCG64(key))
@@ -91,7 +100,7 @@ def test_route_boundaries(specs):
 def test_batched_seeding_equals_pcg64(key):
     raw = np.random.PCG64(key).random_raw(5)
     want = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=-1).reshape(-1)
-    got = rng._words([key, 3, key], 10)
+    got = rng._words(_start([key, 3, key]), 10)
     assert got.shape == (3, 10)
     assert np.array_equal(got[0], want) and np.array_equal(got[2], want)
 
@@ -129,3 +138,44 @@ def test_golden_draws(seed, tags, specs, want):
 def test_size_above_population_rejected():
     with pytest.raises(ValueError, match="cannot draw 5 of 4"):
         choices(0, [("x",)], [(4, 5)])
+
+
+@pytest.mark.parametrize("specs", [[(4, 4)], [(40, 4)], [(4, 4), (0, 0)]])
+def test_no_streams(specs):
+    # (4, 4) takes the batched route, (40, 4) the per-stream one.
+    for (pop, size), got in zip(specs, choices(0, [], specs)):
+        assert got.shape == (0, size) and got.dtype == np.int64
+
+
+_tags = st.lists(st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from(["", "step", "buffer-pos", "é", "ключ", "\x00", "🙂"]),
+    st.text(max_size=6),
+), max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-(2**63), 2**63 - 1), streams=st.lists(_tags, min_size=1, max_size=5))
+def test_batched_seeding_equals_substream(seed, streams):
+    start = rng._start(rng._keys(seed, streams))
+    words = rng._words(start, 6)
+    for s, (g, tags) in enumerate(zip(substreams(seed, streams), streams)):
+        want = substream(seed, *tags).bit_generator
+        state = want.state["state"]
+        assert g.bit_generator.state == want.state
+        assert int(start[0, s]) << 64 | int(start[1, s]) == state["state"]
+        assert int(start[2, s]) << 64 | int(start[3, s]) == state["inc"]
+        raw = want.random_raw(3)
+        low, high = raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)
+        assert np.array_equal(words[s], np.stack([low, high], axis=-1).reshape(-1))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, np.int64(3)])
+def test_bad_tags_rejected_like_derive_key(bad):
+    with pytest.raises(TypeError) as err:
+        derive_key(0, "ok", bad)
+    msg = re.escape(str(err.value))
+    with pytest.raises(TypeError, match=msg):
+        substreams(0, [("ok", 1), ("ok", bad)])
+    with pytest.raises(TypeError, match=msg):
+        choices(0, [("ok", 1), ("ok", bad)], [(4, 4)])
