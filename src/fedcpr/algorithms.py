@@ -46,8 +46,12 @@ loop the same BLAS calls over the client axis, so every value is bit for bit
 what the clients would compute one after another.
 
 Every random draw comes from a named substream keyed by
-(seed, purpose, client, round, iteration), so any run is a pure function of
-(config, seed).
+(seed, purpose, client, round, iteration), so a run's trace is
+byte-identical for a given (config, seed) on one numeric profile: numpy's
+SIMD dispatch for exp and log, and the BLAS kernel for matmuls.
+``tests/golden/fingerprints.json`` pins the traces per profile; traces that
+are the same on every profile are left to the ROADMAP item on portable
+traces.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import ClientShard, FederatedDataset
 from .federation import (
@@ -72,6 +75,7 @@ from .losses import (
     OuterFnSpec,
     PairwiseLossSpec,
     exact_oracle,
+    expit,
     loss,
     loss_grads,
     outer_deriv,

@@ -22,6 +22,8 @@ is, although exp(m^2/lambda) of a single pair may overflow.
 Losses:
 
 * ``psm_sigmoid``: 1 / (1 + exp(a - b)).  Symmetric: loss(a,b) + loss(b,a) = 1.
+  It is ``expit(b - a)``, with :func:`expit` the logistic sigmoid defined
+  here (local_sgd's update uses it too).
 * ``kl_opauc``: exp(((b + 1 - a)_+)^2 / lambda), paired with the ``kl_log``
   outer f(s) = lambda * log(s) for partial-AUC surrogate optimization.
   Values are always >= 1.
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .model import ScorerSpec, score_grad_many, score_many
 
@@ -72,6 +73,16 @@ class OuterFnSpec:
 
 
 IDENTITY_OUTER = OuterFnSpec("identity")
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise.
+
+    Below about -709.78, exp(-x) overflows to inf and the result saturates
+    to exactly 0.0 without a warning; +inf gives 1.0 and NaN stays NaN.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _value_and_slope(spec: PairwiseLossSpec, a, b, slope: bool):

@@ -49,6 +49,9 @@ import hashlib
 from typing import Iterator
 
 import numpy as np
+# numpy 2.x imports numpy.random on first use; import it with the package,
+# so that a run's first draw does not pay for it.
+import numpy.random  # noqa: F401
 
 Tag = int | str
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from fedcpr import algorithms
 from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
@@ -31,7 +30,7 @@ from fedcpr.federation import (
     RoundUpload,
     server_aggregate,
 )
-from fedcpr.losses import PairwiseLossSpec, loss, loss_grads, outer_deriv
+from fedcpr.losses import PairwiseLossSpec, expit, loss, loss_grads, outer_deriv
 from fedcpr.model import ScorerSpec, init_params, score_grad_many, score_many
 from fedcpr.rng import substream
 
