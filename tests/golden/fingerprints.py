@@ -27,11 +27,12 @@ import json
 import platform
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from fedcpr.harness import parse_config, run
+from fedcpr.harness import RunConfig, parse_config, parse_config_file, run
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).with_name("fingerprints.json")
@@ -45,22 +46,9 @@ _spec.loader.exec_module(workloads)
 SHORT_R = 2
 WORKLOAD_SEED = 1
 
-_KL_OPAUC = {"loss.kind": "kl_opauc", "loss.lambda": 2.0,
-             "outer.kind": "kl_log", "outer.lambda": 2.0}
 
-
-def _preset(path: Path) -> dict:
-    keys = {}
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            key, _, value = line.partition("=")
-            keys[key.strip()] = value.strip()
-    return keys
-
-
-def configs() -> dict[str, dict]:
-    """name -> config keys, every config short enough for Tier-1."""
+def configs() -> dict[str, RunConfig]:
+    """name -> config, every one short enough for Tier-1."""
     short = {"hyper.R": SHORT_R}
     out = {
         "fedx1": {"algorithm": "fedx1", **short},
@@ -80,21 +68,24 @@ def configs() -> dict[str, dict]:
                     "data.n_neg_per_client": 20, "data.input_dim": 4, "data.seed": 31,
                     "hyper.eta": 0.01, "hyper.K": 6, "hyper.R": 3, "hyper.B1": 4,
                     "hyper.B2": 1, "hyper.seed": 8},
-        "wrap-n2": {"algorithm": "fedx2", **_KL_OPAUC, "scorer.kind": "mlp1",
+        "wrap-n2": {"algorithm": "fedx2", "loss.kind": "kl_opauc", "loss.lambda": 2.0,
+                    "outer.kind": "kl_log", "outer.lambda": 2.0, "scorer.kind": "mlp1",
                     "scorer.hidden_dim": 2, "data.n_clients": 2, "data.n_pos_per_client": 4,
                     "data.n_neg_per_client": 20, "data.input_dim": 4, "data.seed": 31,
                     "hyper.eta": 0.01, "hyper.K": 6, "hyper.R": 3, "hyper.B1": 1,
                     "hyper.B2": 9, "hyper.seed": 9},
-        "preset": {**_preset(ROOT / "presets" / "full-protocol.cfg"), **short},
     }
+    out = {name: parse_config(workloads.config_text(keys)) for name, keys in out.items()}
+    preset = parse_config_file(ROOT / "presets" / "full-protocol.cfg")
+    out["preset"] = replace(preset, hyper=replace(preset.hyper, R=SHORT_R))
     for name in workloads.WORKLOADS:
-        out[name] = {**workloads.config(name, WORKLOAD_SEED), **short}
+        keys = {**workloads.config(name, WORKLOAD_SEED), **short}
+        out[name] = parse_config(workloads.config_text(keys))
     return out
 
 
-def fingerprint(keys: dict) -> str:
+def fingerprint(config: RunConfig) -> str:
     """SHA-256 of one run's round CSV, iteration CSV and final model."""
-    config = parse_config(workloads.config_text(keys))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "trace.csv"
         trace = run(config, out=out, iteration_trace=True, quiet=True)
@@ -143,15 +134,11 @@ def profile() -> str:
             f"SIMD dispatch: {simd or 'none'}, BLAS: {blas}")
 
 
-def load() -> dict:
-    return json.loads(GOLDEN.read_text())
-
-
 def main() -> int:
     golden = {
         "profile": profile(),
         "canary": canary(),
-        "configs": {name: fingerprint(keys) for name, keys in configs().items()},
+        "configs": {name: fingerprint(config) for name, config in configs().items()},
     }
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {len(golden['configs'])} fingerprints to {GOLDEN}")

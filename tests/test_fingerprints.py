@@ -6,10 +6,12 @@ canary of ``np.exp``, ``np.log`` and ``@`` differs, the traces may too, so
 the comparisons skip and name the operations that differ.
 """
 
+import json
+
 import pytest
 from golden import fingerprints
 
-GOLDEN = fingerprints.load()
+GOLDEN = json.loads(fingerprints.GOLDEN.read_text())
 CONFIGS = fingerprints.configs()
 
 
