@@ -41,7 +41,7 @@ stream in turn, and gathers the features and lazy records into
 (K, G, ...) arrays; then each local step k is one stacked call of the
 program's ``local_step`` per group, the estimators being functions over the
 client axis. Fresh scores and u-values go into per-round (K, G, B) arrays,
-and each client's upload builds its :class:`Records` once. Stacked matmuls
+the record blocks of the round's one upload table. Stacked matmuls
 loop the same BLAS calls over the client axis, so every value is bit for bit
 what the clients would compute one after another.
 
@@ -240,19 +240,12 @@ class RoundRecord:
 
 
 @dataclass
-class IterationRecord:
-    client: int
-    round: int
-    iteration: int
-    loss_estimate: float
-    step_size: float
-
-
-@dataclass
 class RunTrace:
     settings: RunSettings
     rounds: list[RoundRecord] = field(default_factory=list)
-    iterations: list[IterationRecord] = field(default_factory=list)
+    # With the iteration trace, round r's (K, N) estimates and K step sizes.
+    loss_estimates: list[np.ndarray] = field(default_factory=list)
+    step_sizes: list[np.ndarray] = field(default_factory=list)
     final_model: np.ndarray | None = None
 
     def final_round(self) -> RoundRecord:
@@ -314,16 +307,13 @@ def fedx2_estimate(
     return _pair_gradient(s.scorer, w, x1, x2, w1, w2)
 
 
-def _round_records(client: int, values: np.ndarray, sample_ids: np.ndarray) -> Records:
-    """One client's records of a round from its (K, n) values and sample
-    ids: row k*n + m is entry m of iteration k."""
-    K, n = values.shape
-    return Records(
-        values.reshape(-1),
-        np.full(K * n, client, dtype=np.int32),
-        np.repeat(np.arange(K, dtype=np.int32), n),
-        sample_ids.reshape(-1),
-    )
+def _group_columns(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray) -> tuple:
+    """A group's record columns of a round from its (K, G, n) values and
+    sample ids, client by client: row (j*K + k)*n + m is entry m of the
+    j-th client's iteration k."""
+    K, G, n = values.shape
+    return (values.transpose(1, 0, 2).reshape(-1), np.repeat(grp.index, K * n),
+            np.tile(np.repeat(np.arange(K), n), G), sample_ids.transpose(1, 0, 2).reshape(-1))
 
 
 _NO_RECORDS = Records.concat([])
@@ -432,7 +422,7 @@ class PairwiseProgram:
         streams = [(purpose, i, *tags, k) for k in range(K) for i in grp.clients]
         return [d.reshape(K, G, d.shape[1]) for d in choices(self.settings.seed, streams, specs)]
 
-    def bootstrap_uploads(self) -> list[RoundUpload]:
+    def bootstrap_uploads(self) -> RoundUpload:
         """Round 0: models (and zero momenta) with, for the lazy programs,
         K batches per side scored at the initial model."""
         s = self.settings
@@ -499,8 +489,6 @@ class PairwiseProgram:
             "h2": (np.empty(zh2.shape), grp.neg_ids[grp.rows, zh2]),
         }
         if self.nonlinear:
-            if len(download.r1) != len(download.p or ()):
-                raise ValueError("positive-side scores and u-records must align")
             # One set of positions serves both blocks, so every drawn
             # (score, u) pair shares provenance.
             grp.lazy_u = download.p.value[grp.pos_at]
@@ -562,32 +550,36 @@ class PairwiseProgram:
                     bad[grp.index[rows]] = q
         return est, bad
 
-    def models(self) -> np.ndarray:
-        """The client models, (N, d) in client order."""
+    def _stacked(self, name: str) -> np.ndarray | None:
+        """Every client's ``model`` or ``momentum``, (N, d) in client order."""
+        if getattr(self.groups[0], name) is None:
+            return None
         out = np.empty((self.n_clients, self.groups[0].model.shape[1]))
         for grp in self.groups:
-            out[grp.index] = grp.model
+            out[grp.index] = getattr(grp, name)
         return out
 
-    def uploads(self) -> list[RoundUpload]:
-        """Every client's upload, in client order; each block of records is
-        built once from the round's arrays."""
-        ups: list[RoundUpload | None] = [None] * self.n_clients
-        for grp in self.groups:
-            for j, i in enumerate(grp.clients):
-                rec = {
-                    name: _round_records(i, values[:, j], ids[:, j])
-                    for name, (values, ids) in grp.emitted.items()
-                }
-                ups[i] = RoundUpload(
-                    client=i,
-                    model=grp.model[j].copy(),
-                    h1=rec.get("h1", _NO_RECORDS),
-                    h2=rec.get("h2", _NO_RECORDS),
-                    momentum=None if grp.momentum is None else grp.momentum[j].copy(),
-                    u=rec.get("u"),
-                )
-        return ups
+    def models(self) -> np.ndarray:
+        """The client models, (N, d) in client order."""
+        return self._stacked("model")
+
+    def _records(self, name: str) -> Records | None:
+        """Every client's ``name`` records of the round in client order."""
+        parts = [_group_columns(grp, *grp.emitted[name]) for grp in self.groups
+                 if name in grp.emitted]
+        if not parts:
+            return None
+        cols = [np.concatenate(col) for col in zip(*parts)]
+        if len(parts) > 1:  # ragged shards: the groups' clients interleave
+            order = np.argsort(cols[1], kind="stable")
+            cols = [col[order] for col in cols]
+        return Records(*cols)
+
+    def uploads(self) -> RoundUpload:
+        """The round's upload table, built from the groups' arrays."""
+        h1, h2, u = (self._records(name) for name in ("h1", "h2", "u"))
+        return RoundUpload(self._stacked("model"), h1 or _NO_RECORDS, h2 or _NO_RECORDS,
+                           self._stacked("momentum"), u)
 
 
 class LocalSGDProgram(PairwiseProgram):
@@ -725,11 +717,12 @@ def simulate(
     """Run one of :data:`ALGORITHMS`: the bootstrap exchange, then ``hyper.R``
     rounds of ``hyper.K`` local steps per client.
 
-    ``trace_sink`` (``on_round``/``on_iteration``) sees each record as it is
-    made. The exact oracle and the held-out metrics are taken at rounds 0
-    and R and every ``oracle_every``/``eval_every`` rounds (0 = never
-    between). Raises ValueError for an unknown algorithm or one that does
-    not run with ``outer`` (see :data:`REQUIRED_OUTER`), and
+    ``trace_sink`` sees each round's record (``on_round``), after that
+    round's (K, N) loss estimates and K step sizes (``on_iteration``) with
+    ``iteration_trace``. The exact oracle and the held-out metrics are taken
+    at rounds 0 and R and every ``oracle_every``/``eval_every`` rounds (0 =
+    never between). Raises ValueError for an unknown algorithm or one that
+    does not run with ``outer`` (see :data:`REQUIRED_OUTER`), and
     FloatingPointError at the first non-finite oracle value or quantity of
     a local step (:attr:`PairwiseProgram.WATCHED`).
     """
@@ -739,8 +732,8 @@ def simulate(
     evaluator = _Evaluator(dataset, settings, pauc_fprs)
     trace = RunTrace(settings=settings)
 
-    def emit_round(idx, t_start, download, uploads, wraps):
-        up_floats, down_floats = comm_cost(uploads[0], download)
+    def emit_round(idx, t_start, download, table, wraps):
+        up_floats, down_floats = comm_cost(table, download, 0)
         objective = grad_sq = auc_val = pauc_val = None
         if _due(idx, hyper.R, oracle_every):
             objective, grad_sq = evaluator.oracle(download.model, idx)
@@ -762,9 +755,9 @@ def simulate(
             trace_sink.on_round(rec)
 
     t_start = time.perf_counter()
-    uploads = program.bootstrap_uploads()
-    download = server_aggregate(uploads)
-    emit_round(0, t_start, download, uploads, 0)
+    table = program.bootstrap_uploads()
+    download = server_aggregate(table)
+    emit_round(0, t_start, download, table, 0)
 
     n, K = program.n_clients, hyper.K
     for r in range(1, hyper.R + 1):
@@ -788,16 +781,14 @@ def simulate(
                 f"diverged: non-finite {program.WATCHED[what[i]]} on client {i} "
                 f"at round {r}, iteration {first_bad[i]}"
             )
-        uploads = program.uploads()
-        download = server_aggregate(uploads)
+        table = program.uploads()
+        download = server_aggregate(table)
         if iteration_trace:
-            for i in range(n):
-                for k, eta_k in enumerate(etas):
-                    rec = IterationRecord(i, r, k, float(estimates[k, i]), eta_k)
-                    trace.iterations.append(rec)
-                    if trace_sink is not None:
-                        trace_sink.on_iteration(rec)
-        emit_round(r, t_start, download, uploads, wraps)
+            trace.loss_estimates.append(estimates)
+            trace.step_sizes.append(np.array(etas))
+            if trace_sink is not None:
+                trace_sink.on_iteration(r, estimates, trace.step_sizes[-1])
+        emit_round(r, t_start, download, table, wraps)
 
     trace.final_model = download.model.copy()
     return trace

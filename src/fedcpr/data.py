@@ -243,9 +243,10 @@ def dump_dataset(dataset: FederatedDataset) -> str:
 
 def load_dataset(text: str) -> FederatedDataset:
     """Inverse of dump_dataset. Raises ValueError, naming the line, for a
-    line without 4 tab-separated fields, a group other than 0 or 1, a
-    client below -1, a repeated sample id, or a feature count unlike the
-    first row's."""
+    line without 4 tab-separated fields, a non-integer sample id, group or
+    client, a feature that is not a finite number, a group other than 0 or
+    1, a client below -1, a repeated sample id, or a feature count unlike
+    the first row's."""
     by_bucket: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
     seen: set[int] = set()
     width = max_client = -1
@@ -255,8 +256,13 @@ def load_dataset(text: str) -> FederatedDataset:
         fields = line.split("\t")
         if len(fields) != 4:
             raise ValueError(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        sid, group, client = (int(v) for v in fields[:3])
-        feats = np.array([float(v) for v in fields[3].split(",")], dtype=float)
+        try:
+            sid, group, client = (int(v) for v in fields[:3])
+            feats = np.array([float(v) for v in fields[3].split(",")])
+        except ValueError as exc:  # names the text at fault
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not np.isfinite(feats).all():
+            raise ValueError(f"line {lineno}: features must be finite, got {fields[3]!r}")
         width = len(feats) if width < 0 else width
         if group not in (POSITIVE, NEGATIVE):
             raise ValueError(f"line {lineno}: bad group value: {group}")

@@ -3,11 +3,11 @@ aggregation, and message accounting.
 
 One round = every client uploads (model, this round's score records, and
 for the nonlinear-f algorithm its momentum and u-records), the server
-averages the models (and momenta) and concatenates the record blocks in
-client-index order, and the aggregate is broadcast back. The round engine
-in :mod:`fedcpr.algorithms` drives this: it builds all N uploads after every
-client's K local steps, then calls :func:`server_aggregate` once, so no
-client sees round r+1 state before every round-r upload is in.
+averages the models (and momenta) and passes the record blocks on, and the
+aggregate is broadcast back. The round engine in :mod:`fedcpr.algorithms`
+builds one :class:`RoundUpload` table of all N uploads after every client's
+K local steps, then calls :func:`server_aggregate` once, so no client sees
+round r+1 state before every round-r upload is in.
 
 Every record set is one :class:`Records` block of equal-length numpy
 columns. Clients read a received block at the positions
@@ -70,12 +70,14 @@ class Records:
 
 @dataclass(frozen=True)
 class RoundUpload:
-    client: int
-    model: np.ndarray
+    """All N uploads of a round: row i of ``models`` (and ``momenta``) is
+    client i's; each record block holds every client's rows in client order."""
+
+    models: np.ndarray  # (N, d)
     h1: Records  # positive-side scores produced this round
     h2: Records  # negative-side scores produced this round
-    momentum: np.ndarray | None = None  # nonlinear-f algorithms only
-    u: Records | None = None  # nonlinear-f algorithms only
+    momenta: np.ndarray | None = None  # (N, d), nonlinear-f algorithms only
+    u: Records | None = None  # nonlinear-f algorithms only, row-aligned with h1
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class RoundDownload:
 
 
 def tree_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean with deterministic pairwise-tree summation in list order."""
+    """Mean with deterministic pairwise-tree summation in list (row) order."""
 
     def tree_sum(lo: int, hi: int) -> np.ndarray:
         if hi - lo == 1:
@@ -99,36 +101,31 @@ def tree_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return tree_sum(0, len(vectors)) / len(vectors)
 
 
-def server_aggregate(uploads: Sequence[RoundUpload]) -> RoundDownload:
-    """Average models (and momenta), concatenate record blocks in client order.
+def server_aggregate(table: RoundUpload) -> RoundDownload:
+    """Average the models (and momenta); the record blocks pass through.
 
-    Arrival order does not matter: uploads are sorted by client index before
-    reducing. Client indices must be exactly 0..N-1.
+    Raises :class:`ProtocolError` for a table without clients, a record
+    block out of client order or naming a client outside 0..N-1, or
+    u-records that are not row-aligned with the positive-side scores.
     """
-    if not uploads:
+    n = len(table.models)
+    if not n:
         raise ProtocolError("no uploads to aggregate")
-    ordered = sorted(uploads, key=lambda u: u.client)
-    if [u.client for u in ordered] != list(range(len(ordered))):
-        raise ProtocolError(
-            f"expected client indices 0..{len(ordered) - 1}, "
-            f"got {[u.client for u in ordered]}"
-        )
-    dim = ordered[0].model.size
-    if any(u.model.size != dim for u in ordered):
-        raise ProtocolError("uploaded models have mismatched lengths")
-    with_momentum = [u.momentum is not None for u in ordered]
-    if any(with_momentum) and not all(with_momentum):
-        raise ProtocolError("momentum must be present on all uploads or none")
-    with_u = [u.u is not None for u in ordered]
-    if any(with_u) and not all(with_u):
-        raise ProtocolError("u-records must be present on all uploads or none")
-
+    for name, block in (("h1", table.h1), ("h2", table.h2), ("u", table.u)):
+        c = () if block is None else block.client
+        if len(c) and (c[0] < 0 or c[-1] >= n or (np.diff(c) < 0).any()):
+            raise ProtocolError(f"{name} records must be in client order, clients 0..{n - 1}")
+    if table.u is not None and not all(
+        np.array_equal(getattr(table.u, name), getattr(table.h1, name))
+        for name in ("client", "iteration", "sample_id")
+    ):
+        raise ProtocolError("u-records must be row-aligned with the positive-side scores")
     return RoundDownload(
-        model=tree_mean([u.model for u in ordered]),
-        r1=Records.concat([u.h1 for u in ordered]),
-        r2=Records.concat([u.h2 for u in ordered]),
-        momentum=tree_mean([u.momentum for u in ordered]) if all(with_momentum) else None,
-        p=Records.concat([u.u for u in ordered]) if all(with_u) else None,
+        model=tree_mean(table.models),
+        r1=table.h1,
+        r2=table.h2,
+        momentum=None if table.momenta is None else tree_mean(table.momenta),
+        p=table.u,
     )
 
 
@@ -155,23 +152,27 @@ def buffer_draw(
     return out, (count - 1) // size
 
 
-def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:
-    """(uplink_floats, downlink_floats): every real number in the messages.
+def _record_rows(upload: RoundUpload, download: RoundDownload, client: int) -> tuple[int, int]:
+    """Records of ``client`` in the upload table, and records downloaded."""
+    mine = sum(int(np.count_nonzero(block.client == client))
+               for block in (upload.h1, upload.h2, upload.u) if block is not None)
+    return mine, len(download.r1) + len(download.r2) + len(download.p or ())
+
+
+def comm_cost(upload: RoundUpload, download: RoundDownload, client: int) -> tuple[int, int]:
+    """(uplink_floats, downlink_floats) of one client: every real number in
+    its rows of the upload table and in the download.
 
     Provenance integers are excluded; see :func:`comm_cost_ints`.
     """
-    up = upload.model.size + len(upload.h1) + len(upload.h2) + len(upload.u or ())
-    if upload.momentum is not None:
-        up += upload.momentum.size
-    down = download.model.size + len(download.r1) + len(download.r2) + len(download.p or ())
-    if download.momentum is not None:
-        down += download.momentum.size
-    return int(up), int(down)
-
-
-def comm_cost_ints(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:
-    """Provenance integers (client, iteration, sample_id per record),
-    counted separately from the float payload."""
-    up = 3 * (len(upload.h1) + len(upload.h2) + len(upload.u or ()))
-    down = 3 * (len(download.r1) + len(download.r2) + len(download.p or ()))
+    up, down = _record_rows(upload, download, client)
+    up += upload.models.shape[1] * (1 if upload.momenta is None else 2)
+    down += download.model.size * (1 if download.momentum is None else 2)
     return up, down
+
+
+def comm_cost_ints(upload: RoundUpload, download: RoundDownload, client: int) -> tuple[int, int]:
+    """Provenance integers (client, iteration, sample_id per record) of one
+    client's messages, counted separately from the float payload."""
+    up, down = _record_rows(upload, download, client)
+    return 3 * up, 3 * down

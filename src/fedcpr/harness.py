@@ -24,7 +24,6 @@ from pathlib import Path
 from .algorithms import (
     DEFAULT_PAUC_FPRS,
     HyperParams,
-    IterationRecord,
     RoundRecord,
     RunTrace,
     check_algorithm,
@@ -251,11 +250,13 @@ class CsvTraceSink:
             # The round's iteration rows came before it: one flush per round.
             self._iter_fh.flush()
 
-    def on_iteration(self, rec: IterationRecord) -> None:
-        if self._iter_fh is None:
-            return
-        row = [rec.client, rec.round, rec.iteration, rec.loss_estimate, rec.step_size]
-        self._iter_fh.write(",".join(_fmt(v) for v in row) + "\n")
+    def on_iteration(self, round_idx: int, estimates, step_sizes) -> None:
+        """A round's rows, client by client, from its (K, N) loss estimates."""
+        if self._iter_fh is not None:
+            etas = [_fmt(float(eta)) for eta in step_sizes]
+            self._iter_fh.write("".join(
+                f"{i},{round_idx},{k},{_fmt(v)},{etas[k]}\n"
+                for i, row in enumerate(estimates.T.tolist()) for k, v in enumerate(row)))
 
     def close(self) -> None:
         self._fh.close()

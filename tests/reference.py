@@ -3,13 +3,17 @@
 * Scalar scoring (``score``, ``score_grad``) and one inner mean
   (``exact_inner``, ``exact_inner_all``), written per sample.
 * ``records_of``: the records of one client at one iteration.
+* ``ragged_dataset``: a dataset of given shard shapes, written by hand in
+  the export format.
 * ``Buffer``: a stateful shuffled queue of positions into a received
   block, drawn step by step; :func:`fedcpr.federation.buffer_draw` must
   give the same positions and wraps in one call.
 * The per-client round: each client keeps its own state and takes its K
-  local steps one after another, building its records step by step, as
-  the simulator did before the stacked round engine. :func:`reference_rounds`
-  runs it; the engine must match it bit for bit.
+  local steps one after another, building its records step by step and
+  its own :class:`ClientUpload`, as the simulator did before the stacked
+  round engine. :func:`stack_uploads` makes the round's upload table of
+  them; :func:`reference_rounds` runs it; the engine must match it bit for
+  bit.
 * ``one_client_fedx1``/``one_client_fedx2``: the package's stacked
   estimators called on one client's state, a stack of G = 1.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from fedcpr import algorithms
 from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
-from fedcpr.data import ClientShard, FederatedDataset
+from fedcpr.data import ClientShard, FederatedDataset, load_dataset
 from fedcpr.federation import (
     ProtocolError,
     Records,
@@ -102,6 +106,21 @@ def records_of(value, client: int, iteration: int, sample_id) -> Records:
     return Records(value, np.full(n, client), np.full(n, iteration), sample_id)
 
 
+def ragged_dataset(shapes, seed: int) -> FederatedDataset:
+    """One (client, n_pos, n_neg) per entry of ``shapes``, client -1 for the
+    evaluation rows, written in the export format: 4 standard normal
+    features, shifted by +0.7 on positives and -0.7 on negatives."""
+    rng = np.random.default_rng(seed)
+    lines, sid = [], 0
+    for client, n_pos, n_neg in shapes:
+        for group, count, shift in ((0, n_pos, 0.7), (1, n_neg, -0.7)):
+            for _ in range(count):
+                feats = ",".join(repr(float(v)) for v in rng.standard_normal(4) + shift)
+                lines.append(f"{sid}\t{group}\t{client}\t{feats}")
+                sid += 1
+    return load_dataset("\n".join(lines) + "\n")
+
+
 class Buffer:
     """Shuffled queue of positions into a received record block, drawn
     sequentially without replacement. If a draw exhausts the buffer
@@ -141,6 +160,30 @@ class Buffer:
 
 
 # ------------------------------------------------------ the per-client round
+
+@dataclass(frozen=True)
+class ClientUpload:
+    """One client's upload of a round."""
+
+    model: np.ndarray
+    h1: Records
+    h2: Records
+    momentum: np.ndarray | None
+    u: Records | None
+
+
+def stack_uploads(uploads: list[ClientUpload]) -> RoundUpload:
+    """The round's upload table of every client's upload, in client order."""
+
+    def stacked(name):
+        parts = [getattr(up, name) for up in uploads]
+        if parts[0] is None:
+            return None
+        return Records.concat(parts) if isinstance(parts[0], Records) else np.stack(parts)
+
+    return RoundUpload(models=stacked("model"), h1=stacked("h1"), h2=stacked("h2"),
+                       momenta=stacked("momentum"), u=stacked("u"))
+
 
 @dataclass
 class ClientState:
@@ -232,7 +275,7 @@ class ReferenceProgram:
             states.append(st)
         return states
 
-    def bootstrap_upload(self, st: ClientState) -> RoundUpload:
+    def bootstrap_upload(self, st: ClientState) -> ClientUpload:
         s = self.settings
         if self.shares_histories:
             for k in range(s.hyper.K):
@@ -249,9 +292,8 @@ class ReferenceProgram:
                     st.out_u.append(records_of(loss(s.loss, a, partner), st.index, k, ids1))
         return self.build_upload(st)
 
-    def build_upload(self, st: ClientState) -> RoundUpload:
-        up = RoundUpload(
-            client=st.index,
+    def build_upload(self, st: ClientState) -> ClientUpload:
+        up = ClientUpload(
             model=st.model.copy(),
             h1=Records.concat(st.out_h1),
             h2=Records.concat(st.out_h2),
@@ -383,7 +425,7 @@ def one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u) -> np.ndarray:
 
 @dataclass
 class ReferenceRound:
-    uploads: list[RoundUpload]
+    table: RoundUpload
     download: RoundDownload
     estimates: np.ndarray  # (K, N)
     wraps: int
@@ -407,8 +449,8 @@ def reference_rounds(
     def wraps() -> int:
         return sum(b.wraps for st in states for b in (st.pos_buffer, st.neg_buffer) if b)
 
-    uploads = [program.bootstrap_upload(st) for st in states]
-    rounds = [ReferenceRound(uploads, server_aggregate(uploads), np.empty((0, len(states))), 0)]
+    table = stack_uploads([program.bootstrap_upload(st) for st in states])
+    rounds = [ReferenceRound(table, server_aggregate(table), np.empty((0, len(states))), 0)]
     for r in range(1, hyper.R + 1):
         before = wraps()
         estimates = np.empty((hyper.K, len(states)))
@@ -425,5 +467,6 @@ def reference_rounds(
                                                  f"at round {r}, iteration {k}")
                 estimates[k, st.index] = est
             uploads.append(program.build_upload(st))
-        rounds.append(ReferenceRound(uploads, server_aggregate(uploads), estimates, wraps() - before))
+        table = stack_uploads(uploads)
+        rounds.append(ReferenceRound(table, server_aggregate(table), estimates, wraps() - before))
     return rounds

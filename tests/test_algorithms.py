@@ -82,8 +82,8 @@ class TestFedX1Estimate:
         np.testing.assert_allclose(g, [-3.0, -13.6], rtol=1e-15)
 
     def test_appends_fresh_scores_with_provenance(self):
-        # A frozen-model round on one client: the upload carries each step's
-        # fresh scores with (client, iteration, sample id) provenance.
+        # A frozen-model round on one client: the upload table carries each
+        # step's fresh scores with (client, iteration, sample id) provenance.
         shard = _shard2()
         ds = FederatedDataset((shard,), shard.pos_ids, shard.pos_X, shard.neg_ids, shard.neg_X)
         hyper = HyperParams(eta=0.0, K=4, R=1, B1=1, B2=1, seed=3)
@@ -91,7 +91,7 @@ class TestFedX1Estimate:
         program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
         for k in range(hyper.K):
             program.step(k, hyper.eta)
-        up = program.uploads()[0]
+        up = program.uploads()
         w = program.models()[0]
         for k in range(hyper.K):
             g = substream(3, "step", 0, 1, k)
@@ -315,7 +315,8 @@ class TestFedX2Run:
         program.step(0, hyper.eta)
         changed = np.flatnonzero(before[0] != table.values[0])
         assert len(changed) == hyper.B1
-        assert np.count_nonzero(program.uploads()[0].u.iteration == 0) == hyper.B1
+        u = program.uploads().u
+        assert np.count_nonzero((u.client == 0) & (u.iteration == 0)) == hyper.B1
 
     def test_emitted_u_values_never_zero(self):
         # Never-updated entries emit the full-replacement fallback, of which
@@ -329,10 +330,9 @@ class TestFedX2Run:
             program.begin_round(download, r)
             for k in range(hyper.K):
                 program.step(k, hyper.eta)
-            uploads = program.uploads()
-            emitted = [up.u for up in uploads]
-            download = server_aggregate(uploads)
-            assert all(block.value.min() > 0 for block in emitted)
+            table = program.uploads()
+            download = server_aggregate(table)
+            assert table.u.value.min() > 0
 
     def test_paired_lazy_draws_share_provenance(self):
         ds = _dataset(n_clients=2, n_pos=4, n_neg=4)

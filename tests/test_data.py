@@ -1,5 +1,7 @@
 """Data generation, partitioning, heterogeneity, flipping, and export."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,30 @@ _MALFORMED = {
     "three fields": (
         lambda lines: lines[:3] + ["\t".join(lines[3].split("\t")[:3])] + lines[4:],
         4, "expected 4 tab-separated fields, got 3"),
+    "sample id not an integer": (
+        lambda lines: lines[:1] + [_edit_field(lines[1], 0, lambda _: "x")] + lines[2:],
+        2, re.escape("invalid literal for int() with base 10: 'x'")),
+    "group not an integer": (
+        lambda lines: lines[:2] + [_edit_field(lines[2], 1, lambda _: "1.0")] + lines[3:],
+        3, re.escape("invalid literal for int() with base 10: '1.0'")),
+    "client not an integer": (
+        lambda lines: lines[:4] + [_edit_field(lines[4], 2, lambda _: "one")] + lines[5:],
+        5, re.escape("invalid literal for int() with base 10: 'one'")),
+    "feature not a number": (
+        lambda lines: lines[:1] + [_edit_field(lines[1], 3, lambda f: "abc," + f.split(",", 1)[1])]
+        + lines[2:],
+        2, "could not convert string to float: 'abc'"),
+    "empty feature": (
+        lambda lines: lines[:2] + [_edit_field(lines[2], 3, lambda f: f + ",")] + lines[3:],
+        3, "could not convert string to float: ''"),
+    "NaN feature": (
+        lambda lines: lines[:3] + [_edit_field(lines[3], 3, lambda f: "nan," + f.split(",", 1)[1])]
+        + lines[4:],
+        4, "features must be finite, got 'nan,"),
+    "infinite feature": (
+        lambda lines: lines[:5] + [_edit_field(lines[5], 3, lambda f: _drop_feature(f) + ",-inf")]
+        + lines[6:],
+        6, "features must be finite, got '.*,-inf'"),
 }
 
 

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from reference import reference_rounds
+from reference import ragged_dataset, reference_rounds
 
 from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings, simulate
-from fedcpr.data import DataConfig, build_dataset, load_dataset
+from fedcpr.data import DataConfig, build_dataset
 from fedcpr.federation import server_aggregate
 from fedcpr.losses import IDENTITY_OUTER, OuterFnSpec, PairwiseLossSpec
 from fedcpr.model import ScorerSpec
@@ -31,16 +31,7 @@ VARIANTS = {
 def _ragged_dataset():
     """Four clients with unequal (positive, negative) counts, written by
     hand in the export format: clients 0 and 2 share a shape."""
-    rng = np.random.default_rng(123)
-    lines, sid = [], 0
-    clients = [(0, 3, 7), (1, 5, 9), (2, 3, 7), (3, 2, 4), (-1, 12, 30)]
-    for client, n_pos, n_neg in clients:
-        for group, count, shift in ((0, n_pos, 0.7), (1, n_neg, -0.7)):
-            for _ in range(count):
-                feats = ",".join(repr(float(v)) for v in rng.standard_normal(4) + shift)
-                lines.append(f"{sid}\t{group}\t{client}\t{feats}")
-                sid += 1
-    return load_dataset("\n".join(lines) + "\n")
+    return ragged_dataset([(0, 3, 7), (1, 5, 9), (2, 3, 7), (3, 2, 4), (-1, 12, 30)], 123)
 
 
 def _equal_dataset(n_clients=3, n_pos=5, n_neg=9):
@@ -68,16 +59,17 @@ CASES = {
 
 
 def _engine_rounds(algorithm, dataset, scorer, loss_spec, outer, hyper):
-    """The engine's uploads, aggregates, estimates and wraps, round by round."""
+    """The engine's upload tables, aggregates, estimates and wraps, round by
+    round."""
     program = PROGRAMS[algorithm](RunSettings(algorithm, scorer, loss_spec, outer, hyper), dataset)
-    uploads = program.bootstrap_uploads()
-    rounds = [(uploads, server_aggregate(uploads), np.empty((0, program.n_clients)), 0)]
+    table = program.bootstrap_uploads()
+    rounds = [(table, server_aggregate(table), np.empty((0, program.n_clients)), 0)]
     for r in range(1, hyper.R + 1):
         wraps = program.begin_round(rounds[-1][1], r)
         est = np.array([program.step(k, hyper.eta_at((r - 1) * hyper.K + k))[0]
                         for k in range(hyper.K)])
-        uploads = program.uploads()
-        rounds.append((uploads, server_aggregate(uploads), est, wraps))
+        table = program.uploads()
+        rounds.append((table, server_aggregate(table), est, wraps))
     return rounds
 
 
@@ -88,10 +80,12 @@ def _columns(records):
             (records.value, records.client, records.iteration, records.sample_id)]
 
 
-def _upload_bytes(up):
-    return (up.client, up.model.tobytes(),
-            None if up.momentum is None else up.momentum.tobytes(),
-            _columns(up.h1), _columns(up.h2), _columns(up.u))
+def _table_bytes(table):
+    """Every column of an upload table; the ``client`` column of each record
+    block pins each client's rows."""
+    return (table.models.shape, table.models.tobytes(),
+            None if table.momenta is None else table.momenta.tobytes(),
+            _columns(table.h1), _columns(table.h2), _columns(table.u))
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -104,8 +98,8 @@ def test_engine_matches_per_client_reference(case, variant):
     got = _engine_rounds(algorithm, ds, scorer, loss_spec, outer, hyper)
     want = reference_rounds(algorithm, ds, scorer, loss_spec, outer, hyper)
     assert len(got) == len(want) == hyper.R + 1
-    for (uploads, download, est, wraps), ref in zip(got, want):
-        assert [_upload_bytes(u) for u in uploads] == [_upload_bytes(u) for u in ref.uploads]
+    for (table, download, est, wraps), ref in zip(got, want):
+        assert _table_bytes(table) == _table_bytes(ref.table)
         assert download.model.tobytes() == ref.download.model.tobytes()
         assert est.tobytes() == ref.estimates.tobytes()
         assert wraps == ref.wraps

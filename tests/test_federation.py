@@ -1,13 +1,14 @@
 """Aggregation, buffers, message accounting, and the round contract."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import Buffer, records_of
+from reference import Buffer, ClientUpload, ragged_dataset, records_of, stack_uploads
 
 from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings
 from fedcpr.data import DataConfig, build_dataset
@@ -21,7 +22,7 @@ from fedcpr.federation import (
     server_aggregate,
     tree_mean,
 )
-from fedcpr.losses import IDENTITY_OUTER, PairwiseLossSpec
+from fedcpr.losses import IDENTITY_OUTER, OuterFnSpec, PairwiseLossSpec
 from fedcpr.model import ScorerSpec
 from fedcpr.rng import substream, substreams
 
@@ -31,15 +32,33 @@ def _records(client, count, iteration=0):
     return records_of(client * 100.0 + ids, client, iteration, ids)
 
 
-def _upload(client, model, k=2, momentum=None, u=None):
+def _block(clients, k=1):
+    """k records of each client in ``clients``, in that order."""
+    return Records.concat([_records(c, k) for c in clients])
+
+
+def _table(models, k=2, momenta=None):
+    """An upload table of one client per model row, each with k records per
+    side."""
+    clients = range(len(models))
     return RoundUpload(
-        client=client,
-        model=np.asarray(model, dtype=float),
-        h1=_records(client, k),
-        h2=_records(client, k),
-        momentum=momentum,
-        u=u,
+        models=np.asarray(models, dtype=float),
+        h1=_block(clients, k),
+        h2=_block(clients, k),
+        momenta=None if momenta is None else np.asarray(momenta, dtype=float),
     )
+
+
+def _u_of(table):
+    """u-records row-aligned with the table's positive-side scores."""
+    h1 = table.h1
+    return Records(np.ones(len(h1)), h1.client, h1.iteration, h1.sample_id)
+
+
+def _take(block, rows):
+    """The block's rows at ``rows``, in that order."""
+    return Records(block.value[rows], block.client[rows], block.iteration[rows],
+                   block.sample_id[rows])
 
 
 def _rows(block, positions=None):
@@ -52,58 +71,62 @@ def _rows(block, positions=None):
 
 class TestServerAggregate:
     def test_single_client_passthrough(self):
-        down = server_aggregate([_upload(0, [1.0, 2.0])])
+        down = server_aggregate(_table([[1.0, 2.0]]))
         np.testing.assert_array_equal(down.model, [1.0, 2.0])
 
     def test_two_client_mean(self):
-        down = server_aggregate([_upload(0, [0.0, 0.0]), _upload(1, [2.0, 4.0])])
+        down = server_aggregate(_table([[0.0, 0.0], [2.0, 4.0]]))
         np.testing.assert_array_equal(down.model, [1.0, 2.0])
 
     def test_history_union_size(self):
         k = 5
-        down = server_aggregate([_upload(i, [0.0], k=k) for i in range(3)])
+        down = server_aggregate(_table([[0.0]] * 3, k=k))
         assert len(down.r1) == 3 * k
         assert len(down.r2) == 3 * k
 
-    def test_concatenation_in_client_index_order(self):
-        down = server_aggregate([_upload(1, [0.0]), _upload(0, [0.0])])
-        assert list(down.r1.client) == [0, 0, 1, 1]
-
-    def test_arrival_order_invariance(self):
-        uploads = [_upload(i, np.arange(4) * (i + 1)) for i in range(4)]
-        a = server_aggregate(uploads)
-        b = server_aggregate(list(reversed(uploads)))
-        np.testing.assert_array_equal(a.model, b.model)
-        assert _rows(a.r1) == _rows(b.r1)
-
     def test_momentum_mean_when_present(self):
-        ups = [
-            _upload(0, [0.0], momentum=np.array([1.0])),
-            _upload(1, [2.0], momentum=np.array([3.0])),
-        ]
-        down = server_aggregate(ups)
+        down = server_aggregate(_table([[0.0], [2.0]], momenta=[[1.0], [3.0]]))
         np.testing.assert_array_equal(down.momentum, [2.0])
 
+    def test_rejects_empty_table(self):
+        with pytest.raises(ProtocolError, match="no uploads"):
+            server_aggregate(RoundUpload(np.empty((0, 1)), _block([]), _block([])))
+
     def test_rejects_bad_client_indices(self):
-        with pytest.raises(ProtocolError):
-            server_aggregate([_upload(0, [0.0]), _upload(2, [0.0])])
-        with pytest.raises(ProtocolError):
-            server_aggregate([_upload(0, [0.0]), _upload(0, [0.0])])
+        # Records of a client the table has no model row for, or of a
+        # negative client, on either side.
+        for clients in ([0, 2], [-1, 0]):
+            for side in ("h1", "h2"):
+                table = replace(_table([[0.0], [0.0]], k=1), **{side: _block(clients)})
+                with pytest.raises(ProtocolError, match="client order, clients 0..1"):
+                    server_aggregate(table)
 
-    def test_rejects_mismatched_model_lengths(self):
-        with pytest.raises(ProtocolError):
-            server_aggregate([_upload(0, [0.0]), _upload(1, [0.0, 1.0])])
+    def test_rejects_records_out_of_client_order(self):
+        table = _table([[0.0], [0.0]], k=1)
+        for side in ("h1", "h2"):
+            with pytest.raises(ProtocolError, match=f"^{side} records must be in client order"):
+                server_aggregate(replace(table, **{side: _block([1, 0])}))
+        u = _take(_u_of(table), [1, 0])
+        with pytest.raises(ProtocolError, match="^u records must be in client order"):
+            server_aggregate(replace(table, u=u))
 
-    def test_rejects_partial_momentum(self):
-        with pytest.raises(ProtocolError):
-            server_aggregate(
-                [_upload(0, [0.0], momentum=np.array([1.0])), _upload(1, [0.0])]
-            )
+    def test_rejects_u_not_row_aligned_with_h1(self):
+        table = _table([[0.0], [0.0]], k=2)
+        u = _u_of(table)
+        shorter = _take(u, [0, 1, 2])
+        other_sample = Records(u.value, u.client, u.iteration, u.sample_id + 1)
+        other_iteration = Records(u.value, u.client, u.iteration + 1, u.sample_id)
+        for bad in (shorter, other_sample, other_iteration):
+            with pytest.raises(ProtocolError, match="row-aligned"):
+                server_aggregate(replace(table, u=bad))
+        assert server_aggregate(replace(table, u=u)).p is u
 
     def test_tree_mean_matches_plain_mean(self):
         rng = np.random.default_rng(0)
         vecs = [rng.standard_normal(5) for _ in range(7)]
         np.testing.assert_allclose(tree_mean(vecs), np.mean(vecs, axis=0), rtol=1e-12)
+        # The rows of a stacked array sum in the same order as the list.
+        assert tree_mean(np.stack(vecs)).tobytes() == tree_mean(vecs).tobytes()
 
 
 class TestBuffer:
@@ -151,24 +174,23 @@ class TestBuffer:
 class TestCommCost:
     def test_linear_algorithm_example(self):
         d, k = 10, 4
-        up = _upload(0, np.zeros(d), k=k)
-        down = server_aggregate([up, _upload(1, np.zeros(d), k=k)])
-        assert comm_cost(up, down) == (d + 2 * k, d + 2 * (2 * k))  # (18, 26)
+        table = _table(np.zeros((2, d)), k=k)
+        down = server_aggregate(table)
+        assert comm_cost(table, down, 0) == (d + 2 * k, d + 2 * (2 * k))  # (18, 26)
 
     def test_nonlinear_algorithm_example(self):
         d, k = 10, 4
-        u = records_of(np.ones(k), 0, 0, np.arange(k))
-        up = _upload(0, np.zeros(d), k=k, momentum=np.zeros(d), u=u)
-        up2 = _upload(1, np.zeros(d), k=k, momentum=np.zeros(d), u=u)
-        down = server_aggregate([up, up2])
-        assert comm_cost(up, down)[0] == 2 * d + 3 * k  # 32
-        assert comm_cost(up, down)[1] == 2 * d + 3 * (2 * k)
+        table = _table(np.zeros((2, d)), k=k, momenta=np.zeros((2, d)))
+        table = replace(table, u=_u_of(table))
+        down = server_aggregate(table)
+        assert comm_cost(table, down, 0)[0] == 2 * d + 3 * k  # 32
+        assert comm_cost(table, down, 0)[1] == 2 * d + 3 * (2 * k)
 
     def test_provenance_ints_counted_separately(self):
         d, k = 3, 2
-        up = _upload(0, np.zeros(d), k=k)
-        down = server_aggregate([up])
-        assert comm_cost_ints(up, down) == (3 * 2 * k, 3 * 2 * k)
+        table = _table(np.zeros((1, d)), k=k)
+        down = server_aggregate(table)
+        assert comm_cost_ints(table, down, 0) == (3 * 2 * k, 3 * 2 * k)
 
 
 def _fedx1_fixture(n_clients=2, K=3, B=2, eta=0.05, seed=9):
@@ -186,19 +208,19 @@ def _fedx1_fixture(n_clients=2, K=3, B=2, eta=0.05, seed=9):
 
 
 def _one_round(program, hyper, download, round_idx):
-    """One round through the engine: (aggregate, uploads)."""
+    """One round through the engine: (aggregate, upload table)."""
     program.begin_round(download, round_idx)
     for k in range(hyper.K):
         program.step(k, hyper.eta)
-    uploads = program.uploads()
-    return server_aggregate(uploads), uploads
+    table = program.uploads()
+    return server_aggregate(table), table
 
 
 class TestRoundContract:
     def test_history_partition_of_provenance(self):
         program, hyper = _fedx1_fixture()
         download = server_aggregate(program.bootstrap_uploads())
-        download, uploads = _one_round(program, hyper, download, 1)
+        download, _ = _one_round(program, hyper, download, 1)
         n, k, b = program.n_clients, hyper.K, hyper.B1
         for hist in (download.r1, download.r2):
             assert len(hist) == n * k * b
@@ -224,28 +246,29 @@ class TestRoundContract:
         program, hyper = _fedx1_fixture(eta=0.0)
         download = server_aggregate(program.bootstrap_uploads())
         w0 = download.model.copy()
-        download, uploads = _one_round(program, hyper, download, 1)
-        for up in uploads:
-            np.testing.assert_array_equal(up.model, w0)
+        download, table = _one_round(program, hyper, download, 1)
+        for model in table.models:
+            np.testing.assert_array_equal(model, w0)
         np.testing.assert_array_equal(download.model, w0)
 
     def test_models_differ_before_aggregation_equal_after_download(self):
         program, hyper = _fedx1_fixture(eta=0.1)
         download = server_aggregate(program.bootstrap_uploads())
-        download, uploads = _one_round(program, hyper, download, 1)
-        assert not np.array_equal(uploads[0].model, uploads[1].model)
+        download, table = _one_round(program, hyper, download, 1)
+        assert not np.array_equal(table.models[0], table.models[1])
         np.testing.assert_array_equal(
-            download.model, tree_mean([uploads[0].model, uploads[1].model])
+            download.model, tree_mean([table.models[0], table.models[1]])
         )
         program.begin_round(download, 2)
         models = program.models()
         np.testing.assert_array_equal(models[0], models[1])
 
     def test_barrier_requires_all_uploads(self):
-        # The engine aggregates all N uploads at once; a set missing a
-        # client is rejected.
+        # The engine aggregates all N uploads at once; a table missing a
+        # client (records of client 1, a model row for one client only) is
+        # rejected.
         with pytest.raises(ProtocolError):
-            server_aggregate([_upload(1, [0.0])])
+            server_aggregate(RoundUpload(np.zeros((1, 1)), _block([1], 2), _block([1], 2)))
 
 
 _draw_plans = st.tuples(
@@ -325,8 +348,9 @@ class TestBatchedBufferDraws:
             assert drawn.base is None and drawn.nbytes == count * drawn.itemsize
 
 
-def _fed_uploads(n_clients, d, K, B1, B2, nonlinear, rng):
-    """Uploads shaped like one round of fedx1 (or fedx2 when nonlinear)."""
+def _fed_table(n_clients, d, K, B1, B2, nonlinear, rng):
+    """An upload table shaped like one round of fedx1 (or fedx2 when
+    nonlinear)."""
 
     def block(client, b):
         return Records.concat([
@@ -334,17 +358,17 @@ def _fed_uploads(n_clients, d, K, B1, B2, nonlinear, rng):
             for k in range(K)
         ])
 
-    return [
-        RoundUpload(
-            client=i,
+    uploads = []
+    for i in range(n_clients):
+        h1 = block(i, B1)
+        uploads.append(ClientUpload(
             model=rng.standard_normal(d),
-            h1=block(i, B1),
+            h1=h1,
             h2=block(i, B2),
             momentum=rng.standard_normal(d) if nonlinear else None,
-            u=block(i, B1) if nonlinear else None,
-        )
-        for i in range(n_clients)
-    ]
+            u=replace(h1, value=rng.standard_normal(len(h1))) if nonlinear else None,
+        ))
+    return stack_uploads(uploads)
 
 
 class TestAggregateProperties:
@@ -354,27 +378,60 @@ class TestAggregateProperties:
             st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
             st.integers(1, 3), st.integers(1, 3), st.booleans(),
         ),
-        order_seed=st.integers(0, 2**32),
     )
-    def test_order_invariance_and_accounting(self, shape, order_seed):
+    def test_pass_through_and_accounting(self, shape):
         n, d, K, B1, B2, nonlinear = shape
-        uploads = _fed_uploads(n, d, K, B1, B2, nonlinear, np.random.default_rng(n))
-        shuffled = [uploads[i] for i in np.random.default_rng(order_seed).permutation(n)]
-        a, b = server_aggregate(uploads), server_aggregate(shuffled)
-        assert a.model.tobytes() == b.model.tobytes()
-        assert (a.momentum is None) == (b.momentum is None) == (not nonlinear)
+        table = _fed_table(n, d, K, B1, B2, nonlinear, np.random.default_rng(n))
+        down = server_aggregate(table)
+        # The models' mean is the tree mean of the per-client list.
+        assert down.model.tobytes() == tree_mean(list(table.models)).tobytes()
+        assert (down.momentum is None) == (table.momenta is None) == (not nonlinear)
         if nonlinear:
-            assert a.momentum.tobytes() == b.momentum.tobytes()
-        for x, y in ((a.r1, b.r1), (a.r2, b.r2), (a.p, b.p)):
-            if x is not None:
-                assert _rows(x) == _rows(y)
-                assert list(x.client) == sorted(x.client)
+            assert down.momentum.tobytes() == tree_mean(list(table.momenta)).tobytes()
+        assert (down.r1, down.r2, down.p) == (table.h1, table.h2, table.u)
+        for block in (down.r1, down.r2, down.p):
+            if block is not None:
+                assert list(block.client) == sorted(block.client)
 
         # README: per client and round the uplink carries d + K(B1+B2)
         # floats for fedx1 and 2d + K(2B1+B2) for fedx2; the downlink
         # carries the same with every client's records.
         rows = K * (2 * B1 + B2) if nonlinear else K * (B1 + B2)
         dims = 2 * d if nonlinear else d
-        for up in uploads:
-            assert comm_cost(up, a) == (dims + rows, dims + n * rows)
-            assert comm_cost_ints(up, a) == (3 * rows, 3 * n * rows)
+        for i in range(n):
+            assert comm_cost(table, down, i) == (dims + rows, dims + n * rows)
+            assert comm_cost_ints(table, down, i) == (3 * rows, 3 * n * rows)
+
+
+class TestRaggedAccounting:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shards=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=4),
+        hyper=st.builds(HyperParams, eta=st.just(0.01), K=st.integers(1, 3), R=st.just(1),
+                        B1=st.integers(1, 4), B2=st.integers(1, 4), seed=st.integers(0, 99)),
+        algorithm=st.sampled_from(["fedx1", "fedx2"]),
+    )
+    def test_uplink_of_every_client(self, shards, hyper, algorithm):
+        # Ragged shards make several client groups; each client's uplink
+        # counts its own effective batch sizes.
+        ds = ragged_dataset([(i, p, q) for i, (p, q) in enumerate(shards)] + [(-1, 3, 3)],
+                            hyper.seed)
+        fedx2 = algorithm == "fedx2"
+        scorer = ScorerSpec("linear", 4)
+        outer = OuterFnSpec("kl_log") if fedx2 else IDENTITY_OUTER
+        program = PROGRAMS[algorithm](
+            RunSettings(algorithm, scorer, PairwiseLossSpec("psm_sigmoid"), outer, hyper), ds)
+        tables = [program.bootstrap_uploads()]
+        _, table = _one_round(program, hyper, server_aggregate(tables[0]), 1)
+        tables.append(table)
+        dims = scorer.param_count * (2 if fedx2 else 1)
+        for table in tables:
+            down = server_aggregate(table)
+            for block in (table.h1, table.h2, table.u):
+                if block is not None:
+                    assert (np.diff(block.client) >= 0).all()
+            for i, (n_pos, n_neg) in enumerate(shards):
+                n1, n2 = min(hyper.B1, n_pos), min(hyper.B2, n_neg)
+                rows = hyper.K * (2 * n1 + n2 if fedx2 else n1 + n2)
+                assert comm_cost(table, down, i)[0] == dims + rows
+                assert comm_cost_ints(table, down, i)[0] == 3 * rows

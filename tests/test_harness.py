@@ -341,7 +341,10 @@ class TestRun:
         assert lines[0] == "client,round,iteration,loss_estimate,step_size"
         n, K, R = cfg.data.n_clients, cfg.hyper.K, cfg.hyper.R
         assert len(lines) == 1 + n * K * R
-        assert len(trace.iterations) == n * K * R
+        # One (K, N) block of estimates and K step sizes per round.
+        assert [e.shape for e in trace.loss_estimates] == [(K, n)] * R
+        assert [e.shape for e in trace.step_sizes] == [(K,)] * R
+        assert sum(e.size for e in trace.loss_estimates) == n * K * R
 
     def test_iteration_rows_on_disk_once_their_round_is(self, tmp_path):
         cfg = parse_config(TINY)
