@@ -10,8 +10,7 @@ from .algorithms import (
     HyperParams,
     RunTrace,
     UTable,
-    fedx1_estimate,
-    fedx2_estimate,
+    fedx_estimate,
     momentum_update,
     simulate,
     theory_schedule,

@@ -39,11 +39,12 @@ group's buffer streams of each side in one :func:`~fedcpr.rng.substreams`
 pass, makes each client's :func:`~fedcpr.federation.buffer_draw` on its
 stream in turn, and gathers the features and lazy records into
 (K, G, ...) arrays; then each local step k is one stacked call of the
-program's ``local_step`` per group, the estimators being functions over the
-client axis. Fresh scores and u-values go into per-round (K, G, B) arrays,
-the record blocks of the round's one upload table. Stacked matmuls
-loop the same BLAS calls over the client axis, so every value is bit for bit
-what the clients would compute one after another.
+program's ``local_step`` per group. It scores and differentiates each batch
+in one forward pass, and :func:`fedx_estimate`, the one FedX estimator, is a
+function over the client axis. Fresh scores and u-values go into per-round
+(K, G, B) arrays, the record blocks of the round's one upload table.
+Stacked matmuls loop the same BLAS calls over the client axis, so every
+value is bit for bit what the clients would compute one after another.
 
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so a run's trace is
@@ -84,7 +85,8 @@ from .metrics import ScoredEval, auc_and_partial_aucs
 from .model import ScorerSpec, init_params, score_grad_many, score_many
 from .rng import choices, substream, substreams
 
-DEFAULT_PAUC_FPRS = (0.3, 0.5)
+# The false-positive-rate caps of the held-out partial AUCs.
+PAUC_FPRS = (0.3, 0.5)
 
 
 @dataclass(frozen=True)
@@ -263,48 +265,31 @@ def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ m)[..., 0, :]
 
 
-def _pair_gradient(scorer, w, x1, x2, d1, d2) -> np.ndarray:
-    """(d1 @ J(x1)) / n1 + (d2 @ J(x2)) / n2 per client, J the score
-    Jacobian at that client's model."""
-    j1 = score_grad_many(scorer, w, x1)
-    j2 = score_grad_many(scorer, w, x2)
-    return _vecmat(d1, j1) / x1.shape[-2] + _vecmat(d2, j2) / x2.shape[-2]
-
-
-def fedx1_estimate(s: RunSettings, w, x1, x2, a, b, lazy_neg, lazy_pos) -> np.ndarray:
-    """Linear-outer gradient estimates (G, d) for a stack of G clients.
-
-    ``w`` holds the models (G, d), ``x1``/``x2`` the sampled rows (G, n,
-    input_dim) and ``a``/``b`` their scores at ``w``: the active factors,
-    paired elementwise with the lazy scores ``lazy_neg`` and ``lazy_pos``.
-    """
-    if a.shape != lazy_neg.shape or b.shape != lazy_pos.shape:
-        raise ValueError("each active sample needs exactly one lazy record")
-    d1, _ = loss_grads(s.loss, a, lazy_neg)
-    _, d2 = loss_grads(s.loss, lazy_pos, b)
-    return _pair_gradient(s.scorer, w, x1, x2, d1, d2)
-
-
-def fedx2_estimate(
-    s: RunSettings, w, x1, x2, a, b, lazy_neg, lazy_pos, u1, lazy_u
+def fedx_estimate(
+    s: RunSettings, j1, j2, a, b, lazy_neg, lazy_pos, u1=None, lazy_u=None
 ) -> np.ndarray:
-    """Nonlinear-outer gradient estimates, one per client of a stack.
+    """FedX gradient estimates (G, d) for a stack of G clients.
 
-    As :func:`fedx1_estimate`, but the positive-sample term weights each
-    pair by the outer derivative at ``u1``, the just-updated tracked inner
-    means of the sampled positives, and the negative-sample term by the
-    outer derivative at the lazy u-value ``lazy_u`` paired (same
-    provenance) with the lazy positive score.
+    ``a``/``b`` are the scores (G, n1)/(G, n2) of the sampled positives and
+    negatives at the clients' models and ``j1``/``j2`` their score
+    Jacobians (G, n, d): the active factors, paired elementwise with the
+    lazy scores ``lazy_neg`` and ``lazy_pos``. With tracked means (FedX2),
+    the positive-sample term weights each pair by the outer derivative at
+    ``u1``, the just-updated tracked inner means of the sampled positives,
+    and the negative-sample term by the outer derivative at the lazy u-value
+    ``lazy_u`` paired (same provenance) with the lazy positive score.
+    Without them the outer function is linear (FedX1).
     """
     if a.shape != lazy_neg.shape:
         raise ValueError("each positive sample needs exactly one lazy negative score")
-    if not b.shape == lazy_pos.shape == lazy_u.shape:
-        raise ValueError("each negative sample needs one lazy (score, u) pair")
+    if b.shape != lazy_pos.shape or (lazy_u is not None and b.shape != lazy_u.shape):
+        raise ValueError("each negative sample needs one lazy score (and u-value)")
     d1, _ = loss_grads(s.loss, a, lazy_neg)
     _, d2 = loss_grads(s.loss, lazy_pos, b)
-    w1 = outer_deriv(s.outer, u1) * d1
-    w2 = outer_deriv(s.outer, lazy_u) * d2
-    return _pair_gradient(s.scorer, w, x1, x2, w1, w2)
+    if u1 is not None:
+        d1 = outer_deriv(s.outer, u1) * d1
+        d2 = outer_deriv(s.outer, lazy_u) * d2
+    return _vecmat(d1, j1) / a.shape[-1] + _vecmat(d2, j2) / b.shape[-1]
 
 
 def _group_columns(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray) -> tuple:
@@ -379,9 +364,10 @@ class PairwiseProgram:
       records at :func:`buffer_draw` positions, and each step's fresh
       scores go out for the next round. Otherwise (local_pair) they are
       the cycled opposite-side local batch.
-    * ``nonlinear`` (an outer function other than identity): the u-tracker,
-      the momentum and :func:`fedx2_estimate`; otherwise
-      :func:`fedx1_estimate`.
+    * ``nonlinear`` (an outer function other than identity): the u-tracker
+      and the momentum, and :func:`fedx_estimate` weights its terms by the
+      outer derivative at the tracked means; otherwise it takes the linear
+      outer function.
     """
 
     # What each local step checks for non-finite entries, in this order.
@@ -501,21 +487,19 @@ class PairwiseProgram:
         and gradient estimates."""
         s = self.settings
         x1, x2 = grp.sampled(k)
-        a, b = grp.scores(s, x1), grp.scores(s, x2)
+        (a, j1), (b, j2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
         if self.lazy:
             part_b, part_a = grp.lazy_neg[k], grp.lazy_pos[k]
         else:  # m-th with m-th, cycling when the batch sizes differ
             part_b, part_a = _cycle(b, a.shape[-1]), _cycle(a, b.shape[-1])
         pair_loss = loss(s.loss, a, part_b)
-        u1 = None
+        u1 = part_u = None
         if self.nonlinear:
             at = (grp.rows, grp.draws[0][k])
             grp.u_table.track(at, pair_loss, s.hyper.gamma)
             u1 = grp.u_table.values[at]
             part_u = grp.lazy_u[k] if self.lazy else _cycle(u1, b.shape[-1])
-            grad = fedx2_estimate(s, grp.model, x1, x2, a, b, part_b, part_a, u1, part_u)
-        else:
-            grad = fedx1_estimate(s, grp.model, x1, x2, a, b, part_b, part_a)
+        grad = fedx_estimate(s, j1, j2, a, b, part_b, part_a, u1, part_u)
         if self.lazy:
             # Records for the next round, scored at the pre-step model: the
             # emission batches, or the update ones (fedx1, "reuse" mode).
@@ -601,9 +585,9 @@ class LocalSGDProgram(PairwiseProgram):
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
         xb, yb = grp.x1[k], grp.y[k]
-        scores = grp.scores(s, xb)
+        scores, jac = score_grad_many(s.scorer, grp.model, xb)
         coeff = -yb * expit(-yb * scores)
-        grad = _vecmat(coeff, score_grad_many(s.scorer, grp.model, xb)) / xb.shape[-2]
+        grad = _vecmat(coeff, jac) / xb.shape[-2]
         grp.descend(s, grad, eta)
         return np.logaddexp(0.0, -yb * scores).mean(axis=-1), None, grad
 
@@ -619,12 +603,10 @@ class CentralizedProgram(PairwiseProgram):
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
         s = self.settings
         x1, x2 = grp.sampled(k)
-        a, b = grp.scores(s, x1), grp.scores(s, x2)
+        (a, j1), (b, j2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
         a, b = a[..., :, None], b[..., None, :]  # (G, n1, n2) pairs
         n_pairs = a.shape[-2] * b.shape[-1]
         d1, d2 = loss_grads(s.loss, a, b)
-        j1 = score_grad_many(s.scorer, grp.model, x1)
-        j2 = score_grad_many(s.scorer, grp.model, x2)
         lmat = loss(s.loss, a, b)
         u = None
         if self.nonlinear:
@@ -665,9 +647,8 @@ def check_algorithm(algorithm: str, outer: OuterFnSpec) -> None:
 class _Evaluator:
     """Exact-oracle and held-out-metric snapshots of a global model."""
 
-    def __init__(self, dataset: FederatedDataset, settings: RunSettings, pauc_fprs):
+    def __init__(self, dataset: FederatedDataset, settings: RunSettings):
         self.settings = settings
-        self.pauc_fprs = tuple(pauc_fprs)
         _, self.pos_X = dataset.pos_union()
         _, self.neg_X = dataset.neg_union()
         self.eval_pos_X = dataset.eval_pos_X
@@ -691,7 +672,7 @@ class _Evaluator:
             score_many(s.scorer, w, self.eval_pos_X),
             score_many(s.scorer, w, self.eval_neg_X),
         )
-        return auc_and_partial_aucs(ev, self.pauc_fprs)
+        return auc_and_partial_aucs(ev, PAUC_FPRS)
 
 
 def _due(round_idx: int, last_round: int, every: int) -> bool:
@@ -712,7 +693,6 @@ def simulate(
     eval_every: int = 1,
     oracle_every: int = 1,
     iteration_trace: bool = False,
-    pauc_fprs=DEFAULT_PAUC_FPRS,
 ) -> RunTrace:
     """Run one of :data:`ALGORITHMS`: the bootstrap exchange, then ``hyper.R``
     rounds of ``hyper.K`` local steps per client.
@@ -729,7 +709,7 @@ def simulate(
     check_algorithm(algorithm, outer)
     settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)
     program = PROGRAMS[algorithm](settings, dataset)
-    evaluator = _Evaluator(dataset, settings, pauc_fprs)
+    evaluator = _Evaluator(dataset, settings)
     trace = RunTrace(settings=settings)
 
     def emit_round(idx, t_start, download, table, wraps):

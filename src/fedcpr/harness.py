@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 
 from .algorithms import (
-    DEFAULT_PAUC_FPRS,
+    PAUC_FPRS,
     HyperParams,
     RoundRecord,
     RunTrace,
@@ -207,9 +207,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def trace_columns(pauc_fprs=DEFAULT_PAUC_FPRS) -> list[str]:
+def trace_columns() -> list[str]:
     cols = ["round", "wall_seconds", "objective", "grad_norm_sq", "auc"]
-    cols += [f"pauc_{f:g}" for f in pauc_fprs]
+    cols += [f"pauc_{f:g}" for f in PAUC_FPRS]
     cols += ["uplink_floats", "downlink_floats", "buffer_wraps"]
     return cols
 
@@ -221,15 +221,13 @@ class CsvTraceSink:
         self,
         path: str | Path,
         config: RunConfig,
-        pauc_fprs=DEFAULT_PAUC_FPRS,
         iteration_path: str | Path | None = None,
     ) -> None:
-        self.pauc_fprs = tuple(pauc_fprs)
         self._iter_fh = None
         self._fh = open(path, "w")
         try:
             self._fh.write(f"# config: {config_echo(config)}\n")
-            self._fh.write(",".join(trace_columns(self.pauc_fprs)) + "\n")
+            self._fh.write(",".join(trace_columns()) + "\n")
             self._fh.flush()
             if iteration_path is not None:
                 self._iter_fh = open(iteration_path, "w")
@@ -242,7 +240,7 @@ class CsvTraceSink:
     def on_round(self, rec: RoundRecord) -> None:
         pauc = rec.pauc or {}
         row = [rec.round, rec.wall_seconds, rec.objective, rec.grad_norm_sq, rec.auc]
-        row += [pauc.get(f) for f in self.pauc_fprs]
+        row += [pauc.get(f) for f in PAUC_FPRS]
         row += [rec.uplink_floats, rec.downlink_floats, rec.buffer_wraps]
         self._fh.write(",".join(_fmt(v) for v in row) + "\n")
         self._fh.flush()

@@ -6,13 +6,13 @@ The objective being optimized everywhere in this package is
 
 with S1 the positive set, S2 the negative set, h the scorer, f the outer
 function. ``exact_oracle`` evaluates it and its gradient exactly, over every
-pair, in one pass: both sets are scored once, the positives are swept in
-row blocks of about 2^15 pairs (each block takes the loss and its slope from
-one exp and adds into per-score weights, so nothing of size |S1| x |S2| is
-held), and one matmul per side with the score Jacobians ends it.
-``exact_objective`` and ``exact_grad`` are its two halves (the objective
-alone skips the gradient work). They are the ground truth the stochastic
-estimators are tested against.
+pair, in one pass: both sets are scored and differentiated once, the
+positives are swept in row blocks of about 2^15 pairs (each block takes the
+loss and its slope from one exp and adds into per-score weights, so nothing
+of size |S1| x |S2| is held), and one matmul per side with the score
+Jacobians ends it. ``exact_objective`` and ``exact_grad`` are its two
+halves, each taken from that one sweep. They are the ground truth the
+stochastic estimators are tested against.
 
 For ``kl_opauc`` with ``kl_log`` (the KL-DRO form of one-way partial AUC)
 the sweep works in the log domain, with f = lambda * logsumexp and softmax
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ScorerSpec, score_grad_many, score_many
+from .model import ScorerSpec, score_grad_many
 
 LOSS_KINDS = ("psm_sigmoid", "kl_opauc", "square")
 OUTER_KINDS = ("identity", "kl_log")
@@ -85,18 +85,19 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _value_and_slope(spec: PairwiseLossSpec, a, b, slope: bool):
-    """Loss l(a, b) and, if slope, dl/db (= -dl/da for all three losses),
-    sharing one exp. a and b are float arrays that broadcast."""
+def _value_and_slope(spec: PairwiseLossSpec, a, b):
+    """Loss l(a, b) and dl/db (= -dl/da for all three losses), sharing one
+    exp. a and b are float arrays that broadcast."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if spec.kind == "psm_sigmoid":
         s = expit(b - a)  # 1/(1+exp(a-b)), saturating at the 0/1 limits
-        return s, (s * (1.0 - s) if slope else None)
+        return s, s * (1.0 - s)
     if spec.kind == "kl_opauc":
         m = np.maximum(b + 1.0 - a, 0.0)
         e = np.exp(m * m / spec.lam)
-        return e, (e * (2.0 * m / spec.lam) if slope else None)
+        return e, e * (2.0 * m / spec.lam)
     d = 1.0 - (a - b)  # square
-    return np.square(d), (2.0 * d if slope else None)
+    return np.square(d), 2.0 * d
 
 
 def loss(spec: PairwiseLossSpec, a, b):
@@ -104,17 +105,13 @@ def loss(spec: PairwiseLossSpec, a, b):
 
     Accepts scalars or broadcastable arrays.
     """
-    out, _ = _value_and_slope(
-        spec, np.asarray(a, dtype=float), np.asarray(b, dtype=float), False
-    )
+    out, _ = _value_and_slope(spec, a, b)
     return float(out) if out.ndim == 0 else out
 
 
 def loss_grads(spec: PairwiseLossSpec, a, b):
     """Partial derivatives (d loss/da, d loss/db). Scalars or arrays."""
-    _, db = _value_and_slope(
-        spec, np.asarray(a, dtype=float), np.asarray(b, dtype=float), True
-    )
+    _, db = _value_and_slope(spec, a, b)
     if db.ndim == 0:
         return float(-db), float(db)
     return -db, db
@@ -140,20 +137,12 @@ def outer_deriv(spec: OuterFnSpec, s):
     return float(out) if out.ndim == 0 else out
 
 
-def _pair_scores(
-    scorer: ScorerSpec, w: np.ndarray, pos_X: np.ndarray, neg_X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if pos_X.shape[0] == 0 or neg_X.shape[0] == 0:
-        raise ValueError("positive and negative sets must both be nonempty")
-    return score_many(scorer, w, pos_X), score_many(scorer, w, neg_X)
-
-
 # Pairs per row block of the oracle sweep; a block holds
 # max(1, _BLOCK_PAIRS // |S2|) positives against every negative.
 _BLOCK_PAIRS = 2**15
 
 
-def _kl_log_block(loss_spec, outer, a, b, grad: bool):
+def _kl_log_block(loss_spec, outer, a, b):
     """kl_opauc + kl_log on one row block, in the log domain.
 
     With t = m^2/lambda_loss, log g_p = max_q t + log(mean_q exp(t - max_q t))
@@ -169,23 +158,21 @@ def _kl_log_block(loss_spec, outer, a, b, grad: bool):
     e = np.exp(t, out=t)
     log_g = t_max + np.log(e.sum(axis=1) / b.shape[0])
     log_g = np.maximum(log_g, math.log(outer.u_floor))
-    if not grad:
-        return outer.lam * log_g, None, None
     # exp(t - L_p) * 2m/lambda_loss = [exp(t_max - L_p) * 2/lambda_loss] * e * m
     scale = outer.lam * np.exp(t_max - log_g) * (2.0 / loss_spec.lam)
     e *= m
     return outer.lam * log_g, scale, e
 
 
-def _direct_block(loss_spec, outer, a, b, grad: bool):
+def _direct_block(loss_spec, outer, a, b):
     """Any other pair on one row block: f(g_p), f'(g_p) and dl/db."""
-    lmat, slope = _value_and_slope(loss_spec, a[:, None], b[None, :], grad)
+    lmat, slope = _value_and_slope(loss_spec, a[:, None], b[None, :])
     g = lmat.mean(axis=1)
-    return outer_value(outer, g), (outer_deriv(outer, g) if grad else None), slope
+    return outer_value(outer, g), outer_deriv(outer, g), slope
 
 
-def _sweep(loss_spec, outer, a, b, grad: bool):
-    """f(g_p) for every positive and, if grad, the per-score weights.
+def _sweep(loss_spec, outer, a, b):
+    """f(g_p) for every positive and the per-score weights.
 
     Returns (f, pos_w, neg_w) with pos_w[p] = sum_q f'(g_p) dl/da and
     neg_w[q] = sum_p f'(g_p) dl/db, so that the gradient is
@@ -197,14 +184,13 @@ def _sweep(loss_spec, outer, a, b, grad: bool):
     block = _kl_log_block if log_domain else _direct_block
     rows = max(1, _BLOCK_PAIRS // Q)
     f = np.empty(P)
-    pos_w = np.empty(P) if grad else None
-    neg_w = np.zeros(Q) if grad else None
+    pos_w = np.empty(P)
+    neg_w = np.zeros(Q)
     for lo in range(0, P, rows):
         hi = min(lo + rows, P)
-        f[lo:hi], scale, slope = block(loss_spec, outer, a[lo:hi], b, grad)
-        if grad:
-            pos_w[lo:hi] = scale * -slope.sum(axis=1)  # dl/da = -dl/db
-            neg_w += scale @ slope
+        f[lo:hi], scale, slope = block(loss_spec, outer, a[lo:hi], b)
+        pos_w[lo:hi] = scale * -slope.sum(axis=1)  # dl/da = -dl/db
+        neg_w += scale @ slope
     return f, pos_w, neg_w
 
 
@@ -221,13 +207,14 @@ def exact_oracle(
     gradient = (1/(PQ)) * sum_{p,q} f'(g_p) * [d1loss_pq * grad h(z_p) + d2loss_pq * grad h(z'_q)]
 
     This is the ground-truth oracle the stochastic estimators are tested
-    against. Both sets are scored once; the Jacobians enter in one matmul
-    per side at the end.
+    against. Both sets are scored and differentiated in one forward pass
+    each; the Jacobians enter in one matmul per side at the end.
     """
-    a, b = _pair_scores(scorer, w, pos_X, neg_X)
-    f, pos_w, neg_w = _sweep(loss_spec, outer, a, b, grad=True)
-    pos_J = score_grad_many(scorer, w, pos_X)  # (P, d)
-    neg_J = score_grad_many(scorer, w, neg_X)  # (Q, d)
+    if pos_X.shape[0] == 0 or neg_X.shape[0] == 0:
+        raise ValueError("positive and negative sets must both be nonempty")
+    a, pos_J = score_grad_many(scorer, w, pos_X)  # (P,), (P, d)
+    b, neg_J = score_grad_many(scorer, w, neg_X)  # (Q,), (Q, d)
+    f, pos_w, neg_w = _sweep(loss_spec, outer, a, b)
     grad = (pos_w @ pos_J + neg_w @ neg_J) / (a.shape[0] * b.shape[0])
     return float(np.mean(f)), grad
 
@@ -240,9 +227,8 @@ def exact_objective(
     pos_X: np.ndarray,
     neg_X: np.ndarray,
 ) -> float:
-    """The objective of :func:`exact_oracle`, without the gradient work."""
-    a, b = _pair_scores(scorer, w, pos_X, neg_X)
-    return float(np.mean(_sweep(loss_spec, outer, a, b, grad=False)[0]))
+    """The objective of :func:`exact_oracle`."""
+    return exact_oracle(loss_spec, outer, scorer, w, pos_X, neg_X)[0]
 
 
 def exact_grad(

@@ -79,18 +79,23 @@ def score_many(spec: ScorerSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (np.tanh(X @ np.swapaxes(hidden_w, -1, -2)) @ out_w[..., None])[..., 0]
 
 
-def score_grad_many(spec: ScorerSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per-sample score gradients, shape (n, param_count), or
-    (..., n, param_count) with leading client axes as in :func:`score_many`."""
+def score_grad_many(
+    spec: ScorerSpec, w: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and per-sample score gradients from one forward pass: (n,) and
+    (n, param_count), or (..., n) and (..., n, param_count) with leading
+    client axes as in :func:`score_many`. The scores are bit for bit
+    :func:`score_many`'s, the operations being the same."""
     _check_dims(spec, w, X)
     if spec.kind == "linear":
-        return np.array(X, dtype=float, copy=True)
+        return (X @ w[..., None])[..., 0], np.array(X, dtype=float, copy=True)
     hidden_w, out_w = spec._split(w)
     t = np.tanh(X @ np.swapaxes(hidden_w, -1, -2))  # (..., n, hidden)
     # d/dW_hidden = outer(out_w * (1 - t^2), x); d/dw_out = t
     coeff = out_w[..., None, :] * (1.0 - t * t)  # (..., n, hidden)
     hidden_grad = coeff[..., :, None] * X[..., None, :]  # (..., n, hidden, input)
-    return np.concatenate([hidden_grad.reshape(*t.shape[:-1], -1), t], axis=-1)
+    jac = np.concatenate([hidden_grad.reshape(*t.shape[:-1], -1), t], axis=-1)
+    return (t @ out_w[..., None])[..., 0], jac
 
 
 def finite_diff_grad(

@@ -15,7 +15,8 @@
   them; :func:`reference_rounds` runs it; the engine must match it bit for
   bit.
 * ``one_client_fedx1``/``one_client_fedx2``: the package's stacked
-  estimators called on one client's state, a stack of G = 1.
+  estimator called on one client's state, a stack of G = 1, without and
+  with tracked means.
 """
 
 from __future__ import annotations
@@ -218,8 +219,8 @@ def fedx1_estimate(st, iteration, z1, z2, lazy_neg, lazy_pos):
     b = score_many(s.scorer, st.model, x2)
     d1, _ = loss_grads(s.loss, a, lazy_neg)
     _, d2 = loss_grads(s.loss, lazy_pos, b)
-    j1 = score_grad_many(s.scorer, st.model, x1)
-    j2 = score_grad_many(s.scorer, st.model, x2)
+    j1 = score_grad_many(s.scorer, st.model, x1)[1]
+    j2 = score_grad_many(s.scorer, st.model, x2)[1]
     g = (np.asarray(d1) @ j1) / len(z1) + (np.asarray(d2) @ j2) / len(z2)
     st.out_h1.append(records_of(a, st.index, iteration, shard.pos_ids[z1]))
     st.out_h2.append(records_of(b, st.index, iteration, shard.neg_ids[z2]))
@@ -240,8 +241,8 @@ def fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u):
     _, d2 = loss_grads(s.loss, lazy_pos, b)
     w1 = np.asarray(outer_deriv(s.outer, st.u_table.values[z1])) * np.asarray(d1)
     w2 = np.asarray(outer_deriv(s.outer, lazy_u)) * np.asarray(d2)
-    j1 = score_grad_many(s.scorer, st.model, x1)
-    j2 = score_grad_many(s.scorer, st.model, x2)
+    j1 = score_grad_many(s.scorer, st.model, x1)[1]
+    j2 = score_grad_many(s.scorer, st.model, x2)[1]
     return (w1 @ j1) / len(z1) + (w2 @ j2) / len(z2)
 
 
@@ -326,7 +327,7 @@ class ReferenceProgram:
             xb, yb = X[idx], y[idx]
             scores = score_many(s.scorer, st.model, xb)
             coeff = -yb * expit(-yb * scores)
-            grad = coeff @ score_grad_many(s.scorer, st.model, xb) / len(idx)
+            grad = coeff @ score_grad_many(s.scorer, st.model, xb)[1] / len(idx)
             st.model = st.model - eta * grad
             return float(np.mean(np.logaddexp(0.0, -yb * scores))), None, grad
         z1 = _draw_batch(g, st.shard.n_pos, h.B1)
@@ -344,8 +345,8 @@ class ReferenceProgram:
         a = score_many(s.scorer, st.model, x1)
         b = score_many(s.scorer, st.model, x2)
         n1, n2 = len(z1), len(z2)
-        j1 = score_grad_many(s.scorer, st.model, x1)
-        j2 = score_grad_many(s.scorer, st.model, x2)
+        j1 = score_grad_many(s.scorer, st.model, x1)[1]
+        j2 = score_grad_many(s.scorer, st.model, x2)[1]
         if self.alg == "local_pair":
             part_b, part_a = b[np.arange(n1) % n2], a[np.arange(n2) % n1]
             pair_loss = loss(s.loss, a, part_b)
@@ -407,20 +408,21 @@ class ReferenceProgram:
 def _one_client(st, z1, z2):
     s, w = st.settings, st.model[None]
     x1, x2 = st.shard.pos_X[z1][None], st.shard.neg_X[z2][None]
-    return s, w, x1, x2, score_many(s.scorer, w, x1), score_many(s.scorer, w, x2)
+    (a, j1), (b, j2) = score_grad_many(s.scorer, w, x1), score_grad_many(s.scorer, w, x2)
+    return s, j1, j2, a, b
 
 
 def one_client_fedx1(st, z1, z2, lazy_neg, lazy_pos) -> np.ndarray:
     """The package's fedx1 estimate for ``st`` at the sampled rows."""
     args = _one_client(st, z1, z2)
-    return algorithms.fedx1_estimate(*args, lazy_neg[None], lazy_pos[None])[0]
+    return algorithms.fedx_estimate(*args, lazy_neg[None], lazy_pos[None])[0]
 
 
 def one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u) -> np.ndarray:
     """The package's fedx2 estimate for ``st``, at its tracked means of z1."""
     args = _one_client(st, z1, z2)
-    return algorithms.fedx2_estimate(*args, lazy_neg[None], lazy_pos[None],
-                                     st.u_table.values[z1][None], lazy_u[None])[0]
+    return algorithms.fedx_estimate(*args, lazy_neg[None], lazy_pos[None],
+                                    st.u_table.values[z1][None], lazy_u[None])[0]
 
 
 @dataclass

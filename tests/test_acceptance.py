@@ -16,7 +16,7 @@ from fedcpr.algorithms import (
     HyperParams,
     RunSettings,
     UTable,
-    fedx1_estimate,
+    fedx_estimate,
     momentum_update,
     simulate,
     theory_schedule,
@@ -38,6 +38,7 @@ from fedcpr.model import (
     ScorerSpec,
     finite_diff_grad,
     init_params,
+    score_grad_many,
     score_many,
 )
 from fedcpr.rng import substream
@@ -139,9 +140,9 @@ def test_criterion_2_fedx1_unbiasedness():
         program.begin_round(download, r)
         # The engine's step-0 estimate for every client at once.
         x1, x2 = grp.sampled(0)
-        a_now, b_now = score_many(scorer, grp.model, x1), score_many(scorer, grp.model, x2)
-        ests = fedx1_estimate(settings, grp.model, x1, x2, a_now, b_now,
-                              grp.lazy_neg[0], grp.lazy_pos[0])
+        (a_now, j1), (b_now, j2) = (score_grad_many(scorer, grp.model, x) for x in (x1, x2))
+        ests = fedx_estimate(settings, j1, j2, a_now, b_now,
+                             grp.lazy_neg[0], grp.lazy_pos[0])
         for j, i in enumerate(grp.clients):
             shard = ds.shards[i]
             g = substream(42, "step", i, r, 0)
@@ -218,7 +219,7 @@ def test_criterion_3_fedx2_exact_u_consistency():
     )
     truth = exact_grad(loss_spec, outer, scorer, w0, ds.pos_union()[1], neg_union)
 
-    # Leg A: fedx2_estimate with the exact-inner substitution equals an
+    # Leg A: the FedX2 estimate with the exact-inner substitution equals an
     # independent scalar recomputation on a few hundred random draws.
     hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, seed=42)
     settings = RunSettings("fedx2", scorer, loss_spec, outer, hyper)

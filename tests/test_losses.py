@@ -249,8 +249,8 @@ def _direct_oracle(loss_spec, outer, scorer, w, pos, neg):
     da, db = loss_grads(loss_spec, a[:, None], b[None, :])
     g = lmat.mean(axis=1)
     fp = outer_deriv(outer, g)[:, None]
-    grad = (fp * da).sum(axis=1) @ score_grad_many(scorer, w, pos)
-    grad += (fp * db).sum(axis=0) @ score_grad_many(scorer, w, neg)
+    grad = (fp * da).sum(axis=1) @ score_grad_many(scorer, w, pos)[1]
+    grad += (fp * db).sum(axis=0) @ score_grad_many(scorer, w, neg)[1]
     return float(np.mean(outer_value(outer, g))), grad / lmat.size
 
 

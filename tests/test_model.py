@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import score, score_grad
 
 from fedcpr.model import (
@@ -115,11 +117,36 @@ class TestScoreGrad:
         X = rng.standard_normal((6, 4))
         for spec in (LINEAR, MLP):
             w = rng.standard_normal(spec.param_count)
-            batch = score_grad_many(spec, w, X)
+            batch = score_grad_many(spec, w, X)[1]
             np.testing.assert_allclose(
                 batch, np.array([score_grad(spec, w, x) for x in X]), rtol=1e-12,
                 atol=1e-15,
             )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "mlp1"]),
+    input_dim=st.integers(1, 6),
+    hidden_dim=st.integers(1, 5),
+    n=st.integers(1, 8),
+    clients=st.one_of(st.none(), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_scores_equal_score_many(kind, input_dim, hidden_dim, n, clients, seed):
+    # The local steps and the oracle take their scores from score_grad_many's
+    # one forward pass; they must be score_many's to the byte, alone or per
+    # client of a (G, n) stack.
+    spec = ScorerSpec(kind, input_dim, hidden_dim=hidden_dim if kind == "mlp1" else 0)
+    rng = np.random.default_rng(seed)
+    lead = () if clients is None else (clients,)
+    w = rng.standard_normal(lead + (spec.param_count,))
+    X = rng.standard_normal(lead + (n, input_dim))
+    scores, jac = score_grad_many(spec, w, X)
+    want = score_many(spec, w, X)
+    assert scores.shape == want.shape == lead + (n,)
+    assert jac.shape == lead + (n, spec.param_count)
+    assert scores.tobytes() == want.tobytes()
 
 
 class TestFiniteDiff:
