@@ -42,7 +42,7 @@ from .losses import (
     exact_objective,
     exact_oracle,
     loss,
-    loss_grads,
+    loss_and_slope,
     outer_deriv,
     outer_value,
 )

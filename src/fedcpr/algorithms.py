@@ -78,7 +78,7 @@ from .losses import (
     exact_oracle,
     expit,
     loss,
-    loss_grads,
+    loss_and_slope,
     outer_deriv,
 )
 from .metrics import ScoredEval, auc_and_partial_aucs
@@ -196,14 +196,16 @@ class UTable:
         self.values = np.zeros(shape)
         self.touched = np.zeros(shape, dtype=bool)
 
-    def track(self, index, inner: np.ndarray, gamma: float) -> None:
+    def track(self, index, inner: np.ndarray, gamma: float) -> np.ndarray:
         """Moving-average update of the tracked inner means (the tracker of
         SOX, Wang & Yang, ICML 2022):
         new = (1 - gamma) * old + gamma * inner at each indexed entry,
-        reading the pre-update values. Positions come from a
-        without-replacement batch, so none repeats."""
-        self.values[index] = (1.0 - gamma) * self.values[index] + gamma * inner
+        reading the pre-update values; returns the new means. Positions
+        come from a without-replacement batch, so none repeats."""
+        new = (1.0 - gamma) * self.values[index] + gamma * inner
+        self.values[index] = new
         self.touched[index] = True
+        return new
 
     def emission(self, index, fallback: np.ndarray) -> np.ndarray:
         """Stored values where the entry was ever updated, else ``fallback``.
@@ -265,31 +267,28 @@ def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ m)[..., 0, :]
 
 
-def fedx_estimate(
-    s: RunSettings, j1, j2, a, b, lazy_neg, lazy_pos, u1=None, lazy_u=None
-) -> np.ndarray:
+def fedx_estimate(outer: OuterFnSpec, j1, j2, d1, d2, u1=None, lazy_u=None) -> np.ndarray:
     """FedX gradient estimates (G, d) for a stack of G clients.
 
-    ``a``/``b`` are the scores (G, n1)/(G, n2) of the sampled positives and
-    negatives at the clients' models and ``j1``/``j2`` their score
-    Jacobians (G, n, d): the active factors, paired elementwise with the
-    lazy scores ``lazy_neg`` and ``lazy_pos``. With tracked means (FedX2),
-    the positive-sample term weights each pair by the outer derivative at
+    ``j1``/``j2`` are the score Jacobians (G, n, d) of the sampled positives
+    and negatives at the clients' models, the active factors. ``d1``/``d2``
+    (G, n1)/(G, n2) are the pair-loss slopes that weight them: dl/da of each
+    positive against its lazy negative score and dl/db of each negative
+    against its lazy positive score. With tracked means (FedX2), the
+    positive-sample term weights each pair by the outer derivative at
     ``u1``, the just-updated tracked inner means of the sampled positives,
     and the negative-sample term by the outer derivative at the lazy u-value
     ``lazy_u`` paired (same provenance) with the lazy positive score.
     Without them the outer function is linear (FedX1).
     """
-    if a.shape != lazy_neg.shape:
+    if d1.shape != j1.shape[:-1]:
         raise ValueError("each positive sample needs exactly one lazy negative score")
-    if b.shape != lazy_pos.shape or (lazy_u is not None and b.shape != lazy_u.shape):
+    if d2.shape != j2.shape[:-1] or (lazy_u is not None and d2.shape != lazy_u.shape):
         raise ValueError("each negative sample needs one lazy score (and u-value)")
-    d1, _ = loss_grads(s.loss, a, lazy_neg)
-    _, d2 = loss_grads(s.loss, lazy_pos, b)
     if u1 is not None:
-        d1 = outer_deriv(s.outer, u1) * d1
-        d2 = outer_deriv(s.outer, lazy_u) * d2
-    return _vecmat(d1, j1) / a.shape[-1] + _vecmat(d2, j2) / b.shape[-1]
+        d1 = outer_deriv(outer, u1) * d1
+        d2 = outer_deriv(outer, lazy_u) * d2
+    return _vecmat(d1, j1) / d1.shape[-1] + _vecmat(d2, j2) / d2.shape[-1]
 
 
 def _group_columns(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray) -> tuple:
@@ -302,6 +301,8 @@ def _group_columns(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray)
 
 
 _NO_RECORDS = Records.concat([])
+# What ``local_step`` returns: loss estimates, u-values or None, gradients.
+StepResult = tuple[np.ndarray, np.ndarray | None, np.ndarray]
 
 
 class ClientGroup:
@@ -481,7 +482,7 @@ class PairwiseProgram:
             grp.emitted["u"] = (np.empty(zh1.shape), ids1)
         return neg_wraps + pos_wraps
 
-    def local_step(self, grp: ClientGroup, k: int, eta: float):
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
         """Step k of every client in ``grp``; returns their loss estimates,
         tracked u-values of the sampled positives (None without a tracker)
         and gradient estimates."""
@@ -492,28 +493,27 @@ class PairwiseProgram:
             part_b, part_a = grp.lazy_neg[k], grp.lazy_pos[k]
         else:  # m-th with m-th, cycling when the batch sizes differ
             part_b, part_a = _cycle(b, a.shape[-1]), _cycle(a, b.shape[-1])
-        pair_loss = loss(s.loss, a, part_b)
+        pair_loss, slope = loss_and_slope(s.loss, a, part_b)
         u1 = part_u = None
         if self.nonlinear:
-            at = (grp.rows, grp.draws[0][k])
-            grp.u_table.track(at, pair_loss, s.hyper.gamma)
-            u1 = grp.u_table.values[at]
+            u1 = grp.u_table.track((grp.rows, grp.draws[0][k]), pair_loss, s.hyper.gamma)
             part_u = grp.lazy_u[k] if self.lazy else _cycle(u1, b.shape[-1])
-        grad = fedx_estimate(s, j1, j2, a, b, part_b, part_a, u1, part_u)
+        d2 = loss_and_slope(s.loss, part_a, b)[1]
+        grad = fedx_estimate(s.outer, j1, j2, -slope, d2, u1, part_u)
         if self.lazy:
             # Records for the next round, scored at the pre-step model: the
             # emission batches, or the update ones (fedx1, "reuse" mode).
-            if len(grp.draws) > 2:
+            separate = len(grp.draws) > 2
+            if separate:
                 xh1, xh2 = grp.sampled(k, 2)
                 a, b = grp.scores(s, xh1), grp.scores(s, xh2)
             grp.emitted["h1"][0][k] = a
             grp.emitted["h2"][0][k] = b
             if self.nonlinear:
                 # The emission batch has the update batch's size, so part_b
-                # gives one partner each.
-                grp.emitted["u"][0][k] = grp.u_table.emission(
-                    (grp.rows, grp.draws[-2][k]), loss(s.loss, a, part_b)
-                )
+                # gives one partner each (on the update batch: pair_loss).
+                inner = loss(s.loss, a, part_b) if separate else pair_loss
+                grp.emitted["u"][0][k] = grp.u_table.emission((grp.rows, grp.draws[-2][k]), inner)
         grp.descend(s, grad, eta)
         return pair_loss.mean(axis=-1), u1, grad
 
@@ -582,14 +582,14 @@ class LocalSGDProgram(PairwiseProgram):
         grp.x1, grp.y = union[grp.rows, idx], labels[idx]
         return 0
 
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
         s = self.settings
         xb, yb = grp.x1[k], grp.y[k]
         scores, jac = score_grad_many(s.scorer, grp.model, xb)
-        coeff = -yb * expit(-yb * scores)
-        grad = _vecmat(coeff, jac) / xb.shape[-2]
+        margin = -yb * scores
+        grad = _vecmat(-yb * expit(margin), jac) / xb.shape[-2]
         grp.descend(s, grad, eta)
-        return np.logaddexp(0.0, -yb * scores).mean(axis=-1), None, grad
+        return np.logaddexp(0.0, margin).mean(axis=-1), None, grad
 
 
 class CentralizedProgram(PairwiseProgram):
@@ -600,23 +600,21 @@ class CentralizedProgram(PairwiseProgram):
     def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
         return (ClientShard(*dataset.pos_union(), *dataset.neg_union()),)
 
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> np.ndarray:
+    def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
         s = self.settings
         x1, x2 = grp.sampled(k)
         (a, j1), (b, j2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
         a, b = a[..., :, None], b[..., None, :]  # (G, n1, n2) pairs
         n_pairs = a.shape[-2] * b.shape[-1]
-        d1, d2 = loss_grads(s.loss, a, b)
-        lmat = loss(s.loss, a, b)
+        lmat, slope = loss_and_slope(s.loss, a, b)
+        d1 = (-slope).sum(axis=-1)
         u = None
         if self.nonlinear:
-            at = (grp.rows, grp.draws[0][k])
-            grp.u_table.track(at, lmat.mean(axis=-1), s.hyper.gamma)
-            u = grp.u_table.values[at]
+            u = grp.u_table.track((grp.rows, grp.draws[0][k]), lmat.mean(axis=-1), s.hyper.gamma)
             fpu = outer_deriv(s.outer, u)
-            grad = (_vecmat(fpu * d1.sum(axis=-1), j1) + _vecmat(_vecmat(fpu, d2), j2)) / n_pairs
+            grad = (_vecmat(fpu * d1, j1) + _vecmat(_vecmat(fpu, slope), j2)) / n_pairs
         else:
-            grad = (_vecmat(d1.sum(axis=-1), j1) + _vecmat(d2.sum(axis=-2), j2)) / n_pairs
+            grad = (_vecmat(d1, j1) + _vecmat(slope.sum(axis=-2), j2)) / n_pairs
         grp.descend(s, grad, eta)
         return lmat.mean(axis=(-2, -1)), u, grad
 

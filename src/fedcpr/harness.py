@@ -336,7 +336,8 @@ def sweep(
     vary-N regenerates data with the new client count and proportionally
     scaled per-client sizes, keeping the total dataset fixed. The summary
     CSV is written incrementally; a failed run aborts the sweep with the
-    finished traces and summary rows preserved.
+    finished traces and summary rows preserved. Bad values are rejected
+    before the first run.
     """
     if axis not in ("K", "N"):
         raise ConfigError(f"axis: must be K or N, got {axis!r}")
@@ -344,10 +345,16 @@ def sweep(
         raise ConfigError("values: must be nonempty")
     if min(values) < 1:
         raise ConfigError(f"values: must be positive, got {values}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     total_pos = base_config.data.n_pos_per_client * base_config.data.n_clients
     total_neg = base_config.data.n_neg_per_client * base_config.data.n_clients
+    bad_n = [v for v in values if axis == "N" and (total_pos % v or total_neg % v)]
+    if bad_n:
+        raise ConfigError(
+            f"data.n_clients: total counts ({total_pos} pos, {total_neg} neg)"
+            f" are not divisible by N={bad_n[0]}"
+        )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: list[dict] = []
     with open(out_dir / "summary.csv", "w") as summary:
@@ -357,11 +364,6 @@ def sweep(
             if axis == "K":
                 cfg = replace(base_config, hyper=replace(base_config.hyper, K=value))
             else:
-                if total_pos % value or total_neg % value:
-                    raise ConfigError(
-                        f"data.n_clients: total counts ({total_pos} pos, {total_neg} neg)"
-                        f" are not divisible by N={value}"
-                    )
                 cfg = replace(
                     base_config,
                     data=replace(

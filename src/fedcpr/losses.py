@@ -19,7 +19,8 @@ the sweep works in the log domain, with f = lambda * logsumexp and softmax
 weights for f' * dloss/db, so the oracle is finite wherever the objective
 is, although exp(m^2/lambda) of a single pair may overflow.
 
-Losses:
+Losses, each evaluated with its slope dl/db (= -dl/da) from one exp by
+:func:`loss_and_slope`, whose value half is :func:`loss`:
 
 * ``psm_sigmoid``: 1 / (1 + exp(a - b)).  Symmetric: loss(a,b) + loss(b,a) = 1.
   It is ``expit(b - a)``, with :func:`expit` the logistic sigmoid defined
@@ -85,9 +86,12 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _value_and_slope(spec: PairwiseLossSpec, a, b):
-    """Loss l(a, b) and dl/db (= -dl/da for all three losses), sharing one
-    exp. a and b are float arrays that broadcast."""
+def loss_and_slope(spec: PairwiseLossSpec, a, b):
+    """Loss l(a, b) of a positive-side score a against negative-side b, and
+    its slope dl/db (= -dl/da for all three losses), sharing one exp.
+
+    a and b are scalars or arrays that broadcast; scalars give 0-d arrays.
+    """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if spec.kind == "psm_sigmoid":
         s = expit(b - a)  # 1/(1+exp(a-b)), saturating at the 0/1 limits
@@ -101,20 +105,9 @@ def _value_and_slope(spec: PairwiseLossSpec, a, b):
 
 
 def loss(spec: PairwiseLossSpec, a, b):
-    """Pairwise loss of a positive-side score a against negative-side b.
-
-    Accepts scalars or broadcastable arrays.
-    """
-    out, _ = _value_and_slope(spec, a, b)
+    """The value of :func:`loss_and_slope`; a float for scalars."""
+    out, _ = loss_and_slope(spec, a, b)
     return float(out) if out.ndim == 0 else out
-
-
-def loss_grads(spec: PairwiseLossSpec, a, b):
-    """Partial derivatives (d loss/da, d loss/db). Scalars or arrays."""
-    _, db = _value_and_slope(spec, a, b)
-    if db.ndim == 0:
-        return float(-db), float(db)
-    return -db, db
 
 
 def outer_value(spec: OuterFnSpec, s):
@@ -166,7 +159,7 @@ def _kl_log_block(loss_spec, outer, a, b):
 
 def _direct_block(loss_spec, outer, a, b):
     """Any other pair on one row block: f(g_p), f'(g_p) and dl/db."""
-    lmat, slope = _value_and_slope(loss_spec, a[:, None], b[None, :])
+    lmat, slope = loss_and_slope(loss_spec, a[:, None], b[None, :])
     g = lmat.mean(axis=1)
     return outer_value(outer, g), outer_deriv(outer, g), slope
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .algorithms import (
     HyperParams,
-    RunSettings,
     fedx_estimate,
     momentum_update,
     simulate,
@@ -29,6 +28,7 @@ from .losses import (
     exact_objective,
     exact_oracle,
     loss,
+    loss_and_slope,
 )
 from .metrics import ScoredEval, auc, auc_bruteforce, partial_auc
 from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
@@ -121,16 +121,15 @@ def _check_auc_routes() -> CheckResult:
 def _check_estimator_reduction() -> CheckResult:
     # One client (a stack of G = 1): 3 positive and 4 negative rows.
     rng = np.random.default_rng(9)
-    settings = RunSettings("fedx2", ScorerSpec("linear", 4),
-                           PairwiseLossSpec("kl_opauc", lam=2.0), IDENTITY_OUTER,
-                           HyperParams())
+    scorer, spec = ScorerSpec("linear", 4), PairwiseLossSpec("kl_opauc", lam=2.0)
     w = rng.standard_normal((1, 4))
     x1, x2 = rng.standard_normal((1, 3, 4)), rng.standard_normal((1, 4, 4))
-    (a, j1), (b, j2) = (score_grad_many(settings.scorer, w, x) for x in (x1, x2))
+    (a, j1), (b, j2) = (score_grad_many(scorer, w, x) for x in (x1, x2))
     lazy_neg = rng.normal(size=(1, 3))
     lazy_pos = rng.normal(size=(1, 4))
     lazy_u = 1.0 + np.abs(rng.normal(size=(1, 4)))
-    args = (settings, j1, j2, a, b, lazy_neg, lazy_pos)
+    d1 = -loss_and_slope(spec, a, lazy_neg)[1]
+    args = (IDENTITY_OUTER, j1, j2, d1, loss_and_slope(spec, lazy_pos, b)[1])
     tracked = fedx_estimate(*args, np.full((1, 3), 1.5), lazy_u)
     ok = np.array_equal(tracked, fedx_estimate(*args))
     return CheckResult("tracked means under an identity outer change nothing", ok)

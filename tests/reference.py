@@ -35,7 +35,7 @@ from fedcpr.federation import (
     RoundUpload,
     server_aggregate,
 )
-from fedcpr.losses import PairwiseLossSpec, expit, loss, loss_grads, outer_deriv
+from fedcpr.losses import PairwiseLossSpec, expit, loss, loss_and_slope, outer_deriv
 from fedcpr.model import ScorerSpec, init_params, score_grad_many, score_many
 from fedcpr.rng import substream
 
@@ -217,8 +217,8 @@ def fedx1_estimate(st, iteration, z1, z2, lazy_neg, lazy_pos):
     x1, x2 = shard.pos_X[z1], shard.neg_X[z2]
     a = score_many(s.scorer, st.model, x1)
     b = score_many(s.scorer, st.model, x2)
-    d1, _ = loss_grads(s.loss, a, lazy_neg)
-    _, d2 = loss_grads(s.loss, lazy_pos, b)
+    d1 = -loss_and_slope(s.loss, a, lazy_neg)[1]
+    d2 = loss_and_slope(s.loss, lazy_pos, b)[1]
     j1 = score_grad_many(s.scorer, st.model, x1)[1]
     j2 = score_grad_many(s.scorer, st.model, x2)[1]
     g = (np.asarray(d1) @ j1) / len(z1) + (np.asarray(d2) @ j2) / len(z2)
@@ -237,8 +237,8 @@ def fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u):
     x1, x2 = shard.pos_X[z1], shard.neg_X[z2]
     a = score_many(s.scorer, st.model, x1)
     b = score_many(s.scorer, st.model, x2)
-    d1, _ = loss_grads(s.loss, a, lazy_neg)
-    _, d2 = loss_grads(s.loss, lazy_pos, b)
+    d1 = -loss_and_slope(s.loss, a, lazy_neg)[1]
+    d2 = loss_and_slope(s.loss, lazy_pos, b)[1]
     w1 = np.asarray(outer_deriv(s.outer, st.u_table.values[z1])) * np.asarray(d1)
     w2 = np.asarray(outer_deriv(s.outer, lazy_u)) * np.asarray(d2)
     j1 = score_grad_many(s.scorer, st.model, x1)[1]
@@ -350,8 +350,8 @@ class ReferenceProgram:
         if self.alg == "local_pair":
             part_b, part_a = b[np.arange(n1) % n2], a[np.arange(n2) % n1]
             pair_loss = loss(s.loss, a, part_b)
-            d1, _ = loss_grads(s.loss, a, part_b)
-            _, d2 = loss_grads(s.loss, part_a, b)
+            d1 = -loss_and_slope(s.loss, a, part_b)[1]
+            d2 = loss_and_slope(s.loss, part_a, b)[1]
             if self.uses_u:
                 st.u_table.track(z1, pair_loss, h.gamma)
                 u1 = st.u_table.values[z1]
@@ -365,7 +365,8 @@ class ReferenceProgram:
             st.model = st.model - eta * grad
             return float(np.mean(pair_loss)), None, grad
         # centralized
-        d1, d2 = loss_grads(s.loss, a[:, None], b[None, :])
+        d2 = loss_and_slope(s.loss, a[:, None], b[None, :])[1]
+        d1 = -d2
         if self.uses_u:
             lmat = loss(s.loss, a[:, None], b[None, :])
             st.u_table.track(z1, lmat.mean(axis=1), h.gamma)
@@ -405,24 +406,25 @@ class ReferenceProgram:
         return float(np.mean(pair_loss)), st.u_table.values[z1], grad
 
 
-def _one_client(st, z1, z2):
+def _one_client(st, z1, z2, lazy_neg, lazy_pos):
+    """The estimator's arguments for one client: score Jacobians at the
+    sampled rows and the slopes against the lazy scores."""
     s, w = st.settings, st.model[None]
     x1, x2 = st.shard.pos_X[z1][None], st.shard.neg_X[z2][None]
     (a, j1), (b, j2) = score_grad_many(s.scorer, w, x1), score_grad_many(s.scorer, w, x2)
-    return s, j1, j2, a, b
+    d1 = -loss_and_slope(s.loss, a, lazy_neg[None])[1]
+    return s.outer, j1, j2, d1, loss_and_slope(s.loss, lazy_pos[None], b)[1]
 
 
 def one_client_fedx1(st, z1, z2, lazy_neg, lazy_pos) -> np.ndarray:
     """The package's fedx1 estimate for ``st`` at the sampled rows."""
-    args = _one_client(st, z1, z2)
-    return algorithms.fedx_estimate(*args, lazy_neg[None], lazy_pos[None])[0]
+    return algorithms.fedx_estimate(*_one_client(st, z1, z2, lazy_neg, lazy_pos))[0]
 
 
 def one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u) -> np.ndarray:
     """The package's fedx2 estimate for ``st``, at its tracked means of z1."""
-    args = _one_client(st, z1, z2)
-    return algorithms.fedx_estimate(*args, lazy_neg[None], lazy_pos[None],
-                                    st.u_table.values[z1][None], lazy_u[None])[0]
+    args = _one_client(st, z1, z2, lazy_neg, lazy_pos)
+    return algorithms.fedx_estimate(*args, st.u_table.values[z1][None], lazy_u[None])[0]
 
 
 @dataclass

@@ -30,7 +30,7 @@ from fedcpr.losses import (
     PairwiseLossSpec,
     exact_grad,
     exact_objective,
-    loss_grads,
+    loss_and_slope,
     outer_deriv,
 )
 from fedcpr.metrics import ScoredEval, auc, auc_bruteforce, partial_auc
@@ -141,8 +141,9 @@ def test_criterion_2_fedx1_unbiasedness():
         # The engine's step-0 estimate for every client at once.
         x1, x2 = grp.sampled(0)
         (a_now, j1), (b_now, j2) = (score_grad_many(scorer, grp.model, x) for x in (x1, x2))
-        ests = fedx_estimate(settings, j1, j2, a_now, b_now,
-                             grp.lazy_neg[0], grp.lazy_pos[0])
+        ests = fedx_estimate(settings.outer, j1, j2,
+                             -loss_and_slope(loss_spec, a_now, grp.lazy_neg[0])[1],
+                             loss_and_slope(loss_spec, grp.lazy_pos[0], b_now)[1])
         for j, i in enumerate(grp.clients):
             shard = ds.shards[i]
             g = substream(42, "step", i, r, 0)
@@ -184,8 +185,8 @@ def test_criterion_2_fedx1_unbiasedness():
         z2 = rng.integers(0, Q, N_MC)
         lazy_neg = b_all[rng.integers(0, N, N_MC), rng.integers(0, Q, N_MC)]
         lazy_pos = a_all[rng.integers(0, N, N_MC), rng.integers(0, P, N_MC)]
-        d1, _ = loss_grads(loss_spec, a_all[i, z1], lazy_neg)
-        _, d2 = loss_grads(loss_spec, lazy_pos, b_all[i, z2])
+        d1 = -loss_and_slope(loss_spec, a_all[i, z1], lazy_neg)[1]
+        d2 = loss_and_slope(loss_spec, lazy_pos, b_all[i, z2])[1]
         G += d1[:, None] * posX[i, z1] + d2[:, None] * negX[i, z2]
     G /= N
     mean = G.mean(axis=0)
@@ -260,8 +261,8 @@ def test_criterion_3_fedx2_exact_u_consistency():
         z2 = rng.integers(0, Q, N_MC)
         lazy_neg = b_all[rng.integers(0, N, N_MC), rng.integers(0, Q, N_MC)]
         jp, ip = rng.integers(0, N, N_MC), rng.integers(0, P, N_MC)
-        d1, _ = loss_grads(loss_spec, a_all[i, z1], lazy_neg)
-        _, d2 = loss_grads(loss_spec, a_all[jp, ip], b_all[i, z2])
+        d1 = -loss_and_slope(loss_spec, a_all[i, z1], lazy_neg)[1]
+        d2 = loss_and_slope(loss_spec, a_all[jp, ip], b_all[i, z2])[1]
         w1 = outer_deriv(outer, u_exact[i, z1]) * d1
         w2 = outer_deriv(outer, u_exact[jp, ip]) * d2
         G += w1[:, None] * posX[i, z1] + w2[:, None] * negX[i, z2]

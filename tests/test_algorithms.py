@@ -13,6 +13,7 @@ from fedcpr.algorithms import (
     HyperParams,
     RunSettings,
     UTable,
+    fedx_estimate,
     momentum_update,
     simulate,
     theory_schedule,
@@ -25,8 +26,9 @@ from fedcpr.losses import (
     PairwiseLossSpec,
     exact_grad,
     loss,
+    loss_and_slope,
 )
-from fedcpr.model import ScorerSpec, finite_diff_grad, init_params, score_many
+from fedcpr.model import ScorerSpec, finite_diff_grad, init_params, score_grad_many, score_many
 from fedcpr.rng import substream
 
 PSM = PairwiseLossSpec("psm_sigmoid")
@@ -103,10 +105,16 @@ class TestFedX1Estimate:
             assert list(up.h2.value[h2]) == [w @ shard.neg_X[z2[0]]]
 
     def test_batch_size_mismatch_rejected(self):
-        st = _state(LIN2, SQ, IDENTITY_OUTER, [1.0, -1.0], _shard2())
+        # Two sampled positives but one slope: that of the first against
+        # the lazy negative score 0.2.
+        shard = _shard2()
+        w = np.array([[1.0, -1.0]])
+        a, j1 = score_grad_many(LIN2, w, shard.pos_X[None])
+        b, j2 = score_grad_many(LIN2, w, shard.neg_X[None, :1])
+        d1 = -loss_and_slope(SQ, a[:, :1], _values([[0.2]]))[1]
+        d2 = loss_and_slope(SQ, _values([[0.7]]), b)[1]
         with pytest.raises(ValueError):
-            one_client_fedx1(st, np.array([0, 1]), np.array([0]),
-                             _values([0.2]), _values([0.7]))
+            fedx_estimate(IDENTITY_OUTER, j1, j2, d1, d2)
 
 
 def _track(table, position, fresh, lazy_neg, gamma):

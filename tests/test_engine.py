@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference import ragged_dataset, reference_rounds
 
+from fedcpr import algorithms
 from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings, simulate
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.federation import server_aggregate
@@ -57,6 +58,13 @@ CASES = {
                 HyperParams(eta=0.01, K=6, R=3, B1=1, B2=9, seed=9)),
 }
 
+# Pair-loss evaluations per group and local step: one per pair set the step
+# needs (each side's update pairs, and fedx2's independent emission pairs).
+LOSS_EVALS = {
+    "fedx1": 2, "fedx2": 3, "fedx2-reuse": 2, "local_sgd": 0, "local_pair": 2,
+    "local_pair-kl_log": 2, "centralized": 1, "centralized-kl_log": 1,
+}
+
 
 def _engine_rounds(algorithm, dataset, scorer, loss_spec, outer, hyper):
     """The engine's upload tables, aggregates, estimates and wraps, round by
@@ -105,6 +113,23 @@ def test_engine_matches_per_client_reference(case, variant):
         assert wraps == ref.wraps
     if case.startswith("wrap") and algorithm in ("fedx1", "fedx2"):
         assert sum(r.wraps for r in want) > 0
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_one_loss_evaluation_per_pair_set(monkeypatch, variant):
+    _, scorer, hyper = CASES["ragged"]
+    algorithm, loss_spec, outer, history = VARIANTS[variant]
+    hyper = HyperParams(**{**vars(hyper), "history_samples": history})
+    program = PROGRAMS[algorithm](RunSettings(algorithm, scorer, loss_spec, outer, hyper),
+                                  _ragged_dataset())
+    program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
+    calls = []
+    for name in ("loss_and_slope", "loss"):
+        fn = getattr(algorithms, name)
+        monkeypatch.setattr(algorithms, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
+    for k in range(hyper.K):
+        program.step(k, hyper.eta)
+    assert len(calls) == LOSS_EVALS[variant] * hyper.K * len(program.groups)
 
 
 def test_divergence_names_the_per_client_first_failure():

@@ -418,6 +418,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="divisible"):
             sweep(cfg, "N", [3], tmp_path / "bad")
 
+    def test_vary_n_rejects_every_value_before_any_run(self, tmp_path):
+        # N=2 divides the totals and N=3 does not: nothing runs, nothing is written.
+        with pytest.raises(ConfigError, match="N=3"):
+            sweep(parse_config(TINY), "N", [2, 3], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             sweep(parse_config(TINY), "B", [1], tmp_path / "x")

@@ -15,7 +15,7 @@ from fedcpr.losses import (
     exact_objective,
     exact_oracle,
     loss,
-    loss_grads,
+    loss_and_slope,
     outer_deriv,
     outer_value,
 )
@@ -77,12 +77,14 @@ class TestLossValues:
 
 class TestLossGrads:
     def test_psm_at_equal_scores(self):
-        da, db = loss_grads(PSM, 0.7, 0.7)
+        _, db = loss_and_slope(PSM, 0.7, 0.7)
+        da = -db
         np.testing.assert_allclose([da, db], [-0.25, 0.25], rtol=1e-15)
 
     def test_kl_opauc_inactive_hinge(self):
-        assert loss_grads(KL, 3.0, 1.0) == (0.0, 0.0)
-        assert loss_grads(KL, 2.0, 1.0) == (0.0, 0.0)  # exactly at the kink
+        for a in (3.0, 2.0):  # 2.0 is exactly at the kink
+            _, db = loss_and_slope(KL, a, 1.0)
+            assert (-db, db) == (0.0, 0.0)
 
     @pytest.mark.parametrize("spec", ALL_LOSSES, ids=lambda s: s.kind)
     def test_matches_scalar_finite_differences(self, spec):
@@ -90,7 +92,8 @@ class TestLossGrads:
         step = 1e-6
         for _ in range(60):
             a, b = rng.uniform(-2, 2, 2)
-            da, db = loss_grads(spec, a, b)
+            _, db = loss_and_slope(spec, a, b)
+            da = -db
             fd_a = (loss(spec, a + step, b) - loss(spec, a - step, b)) / (2 * step)
             fd_b = (loss(spec, a, b + step) - loss(spec, a, b - step)) / (2 * step)
             assert abs(da - fd_a) <= 1e-5 * max(1.0, abs(da))
@@ -202,7 +205,8 @@ class TestExactOracles:
         acc = np.zeros(3)
         for p in pos:
             for q in neg:
-                da, db = loss_grads(SQ, score(LIN3, w, p), score(LIN3, w, q))
+                _, db = loss_and_slope(SQ, score(LIN3, w, p), score(LIN3, w, q))
+                da = -db
                 acc += da * p + db * q  # linear scorer: grad h = x
         np.testing.assert_allclose(
             exact_grad(SQ, IDENTITY_OUTER, LIN3, w, pos, neg), acc / 12.0, rtol=1e-12
@@ -238,15 +242,16 @@ class TestExactOracles:
         for _ in range(50):
             b = rng.uniform(-3, 3)
             a = b + 1.0 + rng.uniform(0, 2)
-            assert loss_grads(KL, a, b) == (0.0, 0.0)
+            _, db = loss_and_slope(KL, a, b)
+            assert (-db, db) == (0.0, 0.0)
 
 
 def _direct_oracle(loss_spec, outer, scorer, w, pos, neg):
     """Objective and gradient straight from the definition, on the full
     P x Q matrices: finite only where every exp(m^2/lambda) is."""
     a, b = score_many(scorer, w, pos), score_many(scorer, w, neg)
-    lmat = loss(loss_spec, a[:, None], b[None, :])
-    da, db = loss_grads(loss_spec, a[:, None], b[None, :])
+    lmat, db = loss_and_slope(loss_spec, a[:, None], b[None, :])
+    da = -db
     g = lmat.mean(axis=1)
     fp = outer_deriv(outer, g)[:, None]
     grad = (fp * da).sum(axis=1) @ score_grad_many(scorer, w, pos)[1]
