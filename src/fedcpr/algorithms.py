@@ -335,9 +335,6 @@ class ClientGroup:
         return (self.pos_X[self.rows, self.draws[first][k]],
                 self.neg_X[self.rows, self.draws[first + 1][k]])
 
-    def scores(self, s: RunSettings, X: np.ndarray) -> np.ndarray:
-        return score_many(s.scorer, self.model, X)
-
     def descend(self, s: RunSettings, grad: np.ndarray, eta: float) -> None:
         """One model step along ``grad``, through the momentum if any."""
         if self.momentum is None:
@@ -416,8 +413,8 @@ class PairwiseProgram:
         for grp in self.groups if self.lazy else ():
             z1, z2 = self._draws(grp, self._pair_draw(grp), "bootstrap")
             ids1 = grp.pos_ids[grp.rows, z1]
-            a = grp.scores(s, grp.pos_X[grp.rows, z1])
-            b = grp.scores(s, grp.neg_X[grp.rows, z2])
+            a = score_many(s.scorer, grp.model, grp.pos_X[grp.rows, z1])
+            b = score_many(s.scorer, grp.model, grp.neg_X[grp.rows, z2])
             grp.emitted = {"h1": (a, ids1), "h2": (b, grp.neg_ids[grp.rows, z2])}
             if self.nonlinear:
                 # Full-replacement estimates so the first cross-client
@@ -506,7 +503,7 @@ class PairwiseProgram:
             separate = len(grp.draws) > 2
             if separate:
                 xh1, xh2 = grp.sampled(k, 2)
-                a, b = grp.scores(s, xh1), grp.scores(s, xh2)
+                a, b = (score_many(s.scorer, grp.model, x) for x in (xh1, xh2))
             grp.emitted["h1"][0][k] = a
             grp.emitted["h2"][0][k] = b
             if self.nonlinear:
@@ -642,37 +639,6 @@ def check_algorithm(algorithm: str, outer: OuterFnSpec) -> None:
         raise ValueError(f"outer.kind must be {required} for {algorithm}, got {outer.kind!r}")
 
 
-class _Evaluator:
-    """Exact-oracle and held-out-metric snapshots of a global model."""
-
-    def __init__(self, dataset: FederatedDataset, settings: RunSettings):
-        self.settings = settings
-        _, self.pos_X = dataset.pos_union()
-        _, self.neg_X = dataset.neg_union()
-        self.eval_pos_X = dataset.eval_pos_X
-        self.eval_neg_X = dataset.eval_neg_X
-
-    def oracle(self, w: np.ndarray, round_idx: int) -> tuple[float, float]:
-        """(objective, grad_norm_sq); raises rather than return inf or NaN."""
-        s = self.settings
-        obj, grad = exact_oracle(s.loss, s.outer, s.scorer, w, self.pos_X, self.neg_X)
-        grad_sq = float(np.dot(grad, grad))
-        for name, value in (("objective", obj), ("grad_norm_sq", grad_sq)):
-            if not math.isfinite(value):
-                raise FloatingPointError(
-                    f"exact {name} is non-finite ({value}) at round {round_idx}"
-                )
-        return obj, grad_sq
-
-    def held_out(self, w: np.ndarray) -> tuple[float, dict[float, float]]:
-        s = self.settings
-        ev = ScoredEval(
-            score_many(s.scorer, w, self.eval_pos_X),
-            score_many(s.scorer, w, self.eval_neg_X),
-        )
-        return auc_and_partial_aucs(ev, PAUC_FPRS)
-
-
 def _due(round_idx: int, last_round: int, every: int) -> bool:
     if round_idx in (0, last_round):
         return True
@@ -707,16 +673,24 @@ def simulate(
     check_algorithm(algorithm, outer)
     settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)
     program = PROGRAMS[algorithm](settings, dataset)
-    evaluator = _Evaluator(dataset, settings)
+    _, pos_X = dataset.pos_union()
+    _, neg_X = dataset.neg_union()
     trace = RunTrace(settings=settings)
 
     def emit_round(idx, t_start, download, table, wraps):
         up_floats, down_floats = comm_cost(table, download, 0)
         objective = grad_sq = auc_val = pauc_val = None
+        w = download.model
         if _due(idx, hyper.R, oracle_every):
-            objective, grad_sq = evaluator.oracle(download.model, idx)
+            objective, grad = exact_oracle(loss_spec, outer, scorer, w, pos_X, neg_X)
+            grad_sq = float(np.dot(grad, grad))
+            for name, value in (("objective", objective), ("grad_norm_sq", grad_sq)):
+                if not math.isfinite(value):
+                    raise FloatingPointError(f"exact {name} is non-finite ({value}) at round {idx}")
         if _due(idx, hyper.R, eval_every):
-            auc_val, pauc_val = evaluator.held_out(download.model)
+            ev = ScoredEval(score_many(scorer, w, dataset.eval_pos_X),
+                            score_many(scorer, w, dataset.eval_neg_X))
+            auc_val, pauc_val = auc_and_partial_aucs(ev, PAUC_FPRS)
         rec = RoundRecord(
             round=idx,
             wall_seconds=time.perf_counter() - t_start,

@@ -92,10 +92,6 @@ class FederatedDataset:
     def n_clients(self) -> int:
         return len(self.shards)
 
-    @property
-    def input_dim(self) -> int:
-        return self.shards[0].pos_X.shape[1]
-
     def pos_union(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, features) of the full positive set in client order."""
         ids = np.concatenate([s.pos_ids for s in self.shards])
@@ -228,16 +224,15 @@ def dump_dataset(dataset: FederatedDataset) -> str:
 
     Evaluation rows carry client = -1. Full decimal round-trip precision.
     """
+    parts = []  # (ids, features, group, client)
+    for i, sh in enumerate(dataset.shards):
+        parts += [(sh.pos_ids, sh.pos_X, POSITIVE, i), (sh.neg_ids, sh.neg_X, NEGATIVE, i)]
+    parts += [(dataset.eval_pos_ids, dataset.eval_pos_X, POSITIVE, -1),
+              (dataset.eval_neg_ids, dataset.eval_neg_X, NEGATIVE, -1)]
     out = io.StringIO()
-    for i, shard in enumerate(dataset.shards):
-        for sid, row in zip(shard.pos_ids, shard.pos_X):
-            out.write(_format_row(int(sid), POSITIVE, i, row) + "\n")
-        for sid, row in zip(shard.neg_ids, shard.neg_X):
-            out.write(_format_row(int(sid), NEGATIVE, i, row) + "\n")
-    for sid, row in zip(dataset.eval_pos_ids, dataset.eval_pos_X):
-        out.write(_format_row(int(sid), POSITIVE, -1, row) + "\n")
-    for sid, row in zip(dataset.eval_neg_ids, dataset.eval_neg_X):
-        out.write(_format_row(int(sid), NEGATIVE, -1, row) + "\n")
+    for ids, X, group, client in parts:
+        for sid, row in zip(ids, X):
+            out.write(_format_row(int(sid), group, client, row) + "\n")
     return out.getvalue()
 
 

@@ -110,7 +110,6 @@ _SCHEMA = {
     "scorer.kind": (_parse_str, "linear"),
     "scorer.input_dim": (_parse_opt_int, None),  # defaults to data.input_dim
     "scorer.hidden_dim": (_parse_int, 8),
-    "scorer.activation": (_parse_str, "tanh"),
     "loss.kind": (_parse_str, "psm_sigmoid"),
     "loss.lambda": (_parse_float, 1.0),
     "outer.kind": (_parse_str, "identity"),
@@ -179,8 +178,8 @@ def parse_config(text: str) -> RunConfig:
     scorer = fields["scorer"]
     if scorer["input_dim"] is None:
         scorer["input_dim"] = fields["data"]["input_dim"]
-    if scorer["kind"] == "linear":  # the mlp1 shape keys do not apply
-        scorer.update(hidden_dim=0, activation="tanh")
+    if scorer["kind"] == "linear":  # the mlp1 hidden layer does not apply
+        scorer["hidden_dim"] = 0
     sections = {s: _build(cls, s, fields[s]) for s, cls in _SECTIONS.items()}
     return _build(RunConfig, "", {**fields[""], **sections})
 

@@ -26,7 +26,6 @@ class ScorerSpec:
     kind: str  # "linear" | "mlp1"
     input_dim: int
     hidden_dim: int = 0  # mlp1 only
-    activation: str = "tanh"  # mlp1 only
 
     def __post_init__(self) -> None:
         # Each message starts with the field's config key name.
@@ -34,11 +33,8 @@ class ScorerSpec:
             raise ValueError(f"kind must be linear or mlp1, got {self.kind!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if self.kind == "mlp1":
-            if self.hidden_dim < 1:
-                raise ValueError("hidden_dim must be >= 1 for mlp1")
-            if self.activation != "tanh":
-                raise ValueError(f"activation must be tanh, got {self.activation!r}")
+        if self.kind == "mlp1" and self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1 for mlp1")
 
     @property
     def param_count(self) -> int:

@@ -469,9 +469,9 @@ def test_criterion_7_communication_accounting():
 # 8. Vary-N ablation analog
 
 
-def test_criterion_8_vary_n_ablation(tmp_path):
-    t0 = time.perf_counter()
-    base_text = """
+# Criterion 8's config without its seeds; tests/golden/criterion8_scan.py
+# runs it over a seed range.
+CRITERION_8_CONFIG = """
 algorithm = fedx2
 loss.kind = kl_opauc
 loss.lambda = 5.0
@@ -496,10 +496,14 @@ hyper.beta = 0.2
 eval_every_rounds = 0
 oracle_every_rounds = 0
 """
+
+
+def test_criterion_8_vary_n_ablation(tmp_path):
+    t0 = time.perf_counter()
     wins = 0
     gaps = []
     for seed in (1, 2, 3):
-        cfg = parse_config(base_text + f"data.seed = {seed}\nhyper.seed = {seed}\n")
+        cfg = parse_config(CRITERION_8_CONFIG + f"data.seed = {seed}\nhyper.seed = {seed}\n")
         rows = sweep(cfg, "N", [1, 4, 16], tmp_path / f"seed{seed}")
         by_n = {row["value"]: row["final_pauc_0.3"] for row in rows}
         gaps.append(by_n[16] - by_n[1])

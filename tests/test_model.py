@@ -199,5 +199,3 @@ class TestInit:
             ScorerSpec("conv", 4)
         with pytest.raises(ValueError):
             ScorerSpec("mlp1", 4, hidden_dim=0)
-        with pytest.raises(ValueError):
-            ScorerSpec("mlp1", 4, hidden_dim=2, activation="relu")
