@@ -68,8 +68,9 @@ from .federation import (
     Records,
     RoundDownload,
     RoundUpload,
-    comm_cost,
     buffer_draw,
+    comm_cost,
+    round_floats,
     server_aggregate,
 )
 from .losses import (
@@ -245,12 +246,13 @@ class RoundRecord:
 
 @dataclass
 class RunTrace:
-    settings: RunSettings
     rounds: list[RoundRecord] = field(default_factory=list)
-    # With the iteration trace, round r's (K, N) estimates and K step sizes.
+    # Round r's (K, N) loss estimates and K step sizes, r = 1..R.
     loss_estimates: list[np.ndarray] = field(default_factory=list)
     step_sizes: list[np.ndarray] = field(default_factory=list)
     final_model: np.ndarray | None = None
+    # Floats sent over the run: every client, both directions, every round.
+    total_floats: int = 0
 
     def final_round(self) -> RoundRecord:
         return self.rounds[-1]
@@ -656,16 +658,15 @@ def simulate(
     trace_sink=None,
     eval_every: int = 1,
     oracle_every: int = 1,
-    iteration_trace: bool = False,
 ) -> RunTrace:
     """Run one of :data:`ALGORITHMS`: the bootstrap exchange, then ``hyper.R``
     rounds of ``hyper.K`` local steps per client.
 
     ``trace_sink`` sees each round's record (``on_round``), after that
-    round's (K, N) loss estimates and K step sizes (``on_iteration``) with
-    ``iteration_trace``. The exact oracle and the held-out metrics are taken
-    at rounds 0 and R and every ``oracle_every``/``eval_every`` rounds (0 =
-    never between). Raises ValueError for an unknown algorithm or one that
+    round's (K, N) loss estimates and K step sizes (``on_iteration``); the
+    returned trace holds both, and the run's :attr:`RunTrace.total_floats`.
+    The exact oracle and the held-out metrics are taken at rounds 0 and R
+    and every ``oracle_every``/``eval_every`` rounds (0 = never between). Raises ValueError for an unknown algorithm or one that
     does not run with ``outer`` (see :data:`REQUIRED_OUTER`), and
     FloatingPointError at the first non-finite oracle value or quantity of
     a local step (:attr:`PairwiseProgram.WATCHED`).
@@ -675,10 +676,11 @@ def simulate(
     program = PROGRAMS[algorithm](settings, dataset)
     _, pos_X = dataset.pos_union()
     _, neg_X = dataset.neg_union()
-    trace = RunTrace(settings=settings)
+    trace = RunTrace()
 
     def emit_round(idx, t_start, download, table, wraps):
         up_floats, down_floats = comm_cost(table, download, 0)
+        trace.total_floats += round_floats(table, download)
         objective = grad_sq = auc_val = pauc_val = None
         w = download.model
         if _due(idx, hyper.R, oracle_every):
@@ -735,11 +737,10 @@ def simulate(
             )
         table = program.uploads()
         download = server_aggregate(table)
-        if iteration_trace:
-            trace.loss_estimates.append(estimates)
-            trace.step_sizes.append(np.array(etas))
-            if trace_sink is not None:
-                trace_sink.on_iteration(r, estimates, trace.step_sizes[-1])
+        trace.loss_estimates.append(estimates)
+        trace.step_sizes.append(np.array(etas))
+        if trace_sink is not None:
+            trace_sink.on_iteration(r, estimates, trace.step_sizes[-1])
         emit_round(r, t_start, download, table, wraps)
 
     trace.final_model = download.model.copy()

@@ -152,9 +152,17 @@ def buffer_draw(
     return out, (count - 1) // size
 
 
-def _record_rows(upload: RoundUpload, download: RoundDownload, client: int) -> tuple[int, int]:
-    """Records of ``client`` in the upload table, and records downloaded."""
-    mine = sum(int(np.count_nonzero(block.client == client))
+def _floats(rows: int, model: np.ndarray, momentum: np.ndarray | None) -> int:
+    """``rows`` records and ``model``, twice over with a momentum, in floats."""
+    return rows + model.size * (1 if momentum is None else 2)
+
+
+def _record_rows(
+    upload: RoundUpload, download: RoundDownload, client: int | None
+) -> tuple[int, int]:
+    """Records of ``client`` (of every client for None) in the upload table,
+    and records downloaded."""
+    mine = sum(len(block) if client is None else int(np.count_nonzero(block.client == client))
                for block in (upload.h1, upload.h2, upload.u) if block is not None)
     return mine, len(download.r1) + len(download.r2) + len(download.p or ())
 
@@ -166,9 +174,16 @@ def comm_cost(upload: RoundUpload, download: RoundDownload, client: int) -> tupl
     Provenance integers are excluded; see :func:`comm_cost_ints`.
     """
     up, down = _record_rows(upload, download, client)
-    up += upload.models.shape[1] * (1 if upload.momenta is None else 2)
-    down += download.model.size * (1 if download.momentum is None else 2)
-    return up, down
+    return (_floats(up, upload.models[client], upload.momenta),
+            _floats(down, download.model, download.momentum))
+
+
+def round_floats(upload: RoundUpload, download: RoundDownload) -> int:
+    """:func:`comm_cost` summed over the round's N clients, both directions:
+    the whole upload table and N downloads, with no scan per client."""
+    up, down = _record_rows(upload, download, None)
+    return (_floats(up, upload.models, upload.momenta)
+            + len(upload.models) * _floats(down, download.model, download.momentum))
 
 
 def comm_cost_ints(upload: RoundUpload, download: RoundDownload, client: int) -> tuple[int, int]:

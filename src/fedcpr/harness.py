@@ -4,9 +4,10 @@ Config files are flat ``section.key = value`` lines with ``#`` comments.
 Every key has a documented default (empty file = default run: 16 clients,
 K=32, B1=B2=32, beta=0.1). Unknown keys, type errors, non-finite numbers
 and invariant violations raise :class:`ConfigError` naming the offending
-key. ``_SCHEMA`` states each key once; each section's invariants are checked
-by that section's dataclass, and the checks that span sections by
-:class:`RunConfig`.
+key. The keys are the fields of :class:`RunConfig` and its section
+dataclasses, which state each key's type and default (see ``_schema``); each
+section's invariants are checked by that section's dataclass, and the checks
+that span sections by :class:`RunConfig`.
 
 Traces are CSV, one record per round, written incrementally so a crash
 leaves a valid prefix. Line 1 is a ``# config:`` comment echoing the full
@@ -17,9 +18,10 @@ per-iteration records go to a sibling ``<out>.iters.csv``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 from .algorithms import (
     PAUC_FPRS,
@@ -84,57 +86,47 @@ def _parse_opt_int(key: str, raw: str) -> int | None:
     return _parse_int(key, raw)
 
 
-def _parse_str(key: str, raw: str) -> str:
-    return raw
+# A field's annotation -> the parser of its key.
+_PARSERS = {"int": _parse_int, "float": _parse_float, "str": lambda key, raw: raw,
+            "int | None": _parse_opt_int}
 
+# RunConfig's sections: field name -> dataclass, in declaration order.
+_SECTIONS = {name: cls for name, cls in get_type_hints(RunConfig).items() if is_dataclass(cls)}
 
-# The one table of config keys: key -> (parser, default), in echo order. A
-# key "section.name" sets field `name` of that section's dataclass (`lam`
-# for `lambda`, a Python keyword); a bare key sets a field of RunConfig.
-_SCHEMA = {
-    "algorithm": (_parse_str, "fedx1"),
-    "eval_every_rounds": (_parse_int, 1),
-    "oracle_every_rounds": (_parse_int, 1),
-    "output_path": (_parse_str, "trace.csv"),
-    "data.n_pos_per_client": (_parse_int, 4),
-    "data.n_neg_per_client": (_parse_int, 20),
-    "data.input_dim": (_parse_int, 8),
-    "data.n_clients": (_parse_int, 16),
-    "data.hetero_step": (_parse_float, 0.01),
-    "data.hetero_base": (_parse_float, -0.08),
-    "data.hetero_var": (_parse_float, 0.04),
-    "data.flip_fraction": (_parse_float, 0.0),
-    "data.seed": (_parse_int, 0),
-    "data.cluster_sep": (_parse_float, 1.9),
-    "data.cluster_std": (_parse_float, 1.0),
-    "scorer.kind": (_parse_str, "linear"),
-    "scorer.input_dim": (_parse_opt_int, None),  # defaults to data.input_dim
-    "scorer.hidden_dim": (_parse_int, 8),
-    "loss.kind": (_parse_str, "psm_sigmoid"),
-    "loss.lambda": (_parse_float, 1.0),
-    "outer.kind": (_parse_str, "identity"),
-    "outer.lambda": (_parse_float, 1.0),
-    "outer.u_floor": (_parse_float, 1e-8),
-    "hyper.eta": (_parse_float, 0.1),
-    "hyper.K": (_parse_int, 32),
-    "hyper.R": (_parse_int, 30),
-    "hyper.B1": (_parse_int, 32),
-    "hyper.B2": (_parse_int, 32),
-    "hyper.gamma": (_parse_float, 0.1),
-    "hyper.beta": (_parse_float, 0.1),
-    "hyper.lr_decay_every": (_parse_opt_int, None),
-    "hyper.lr_decay_factor": (_parse_float, 0.1),
-    "hyper.seed": (_parse_int, 0),
-    "hyper.history_samples": (_parse_str, "independent"),
+# The defaults of the keys whose dataclass field states none or another one.
+_DEFAULTS = {
+    "algorithm": "fedx1",
+    "data.n_pos_per_client": 4,
+    "data.n_neg_per_client": 20,
+    "data.input_dim": 8,
+    "data.n_clients": 16,
+    "scorer.kind": "linear",
+    "scorer.hidden_dim": 8,
+    "loss.kind": "psm_sigmoid",
+    "outer.kind": "identity",
 }
 
-_SECTIONS = {
-    "data": DataConfig,
-    "scorer": ScorerSpec,
-    "loss": PairwiseLossSpec,
-    "outer": OuterFnSpec,
-    "hyper": HyperParams,
-}
+
+def _schema() -> dict:
+    """The one table of config keys: key -> (parser, default), in echo order:
+    RunConfig's own fields, then each section's, in declaration order. A key
+    "section.name" sets field `name` of that section's dataclass (`lam` for
+    `lambda`, a Python keyword); a bare key sets a field of RunConfig.
+    scorer.input_dim is not a key: it is data.input_dim."""
+    schema = {}
+    for section, cls in {"": RunConfig, **_SECTIONS}.items():
+        for f in fields(cls):
+            key = ".".join(filter(None, (section, "lambda" if f.name == "lam" else f.name)))
+            if f.name in _SECTIONS or key == "scorer.input_dim":
+                continue
+            default = _DEFAULTS.get(key, f.default)
+            if f.type not in _PARSERS or default is MISSING:
+                raise TypeError(f"config key {key}: no parser for {f.type!r} or no default")
+            schema[key] = (_PARSERS[f.type], default)
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def _place(key: str) -> tuple[str, str]:
@@ -171,17 +163,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key}: set more than once")
         raw[key] = value
 
-    fields: dict[str, dict] = {"": {}, **{section: {} for section in _SECTIONS}}
+    values: dict[str, dict] = {"": {}, **{section: {} for section in _SECTIONS}}
     for key, (parser, default) in _SCHEMA.items():
         section, name = _place(key)
-        fields[section][name] = parser(key, raw[key]) if key in raw else default
-    scorer = fields["scorer"]
-    if scorer["input_dim"] is None:
-        scorer["input_dim"] = fields["data"]["input_dim"]
+        values[section][name] = parser(key, raw[key]) if key in raw else default
+    scorer = values["scorer"]
+    scorer["input_dim"] = values["data"]["input_dim"]
     if scorer["kind"] == "linear":  # the mlp1 hidden layer does not apply
         scorer["hidden_dim"] = 0
-    sections = {s: _build(cls, s, fields[s]) for s, cls in _SECTIONS.items()}
-    return _build(RunConfig, "", {**fields[""], **sections})
+    sections = {s: _build(cls, s, values[s]) for s, cls in _SECTIONS.items()}
+    return _build(RunConfig, "", {**values[""], **sections})
 
 
 def parse_config_file(path: str | Path) -> RunConfig:
@@ -261,13 +252,6 @@ class CsvTraceSink:
             self._iter_fh.close()
 
 
-def total_floats(trace: RunTrace, n_clients: int) -> int:
-    """Floats communicated over the whole run, all clients, both directions."""
-    return sum(
-        n_clients * (rec.uplink_floats + rec.downlink_floats) for rec in trace.rounds
-    )
-
-
 def run(
     config: RunConfig,
     *,
@@ -301,7 +285,6 @@ def run(
             trace_sink=sink,
             eval_every=config.eval_every_rounds,
             oracle_every=config.oracle_every_rounds,
-            iteration_trace=iteration_trace,
         )
     finally:
         sink.close()
@@ -311,7 +294,7 @@ def run(
         print(
             f"{config.algorithm}: final objective={_fmt(final.objective)} "
             f"final pauc@0.5={_fmt(pauc)} "
-            f"floats={total_floats(trace, config.data.n_clients)}"
+            f"floats={trace.total_floats}"
         )
     return trace
 
@@ -376,7 +359,7 @@ def sweep(
             final = trace.final_round()
             pauc = final.pauc or {}
             cells = (value, final.objective, pauc.get(0.3), pauc.get(0.5),
-                     total_floats(trace, cfg.data.n_clients))
+                     trace.total_floats)
             rows.append(dict(zip(SUMMARY_COLUMNS, cells)))
             summary.write(",".join(_fmt(v) for v in cells) + "\n")
             summary.flush()

@@ -4,16 +4,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ragged_dataset
 
 import fedcpr
 from fedcpr import harness
-from fedcpr.algorithms import ALGORITHMS, REQUIRED_OUTER, simulate
+from fedcpr.algorithms import ALGORITHMS, REQUIRED_OUTER, HyperParams, simulate
 from fedcpr.data import build_dataset
 from fedcpr.harness import (
     ConfigError,
@@ -23,9 +25,10 @@ from fedcpr.harness import (
     parse_config,
     run,
     sweep,
-    total_floats,
     trace_columns,
 )
+from fedcpr.losses import IDENTITY_OUTER, PairwiseLossSpec
+from fedcpr.model import ScorerSpec
 
 TINY = """
 algorithm = fedx1
@@ -56,6 +59,25 @@ data.n_clients = 2
 data.hetero_var = 0
 data.hetero_base = 0
 data.hetero_step = 0
+hyper.eta = 0.01
+hyper.K = 2
+hyper.R = 2
+hyper.B1 = 2
+hyper.B2 = 2
+"""
+
+# fedx2 with the mlp1 scorer on four clients, at lambda = 8.
+MLP1_FEDX2 = """
+algorithm = fedx2
+scorer.kind = mlp1
+loss.kind = kl_opauc
+loss.lambda = 8
+outer.kind = kl_log
+outer.lambda = 8
+data.n_pos_per_client = 4
+data.n_neg_per_client = 8
+data.input_dim = 3
+data.n_clients = 4
 hyper.eta = 0.01
 hyper.K = 2
 hyper.R = 2
@@ -114,8 +136,14 @@ class TestParseConfig:
             parse_config("algorithm = fedx2\n")  # defaults to identity outer
 
     def test_scorer_dim_must_match_data(self):
-        with pytest.raises(ConfigError, match="scorer.input_dim"):
-            parse_config("data.input_dim = 4\nscorer.input_dim = 5\n")
+        cfg = parse_config("data.input_dim = 4\n")
+        with pytest.raises(ValueError, match="scorer.input_dim"):
+            replace(cfg, scorer=replace(cfg.scorer, input_dim=5))
+
+    def test_scorer_dim_is_the_data_dim(self):
+        assert parse_config("data.input_dim = 4\n").scorer.input_dim == 4
+        with pytest.raises(ConfigError, match="unknown key 'scorer.input_dim'"):
+            parse_config("data.input_dim = 4\nscorer.input_dim = 4\n")
 
     def test_echo_round_trips_resolved_values(self):
         cfg = parse_config(TINY)
@@ -229,7 +257,6 @@ def _config_texts(draw):
         "data.cluster_sep": draw(_finite()),
         "data.cluster_std": draw(positive),
         "scorer.kind": draw(st.sampled_from(["linear", "mlp1"])),
-        "scorer.input_dim": draw(st.sampled_from(["none", input_dim])),
         "scorer.hidden_dim": draw(count),
         "loss.kind": loss_kind,
         "loss.lambda": draw(positive if loss_kind == "kl_opauc" else _finite()),
@@ -357,7 +384,7 @@ class TestRun:
         sink = Probe(tmp_path / "t.csv", cfg, iteration_path=side)
         try:
             simulate(cfg.algorithm, build_dataset(cfg.data), cfg.scorer, cfg.loss,
-                     cfg.outer, cfg.hyper, trace_sink=sink, iteration_trace=True)
+                     cfg.outer, cfg.hyper, trace_sink=sink)
         finally:
             sink.close()
         n, K, R = cfg.data.n_clients, cfg.hyper.K, cfg.hyper.R
@@ -370,7 +397,34 @@ class TestRun:
             cfg.data.n_clients * (r.uplink_floats + r.downlink_floats)
             for r in trace.rounds
         )
-        assert total_floats(trace, cfg.data.n_clients) == expected
+        assert trace.total_floats == expected
+
+    def test_simulate_keeps_the_iteration_blocks(self):
+        cfg = parse_config(TINY)
+        trace = simulate(cfg.algorithm, build_dataset(cfg.data), cfg.scorer, cfg.loss,
+                         cfg.outer, cfg.hyper)
+        n, K, R = cfg.data.n_clients, cfg.hyper.K, cfg.hyper.R
+        assert [e.shape for e in trace.loss_estimates] == [(K, n)] * R
+        assert [e.shape for e in trace.step_sizes] == [(K,)] * R
+
+    def test_centralized_total_floats_count_its_one_worker(self, tmp_path):
+        cfg = parse_config(TINY.replace("algorithm = fedx1", "algorithm = centralized"))
+        trace = run(cfg, out=tmp_path / "t.csv", quiet=True)
+        expected = sum(r.uplink_floats + r.downlink_floats for r in trace.rounds)
+        assert trace.total_floats == expected
+
+    def test_ragged_total_floats_count_each_clients_rows(self):
+        # tests/test_engine.py's ragged shapes: (client, n_pos, n_neg).
+        shapes = [(0, 3, 7), (1, 5, 9), (2, 3, 7), (3, 2, 4)]
+        ds = ragged_dataset(shapes + [(-1, 12, 30)], 123)
+        d, K, R, B1, B2 = 4, 3, 2, 4, 8
+        hyper = HyperParams(eta=0.01, K=K, R=R, B1=B1, B2=B2, seed=3)
+        trace = simulate("fedx1", ds, ScorerSpec("linear", d), PairwiseLossSpec("psm_sigmoid"),
+                         IDENTITY_OUTER, hyper)
+        rows = [min(B1, n_pos) + min(B2, n_neg) for _, n_pos, n_neg in shapes]
+        n = len(shapes)
+        per_round = sum(d + K * r for r in rows) + n * (d + K * sum(rows))
+        assert trace.total_floats == (R + 1) * per_round == 1806
 
     def test_default_config_completes_within_budget(self, tmp_path):
         import time
@@ -558,6 +612,20 @@ class TestCli:
         )
         printed = float(res.stdout.splitlines()[0].split(" = ")[1])
         assert printed == expected
+
+    @pytest.mark.parametrize("text", [TINY, MLP1_FEDX2], ids=["fedx1", "fedx2-mlp1"])
+    def test_oracle_is_round_0_of_a_run(self, tmp_path, text):
+        # N is a power of two, so the averaged round-0 model is w0 bit for bit.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        res = _cli(["oracle", "--config", str(cfg_path)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        out = tmp_path / "t.csv"
+        ran = _cli(["run", "--config", str(cfg_path), "--out", str(out)], tmp_path)
+        assert ran.returncode == 0, ran.stderr
+        header, row0 = out.read_text().splitlines()[1:3]
+        objective = row0.split(",")[header.split(",").index("objective")]
+        assert res.stdout.splitlines()[0] == f"objective = {objective}"
 
     def test_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
