@@ -666,10 +666,12 @@ def simulate(
     round's (K, N) loss estimates and K step sizes (``on_iteration``); the
     returned trace holds both, and the run's :attr:`RunTrace.total_floats`.
     The exact oracle and the held-out metrics are taken at rounds 0 and R
-    and every ``oracle_every``/``eval_every`` rounds (0 = never between). Raises ValueError for an unknown algorithm or one that
-    does not run with ``outer`` (see :data:`REQUIRED_OUTER`), and
-    FloatingPointError at the first non-finite oracle value or quantity of
-    a local step (:attr:`PairwiseProgram.WATCHED`).
+    and every ``oracle_every``/``eval_every`` rounds (0 = never between).
+
+    Raises ValueError for an unknown algorithm or one that does not run
+    with ``outer`` (see :data:`REQUIRED_OUTER`), and FloatingPointError at
+    the first non-finite oracle value or quantity of a local step
+    (:attr:`PairwiseProgram.WATCHED`).
     """
     check_algorithm(algorithm, outer)
     settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)

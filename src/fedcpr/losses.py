@@ -14,10 +14,18 @@ Jacobians ends it. ``exact_objective`` and ``exact_grad`` are its two
 halves, each taken from that one sweep. They are the ground truth the
 stochastic estimators are tested against.
 
+Only ``kl_opauc`` has inert pairs: where b + 1 <= a its loss is exactly 1
+and its slope exactly 0. For it the sweep sorts both sides once, counts
+each positive's inert pairs with one searchsorted, and computes a block of
+consecutive positives only from its first row's count on; the skipped
+pairs enter each row's sum as a count. ``psm_sigmoid`` and ``square`` sweep
+every pair in the given order.
+
 For ``kl_opauc`` with ``kl_log`` (the KL-DRO form of one-way partial AUC)
 the sweep works in the log domain, with f = lambda * logsumexp and softmax
 weights for f' * dloss/db, so the oracle is finite wherever the objective
-is, although exp(m^2/lambda) of a single pair may overflow.
+is, although exp(m^2/lambda) of a single pair may overflow. There the k
+skipped pairs of a row add k * exp(-t_max) to its sum of exp(t - t_max).
 
 Losses, each evaluated with its slope dl/db (= -dl/da) from one exp by
 :func:`loss_and_slope`, whose value half is :func:`loss`:
@@ -131,25 +139,29 @@ def outer_deriv(spec: OuterFnSpec, s):
 
 
 # Pairs per row block of the oracle sweep; a block holds
-# max(1, _BLOCK_PAIRS // |S2|) positives against every negative.
+# max(1, _BLOCK_PAIRS // width) positives against its ``width`` columns.
 _BLOCK_PAIRS = 2**15
 
 
-def _kl_log_block(loss_spec, outer, a, b):
+def _kl_log_block(loss_spec, outer, a, b1, inert):
     """kl_opauc + kl_log on one row block, in the log domain.
 
-    With t = m^2/lambda_loss, log g_p = max_q t + log(mean_q exp(t - max_q t))
+    a holds ascending positives; b1 holds the ascending negatives + 1 past
+    the ``inert`` columns the block skips, whose pairs have m = 0. With
+    t = m^2/lambda_loss, log g_p = max_q t + log(mean_q exp(t - max_q t))
     and L_p = max(log g_p, log u_floor), so f(g_p) = lambda_outer * L_p and
     f'(g_p) * dl/db = lambda_outer * exp(t - L_p) * 2m/lambda_loss: finite
-    wherever the objective is, though exp(t) alone may overflow.
+    wherever the objective is, though exp(t) alone may overflow. A skipped
+    pair adds exp(0 - max_q t) to the mean, and nothing to the slopes.
     """
-    m = np.maximum(b[None, :] + 1.0 - a[:, None], 0.0)
+    m = np.maximum(b1[None, :] - a[:, None], 0.0)
     t = np.multiply(m, m)
     t /= loss_spec.lam
-    t_max = t.max(axis=1)
+    t_max = t[:, -1].copy()  # m, hence t, never decreases along a row
     t -= t_max[:, None]
     e = np.exp(t, out=t)
-    log_g = t_max + np.log(e.sum(axis=1) / b.shape[0])
+    total = e.sum(axis=1) + inert * np.exp(-t_max)
+    log_g = t_max + np.log(total / (inert + b1.shape[0]))
     log_g = np.maximum(log_g, math.log(outer.u_floor))
     # exp(t - L_p) * 2m/lambda_loss = [exp(t_max - L_p) * 2/lambda_loss] * e * m
     scale = outer.lam * np.exp(t_max - log_g) * (2.0 / loss_spec.lam)
@@ -157,10 +169,11 @@ def _kl_log_block(loss_spec, outer, a, b):
     return outer.lam * log_g, scale, e
 
 
-def _direct_block(loss_spec, outer, a, b):
-    """Any other pair on one row block: f(g_p), f'(g_p) and dl/db."""
+def _direct_block(loss_spec, outer, a, b, inert):
+    """Any other pair on one row block: f(g_p), f'(g_p) and dl/db, the
+    ``inert`` skipped kl_opauc pairs each adding a loss of exactly 1."""
     lmat, slope = loss_and_slope(loss_spec, a[:, None], b[None, :])
-    g = lmat.mean(axis=1)
+    g = (lmat.sum(axis=1) + inert) / (inert + b.shape[0])
     return outer_value(outer, g), outer_deriv(outer, g), slope
 
 
@@ -171,19 +184,40 @@ def _sweep(loss_spec, outer, a, b):
     neg_w[q] = sum_p f'(g_p) dl/db, so that the gradient is
     (pos_w @ J_pos + neg_w @ J_neg) / (PQ). Positives are swept in row
     blocks of about _BLOCK_PAIRS pairs; nothing of size P x Q is held.
+
+    For kl_opauc both sides are sorted first, and a block computes only the
+    columns past its first row's count of inert pairs. The count stops at
+    Q - 1, so every row keeps its largest margin and a NaN score still
+    reaches the sums.
     """
     P, Q = a.shape[0], b.shape[0]
-    log_domain = (loss_spec.kind, outer.kind) == ("kl_opauc", "kl_log")
+    kl = loss_spec.kind == "kl_opauc"
+    log_domain = kl and outer.kind == "kl_log"
     block = _kl_log_block if log_domain else _direct_block
-    rows = max(1, _BLOCK_PAIRS // Q)
+    inert = np.zeros(P, dtype=np.intp)
+    if kl:
+        pos_order = np.argsort(a, kind="stable")
+        neg_order = np.argsort(b, kind="stable")
+        a, b = a[pos_order], b[neg_order]
+        b1 = b + 1.0  # the first sum of b + 1.0 - a, so b1 - a keeps its bits
+        inert = np.minimum(np.searchsorted(b1, a, side="right"), Q - 1)
+        if log_domain:
+            b = b1
     f = np.empty(P)
     pos_w = np.empty(P)
     neg_w = np.zeros(Q)
-    for lo in range(0, P, rows):
-        hi = min(lo + rows, P)
-        f[lo:hi], scale, slope = block(loss_spec, outer, a[lo:hi], b)
+    lo = 0
+    while lo < P:
+        k = int(inert[lo])
+        hi = min(lo + max(1, _BLOCK_PAIRS // (Q - k)), P)
+        f[lo:hi], scale, slope = block(loss_spec, outer, a[lo:hi], b[k:], k)
         pos_w[lo:hi] = scale * -slope.sum(axis=1)  # dl/da = -dl/db
-        neg_w += scale @ slope
+        neg_w[k:] += scale @ slope
+        lo = hi
+    if kl:  # back to the given order
+        f[pos_order] = f.copy()
+        pos_w[pos_order] = pos_w.copy()
+        neg_w[neg_order] = neg_w.copy()
     return f, pos_w, neg_w
 
 

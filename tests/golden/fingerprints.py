@@ -1,13 +1,19 @@
-"""Trace fingerprints: one SHA-256 per config, checked in as fingerprints.json.
+"""Trace fingerprints: two SHA-256s per config, checked in as fingerprints.json.
 
 A config's fingerprint hashes what ``fedcpr run --iter-trace`` writes, in
-order: the round CSV without its ``# config:`` echo (which names the
-output path) and without the ``wall_seconds`` column, the per-iteration
-CSV, and the little-endian float64 bytes of ``final_model``. Every config
-is a short-R version of one the simulator is known by: the five algorithms
-on the default config, the variants the engine tests branch on, the
-buffer-wrap configs of ``tests/test_engine.py``, the preset, the three
-benchmark workloads and two ``square`` configs.
+two parts, so a change to the exact oracle alone shows as that:
+
+* ``trajectory``: the round CSV without its ``# config:`` echo (which names
+  the output path) and without the ``wall_seconds``, ``objective`` and
+  ``grad_norm_sq`` columns, then the per-iteration CSV and the
+  little-endian float64 bytes of ``final_model``;
+* ``oracle``: the round CSV's ``objective`` and ``grad_norm_sq`` columns,
+  the exact oracle's output, which no training step reads.
+
+Every config is a short-R version of one the simulator is known by: the
+five algorithms on the default config, the variants the engine tests branch
+on, the buffer-wrap configs of ``tests/test_engine.py``, the preset, the
+three benchmark workloads and two ``square`` configs.
 
 Traces are byte-identical per numeric profile, not across machines:
 ``np.exp``, ``np.log`` (numpy's SIMD dispatch) and ``@`` (the BLAS kernel)
@@ -45,6 +51,8 @@ _spec.loader.exec_module(workloads)
 
 SHORT_R = 2
 WORKLOAD_SEED = 1
+PARTS = ("trajectory", "oracle")
+ORACLE_COLUMNS = ("objective", "grad_norm_sq")
 
 
 def configs() -> dict[str, RunConfig]:
@@ -84,20 +92,24 @@ def configs() -> dict[str, RunConfig]:
     return out
 
 
-def fingerprint(config: RunConfig) -> str:
-    """SHA-256 of one run's round CSV, iteration CSV and final model."""
+def fingerprint(config: RunConfig) -> dict[str, str]:
+    """{part: SHA-256} of one run's round CSV, iteration CSV and final model."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "trace.csv"
         trace = run(config, out=out, iteration_trace=True, quiet=True)
-        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]  # past the echo
         iters = Path(f"{out}.iters.csv").read_bytes()
-    digest = hashlib.sha256()
-    for line in lines[1:]:  # past the "# config:" echo
-        cells = line.split(",")
-        digest.update((",".join(cells[:1] + cells[2:]) + "\n").encode())
-    digest.update(b"\0" + iters + b"\0")
-    digest.update(np.asarray(trace.final_model, dtype="<f8").tobytes())
-    return digest.hexdigest()
+    header = rows[0]
+    columns = {"oracle": [header.index(name) for name in ORACLE_COLUMNS]}
+    columns["trajectory"] = [i for i, name in enumerate(header)
+                             if name != "wall_seconds" and name not in ORACLE_COLUMNS]
+    digests = {part: hashlib.sha256() for part in PARTS}
+    for cells in rows:
+        for part, digest in digests.items():
+            digest.update((",".join(cells[i] for i in columns[part]) + "\n").encode())
+    digests["trajectory"].update(b"\0" + iters + b"\0")
+    digests["trajectory"].update(np.asarray(trace.final_model, dtype="<f8").tobytes())
+    return {part: digest.hexdigest() for part, digest in digests.items()}
 
 
 def canary() -> dict[str, str]:

@@ -28,11 +28,14 @@ def golden_profile():
 
 def test_every_config_is_fingerprinted():
     assert sorted(GOLDEN["configs"]) == sorted(CONFIGS)
+    assert all(sorted(parts) == sorted(fingerprints.PARTS) for parts in GOLDEN["configs"].values())
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_trace_matches_fingerprint(name, golden_profile):
-    assert fingerprints.fingerprint(CONFIGS[name]) == GOLDEN["configs"][name], (
-        f"the {name} trace moved; if that is intended, regenerate with "
-        "`PYTHONPATH=src python tests/golden/fingerprints.py`"
+    here, want = fingerprints.fingerprint(CONFIGS[name]), GOLDEN["configs"][name]
+    moved = [part for part in fingerprints.PARTS if here[part] != want[part]]
+    assert not moved, (
+        f"the {name} {' and '.join(moved)} moved; if that is intended, regenerate "
+        "with `PYTHONPATH=src python tests/golden/fingerprints.py`"
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from reference import exact_inner, score
 
+from fedcpr import losses
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.losses import (
     IDENTITY_OUTER,
@@ -127,6 +128,18 @@ LIN3 = ScorerSpec("linear", 3)
 
 def _instance(rng, n_pos, n_neg, dim=3):
     return rng.standard_normal((n_pos, dim)), rng.standard_normal((n_neg, dim))
+
+
+SEPARATING_W = np.array([1.0, 0.1, -0.1])
+
+
+def _separated_instance(rng):
+    """30 x 50 pairs on which SEPARATING_W ranks every positive above every
+    negative by more than the unit margin."""
+    pos, neg = _instance(rng, 30, 50)
+    pos[:, 0] += 20.0
+    assert score_many(LIN3, SEPARATING_W, pos).min() > score_many(LIN3, SEPARATING_W, neg).max() + 1.0
+    return pos, neg
 
 
 class TestExactOracles:
@@ -334,3 +347,68 @@ class TestExactOracleSweep:
             lambda v: exact_objective(KL, KL_LOG, scorer, v, pos, neg), w, 1e-5
         )
         assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("outer,want", [(KL_LOG, 0.0), (IDENTITY_OUTER, 1.0)],
+                             ids=["kl_log", "identity"])
+    def test_every_pair_inert(self, outer, want):
+        # Every positive outscores every negative by more than the unit
+        # margin: every kl_opauc pair has loss exactly 1 and slope exactly 0.
+        pos, neg = _separated_instance(np.random.default_rng(12))
+        obj, grad = exact_oracle(KL, outer, LIN3, SEPARATING_W, pos, neg)
+        assert obj == want
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
+    @pytest.mark.parametrize("outer", ALL_OUTERS, ids=lambda o: o.kind)
+    def test_exact_ties_at_the_margin(self, outer):
+        # With w = [1], scores are the features: b + 1.0 == a exactly for the
+        # pairs (2.0, 1.0) and (3.0, 2.0), where m = 0.
+        lin1 = ScorerSpec("linear", 1)
+        pos = np.array([[2.0], [0.5], [3.0], [2.0], [1.25]])
+        neg = np.array([[1.0], [0.0], [2.0], [1.0], [1.5], [1.0]])
+        _assert_matches_direct(KL, outer, lin1, np.array([1.0]), pos, neg)
+
+    @pytest.mark.parametrize("outer", ALL_OUTERS, ids=lambda o: o.kind)
+    def test_duplicate_scores_on_both_sides(self, outer):
+        rng = np.random.default_rng(13)
+        pos, neg = _instance(rng, 6, 9)
+        pos = np.repeat(pos, [1, 4, 2, 7, 1, 3], axis=0)
+        neg = np.concatenate([neg, neg[::2], neg[:3]])
+        pos, neg = pos[rng.permutation(len(pos))], neg[rng.permutation(len(neg))]
+        _assert_matches_direct(KL, outer, LIN3, 0.6 * rng.standard_normal(3), pos, neg)
+
+    @pytest.mark.parametrize("block_pairs", [2**15, 256])
+    @pytest.mark.parametrize("outer", ALL_OUTERS, ids=lambda o: o.kind)
+    def test_blocks_of_differing_widths(self, outer, block_pairs, monkeypatch):
+        # Scores spread over several margins, so a block's skipped columns
+        # grow with its first positive, and its rows grow as its width falls.
+        rng = np.random.default_rng(14)
+        n_pos, n_neg = 300, 700
+        pos, neg = _instance(rng, n_pos, n_neg)
+        w = np.array([2.0, 0.3, -0.2])
+        name = "_kl_log_block" if outer is KL_LOG else "_direct_block"
+        block, blocks = getattr(losses, name), []
+
+        def spy(loss_spec, outer_spec, a, b, inert):
+            blocks.append((a.shape[0], b.shape[0], inert))
+            return block(loss_spec, outer_spec, a, b, inert)
+
+        monkeypatch.setattr(losses, name, spy)
+        monkeypatch.setattr(losses, "_BLOCK_PAIRS", block_pairs)
+        exact_oracle(KL, outer, LIN3, w, pos, neg)
+        rows, widths, inert = (np.array(col) for col in zip(*blocks))
+        assert rows.sum() == n_pos and np.all(widths + inert == n_neg)
+        assert np.all(rows * widths <= np.maximum(block_pairs, widths))
+        assert len(set(widths)) >= 4 and inert[0] < n_neg // 4 and inert[-1] > n_neg // 2
+        _assert_matches_direct(KL, outer, LIN3, w, pos, neg)
+
+    @pytest.mark.parametrize("side", ["pos", "neg"])
+    @pytest.mark.parametrize("outer", ALL_OUTERS, ids=lambda o: o.kind)
+    @pytest.mark.parametrize("loss_spec", ALL_LOSSES, ids=lambda s: s.kind)
+    def test_nan_score_makes_objective_non_finite(self, loss_spec, outer, side):
+        # Every finite kl_opauc pair is inert, so only the NaN row or column
+        # can keep the objective from a finite value.
+        pos, neg = _separated_instance(np.random.default_rng(15))
+        (pos if side == "pos" else neg)[7] = np.nan
+        with np.errstate(invalid="ignore"):
+            obj, _ = exact_oracle(loss_spec, outer, LIN3, SEPARATING_W, pos, neg)
+        assert not math.isfinite(obj)
