@@ -11,9 +11,9 @@ then R rounds of K local steps between exchanges):
   positions that :func:`~fedcpr.federation.buffer_draw` draws without
   replacement).
 * ``fedx2`` (nonlinear outer function): adds a per-positive-sample moving
-  average ``u`` tracking the inner pairwise mean, a second lazy channel
-  carrying u-records (read at the same positions as the positive-side
-  score records, so each drawn pair shares provenance), and a momentum
+  average ``u`` tracking the inner pairwise mean, whose values travel as a
+  ``u`` column of the positive-side score records (so each drawn position
+  reads a score and the u-value of the same sample), and a momentum
   average of the gradient estimates; model and momentum are both averaged
   by the server.
 
@@ -30,21 +30,23 @@ own local step.
 
 The round engine. A client's K local steps in round r read only its own
 state and the round r-1 aggregate, so step k of every client is independent
-work. Clients whose shards share a shape form a :class:`ClientGroup`:
-models and momenta stacked as (G, d), u-tables as (G, n_pos). At the start
-of a round the engine makes every client-step's minibatch draws of the group
-in one :func:`~fedcpr.rng.choices` call (each row bit for bit the
-``Generator.choice`` calls of that client-step's substream), seeds the
-group's buffer streams of each side in one :func:`~fedcpr.rng.substreams`
-pass, makes each client's :func:`~fedcpr.federation.buffer_draw` on its
-stream in turn, and gathers the features and lazy records into
-(K, G, ...) arrays; then each local step k is one stacked call of the
-program's ``local_step`` per group. It scores and differentiates each batch
-in one forward pass, and :func:`fedx_estimate`, the one FedX estimator, is a
-function over the client axis. Fresh scores and u-values go into per-round
-(K, G, B) arrays, the record blocks of the round's one upload table.
-Stacked matmuls loop the same BLAS calls over the client axis, so every
-value is bit for bit what the clients would compute one after another.
+work. Each run of consecutive clients whose shards share a shape forms a
+:class:`ClientGroup`: models and momenta stacked as (G, d), u-tables as
+(G, n_pos). At the start of a round the engine makes every client-step's
+minibatch draws of the group in one :func:`~fedcpr.rng.choices` call (each
+row bit for bit the ``Generator.choice`` calls of that client-step's
+substream), seeds the group's buffer streams of each side in one
+:func:`~fedcpr.rng.substreams` pass, makes each client's
+:func:`~fedcpr.federation.buffer_draw` on its stream in turn, and gathers
+the features and lazy records into (K, G, ...) arrays; then each local step
+k is one stacked call of the program's ``local_step`` per group. It scores
+and differentiates each batch in one forward pass, and
+:func:`fedx_estimate`, the one FedX estimator, is a function over the
+client axis. Fresh scores and u-values go into per-round (K, G, B) arrays;
+taken group after group, they are the record blocks of the round's one
+upload table, already in client order. Stacked matmuls loop the same BLAS
+calls over the client axis, so every value is bit for bit what the clients
+would compute one after another.
 
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so a run's trace is
@@ -60,6 +62,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -70,7 +73,6 @@ from .federation import (
     RoundUpload,
     buffer_draw,
     comm_cost,
-    round_floats,
     server_aggregate,
 )
 from .losses import (
@@ -293,32 +295,36 @@ def fedx_estimate(outer: OuterFnSpec, j1, j2, d1, d2, u1=None, lazy_u=None) -> n
     return _vecmat(d1, j1) / d1.shape[-1] + _vecmat(d2, j2) / d2.shape[-1]
 
 
-def _group_columns(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray) -> tuple:
-    """A group's record columns of a round from its (K, G, n) values and
-    sample ids, client by client: row (j*K + k)*n + m is entry m of the
-    j-th client's iteration k."""
+def _group_records(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray,
+                   u: np.ndarray | None) -> Records:
+    """A group's records of a round from its (K, G, n) values, sample ids
+    and u-values (or None), client by client: row (j*K + k)*n + m is entry m
+    of the j-th client's iteration k."""
     K, G, n = values.shape
-    return (values.transpose(1, 0, 2).reshape(-1), np.repeat(grp.index, K * n),
-            np.tile(np.repeat(np.arange(K), n), G), sample_ids.transpose(1, 0, 2).reshape(-1))
+
+    def by_client(a):
+        return None if a is None else a.transpose(1, 0, 2).reshape(-1)
+
+    return Records(by_client(values), np.repeat(grp.clients, K * n),
+                   np.tile(np.repeat(np.arange(K), n), G), by_client(sample_ids), by_client(u))
 
 
-_NO_RECORDS = Records.concat([])
 # What ``local_step`` returns: loss estimates, u-values or None, gradients.
 StepResult = tuple[np.ndarray, np.ndarray | None, np.ndarray]
 
 
 class ClientGroup:
-    """Clients whose shards have one shape, with their data and state
-    stacked along a leading client axis of length G.
+    """Consecutive clients whose shards have one shape, with their data and
+    state stacked along a leading client axis of length G.
 
     A round's draws are (K, G, n) arrays of positions, its lazy records
     (``lazy_neg``, ...) and emitted records (K, G, n) arrays of values, so
-    step k reads slice k.
+    step k reads slice k. ``emitted`` maps each upload block to its values,
+    sample ids and u-values (None but on fedx2's positive side).
     """
 
     def __init__(self, clients: list[int], shards: list[ClientShard], w0: np.ndarray):
         self.clients = clients
-        self.index = np.array(clients)
         self.rows = np.arange(len(clients))[:, None]  # pairs with (G, n) positions
         self.pos_ids = np.stack([sh.pos_ids for sh in shards])
         self.pos_X = np.stack([sh.pos_X for sh in shards])
@@ -329,7 +335,7 @@ class ClientGroup:
         self.momentum: np.ndarray | None = None
         self.u_table: UTable | None = None
         self.draws: list[np.ndarray] = []
-        self.emitted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.emitted: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
     def sampled(self, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Step k's rows at draws ``first`` (positives) and ``first + 1``
@@ -378,12 +384,10 @@ class PairwiseProgram:
         w0 = init_params(settings.scorer, substream(settings.seed, "init"))
         shards = self._shards(dataset)
         self.n_clients = len(shards)
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, sh in enumerate(shards):
-            by_shape.setdefault((sh.n_pos, sh.n_neg), []).append(i)
+        runs = groupby(range(self.n_clients), key=lambda i: (shards[i].n_pos, shards[i].n_neg))
         self.groups = [
             ClientGroup(clients, [shards[i] for i in clients], w0)
-            for clients in by_shape.values()
+            for clients in (list(run) for _, run in runs)
         ]
         self.lazy = settings.algorithm in ("fedx1", "fedx2")
         # local_sgd's update has no outer function; the configured one only
@@ -417,11 +421,10 @@ class PairwiseProgram:
             ids1 = grp.pos_ids[grp.rows, z1]
             a = score_many(s.scorer, grp.model, grp.pos_X[grp.rows, z1])
             b = score_many(s.scorer, grp.model, grp.neg_X[grp.rows, z2])
-            grp.emitted = {"h1": (a, ids1), "h2": (b, grp.neg_ids[grp.rows, z2])}
-            if self.nonlinear:
-                # Full-replacement estimates so the first cross-client
-                # u-draws are well away from the outer-derivative clamp.
-                grp.emitted["u"] = (loss(s.loss, a, _cycle(b, a.shape[-1])), ids1)
+            # Full-replacement u-estimates so the first cross-client
+            # u-draws are well away from the outer-derivative clamp.
+            u = loss(s.loss, a, _cycle(b, a.shape[-1])) if self.nonlinear else None
+            grp.emitted = {"h1": (a, ids1, u), "h2": (b, grp.neg_ids[grp.rows, z2], None)}
         return self.uploads()
 
     def begin_round(self, download: RoundDownload, round_idx: int) -> int:
@@ -469,16 +472,15 @@ class PairwiseProgram:
         grp.lazy_neg = download.r2.value[grp.neg_at]
         grp.lazy_pos = download.r1.value[grp.pos_at]
         zh1, zh2 = grp.draws[-2:]  # emission batches; else the update ones
-        ids1 = grp.pos_ids[grp.rows, zh1]
-        grp.emitted = {
-            "h1": (np.empty(zh1.shape), ids1),
-            "h2": (np.empty(zh2.shape), grp.neg_ids[grp.rows, zh2]),
-        }
+        u = None
         if self.nonlinear:
-            # One set of positions serves both blocks, so every drawn
-            # (score, u) pair shares provenance.
-            grp.lazy_u = download.p.value[grp.pos_at]
-            grp.emitted["u"] = (np.empty(zh1.shape), ids1)
+            # A drawn row holds a score and the u-value of one sample.
+            grp.lazy_u = download.r1.u[grp.pos_at]
+            u = np.empty(zh1.shape)
+        grp.emitted = {
+            "h1": (np.empty(zh1.shape), grp.pos_ids[grp.rows, zh1], u),
+            "h2": (np.empty(zh2.shape), grp.neg_ids[grp.rows, zh2], None),
+        }
         return neg_wraps + pos_wraps
 
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
@@ -512,7 +514,7 @@ class PairwiseProgram:
                 # The emission batch has the update batch's size, so part_b
                 # gives one partner each (on the update batch: pair_loss).
                 inner = loss(s.loss, a, part_b) if separate else pair_loss
-                grp.emitted["u"][0][k] = grp.u_table.emission((grp.rows, grp.draws[-2][k]), inner)
+                grp.emitted["h1"][2][k] = grp.u_table.emission((grp.rows, grp.draws[-2][k]), inner)
         grp.descend(s, grad, eta)
         return pair_loss.mean(axis=-1), u1, grad
 
@@ -521,48 +523,37 @@ class PairwiseProgram:
         client, the index in :attr:`WATCHED` of the first quantity with a
         non-finite entry (``len(WATCHED)`` where there is none), both in
         client order."""
-        est = np.empty(self.n_clients)
-        bad = np.full(self.n_clients, len(self.WATCHED))
+        est, bad = [], []
         for grp in self.groups:
             loss_est, u, grad = self.local_step(grp, k, eta)
-            est[grp.index] = loss_est
+            first = np.full(len(grp.clients), len(self.WATCHED))
             watched = enumerate((loss_est, u, grad, grp.model))
             for q, value in reversed(list(watched)):  # the earliest one wins
                 if value is not None and not np.isfinite(value).all():
-                    rows = ~np.isfinite(value.reshape(len(grp.clients), -1)).all(axis=1)
-                    bad[grp.index[rows]] = q
-        return est, bad
+                    first[~np.isfinite(value.reshape(len(grp.clients), -1)).all(axis=1)] = q
+            est.append(loss_est)
+            bad.append(first)
+        return np.concatenate(est), np.concatenate(bad)
 
     def _stacked(self, name: str) -> np.ndarray | None:
         """Every client's ``model`` or ``momentum``, (N, d) in client order."""
         if getattr(self.groups[0], name) is None:
             return None
-        out = np.empty((self.n_clients, self.groups[0].model.shape[1]))
-        for grp in self.groups:
-            out[grp.index] = getattr(grp, name)
-        return out
+        return np.concatenate([getattr(grp, name) for grp in self.groups])
 
     def models(self) -> np.ndarray:
         """The client models, (N, d) in client order."""
         return self._stacked("model")
 
-    def _records(self, name: str) -> Records | None:
+    def _records(self, name: str) -> Records:
         """Every client's ``name`` records of the round in client order."""
-        parts = [_group_columns(grp, *grp.emitted[name]) for grp in self.groups
-                 if name in grp.emitted]
-        if not parts:
-            return None
-        cols = [np.concatenate(col) for col in zip(*parts)]
-        if len(parts) > 1:  # ragged shards: the groups' clients interleave
-            order = np.argsort(cols[1], kind="stable")
-            cols = [col[order] for col in cols]
-        return Records(*cols)
+        return Records.concat([_group_records(grp, *grp.emitted[name])
+                               for grp in self.groups if grp.emitted])
 
     def uploads(self) -> RoundUpload:
         """The round's upload table, built from the groups' arrays."""
-        h1, h2, u = (self._records(name) for name in ("h1", "h2", "u"))
-        return RoundUpload(self._stacked("model"), h1 or _NO_RECORDS, h2 or _NO_RECORDS,
-                           self._stacked("momentum"), u)
+        return RoundUpload(self._stacked("model"), self._records("h1"), self._records("h2"),
+                           self._stacked("momentum"))
 
 
 class LocalSGDProgram(PairwiseProgram):
@@ -681,8 +672,8 @@ def simulate(
     trace = RunTrace()
 
     def emit_round(idx, t_start, download, table, wraps):
-        up_floats, down_floats = comm_cost(table, download, 0)
-        trace.total_floats += round_floats(table, download)
+        up_floats, down_floats = comm_cost(table, download)
+        trace.total_floats += int(up_floats.sum()) + len(up_floats) * down_floats
         objective = grad_sq = auc_val = pauc_val = None
         w = download.model
         if _due(idx, hyper.R, oracle_every):
@@ -702,7 +693,7 @@ def simulate(
             grad_norm_sq=grad_sq,
             auc=auc_val,
             pauc=pauc_val,
-            uplink_floats=up_floats,
+            uplink_floats=int(up_floats[0]),
             downlink_floats=down_floats,
             buffer_wraps=wraps,
         )

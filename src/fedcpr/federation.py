@@ -2,7 +2,7 @@
 aggregation, and message accounting.
 
 One round = every client uploads (model, this round's score records, and
-for the nonlinear-f algorithm its momentum and u-records), the server
+for the nonlinear-f algorithm its momentum and u-values), the server
 averages the models (and momenta) and passes the record blocks on, and the
 aggregate is broadcast back. The round engine in :mod:`fedcpr.algorithms`
 builds one :class:`RoundUpload` table of all N uploads after every client's
@@ -10,14 +10,15 @@ K local steps, then calls :func:`server_aggregate` once, so no client sees
 round r+1 state before every round-r upload is in.
 
 Every record set is one :class:`Records` block of equal-length numpy
-columns. Clients read a received block at the positions
-:func:`buffer_draw` gives: a shuffle of the whole block, drawn without
-replacement. Records consumed in round r were produced in round r-1, never
-earlier, because every round's draws are made afresh from that round's
-aggregate.
+columns. A positive-side score and the u-value of the same sample share one
+row, so a draw reads both at one position. Clients read a received block at
+the positions :func:`buffer_draw` gives: a shuffle of the whole block,
+drawn without replacement. Records consumed in round r were produced in
+round r-1, never earlier, because every round's draws are made afresh from
+that round's aggregate.
 
 Record provenance (client, iteration, sample_id) is carried for
-testability; the math needs only the ``value`` column.
+testability; the math needs only the ``value`` and ``u`` columns.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _COLUMNS = {
     "client": np.int32,
     "iteration": np.int32,
     "sample_id": np.int64,
+    "u": np.float64,
 }
 
 
@@ -41,19 +43,22 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """A block of communicated floats (scores or u-values): one row per
-    record, ``value`` with its provenance ``client``, ``iteration`` and
-    ``sample_id``, as equal-length columns."""
+    """A block of communicated scores: one row per record, ``value`` with
+    its provenance ``client``, ``iteration`` and ``sample_id``, and for the
+    nonlinear-f algorithm's positive side the sample's u-value ``u``, as
+    equal-length columns."""
 
     value: np.ndarray
     client: np.ndarray
     iteration: np.ndarray
     sample_id: np.ndarray
+    u: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name, dtype in _COLUMNS.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if any(getattr(self, name).shape != self.value.shape for name in _COLUMNS):
+        names = [name for name in _COLUMNS if getattr(self, name) is not None]
+        for name in names:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=_COLUMNS[name]))
+        if any(getattr(self, name).shape != self.value.shape for name in names):
             raise ValueError("record columns must have equal shapes")
 
     def __len__(self) -> int:
@@ -61,11 +66,13 @@ class Records:
 
     @classmethod
     def concat(cls, blocks: Sequence[Records]) -> Records:
-        """The blocks' rows in order; no blocks give an empty block."""
-        return cls(*(
-            np.concatenate([getattr(b, name) for b in blocks]) if blocks else []
-            for name in _COLUMNS
-        ))
+        """The blocks' rows in order; no blocks give an empty block. Either
+        every block has a ``u`` column or none has."""
+        with_u = {b.u is not None for b in blocks}
+        if len(with_u) > 1:
+            raise ValueError("cannot concatenate blocks with and without u-values")
+        return cls(**{name: np.concatenate([getattr(b, name) for b in blocks]) if blocks else []
+                      for name in _COLUMNS if name != "u" or with_u == {True}})
 
 
 @dataclass(frozen=True)
@@ -74,19 +81,17 @@ class RoundUpload:
     client i's; each record block holds every client's rows in client order."""
 
     models: np.ndarray  # (N, d)
-    h1: Records  # positive-side scores produced this round
+    h1: Records  # positive-side scores produced this round, with u-values for fedx2
     h2: Records  # negative-side scores produced this round
     momenta: np.ndarray | None = None  # (N, d), nonlinear-f algorithms only
-    u: Records | None = None  # nonlinear-f algorithms only, row-aligned with h1
 
 
 @dataclass(frozen=True)
 class RoundDownload:
     model: np.ndarray
-    r1: Records  # aggregated positive-side scores
+    r1: Records  # aggregated positive-side scores (and u-values)
     r2: Records  # aggregated negative-side scores
     momentum: np.ndarray | None = None
-    p: Records | None = None  # aggregated u-records, row-aligned with r1
 
 
 def tree_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -104,28 +109,21 @@ def tree_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
 def server_aggregate(table: RoundUpload) -> RoundDownload:
     """Average the models (and momenta); the record blocks pass through.
 
-    Raises :class:`ProtocolError` for a table without clients, a record
-    block out of client order or naming a client outside 0..N-1, or
-    u-records that are not row-aligned with the positive-side scores.
+    Raises :class:`ProtocolError` for a table without clients, or a record
+    block out of client order or naming a client outside 0..N-1.
     """
     n = len(table.models)
     if not n:
         raise ProtocolError("no uploads to aggregate")
-    for name, block in (("h1", table.h1), ("h2", table.h2), ("u", table.u)):
-        c = () if block is None else block.client
+    for name, block in (("h1", table.h1), ("h2", table.h2)):
+        c = block.client
         if len(c) and (c[0] < 0 or c[-1] >= n or (np.diff(c) < 0).any()):
             raise ProtocolError(f"{name} records must be in client order, clients 0..{n - 1}")
-    if table.u is not None and not all(
-        np.array_equal(getattr(table.u, name), getattr(table.h1, name))
-        for name in ("client", "iteration", "sample_id")
-    ):
-        raise ProtocolError("u-records must be row-aligned with the positive-side scores")
     return RoundDownload(
         model=tree_mean(table.models),
         r1=table.h1,
         r2=table.h2,
         momentum=None if table.momenta is None else tree_mean(table.momenta),
-        p=table.u,
     )
 
 
@@ -152,42 +150,31 @@ def buffer_draw(
     return out, (count - 1) // size
 
 
-def _floats(rows: int, model: np.ndarray, momentum: np.ndarray | None) -> int:
-    """``rows`` records and ``model``, twice over with a momentum, in floats."""
-    return rows + model.size * (1 if momentum is None else 2)
+def _record_values(upload: RoundUpload, download: RoundDownload) -> tuple[np.ndarray, int]:
+    """Record values (a score, and its u-value where the block has one) of
+    each client's rows in the upload table, (N,), and of the download."""
+    n = len(upload.models)
+    up = sum(np.bincount(b.client, minlength=n) * (1 if b.u is None else 2)
+             for b in (upload.h1, upload.h2))
+    return up, sum(len(b) * (1 if b.u is None else 2) for b in (download.r1, download.r2))
 
 
-def _record_rows(
-    upload: RoundUpload, download: RoundDownload, client: int | None
-) -> tuple[int, int]:
-    """Records of ``client`` (of every client for None) in the upload table,
-    and records downloaded."""
-    mine = sum(len(block) if client is None else int(np.count_nonzero(block.client == client))
-               for block in (upload.h1, upload.h2, upload.u) if block is not None)
-    return mine, len(download.r1) + len(download.r2) + len(download.p or ())
-
-
-def comm_cost(upload: RoundUpload, download: RoundDownload, client: int) -> tuple[int, int]:
-    """(uplink_floats, downlink_floats) of one client: every real number in
-    its rows of the upload table and in the download.
+def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[np.ndarray, int]:
+    """(uplink_floats, downlink_floats): every real number in each client's
+    rows of the upload table, an (N,) array in client order, and in the
+    download every client receives.
 
     Provenance integers are excluded; see :func:`comm_cost_ints`.
     """
-    up, down = _record_rows(upload, download, client)
-    return (_floats(up, upload.models[client], upload.momenta),
-            _floats(down, download.model, download.momentum))
+    up, down = _record_values(upload, download)
+    return (up + upload.models.shape[1] * (1 if upload.momenta is None else 2),
+            down + download.model.size * (1 if download.momentum is None else 2))
 
 
-def round_floats(upload: RoundUpload, download: RoundDownload) -> int:
-    """:func:`comm_cost` summed over the round's N clients, both directions:
-    the whole upload table and N downloads, with no scan per client."""
-    up, down = _record_rows(upload, download, None)
-    return (_floats(up, upload.models, upload.momenta)
-            + len(upload.models) * _floats(down, download.model, download.momentum))
-
-
-def comm_cost_ints(upload: RoundUpload, download: RoundDownload, client: int) -> tuple[int, int]:
-    """Provenance integers (client, iteration, sample_id per record) of one
-    client's messages, counted separately from the float payload."""
-    up, down = _record_rows(upload, download, client)
+def comm_cost_ints(upload: RoundUpload, download: RoundDownload) -> tuple[np.ndarray, int]:
+    """Provenance integers of each client's upload, (N,), and of the
+    download, counted separately from the float payload: (client,
+    iteration, sample_id) per record value, so a score and its u-value
+    count 3 each."""
+    up, down = _record_values(upload, download)
     return 3 * up, 3 * down

@@ -101,10 +101,10 @@ def exact_inner_all(
     return loss(loss_spec, a[:, None], b[None, :]).mean(axis=1)
 
 
-def records_of(value, client: int, iteration: int, sample_id) -> Records:
+def records_of(value, client: int, iteration: int, sample_id, u=None) -> Records:
     """Records produced by one client at one iteration."""
     n = len(sample_id)
-    return Records(value, np.full(n, client), np.full(n, iteration), sample_id)
+    return Records(value, np.full(n, client), np.full(n, iteration), sample_id, u)
 
 
 def ragged_dataset(shapes, seed: int) -> FederatedDataset:
@@ -167,10 +167,9 @@ class ClientUpload:
     """One client's upload of a round."""
 
     model: np.ndarray
-    h1: Records
+    h1: Records  # with the u-values of its samples when the algorithm shares them
     h2: Records
     momentum: np.ndarray | None
-    u: Records | None
 
 
 def stack_uploads(uploads: list[ClientUpload]) -> RoundUpload:
@@ -183,7 +182,7 @@ def stack_uploads(uploads: list[ClientUpload]) -> RoundUpload:
         return Records.concat(parts) if isinstance(parts[0], Records) else np.stack(parts)
 
     return RoundUpload(models=stacked("model"), h1=stacked("h1"), h2=stacked("h2"),
-                       momenta=stacked("momentum"), u=stacked("u"))
+                       momenta=stacked("momentum"))
 
 
 @dataclass
@@ -198,10 +197,8 @@ class ClientState:
     u_table: UTable | None = None
     pos_buffer: Buffer | None = None
     neg_buffer: Buffer | None = None
-    paired_u: Records | None = None  # received u-records, row-aligned with pos_buffer.block
     out_h1: list[Records] = field(default_factory=list)  # one block per emission
     out_h2: list[Records] = field(default_factory=list)
-    out_u: list[Records] = field(default_factory=list)
 
 
 def _draw_batch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
@@ -285,12 +282,9 @@ class ReferenceProgram:
                 z2 = _draw_batch(g, st.shard.n_neg, s.hyper.B2)
                 a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
                 b = score_many(s.scorer, st.model, st.shard.neg_X[z2])
-                ids1 = st.shard.pos_ids[z1]
-                st.out_h1.append(records_of(a, st.index, k, ids1))
+                u = loss(s.loss, a, b[np.arange(len(a)) % len(b)]) if self.uses_u else None
+                st.out_h1.append(records_of(a, st.index, k, st.shard.pos_ids[z1], u))
                 st.out_h2.append(records_of(b, st.index, k, st.shard.neg_ids[z2]))
-                if self.uses_u:
-                    partner = b[np.arange(len(a)) % len(b)]
-                    st.out_u.append(records_of(loss(s.loss, a, partner), st.index, k, ids1))
         return self.build_upload(st)
 
     def build_upload(self, st: ClientState) -> ClientUpload:
@@ -299,9 +293,8 @@ class ReferenceProgram:
             h1=Records.concat(st.out_h1),
             h2=Records.concat(st.out_h2),
             momentum=st.momentum.copy() if self.uses_momentum else None,
-            u=Records.concat(st.out_u) if self.shares_histories and self.uses_u else None,
         )
-        st.out_h1, st.out_h2, st.out_u = [], [], []
+        st.out_h1, st.out_h2 = [], []
         return up
 
     def begin_round(self, st: ClientState, download: RoundDownload, r: int) -> None:
@@ -310,7 +303,6 @@ class ReferenceProgram:
         if self.uses_momentum:
             st.momentum = download.momentum.copy()
         if self.shares_histories:
-            st.paired_u = download.p
             st.pos_buffer.refill(download.r1, substream(s.seed, "buffer-pos", st.index, r))
             st.neg_buffer.refill(download.r2, substream(s.seed, "buffer-neg", st.index, r))
 
@@ -384,7 +376,7 @@ class ReferenceProgram:
         lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
         paired = st.pos_buffer.draw(len(z2))
         lazy_pos = st.pos_buffer.block.value[paired]
-        lazy_u = st.paired_u.value[paired]
+        lazy_u = st.pos_buffer.block.u[paired]
         a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
         pair_loss = loss(s.loss, a, lazy_neg)
         st.u_table.track(z1, pair_loss, h.gamma)
@@ -396,11 +388,9 @@ class ReferenceProgram:
         else:
             zh1, zh2, ah = z1, z2, a
         bh = score_many(s.scorer, st.model, st.shard.neg_X[zh2])
-        ids1 = st.shard.pos_ids[zh1]
-        st.out_h1.append(records_of(ah, st.index, k, ids1))
-        st.out_h2.append(records_of(bh, st.index, k, st.shard.neg_ids[zh2]))
         u_emit = st.u_table.emission(zh1, loss(s.loss, ah, lazy_neg))
-        st.out_u.append(records_of(u_emit, st.index, k, ids1))
+        st.out_h1.append(records_of(ah, st.index, k, st.shard.pos_ids[zh1], u_emit))
+        st.out_h2.append(records_of(bh, st.index, k, st.shard.neg_ids[zh2]))
         st.momentum = momentum_update(st.momentum, grad, h.beta)
         st.model = st.model - eta * st.momentum
         return float(np.mean(pair_loss)), st.u_table.values[z1], grad

@@ -1,6 +1,7 @@
 """Estimators, trackers, runs, baselines, and schedules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestFedX1Run:
             assert rec.uplink_floats == d + 2 * K * B
             assert rec.buffer_wraps == 0
 
+    @pytest.mark.parametrize("scale,name", [(1e200, "objective"), (1e77, "grad_norm_sq")])
+    def test_non_finite_oracle_value_is_named(self, scale, name):
+        # Finite features at which the square loss's exact objective (x1e200),
+        # or only its squared gradient norm (x1e77), overflows at round 0.
+        ds = _dataset()
+        ds = replace(ds, shards=tuple(replace(sh, pos_X=sh.pos_X * scale, neg_X=sh.neg_X * scale)
+                                      for sh in ds.shards))
+        hyper = HyperParams(eta=0.01, K=1, R=1, B1=2, B2=2, seed=8)
+        with pytest.raises(FloatingPointError,
+                           match=rf"^exact {name} is non-finite \(inf\) at round 0$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
+
     def test_eval_cadence(self):
         ds = _dataset()
         hyper = HyperParams(eta=0.01, K=2, R=4, B1=2, B2=2, seed=8)
@@ -323,8 +337,9 @@ class TestFedX2Run:
         program.step(0, hyper.eta)
         changed = np.flatnonzero(before[0] != table.values[0])
         assert len(changed) == hyper.B1
-        u = program.uploads().u
-        assert np.count_nonzero((u.client == 0) & (u.iteration == 0)) == hyper.B1
+        h1 = program.uploads().h1
+        assert np.count_nonzero((h1.client == 0) & (h1.iteration == 0)) == hyper.B1
+        assert len(h1.u) == len(h1)
 
     def test_emitted_u_values_never_zero(self):
         # Never-updated entries emit the full-replacement fallback, of which
@@ -340,7 +355,7 @@ class TestFedX2Run:
                 program.step(k, hyper.eta)
             table = program.uploads()
             download = server_aggregate(table)
-            assert table.u.value.min() > 0
+            assert table.h1.u.min() > 0
 
     def test_paired_lazy_draws_share_provenance(self):
         ds = _dataset(n_clients=2, n_pos=4, n_neg=4)
@@ -349,19 +364,15 @@ class TestFedX2Run:
         program = PROGRAMS["fedx2"](settings, ds)
         download = server_aggregate(program.bootstrap_uploads())
 
-        def provenance(block, positions):
-            return list(zip(block.client[positions], block.iteration[positions],
-                            block.sample_id[positions]))
-
-        # The aggregate aligns scores and u-records positionally...
-        every = np.arange(len(download.r1))
-        assert provenance(download.r1, every) == provenance(download.p, every)
-        # ...and one drawn position indexes both, preserving the pairing.
+        # Every aggregated positive-side row holds a score and the u-value
+        # of one sample...
+        assert download.r1.u.shape == download.r1.value.shape
+        # ...and one drawn position reads both, preserving the pairing.
         program.begin_round(download, 1)
         grp = program.groups[0]
         drawn = grp.pos_at[:, 0].reshape(-1)
-        assert provenance(download.r1, drawn) == provenance(download.p, drawn)
-        assert grp.lazy_u[:, 0].reshape(-1).tobytes() == download.p.value[drawn].tobytes()
+        assert grp.lazy_pos[:, 0].reshape(-1).tobytes() == download.r1.value[drawn].tobytes()
+        assert grp.lazy_u[:, 0].reshape(-1).tobytes() == download.r1.u[drawn].tobytes()
 
     def test_single_pair_first_round_matches_centralized_direction(self):
         # On a 1-positive/1-negative instance every draw is the same sample,
@@ -518,6 +529,24 @@ class TestBaselines:
                             seed=22)
         trace = simulate("local_pair", ds, ScorerSpec("linear", 3), KL, KL_LOG, hyper)
         assert np.all(np.isfinite(trace.final_model))
+
+    @pytest.mark.parametrize("algorithm,loss_spec,outer", [
+        ("fedx1", SQ, IDENTITY_OUTER),
+        ("local_sgd", PSM, IDENTITY_OUTER),
+        ("local_pair", KL, KL_LOG),
+        ("centralized", KL, KL_LOG),
+    ])
+    def test_history_samples_changes_only_fedx2(self, algorithm, loss_spec, outer):
+        # Only fedx2 draws separate emission batches; every other algorithm,
+        # the u-tracking baselines included, runs the same under both values.
+        ds = _dataset()
+        models = [
+            simulate(algorithm, ds, ScorerSpec("linear", 3), loss_spec, outer,
+                     HyperParams(eta=0.05, K=3, R=3, B1=2, B2=3, gamma=0.5, beta=0.5, seed=21,
+                                 history_samples=mode)).final_model.tobytes()
+            for mode in ("independent", "reuse")
+        ]
+        assert models[0] == models[1]
 
     def test_divergence_raises_instead_of_nan(self):
         # Unbounded scores with the exp loss blow up at this step size; the

@@ -222,6 +222,9 @@ def _drop_feature(feats: str) -> str:
 
 # name -> (edit of the dumped lines, the line the error names, its message)
 _MALFORMED = {
+    "group other than 0 or 1": (
+        lambda lines: lines[:1] + [_edit_field(lines[1], 1, lambda _: "2")] + lines[2:],
+        2, "bad group value: 2"),
     "client below -1": (
         lambda lines: [_edit_field(lines[0], 2, lambda _: "-2")] + lines[1:],
         1, "client must be >= -1"),
@@ -273,6 +276,12 @@ class TestLoadRejects:
         ds = generate(clean_config(n_pos_per_client=2, n_neg_per_client=3, input_dim=3))
         lines = edit(dump_dataset(ds).splitlines())
         with pytest.raises(ValueError, match=f"^line {lineno}: {message}"):
+            load_dataset("\n".join(lines) + "\n")
+
+    def test_client_without_negatives_is_named(self):
+        ds = generate(clean_config(n_pos_per_client=2, n_neg_per_client=3, input_dim=3))
+        lines = [ln for ln in dump_dataset(ds).splitlines() if ln.split("\t")[1:3] != ["1", "0"]]
+        with pytest.raises(ValueError, match="^missing records for client=0 group=1$"):
             load_dataset("\n".join(lines) + "\n")
 
 

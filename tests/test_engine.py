@@ -82,10 +82,8 @@ def _engine_rounds(algorithm, dataset, scorer, loss_spec, outer, hyper):
 
 
 def _columns(records):
-    if records is None:
-        return None
-    return [(col.dtype.str, col.tobytes()) for col in
-            (records.value, records.client, records.iteration, records.sample_id)]
+    return [None if col is None else (col.dtype.str, col.tobytes()) for col in
+            (records.value, records.client, records.iteration, records.sample_id, records.u)]
 
 
 def _table_bytes(table):
@@ -93,7 +91,7 @@ def _table_bytes(table):
     block pins each client's rows."""
     return (table.models.shape, table.models.tobytes(),
             None if table.momenta is None else table.momenta.tobytes(),
-            _columns(table.h1), _columns(table.h2), _columns(table.u))
+            _columns(table.h1), _columns(table.h2))
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -49,16 +49,9 @@ def _table(models, k=2, momenta=None):
     )
 
 
-def _u_of(table):
-    """u-records row-aligned with the table's positive-side scores."""
-    h1 = table.h1
-    return Records(np.ones(len(h1)), h1.client, h1.iteration, h1.sample_id)
-
-
-def _take(block, rows):
-    """The block's rows at ``rows``, in that order."""
-    return Records(block.value[rows], block.client[rows], block.iteration[rows],
-                   block.sample_id[rows])
+def _with_u(table):
+    """The table with u-values on its positive-side scores."""
+    return replace(table, h1=replace(table.h1, u=np.ones(len(table.h1))))
 
 
 def _rows(block, positions=None):
@@ -67,6 +60,27 @@ def _rows(block, positions=None):
         positions = np.arange(len(block))
     return list(zip(block.value[positions], block.client[positions],
                     block.iteration[positions], block.sample_id[positions]))
+
+
+class TestRecords:
+    def test_rejects_u_column_of_wrong_length(self):
+        # A u-value shares its row with the score of its sample, so a u
+        # column that is not one value per row cannot be built.
+        h1 = _block([0, 1], 2)
+        for u in (np.ones(3), np.ones(5), np.ones((4, 1))):
+            with pytest.raises(ValueError, match="equal shapes"):
+                replace(h1, u=u)
+        table = _with_u(_table([[0.0], [0.0]], k=2))
+        assert server_aggregate(table).r1 is table.h1
+
+    def test_concat_carries_u(self):
+        a = records_of([1.0], 0, 0, [5], u=[0.5])
+        b = records_of([2.0, 3.0], 1, 0, [6, 7], u=[0.25, 0.75])
+        both = Records.concat([a, b])
+        assert both.u.dtype == np.float64 and list(both.u) == [0.5, 0.25, 0.75]
+        assert Records.concat([_block([0]), _block([1])]).u is None
+        with pytest.raises(ValueError, match="with and without u-values"):
+            Records.concat([a, _block([1])])
 
 
 class TestServerAggregate:
@@ -106,20 +120,6 @@ class TestServerAggregate:
         for side in ("h1", "h2"):
             with pytest.raises(ProtocolError, match=f"^{side} records must be in client order"):
                 server_aggregate(replace(table, **{side: _block([1, 0])}))
-        u = _take(_u_of(table), [1, 0])
-        with pytest.raises(ProtocolError, match="^u records must be in client order"):
-            server_aggregate(replace(table, u=u))
-
-    def test_rejects_u_not_row_aligned_with_h1(self):
-        table = _table([[0.0], [0.0]], k=2)
-        u = _u_of(table)
-        shorter = _take(u, [0, 1, 2])
-        other_sample = Records(u.value, u.client, u.iteration, u.sample_id + 1)
-        other_iteration = Records(u.value, u.client, u.iteration + 1, u.sample_id)
-        for bad in (shorter, other_sample, other_iteration):
-            with pytest.raises(ProtocolError, match="row-aligned"):
-                server_aggregate(replace(table, u=bad))
-        assert server_aggregate(replace(table, u=u)).p is u
 
     def test_tree_mean_matches_plain_mean(self):
         rng = np.random.default_rng(0)
@@ -176,21 +176,24 @@ class TestCommCost:
         d, k = 10, 4
         table = _table(np.zeros((2, d)), k=k)
         down = server_aggregate(table)
-        assert comm_cost(table, down, 0) == (d + 2 * k, d + 2 * (2 * k))  # (18, 26)
+        up, down_floats = comm_cost(table, down)
+        assert up.tolist() == [d + 2 * k] * 2 and down_floats == d + 2 * (2 * k)  # (18, 26)
 
     def test_nonlinear_algorithm_example(self):
         d, k = 10, 4
         table = _table(np.zeros((2, d)), k=k, momenta=np.zeros((2, d)))
-        table = replace(table, u=_u_of(table))
+        table = _with_u(table)
         down = server_aggregate(table)
-        assert comm_cost(table, down, 0)[0] == 2 * d + 3 * k  # 32
-        assert comm_cost(table, down, 0)[1] == 2 * d + 3 * (2 * k)
+        up, down_floats = comm_cost(table, down)
+        assert up.tolist() == [2 * d + 3 * k] * 2  # 32
+        assert down_floats == 2 * d + 3 * (2 * k)
 
     def test_provenance_ints_counted_separately(self):
         d, k = 3, 2
         table = _table(np.zeros((1, d)), k=k)
         down = server_aggregate(table)
-        assert comm_cost_ints(table, down, 0) == (3 * 2 * k, 3 * 2 * k)
+        up, down_ints = comm_cost_ints(table, down)
+        assert (up.tolist(), down_ints) == ([3 * 2 * k], 3 * 2 * k)
 
 
 def _fedx1_fixture(n_clients=2, K=3, B=2, eta=0.05, seed=9):
@@ -363,10 +366,9 @@ def _fed_table(n_clients, d, K, B1, B2, nonlinear, rng):
         h1 = block(i, B1)
         uploads.append(ClientUpload(
             model=rng.standard_normal(d),
-            h1=h1,
+            h1=replace(h1, u=rng.standard_normal(len(h1))) if nonlinear else h1,
             h2=block(i, B2),
             momentum=rng.standard_normal(d) if nonlinear else None,
-            u=replace(h1, value=rng.standard_normal(len(h1))) if nonlinear else None,
         ))
     return stack_uploads(uploads)
 
@@ -388,19 +390,20 @@ class TestAggregateProperties:
         assert (down.momentum is None) == (table.momenta is None) == (not nonlinear)
         if nonlinear:
             assert down.momentum.tobytes() == tree_mean(list(table.momenta)).tobytes()
-        assert (down.r1, down.r2, down.p) == (table.h1, table.h2, table.u)
-        for block in (down.r1, down.r2, down.p):
-            if block is not None:
-                assert list(block.client) == sorted(block.client)
+        assert (down.r1, down.r2) == (table.h1, table.h2)
+        assert (down.r1.u is None) == (not nonlinear)
+        for block in (down.r1, down.r2):
+            assert list(block.client) == sorted(block.client)
 
         # README: per client and round the uplink carries d + K(B1+B2)
         # floats for fedx1 and 2d + K(2B1+B2) for fedx2; the downlink
         # carries the same with every client's records.
         rows = K * (2 * B1 + B2) if nonlinear else K * (B1 + B2)
         dims = 2 * d if nonlinear else d
-        for i in range(n):
-            assert comm_cost(table, down, i) == (dims + rows, dims + n * rows)
-            assert comm_cost_ints(table, down, i) == (3 * rows, 3 * n * rows)
+        up, down_floats = comm_cost(table, down)
+        assert (up.tolist(), down_floats) == ([dims + rows] * n, dims + n * rows)
+        up, down_ints = comm_cost_ints(table, down)
+        assert (up.tolist(), down_ints) == ([3 * rows] * n, 3 * n * rows)
 
 
 class TestRaggedAccounting:
@@ -427,11 +430,12 @@ class TestRaggedAccounting:
         dims = scorer.param_count * (2 if fedx2 else 1)
         for table in tables:
             down = server_aggregate(table)
-            for block in (table.h1, table.h2, table.u):
-                if block is not None:
-                    assert (np.diff(block.client) >= 0).all()
+            for block in (table.h1, table.h2):
+                assert (np.diff(block.client) >= 0).all()
+            assert (table.h1.u is not None) == fedx2
+            up, up_ints = comm_cost(table, down)[0], comm_cost_ints(table, down)[0]
             for i, (n_pos, n_neg) in enumerate(shards):
                 n1, n2 = min(hyper.B1, n_pos), min(hyper.B2, n_neg)
                 rows = hyper.K * (2 * n1 + n2 if fedx2 else n1 + n2)
-                assert comm_cost(table, down, i)[0] == dims + rows
-                assert comm_cost_ints(table, down, i)[0] == 3 * rows
+                assert up[i] == dims + rows
+                assert up_ints[i] == 3 * rows

@@ -121,6 +121,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="hyper.eta"):
             parse_config("hyper.eta = fast\n")
 
+    def test_integer_key_rejects_a_fraction(self):
+        with pytest.raises(ConfigError, match="^hyper.K: expected an integer, got '2.5'"):
+            parse_config("hyper.K = 2.5\n")
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'hyper.K 4'"):
+            parse_config("# comment\nhyper.K 4\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("hyper.learning_rate = 0.1\n")
@@ -486,6 +494,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match="N=3"):
             sweep(parse_config(TINY), "N", [2, 3], tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_nonpositive_value_rejected_before_any_run(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^values: must be positive, got \[0\]"):
+            sweep(parse_config(TINY), "K", [0], tmp_path / "z")
+        assert not (tmp_path / "z").exists()
 
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -73,6 +73,12 @@ class TestScore:
         with pytest.raises(ValueError):
             score(MLP, np.zeros(MLP.param_count + 1), np.zeros(4))
 
+    def test_score_many_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"^parameter vector has length \(3,\), expected \(4,\)"):
+            score_many(LINEAR, np.zeros(3), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="^feature vector has length 5, expected 4"):
+            score_many(MLP, np.zeros(MLP.param_count), np.zeros((2, 5)))
+
     def test_param_counts(self):
         assert LINEAR.param_count == 4
         assert MLP.param_count == 4 * 2 + 2
@@ -199,3 +205,5 @@ class TestInit:
             ScorerSpec("conv", 4)
         with pytest.raises(ValueError):
             ScorerSpec("mlp1", 4, hidden_dim=0)
+        with pytest.raises(ValueError, match="^input_dim must be >= 1"):
+            ScorerSpec("linear", 0)
