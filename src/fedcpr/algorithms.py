@@ -52,8 +52,8 @@ Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so a run's trace is
 byte-identical for a given (config, seed) on one numeric profile: numpy's
 SIMD dispatch for exp and log, and the BLAS kernel for matmuls.
-``tests/golden/fingerprints.json`` pins the traces per profile; traces that
-are the same on every profile are left to the ROADMAP item on portable
+The package's ``fingerprints.json`` pins the traces per profile; traces
+that are the same on every profile are left to the ROADMAP item on portable
 traces.
 """
 

@@ -2,9 +2,10 @@
 
 Commands: ``run`` (one configured run), ``sweep`` (vary K or N), ``oracle``
 (exact objective/gradient at the initial model, for cross-implementation
-checks), ``selftest`` (built-in invariant suite).
+checks), ``selftest`` (checks this install against the reference traces).
 
-Exit codes: 0 success, 2 config error, 3 runtime error, 4 selftest failure.
+Exit codes: 0 success, 2 config error, 3 runtime error, 4 a selftest check
+failed, including traces that moved from the reference ones.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--config", required=True)
 
-    sub.add_parser("selftest", help="run the built-in invariant suite")
+    sub.add_parser("selftest", help="check this install against the reference traces")
     return parser
 
 

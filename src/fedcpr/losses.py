@@ -11,8 +11,9 @@ positives are swept in row blocks of about 2^15 pairs (each block takes the
 loss and its slope from one exp and adds into per-score weights, so nothing
 of size |S1| x |S2| is held), and one matmul per side with the score
 Jacobians ends it. ``exact_objective`` and ``exact_grad`` are its two
-halves, each taken from that one sweep. They are the ground truth the
-stochastic estimators are tested against.
+halves; each runs the whole sweep, so a caller that needs both calls
+``exact_oracle``. They are the ground truth the stochastic estimators are
+tested against.
 
 Only ``kl_opauc`` has inert pairs: where b + 1 <= a its loss is exactly 1
 and its slope exactly 0. For it the sweep sorts both sides once, counts

@@ -1,38 +1,43 @@
-"""Built-in invariant suite behind the ``selftest`` CLI command.
+"""Built-in checks behind the ``selftest`` CLI command.
 
-A fast, dependency-free subset of the full pytest suite: cross-checks each
-dual-route pair (analytic vs finite-difference gradients, sorted vs
-brute-force AUC, estimator vs reduction identities) and the determinism and
-accounting contracts. Returns structured results so the CLI can exit 4 on
+They check what the pytest suite cannot check for an installed package:
+whether this numpy reproduces the reference traces, and the code that leans
+on numpy's internals. Returns structured results so the CLI can exit 4 on
 any failure.
+
+The reference is ``fingerprints.json``, shipped beside this module: two
+SHA-256s per config (:func:`fingerprint`) and a :func:`canary` of the
+operations whose rounding depends on the machine. Traces are byte-identical
+per numeric profile, so they are only compared where the canary matches.
+``tests/golden/fingerprints.py`` writes the file.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import tempfile
 from dataclasses import dataclass
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (
-    HyperParams,
-    fedx_estimate,
-    momentum_update,
-    simulate,
-)
-from .data import DataConfig, build_dataset
-from .federation import buffer_draw
-from .losses import (
-    IDENTITY_OUTER,
-    OuterFnSpec,
-    PairwiseLossSpec,
-    exact_objective,
-    exact_oracle,
-    loss,
-    loss_and_slope,
-)
-from .metrics import ScoredEval, auc, auc_bruteforce, partial_auc
-from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
+from .harness import RunConfig, parse_config, run
+from .losses import OuterFnSpec, PairwiseLossSpec, exact_objective, exact_oracle
+from .model import ScorerSpec, finite_diff_grad
 from .rng import choices, substream, substreams
+
+PARTS = ("trajectory", "oracle")
+ORACLE_COLUMNS = ("objective", "grad_norm_sq")
+
+# The fingerprinted configs the package can build on its own: the five
+# algorithms on the default config, two rounds each.
+CONFIGS = {
+    name: parse_config(f"algorithm = {name}\n{extra}hyper.R = 2\n")
+    for name, extra in (("fedx1", ""), ("fedx2", "outer.kind = kl_log\n"),
+                        ("local_sgd", ""), ("local_pair", ""), ("centralized", ""))
+}
 
 
 @dataclass
@@ -42,19 +47,78 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_score_gradients() -> CheckResult:
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for spec in (ScorerSpec("linear", 6), ScorerSpec("mlp1", 5, hidden_dim=3)):
-        for _ in range(20):
-            w = rng.standard_normal(spec.param_count)
-            x = rng.standard_normal((1, spec.input_dim))
-            g = score_grad_many(spec, w, x)[1][0]
-            fd = finite_diff_grad(lambda v: score_many(spec, v, x)[0], w, 1e-5)
-            err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
-            worst = max(worst, err)
-    return CheckResult("score gradients vs finite differences", worst <= 1e-5,
-                       f"worst rel err {worst:.2e}")
+def fingerprint(config: RunConfig) -> dict[str, str]:
+    """{part: SHA-256} of one run's round CSV, iteration CSV and final model.
+
+    The parts hash what ``fedcpr run --iter-trace`` writes, split so that a
+    change to the exact oracle alone shows as that:
+
+    * ``trajectory``: the round CSV without its ``# config:`` echo (which
+      names the output path) and without the ``wall_seconds`` and
+      :data:`ORACLE_COLUMNS` columns, then the per-iteration CSV and the
+      little-endian float64 bytes of ``final_model``;
+    * ``oracle``: the round CSV's :data:`ORACLE_COLUMNS`, the exact
+      oracle's output, which no training step reads.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "trace.csv"
+        trace = run(config, out=out, iteration_trace=True, quiet=True)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]  # past the echo
+        iters = Path(f"{out}.iters.csv").read_bytes()
+    header = rows[0]
+    columns = {"oracle": [header.index(name) for name in ORACLE_COLUMNS]}
+    columns["trajectory"] = [i for i, name in enumerate(header)
+                             if name != "wall_seconds" and name not in ORACLE_COLUMNS]
+    digests = {part: hashlib.sha256() for part in PARTS}
+    for cells in rows:
+        for part, digest in digests.items():
+            digest.update((",".join(cells[i] for i in columns[part]) + "\n").encode())
+    digests["trajectory"].update(b"\0" + iters + b"\0")
+    digests["trajectory"].update(np.asarray(trace.final_model, dtype="<f8").tobytes())
+    return {part: digest.hexdigest() for part, digest in digests.items()}
+
+
+def canary() -> dict[str, str]:
+    """One hash per operation whose rounding depends on the machine."""
+    exp_x = np.concatenate([np.linspace(-50.0, 50.0, 100_001),
+                            np.linspace(-745.0, 709.0, 100_001)])
+    log_x = np.concatenate([np.linspace(1e-3, 10.0, 100_001),
+                            np.linspace(10.0, 1e300, 100_001)])
+    rng = np.random.default_rng(0)
+    # (left, right) operand shapes of the engine's stacked scoring and
+    # gradient contractions and of the oracle's per-side sums.
+    shapes = [((16, 32, 8), (16, 8, 1)), ((16, 32, 8), (16, 8, 8)),
+              ((16, 1, 32), (16, 32, 72)), ((256, 10, 8), (256, 8, 1)),
+              ((6, 5120), (5120,)), ((1024,), (1024, 8))]
+    products = [(rng.random(a) - 0.5) @ (rng.random(b) - 0.5) for a, b in shapes]
+    parts = {"exp": [np.exp(exp_x)], "log": [np.log(log_x)], "matmul": products}
+    return {name: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+            for name, arrays in parts.items()}
+
+
+def canary_differs(golden: dict) -> list[str]:
+    """The operations whose canary here differs from ``golden["canary"]``."""
+    here = canary()
+    return sorted(op for op, digest in golden["canary"].items() if here.get(op) != digest)
+
+
+def _reference() -> dict:
+    return json.loads(files(__package__).joinpath("fingerprints.json").read_text())
+
+
+def _check_traces() -> CheckResult:
+    name = "traces match the reference fingerprints"
+    golden = _reference()
+    differ = canary_differs(golden)
+    if differ:
+        return CheckResult(name, True, "not compared: the numeric profile differs "
+                                       f"from the reference one in {', '.join(differ)}")
+    moved = [f"{config} {part}" for config in CONFIGS
+             for part, digest in fingerprint(CONFIGS[config]).items()
+             if digest != golden["configs"][config][part]]
+    if moved:
+        return CheckResult(name, False, f"moved: {', '.join(moved)}")
+    return CheckResult(name, True, f"{len(CONFIGS)} configs")
 
 
 def _oracle_vs_finite_differences(name, scorer, lam, pos, neg, w) -> CheckResult:
@@ -69,7 +133,7 @@ def _oracle_vs_finite_differences(name, scorer, lam, pos, neg, w) -> CheckResult
         lambda v: exact_objective(loss_spec, outer, scorer, v, pos, neg), w, 1e-5
     )
     err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
-    return CheckResult(name, err <= 1e-5, f"objective {obj:.4g}, rel err {err:.2e}")
+    return CheckResult(name, bool(err <= 1e-5), f"objective {obj:.4g}, rel err {err:.2e}")
 
 
 def _check_exact_gradient() -> CheckResult:
@@ -92,68 +156,6 @@ def _check_log_domain_oracle() -> CheckResult:
     return _oracle_vs_finite_differences(
         "log-domain oracle at a far point", ScorerSpec("linear", 4), 1.0, pos, neg, w
     )
-
-
-def _check_psm_symmetry() -> CheckResult:
-    rng = np.random.default_rng(3)
-    spec = PairwiseLossSpec("psm_sigmoid")
-    a = rng.uniform(-30, 30, 500)
-    b = rng.uniform(-30, 30, 500)
-    gap = np.abs(loss(spec, a, b) + loss(spec, b, a) - 1.0).max()
-    return CheckResult("psm symmetry", gap <= 1e-12, f"max |l(a,b)+l(b,a)-1| {gap:.2e}")
-
-
-def _check_auc_routes() -> CheckResult:
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        ev = ScoredEval(
-            rng.integers(0, 6, rng.integers(1, 30)).astype(float),
-            rng.integers(0, 6, rng.integers(1, 30)).astype(float),
-        )
-        if auc(ev) != auc_bruteforce(ev):
-            return CheckResult("auc sorted vs brute force", False, "mismatch")
-        if partial_auc(ev, 1.0) != auc(ev):
-            return CheckResult("auc sorted vs brute force", False,
-                               "partial_auc(1) != auc")
-    return CheckResult("auc sorted vs brute force", True)
-
-
-def _check_estimator_reduction() -> CheckResult:
-    # One client (a stack of G = 1): 3 positive and 4 negative rows.
-    rng = np.random.default_rng(9)
-    scorer, spec = ScorerSpec("linear", 4), PairwiseLossSpec("kl_opauc", lam=2.0)
-    w = rng.standard_normal((1, 4))
-    x1, x2 = rng.standard_normal((1, 3, 4)), rng.standard_normal((1, 4, 4))
-    (a, j1), (b, j2) = (score_grad_many(scorer, w, x) for x in (x1, x2))
-    lazy_neg = rng.normal(size=(1, 3))
-    lazy_pos = rng.normal(size=(1, 4))
-    lazy_u = 1.0 + np.abs(rng.normal(size=(1, 4)))
-    d1 = -loss_and_slope(spec, a, lazy_neg)[1]
-    args = (IDENTITY_OUTER, j1, j2, d1, loss_and_slope(spec, lazy_pos, b)[1])
-    tracked = fedx_estimate(*args, np.full((1, 3), 1.5), lazy_u)
-    ok = np.array_equal(tracked, fedx_estimate(*args))
-    return CheckResult("tracked means under an identity outer change nothing", ok)
-
-
-def _check_momentum_closed_form() -> CheckResult:
-    rng = np.random.default_rng(13)
-    g0 = rng.standard_normal(6)
-    g = rng.standard_normal(6)
-    beta = 0.3
-    mom = g0.copy()
-    for _ in range(12):
-        mom = momentum_update(mom, g, beta)
-    expected = (1 - beta) ** 12 * g0 + (1 - (1 - beta) ** 12) * g
-    gap = np.abs(mom - expected).max()
-    return CheckResult("momentum closed form", gap <= 1e-12, f"max gap {gap:.2e}")
-
-
-def _check_buffer() -> CheckResult:
-    first, wraps = buffer_draw(substream(1, "selftest-buffer"), 52, 52)
-    ok = np.array_equal(np.sort(first), np.arange(52)) and wraps == 0
-    again, _ = buffer_draw(substream(1, "selftest-buffer"), 52, 52)
-    ok = ok and np.array_equal(again, first)
-    return CheckResult("buffer permutation and replay", ok)
 
 
 def _check_batched_draws() -> CheckResult:
@@ -186,62 +188,12 @@ def _check_batched_seeding() -> CheckResult:
     return CheckResult(name, True, f"{len(streams)} streams")
 
 
-def _fedx1_trace(seed: int):
-    cfg = DataConfig(n_pos_per_client=4, n_neg_per_client=8, input_dim=3,
-                     n_clients=2, hetero_var=0, hetero_base=0, hetero_step=0,
-                     seed=seed)
-    ds = build_dataset(cfg)
-    hyper = HyperParams(eta=0.05, K=4, R=3, B1=2, B2=2, seed=seed)
-    return simulate("fedx1", ds, ScorerSpec("linear", 3), PairwiseLossSpec("square"),
-                    IDENTITY_OUTER, hyper)
-
-
-def _check_comm_accounting() -> CheckResult:
-    trace = _fedx1_trace(4)
-    d, K, B = 3, 4, 2
-    ok = all(rec.uplink_floats == d + 2 * K * B for rec in trace.rounds)
-    ok = ok and all(rec.buffer_wraps == 0 for rec in trace.rounds)
-    return CheckResult("communication accounting", ok)
-
-
-def _check_replay() -> CheckResult:
-    a, b = _fedx1_trace(6), _fedx1_trace(6)
-    same = all(
-        ra.objective == rb.objective
-        and ra.grad_norm_sq == rb.grad_norm_sq
-        and ra.auc == rb.auc
-        for ra, rb in zip(a.rounds, b.rounds)
-    ) and np.array_equal(a.final_model, b.final_model)
-
-    cfg = DataConfig(n_pos_per_client=4, n_neg_per_client=8, input_dim=3,
-                     n_clients=2, hetero_var=0, hetero_base=0, hetero_step=0, seed=8)
-    ds = build_dataset(cfg)
-    hyper = HyperParams(eta=0.01, K=3, R=2, B1=2, B2=2, gamma=0.5, beta=0.5, seed=8)
-    kw = dict(
-        scorer=ScorerSpec("linear", 3),
-        loss_spec=PairwiseLossSpec("kl_opauc", lam=2.0),
-        outer=OuterFnSpec("kl_log", lam=2.0),
-        hyper=hyper,
-    )
-    t1 = simulate("fedx2", ds, **kw)
-    t2 = simulate("fedx2", ds, **kw)
-    same = same and np.array_equal(t1.final_model, t2.final_model)
-    return CheckResult("deterministic replay", same)
-
-
 def run_selftest() -> list[CheckResult]:
     checks = [
-        _check_score_gradients,
+        _check_traces,
         _check_exact_gradient,
         _check_log_domain_oracle,
-        _check_psm_symmetry,
-        _check_auc_routes,
-        _check_estimator_reduction,
-        _check_momentum_closed_form,
-        _check_buffer,
         _check_batched_draws,
         _check_batched_seeding,
-        _check_comm_accounting,
-        _check_replay,
     ]
     return [fn() for fn in checks]

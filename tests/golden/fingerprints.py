@@ -1,25 +1,19 @@
-"""Trace fingerprints: two SHA-256s per config, checked in as fingerprints.json.
+"""Writes the trace fingerprints, ``src/fedcpr/fingerprints.json``.
 
-A config's fingerprint hashes what ``fedcpr run --iter-trace`` writes, in
-two parts, so a change to the exact oracle alone shows as that:
-
-* ``trajectory``: the round CSV without its ``# config:`` echo (which names
-  the output path) and without the ``wall_seconds``, ``objective`` and
-  ``grad_norm_sq`` columns, then the per-iteration CSV and the
-  little-endian float64 bytes of ``final_model``;
-* ``oracle``: the round CSV's ``objective`` and ``grad_norm_sq`` columns,
-  the exact oracle's output, which no training step reads.
+The hashing, :func:`fedcpr.selftest.fingerprint` and
+:func:`fedcpr.selftest.canary`, lives in the package, which ships the file
+so that ``fedcpr selftest`` can compare its own configs on any install.
+This script adds the configs only the repository can build.
 
 Every config is a short-R version of one the simulator is known by: the
-five algorithms on the default config, the variants the engine tests branch
-on, the buffer-wrap configs of ``tests/test_engine.py``, the preset, the
-three benchmark workloads and two ``square`` configs.
+five algorithms on the default config (the package's
+:data:`fedcpr.selftest.CONFIGS`), the variants the engine tests branch on,
+the buffer-wrap configs of ``tests/test_engine.py``, the preset, the three
+benchmark workloads and two ``square`` configs.
 
-Traces are byte-identical per numeric profile, not across machines:
-``np.exp``, ``np.log`` (numpy's SIMD dispatch) and ``@`` (the BLAS kernel)
-may round differently elsewhere. So the file also records a canary, one
-hash per operation on fixed inputs, and a fingerprint is only compared
-where the canary matches.
+Traces are byte-identical per numeric profile, not across machines, so the
+file also records the canary and the ``profile`` it was made on, and a
+fingerprint is only compared where the canary matches.
 
 Regenerate with ``PYTHONPATH=src python tests/golden/fingerprints.py`` from
 the repository root; a deliberate trace change commits the new file.
@@ -27,21 +21,20 @@ the repository root; a deliberate trace change commits the new file.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 import json
 import platform
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from fedcpr.harness import RunConfig, parse_config, parse_config_file, run
+from fedcpr.harness import RunConfig, parse_config, parse_config_file
+from fedcpr.selftest import CONFIGS, canary, fingerprint
 
 ROOT = Path(__file__).resolve().parents[2]
-GOLDEN = Path(__file__).with_name("fingerprints.json")
+GOLDEN = ROOT / "src" / "fedcpr" / "fingerprints.json"
 
 # The benchmark's workload configs, read from perfbench/ without putting
 # that directory on the import path.
@@ -51,19 +44,12 @@ _spec.loader.exec_module(workloads)
 
 SHORT_R = 2
 WORKLOAD_SEED = 1
-PARTS = ("trajectory", "oracle")
-ORACLE_COLUMNS = ("objective", "grad_norm_sq")
 
 
 def configs() -> dict[str, RunConfig]:
     """name -> config, every one short enough for Tier-1."""
     short = {"hyper.R": SHORT_R}
     out = {
-        "fedx1": {"algorithm": "fedx1", **short},
-        "fedx2": {"algorithm": "fedx2", "outer.kind": "kl_log", **short},
-        "local_sgd": {"algorithm": "local_sgd", **short},
-        "local_pair": {"algorithm": "local_pair", **short},
-        "centralized": {"algorithm": "centralized", **short},
         "fedx2-reuse": {"algorithm": "fedx2", "outer.kind": "kl_log",
                         "hyper.history_samples": "reuse", **short},
         "local_pair-kl_log": {"algorithm": "local_pair", "outer.kind": "kl_log", **short},
@@ -83,51 +69,14 @@ def configs() -> dict[str, RunConfig]:
                     "hyper.eta": 0.01, "hyper.K": 6, "hyper.R": 3, "hyper.B1": 1,
                     "hyper.B2": 9, "hyper.seed": 9},
     }
-    out = {name: parse_config(workloads.config_text(keys)) for name, keys in out.items()}
+    out = {**CONFIGS, **{name: parse_config(workloads.config_text(keys))
+                         for name, keys in out.items()}}
     preset = parse_config_file(ROOT / "presets" / "full-protocol.cfg")
     out["preset"] = replace(preset, hyper=replace(preset.hyper, R=SHORT_R))
     for name in workloads.WORKLOADS:
         keys = {**workloads.config(name, WORKLOAD_SEED), **short}
         out[name] = parse_config(workloads.config_text(keys))
     return out
-
-
-def fingerprint(config: RunConfig) -> dict[str, str]:
-    """{part: SHA-256} of one run's round CSV, iteration CSV and final model."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "trace.csv"
-        trace = run(config, out=out, iteration_trace=True, quiet=True)
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]  # past the echo
-        iters = Path(f"{out}.iters.csv").read_bytes()
-    header = rows[0]
-    columns = {"oracle": [header.index(name) for name in ORACLE_COLUMNS]}
-    columns["trajectory"] = [i for i, name in enumerate(header)
-                             if name != "wall_seconds" and name not in ORACLE_COLUMNS]
-    digests = {part: hashlib.sha256() for part in PARTS}
-    for cells in rows:
-        for part, digest in digests.items():
-            digest.update((",".join(cells[i] for i in columns[part]) + "\n").encode())
-    digests["trajectory"].update(b"\0" + iters + b"\0")
-    digests["trajectory"].update(np.asarray(trace.final_model, dtype="<f8").tobytes())
-    return {part: digest.hexdigest() for part, digest in digests.items()}
-
-
-def canary() -> dict[str, str]:
-    """One hash per operation whose rounding depends on the machine."""
-    exp_x = np.concatenate([np.linspace(-50.0, 50.0, 100_001),
-                            np.linspace(-745.0, 709.0, 100_001)])
-    log_x = np.concatenate([np.linspace(1e-3, 10.0, 100_001),
-                            np.linspace(10.0, 1e300, 100_001)])
-    rng = np.random.default_rng(0)
-    # (left, right) operand shapes of the engine's stacked scoring and
-    # gradient contractions and of the oracle's per-side sums.
-    shapes = [((16, 32, 8), (16, 8, 1)), ((16, 32, 8), (16, 8, 8)),
-              ((16, 1, 32), (16, 32, 72)), ((256, 10, 8), (256, 8, 1)),
-              ((6, 5120), (5120,)), ((1024,), (1024, 8))]
-    products = [(rng.random(a) - 0.5) @ (rng.random(b) - 0.5) for a, b in shapes]
-    parts = {"exp": [np.exp(exp_x)], "log": [np.log(log_x)], "matmul": products}
-    return {name: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-            for name, arrays in parts.items()}
 
 
 def profile() -> str:
