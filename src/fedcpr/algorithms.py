@@ -5,11 +5,11 @@ Two federated algorithms share one round structure (bootstrap exchange,
 then R rounds of K local steps between exchanges):
 
 * ``fedx1`` (linear outer function): each local step combines *active*
-  factors (fresh scores and score gradients of locally sampled data at the
-  current local model) with *lazy* factors (score records produced on all
-  machines during the previous round, delivered via the server and read at
-  positions that :func:`~fedcpr.federation.buffer_draw` draws without
-  replacement).
+  factors (fresh scores of locally sampled data at the current local
+  model, whose pullback turns per-sample weights into a gradient) with
+  *lazy* factors (score records produced on all machines during the
+  previous round, delivered via the server and read at positions that
+  :func:`~fedcpr.federation.buffer_draw` draws without replacement).
 * ``fedx2`` (nonlinear outer function): adds a per-positive-sample moving
   average ``u`` tracking the inner pairwise mean, whose values travel as a
   ``u`` column of the positive-side score records (so each drawn position
@@ -40,8 +40,8 @@ substream), seeds the group's buffer streams of each side in one
 :func:`~fedcpr.federation.buffer_draw` on its stream in turn, and gathers
 the features and lazy records into (K, G, ...) arrays; then each local step
 k is one stacked call of the program's ``local_step`` per group. It scores
-and differentiates each batch in one forward pass, and
-:func:`fedx_estimate`, the one FedX estimator, is a function over the
+each batch in one forward pass, whose pullback gives the gradient terms,
+and :func:`fedx_estimate`, the one FedX estimator, is a function over the
 client axis. Fresh scores and u-values go into per-round (K, G, B) arrays;
 taken group after group, they are the record blocks of the round's one
 upload table, already in client order. Stacked matmuls loop the same BLAS
@@ -85,7 +85,7 @@ from .losses import (
     outer_deriv,
 )
 from .metrics import ScoredEval, auc_and_partial_aucs
-from .model import ScorerSpec, init_params, score_grad_many, score_many
+from .model import ScorerSpec, _vecmat, init_params, score_grad_many, score_many
 from .rng import choices, substream, substreams
 
 # The false-positive-rate caps of the held-out partial AUCs.
@@ -266,33 +266,27 @@ def _batch(n: int, batch: int) -> tuple[int, int]:
     return n, min(batch, n)
 
 
-def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v @ m`` per client: (..., n) and (..., n, d) give (..., d)."""
-    return (v[..., None, :] @ m)[..., 0, :]
-
-
-def fedx_estimate(outer: OuterFnSpec, j1, j2, d1, d2, u1=None, lazy_u=None) -> np.ndarray:
+def fedx_estimate(outer: OuterFnSpec, pull1, pull2, d1, d2, u1=None, lazy_u=None) -> np.ndarray:
     """FedX gradient estimates (G, d) for a stack of G clients.
 
-    ``j1``/``j2`` are the score Jacobians (G, n, d) of the sampled positives
-    and negatives at the clients' models, the active factors. ``d1``/``d2``
-    (G, n1)/(G, n2) are the pair-loss slopes that weight them: dl/da of each
-    positive against its lazy negative score and dl/db of each negative
-    against its lazy positive score. With tracked means (FedX2), the
-    positive-sample term weights each pair by the outer derivative at
-    ``u1``, the just-updated tracked inner means of the sampled positives,
-    and the negative-sample term by the outer derivative at the lazy u-value
-    ``lazy_u`` paired (same provenance) with the lazy positive score.
-    Without them the outer function is linear (FedX1).
+    ``pull1``/``pull2`` are the score pullbacks (:func:`score_grad_many`)
+    of the sampled positives and negatives at the clients' models, the
+    active factors. ``d1``/``d2`` (G, n1)/(G, n2) are the pair-loss slopes
+    they pull back: dl/da of each positive against its lazy negative score
+    and dl/db of each negative against its lazy positive score. With
+    tracked means (FedX2), the positive-sample term weights each pair by
+    the outer derivative at ``u1``, the just-updated tracked inner means of
+    the sampled positives, and the negative-sample term by the outer
+    derivative at the lazy u-value ``lazy_u`` paired (same provenance) with
+    the lazy positive score. Without them the outer function is linear
+    (FedX1). The pullbacks reject slopes shaped unlike their scores.
     """
-    if d1.shape != j1.shape[:-1]:
-        raise ValueError("each positive sample needs exactly one lazy negative score")
-    if d2.shape != j2.shape[:-1] or (lazy_u is not None and d2.shape != lazy_u.shape):
-        raise ValueError("each negative sample needs one lazy score (and u-value)")
+    if lazy_u is not None and d2.shape != lazy_u.shape:
+        raise ValueError("each negative sample needs one lazy score and u-value")
     if u1 is not None:
         d1 = outer_deriv(outer, u1) * d1
         d2 = outer_deriv(outer, lazy_u) * d2
-    return _vecmat(d1, j1) / d1.shape[-1] + _vecmat(d2, j2) / d2.shape[-1]
+    return pull1(d1) / d1.shape[-1] + pull2(d2) / d2.shape[-1]
 
 
 def _group_records(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray,
@@ -489,7 +483,7 @@ class PairwiseProgram:
         and gradient estimates."""
         s = self.settings
         x1, x2 = grp.sampled(k)
-        (a, j1), (b, j2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
+        (a, pull1), (b, pull2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
         if self.lazy:
             part_b, part_a = grp.lazy_neg[k], grp.lazy_pos[k]
         else:  # m-th with m-th, cycling when the batch sizes differ
@@ -500,7 +494,7 @@ class PairwiseProgram:
             u1 = grp.u_table.track((grp.rows, grp.draws[0][k]), pair_loss, s.hyper.gamma)
             part_u = grp.lazy_u[k] if self.lazy else _cycle(u1, b.shape[-1])
         d2 = loss_and_slope(s.loss, part_a, b)[1]
-        grad = fedx_estimate(s.outer, j1, j2, -slope, d2, u1, part_u)
+        grad = fedx_estimate(s.outer, pull1, pull2, -slope, d2, u1, part_u)
         if self.lazy:
             # Records for the next round, scored at the pre-step model: the
             # emission batches, or the update ones (fedx1, "reuse" mode).
@@ -575,9 +569,9 @@ class LocalSGDProgram(PairwiseProgram):
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
         s = self.settings
         xb, yb = grp.x1[k], grp.y[k]
-        scores, jac = score_grad_many(s.scorer, grp.model, xb)
+        scores, pullback = score_grad_many(s.scorer, grp.model, xb)
         margin = -yb * scores
-        grad = _vecmat(-yb * expit(margin), jac) / xb.shape[-2]
+        grad = pullback(-yb * expit(margin)) / xb.shape[-2]
         grp.descend(s, grad, eta)
         return np.logaddexp(0.0, margin).mean(axis=-1), None, grad
 
@@ -593,7 +587,7 @@ class CentralizedProgram(PairwiseProgram):
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
         s = self.settings
         x1, x2 = grp.sampled(k)
-        (a, j1), (b, j2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
+        (a, pull1), (b, pull2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
         a, b = a[..., :, None], b[..., None, :]  # (G, n1, n2) pairs
         n_pairs = a.shape[-2] * b.shape[-1]
         lmat, slope = loss_and_slope(s.loss, a, b)
@@ -602,9 +596,9 @@ class CentralizedProgram(PairwiseProgram):
         if self.nonlinear:
             u = grp.u_table.track((grp.rows, grp.draws[0][k]), lmat.mean(axis=-1), s.hyper.gamma)
             fpu = outer_deriv(s.outer, u)
-            grad = (_vecmat(fpu * d1, j1) + _vecmat(_vecmat(fpu, slope), j2)) / n_pairs
+            grad = (pull1(fpu * d1) + pull2(_vecmat(fpu, slope))) / n_pairs
         else:
-            grad = (_vecmat(d1, j1) + _vecmat(slope.sum(axis=-2), j2)) / n_pairs
+            grad = (pull1(d1) + pull2(slope.sum(axis=-2))) / n_pairs
         grp.descend(s, grad, eta)
         return lmat.mean(axis=(-2, -1)), u, grad
 

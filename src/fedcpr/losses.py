@@ -6,14 +6,13 @@ The objective being optimized everywhere in this package is
 
 with S1 the positive set, S2 the negative set, h the scorer, f the outer
 function. ``exact_oracle`` evaluates it and its gradient exactly, over every
-pair, in one pass: both sets are scored and differentiated once, the
-positives are swept in row blocks of about 2^15 pairs (each block takes the
-loss and its slope from one exp and adds into per-score weights, so nothing
-of size |S1| x |S2| is held), and one matmul per side with the score
-Jacobians ends it. ``exact_objective`` and ``exact_grad`` are its two
-halves; each runs the whole sweep, so a caller that needs both calls
-``exact_oracle``. They are the ground truth the stochastic estimators are
-tested against.
+pair, in one pass: each set is scored once, the positives are swept in row
+blocks of about 2^15 pairs (each block takes the loss and its slope from one
+exp and adds into per-score weights, so nothing of size |S1| x |S2| is
+held), and each side's pullback of its weights ends it. ``exact_objective``
+and ``exact_grad`` are its two halves; each runs the whole sweep, so a
+caller that needs both calls ``exact_oracle``. They are the ground truth the
+stochastic estimators are tested against.
 
 Only ``kl_opauc`` has inert pairs: where b + 1 <= a its loss is exactly 1
 and its slope exactly 0. For it the sweep sorts both sides once, counts
@@ -182,9 +181,9 @@ def _sweep(loss_spec, outer, a, b):
     """f(g_p) for every positive and the per-score weights.
 
     Returns (f, pos_w, neg_w) with pos_w[p] = sum_q f'(g_p) dl/da and
-    neg_w[q] = sum_p f'(g_p) dl/db, so that the gradient is
-    (pos_w @ J_pos + neg_w @ J_neg) / (PQ). Positives are swept in row
-    blocks of about _BLOCK_PAIRS pairs; nothing of size P x Q is held.
+    neg_w[q] = sum_p f'(g_p) dl/db, so that the gradient is the two sides'
+    pullbacks of them, divided by PQ. Positives are swept in row blocks of
+    about _BLOCK_PAIRS pairs; nothing of size P x Q is held.
 
     For kl_opauc both sides are sorted first, and a block computes only the
     columns past its first row's count of inert pairs. The count stops at
@@ -235,15 +234,15 @@ def exact_oracle(
     gradient = (1/(PQ)) * sum_{p,q} f'(g_p) * [d1loss_pq * grad h(z_p) + d2loss_pq * grad h(z'_q)]
 
     This is the ground-truth oracle the stochastic estimators are tested
-    against. Both sets are scored and differentiated in one forward pass
-    each; the Jacobians enter in one matmul per side at the end.
+    against. Each set is scored in one forward pass, whose pullback
+    turns that side's per-score weights into its gradient term at the end.
     """
     if pos_X.shape[0] == 0 or neg_X.shape[0] == 0:
         raise ValueError("positive and negative sets must both be nonempty")
-    a, pos_J = score_grad_many(scorer, w, pos_X)  # (P,), (P, d)
-    b, neg_J = score_grad_many(scorer, w, neg_X)  # (Q,), (Q, d)
+    a, pos_pull = score_grad_many(scorer, w, pos_X)  # (P,)
+    b, neg_pull = score_grad_many(scorer, w, neg_X)  # (Q,)
     f, pos_w, neg_w = _sweep(loss_spec, outer, a, b)
-    grad = (pos_w @ pos_J + neg_w @ neg_J) / (a.shape[0] * b.shape[0])
+    grad = (pos_pull(pos_w) + neg_pull(neg_w)) / (a.shape[0] * b.shape[0])
     return float(np.mean(f)), grad
 
 

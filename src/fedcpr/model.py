@@ -1,4 +1,4 @@
-"""Prediction functions, their gradients, and a finite-difference checker.
+"""Prediction functions, their pullbacks, and a finite-difference checker.
 
 Two scorer families are supported, both emitting a single scalar score:
 
@@ -8,7 +8,9 @@ Two scorer families are supported, both emitting a single scalar score:
   [W_hidden row-major, then w_out], d = input_dim·hidden_dim + hidden_dim.
 
 tanh (smooth) is used rather than ReLU so the default model class has
-Lipschitz gradients everywhere. All math is double precision.
+Lipschitz gradients everywhere. All math is double precision. Gradients
+come only as pullbacks, sum_n v_n * grad h(w; x_n) over a batch, so no
+per-sample gradient is formed.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ class ScorerSpec:
             return self.input_dim
         return self.input_dim * self.hidden_dim + self.hidden_dim
 
-    def _split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """mlp1 parameter views, (hidden matrices, output vectors), keeping
-        any leading client axes of w."""
-        h, d = self.hidden_dim, self.input_dim
-        return w[..., : h * d].reshape(*w.shape[:-1], h, d), w[..., h * d :]
-
 
 def _check_dims(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> None:
     if w.shape[-1:] != (spec.param_count,):
@@ -60,38 +56,44 @@ def _check_dims(spec: ScorerSpec, w: np.ndarray, x: np.ndarray) -> None:
         )
 
 
-def score_many(spec: ScorerSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Scores for a batch of samples (rows of X), shape (n,).
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` per client: (..., n) and (..., n, d) give (..., d)."""
+    return v @ m if v.ndim == 1 else (v[..., None, :] @ m)[..., 0, :]
 
-    With leading client axes, w of shape (..., d) and X of shape
-    (..., n, input_dim) give (..., n): each client's batch at its own model.
-    The matmuls stack over those axes, so each client's scores are bit for
-    bit what its own 2-D call gives.
+
+def score_many(spec: ScorerSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The scores of :func:`score_grad_many`."""
+    return score_grad_many(spec, w, X)[0]
+
+
+def score_grad_many(spec: ScorerSpec, w: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Scores and their pullback from one forward pass.
+
+    w (d,) and X (n, input_dim) give scores (n,); with leading client axes,
+    w (..., d) and X (..., n, input_dim) give (..., n), each client's batch
+    at its own model, bit for bit what its own call gives. ``pullback(v)``,
+    for v shaped like the scores, is sum_n v[..., n] * grad h(w; x_n), (..., d).
     """
     _check_dims(spec, w, X)
     if spec.kind == "linear":
-        return (X @ w[..., None])[..., 0]
-    hidden_w, out_w = spec._split(w)
-    return (np.tanh(X @ np.swapaxes(hidden_w, -1, -2)) @ out_w[..., None])[..., 0]
+        scores = (X @ w[..., None])[..., 0]
+    else:
+        h, d = spec.hidden_dim, spec.input_dim  # w = [W_hidden row-major, w_out]
+        hidden_w, out_w = w[..., : h * d].reshape(*w.shape[:-1], h, d), w[..., h * d :]
+        t = np.tanh(X @ np.swapaxes(hidden_w, -1, -2))  # (..., n, hidden)
+        scores = (t @ out_w[..., None])[..., 0]
 
+    def pullback(v: np.ndarray) -> np.ndarray:
+        if v.shape != scores.shape:
+            raise ValueError(f"pullback weights have shape {v.shape}, the scores {scores.shape}")
+        if spec.kind == "linear":
+            return _vecmat(v, X)
+        # d/dW_hidden = outer(out_w * (1 - t^2), x); d/dw_out = t
+        coeff = v[..., None] * out_w[..., None, :] * (1.0 - t * t)  # (..., n, hidden)
+        hidden_grad = np.swapaxes(coeff, -1, -2) @ X  # (..., hidden, input)
+        return np.concatenate([hidden_grad.reshape(*v.shape[:-1], -1), _vecmat(v, t)], axis=-1)
 
-def score_grad_many(
-    spec: ScorerSpec, w: np.ndarray, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and per-sample score gradients from one forward pass: (n,) and
-    (n, param_count), or (..., n) and (..., n, param_count) with leading
-    client axes as in :func:`score_many`. The scores are bit for bit
-    :func:`score_many`'s, the operations being the same."""
-    _check_dims(spec, w, X)
-    if spec.kind == "linear":
-        return (X @ w[..., None])[..., 0], np.array(X, dtype=float, copy=True)
-    hidden_w, out_w = spec._split(w)
-    t = np.tanh(X @ np.swapaxes(hidden_w, -1, -2))  # (..., n, hidden)
-    # d/dW_hidden = outer(out_w * (1 - t^2), x); d/dw_out = t
-    coeff = out_w[..., None, :] * (1.0 - t * t)  # (..., n, hidden)
-    hidden_grad = coeff[..., :, None] * X[..., None, :]  # (..., n, hidden, input)
-    jac = np.concatenate([hidden_grad.reshape(*t.shape[:-1], -1), t], axis=-1)
-    return (t @ out_w[..., None])[..., 0], jac
+    return scores, pullback
 
 
 def finite_diff_grad(

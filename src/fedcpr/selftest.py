@@ -86,10 +86,11 @@ def canary() -> dict[str, str]:
                             np.linspace(10.0, 1e300, 100_001)])
     rng = np.random.default_rng(0)
     # (left, right) operand shapes of the engine's stacked scoring and
-    # gradient contractions and of the oracle's per-side sums.
+    # pullback contractions and of the oracle's per-side pullbacks.
     shapes = [((16, 32, 8), (16, 8, 1)), ((16, 32, 8), (16, 8, 8)),
-              ((16, 1, 32), (16, 32, 72)), ((256, 10, 8), (256, 8, 1)),
-              ((6, 5120), (5120,)), ((1024,), (1024, 8))]
+              ((16, 8, 20), (16, 20, 8)), ((16, 1, 20), (16, 20, 8)),
+              ((256, 10, 8), (256, 8, 1)), ((6, 5120), (5120,)),
+              ((1024,), (1024, 8)), ((8, 320), (320, 8))]
     products = [(rng.random(a) - 0.5) @ (rng.random(b) - 0.5) for a, b in shapes]
     parts = {"exp": [np.exp(exp_x)], "log": [np.log(log_x)], "matmul": products}
     return {name: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()

@@ -16,7 +16,9 @@ file also records the canary and the ``profile`` it was made on, and a
 fingerprint is only compared where the canary matches.
 
 Regenerate with ``PYTHONPATH=src python tests/golden/fingerprints.py`` from
-the repository root; a deliberate trace change commits the new file.
+the repository root; a deliberate trace change commits the new file. The
+script prints each canary operation and each config part whose hash differs
+from the file it overwrites, the list a trace change names.
 """
 
 from __future__ import annotations
@@ -95,7 +97,20 @@ def profile() -> str:
             f"SIMD dispatch: {simd or 'none'}, BLAS: {blas}")
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """What differs from ``old`` in ``new``: each canary operation, then
+    each config and part, by name."""
+    lines = [f"canary {op}" for op in sorted(old["canary"].keys() | new["canary"].keys())
+             if old["canary"].get(op) != new["canary"].get(op)]
+    for name in sorted(old["configs"].keys() | new["configs"].keys()):
+        was, now = old["configs"].get(name, {}), new["configs"].get(name, {})
+        lines += [f"config {name} {part}" for part in sorted(was.keys() | now.keys())
+                  if was.get(part) != now.get(part)]
+    return lines
+
+
 def main() -> int:
+    old = json.loads(GOLDEN.read_text())
     golden = {
         "profile": profile(),
         "canary": canary(),
@@ -103,6 +118,8 @@ def main() -> int:
     }
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {len(golden['configs'])} fingerprints to {GOLDEN}")
+    changes = moved(old, golden)
+    print("\n".join(f"moved: {line}" for line in changes) if changes else "nothing moved")
     return 0
 
 

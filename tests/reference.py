@@ -212,13 +212,11 @@ def fedx1_estimate(st, iteration, z1, z2, lazy_neg, lazy_pos):
         raise ValueError("each active sample needs exactly one lazy record")
     s, shard = st.settings, st.shard
     x1, x2 = shard.pos_X[z1], shard.neg_X[z2]
-    a = score_many(s.scorer, st.model, x1)
-    b = score_many(s.scorer, st.model, x2)
+    a, pull1 = score_grad_many(s.scorer, st.model, x1)
+    b, pull2 = score_grad_many(s.scorer, st.model, x2)
     d1 = -loss_and_slope(s.loss, a, lazy_neg)[1]
     d2 = loss_and_slope(s.loss, lazy_pos, b)[1]
-    j1 = score_grad_many(s.scorer, st.model, x1)[1]
-    j2 = score_grad_many(s.scorer, st.model, x2)[1]
-    g = (np.asarray(d1) @ j1) / len(z1) + (np.asarray(d2) @ j2) / len(z2)
+    g = pull1(np.asarray(d1)) / len(z1) + pull2(np.asarray(d2)) / len(z2)
     st.out_h1.append(records_of(a, st.index, iteration, shard.pos_ids[z1]))
     st.out_h2.append(records_of(b, st.index, iteration, shard.neg_ids[z2]))
     return g
@@ -232,15 +230,13 @@ def fedx2_estimate(st, z1, z2, lazy_neg, lazy_pos, lazy_u):
         raise ValueError("each negative sample needs one lazy (score, u) pair")
     s, shard = st.settings, st.shard
     x1, x2 = shard.pos_X[z1], shard.neg_X[z2]
-    a = score_many(s.scorer, st.model, x1)
-    b = score_many(s.scorer, st.model, x2)
+    a, pull1 = score_grad_many(s.scorer, st.model, x1)
+    b, pull2 = score_grad_many(s.scorer, st.model, x2)
     d1 = -loss_and_slope(s.loss, a, lazy_neg)[1]
     d2 = loss_and_slope(s.loss, lazy_pos, b)[1]
     w1 = np.asarray(outer_deriv(s.outer, st.u_table.values[z1])) * np.asarray(d1)
     w2 = np.asarray(outer_deriv(s.outer, lazy_u)) * np.asarray(d2)
-    j1 = score_grad_many(s.scorer, st.model, x1)[1]
-    j2 = score_grad_many(s.scorer, st.model, x2)[1]
-    return (w1 @ j1) / len(z1) + (w2 @ j2) / len(z2)
+    return pull1(w1) / len(z1) + pull2(w2) / len(z2)
 
 
 class ReferenceProgram:
@@ -317,9 +313,8 @@ class ReferenceProgram:
             y = np.concatenate([np.ones(st.shard.n_pos), -np.ones(st.shard.n_neg)])
             idx = _draw_batch(g, X.shape[0], h.B1 + h.B2)
             xb, yb = X[idx], y[idx]
-            scores = score_many(s.scorer, st.model, xb)
-            coeff = -yb * expit(-yb * scores)
-            grad = coeff @ score_grad_many(s.scorer, st.model, xb)[1] / len(idx)
+            scores, pullback = score_grad_many(s.scorer, st.model, xb)
+            grad = pullback(-yb * expit(-yb * scores)) / len(idx)
             st.model = st.model - eta * grad
             return float(np.mean(np.logaddexp(0.0, -yb * scores))), None, grad
         z1 = _draw_batch(g, st.shard.n_pos, h.B1)
@@ -334,11 +329,9 @@ class ReferenceProgram:
         if self.alg == "fedx2":
             return self._fedx2_step(st, g, k, z1, z2, eta)
         x1, x2 = st.shard.pos_X[z1], st.shard.neg_X[z2]
-        a = score_many(s.scorer, st.model, x1)
-        b = score_many(s.scorer, st.model, x2)
+        a, pull1 = score_grad_many(s.scorer, st.model, x1)
+        b, pull2 = score_grad_many(s.scorer, st.model, x2)
         n1, n2 = len(z1), len(z2)
-        j1 = score_grad_many(s.scorer, st.model, x1)[1]
-        j2 = score_grad_many(s.scorer, st.model, x2)[1]
         if self.alg == "local_pair":
             part_b, part_a = b[np.arange(n1) % n2], a[np.arange(n2) % n1]
             pair_loss = loss(s.loss, a, part_b)
@@ -349,11 +342,11 @@ class ReferenceProgram:
                 u1 = st.u_table.values[z1]
                 w1 = np.asarray(outer_deriv(s.outer, u1)) * np.asarray(d1)
                 w2 = np.asarray(outer_deriv(s.outer, u1[np.arange(n2) % n1])) * np.asarray(d2)
-                grad = (w1 @ j1) / n1 + (w2 @ j2) / n2
+                grad = pull1(w1) / n1 + pull2(w2) / n2
                 st.momentum = momentum_update(st.momentum, grad, h.beta)
                 st.model = st.model - eta * st.momentum
                 return float(np.mean(pair_loss)), u1, grad
-            grad = (np.asarray(d1) @ j1) / n1 + (np.asarray(d2) @ j2) / n2
+            grad = pull1(np.asarray(d1)) / n1 + pull2(np.asarray(d2)) / n2
             st.model = st.model - eta * grad
             return float(np.mean(pair_loss)), None, grad
         # centralized
@@ -363,11 +356,11 @@ class ReferenceProgram:
             lmat = loss(s.loss, a[:, None], b[None, :])
             st.u_table.track(z1, lmat.mean(axis=1), h.gamma)
             fpu = np.asarray(outer_deriv(s.outer, st.u_table.values[z1]))
-            grad = ((fpu * d1.sum(axis=1)) @ j1 + (fpu @ d2) @ j2) / (n1 * n2)
+            grad = (pull1(fpu * d1.sum(axis=1)) + pull2(fpu @ d2)) / (n1 * n2)
             st.momentum = momentum_update(st.momentum, grad, h.beta)
             st.model = st.model - eta * st.momentum
             return float(lmat.mean()), st.u_table.values[z1], grad
-        grad = (d1.sum(axis=1) @ j1 + d2.sum(axis=0) @ j2) / (n1 * n2)
+        grad = (pull1(d1.sum(axis=1)) + pull2(d2.sum(axis=0))) / (n1 * n2)
         st.model = st.model - eta * grad
         return float(np.mean(loss(s.loss, a[:, None], b[None, :]))), None, grad
 
@@ -397,13 +390,13 @@ class ReferenceProgram:
 
 
 def _one_client(st, z1, z2, lazy_neg, lazy_pos):
-    """The estimator's arguments for one client: score Jacobians at the
+    """The estimator's arguments for one client: score pullbacks at the
     sampled rows and the slopes against the lazy scores."""
     s, w = st.settings, st.model[None]
     x1, x2 = st.shard.pos_X[z1][None], st.shard.neg_X[z2][None]
-    (a, j1), (b, j2) = score_grad_many(s.scorer, w, x1), score_grad_many(s.scorer, w, x2)
+    (a, pull1), (b, pull2) = score_grad_many(s.scorer, w, x1), score_grad_many(s.scorer, w, x2)
     d1 = -loss_and_slope(s.loss, a, lazy_neg[None])[1]
-    return s.outer, j1, j2, d1, loss_and_slope(s.loss, lazy_pos[None], b)[1]
+    return s.outer, pull1, pull2, d1, loss_and_slope(s.loss, lazy_pos[None], b)[1]
 
 
 def one_client_fedx1(st, z1, z2, lazy_neg, lazy_pos) -> np.ndarray:

@@ -140,8 +140,8 @@ def test_criterion_2_fedx1_unbiasedness():
         program.begin_round(download, r)
         # The engine's step-0 estimate for every client at once.
         x1, x2 = grp.sampled(0)
-        (a_now, j1), (b_now, j2) = (score_grad_many(scorer, grp.model, x) for x in (x1, x2))
-        ests = fedx_estimate(settings.outer, j1, j2,
+        (a_now, pull1), (b_now, pull2) = (score_grad_many(scorer, grp.model, x) for x in (x1, x2))
+        ests = fedx_estimate(settings.outer, pull1, pull2,
                              -loss_and_slope(loss_spec, a_now, grp.lazy_neg[0])[1],
                              loss_and_slope(loss_spec, grp.lazy_pos[0], b_now)[1])
         for j, i in enumerate(grp.clients):

@@ -109,13 +109,14 @@ class TestFedX1Estimate:
         # Two sampled positives but one slope: that of the first against
         # the lazy negative score 0.2.
         shard = _shard2()
-        w = np.array([[1.0, -1.0]])
-        a, j1 = score_grad_many(LIN2, w, shard.pos_X[None])
-        b, j2 = score_grad_many(LIN2, w, shard.neg_X[None, :1])
-        d1 = -loss_and_slope(SQ, a[:, :1], _values([[0.2]]))[1]
-        d2 = loss_and_slope(SQ, _values([[0.7]]), b)[1]
-        with pytest.raises(ValueError):
-            fedx_estimate(IDENTITY_OUTER, j1, j2, d1, d2)
+        for scorer in (LIN2, ScorerSpec("mlp1", 2, hidden_dim=3)):
+            w = np.linspace(1.0, -1.0, scorer.param_count)[None]
+            a, pull1 = score_grad_many(scorer, w, shard.pos_X[None])
+            b, pull2 = score_grad_many(scorer, w, shard.neg_X[None, :1])
+            d1 = -loss_and_slope(SQ, a[:, :1], _values([[0.2]]))[1]
+            d2 = loss_and_slope(SQ, _values([[0.7]]), b)[1]
+            with pytest.raises(ValueError, match=r"^pullback weights have shape \(1, 1\)"):
+                fedx_estimate(IDENTITY_OUTER, pull1, pull2, d1, d2)
 
 
 def _track(table, position, fresh, lazy_neg, gamma):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import exact_inner, score
+from reference import exact_inner, score, score_grad
 
 from fedcpr import losses
 from fedcpr.data import DataConfig, build_dataset
@@ -20,7 +20,7 @@ from fedcpr.losses import (
     outer_deriv,
     outer_value,
 )
-from fedcpr.model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
+from fedcpr.model import ScorerSpec, finite_diff_grad, score_many
 
 PSM = PairwiseLossSpec("psm_sigmoid")
 KL = PairwiseLossSpec("kl_opauc", lam=2.0)
@@ -267,8 +267,8 @@ def _direct_oracle(loss_spec, outer, scorer, w, pos, neg):
     da = -db
     g = lmat.mean(axis=1)
     fp = outer_deriv(outer, g)[:, None]
-    grad = (fp * da).sum(axis=1) @ score_grad_many(scorer, w, pos)[1]
-    grad += (fp * db).sum(axis=0) @ score_grad_many(scorer, w, neg)[1]
+    grad = (fp * da).sum(axis=1) @ np.array([score_grad(scorer, w, x) for x in pos])
+    grad += (fp * db).sum(axis=0) @ np.array([score_grad(scorer, w, x) for x in neg])
     return float(np.mean(outer_value(outer, g))), grad / lmat.size
 
 

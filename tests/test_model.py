@@ -119,11 +119,13 @@ class TestScoreGrad:
             assert err <= 1e-5
 
     def test_batch_matches_scalar(self):
+        # Pulling back the unit vectors gives the per-sample gradients.
         rng = np.random.default_rng(5)
         X = rng.standard_normal((6, 4))
         for spec in (LINEAR, MLP):
             w = rng.standard_normal(spec.param_count)
-            batch = score_grad_many(spec, w, X)[1]
+            pullback = score_grad_many(spec, w, X)[1]
+            batch = np.array([pullback(e) for e in np.eye(len(X))])
             np.testing.assert_allclose(
                 batch, np.array([score_grad(spec, w, x) for x in X]), rtol=1e-12,
                 atol=1e-15,
@@ -142,17 +144,29 @@ class TestScoreGrad:
 def test_one_pass_scores_equal_score_many(kind, input_dim, hidden_dim, n, clients, seed):
     # The local steps and the oracle take their scores from score_grad_many's
     # one forward pass; they must be score_many's to the byte, alone or per
-    # client of a (G, n) stack.
+    # client of a (G, n) stack. Its pullback of v is each client's
+    # v-weighted sum of per-sample gradients: the scalar route's, and the
+    # finite-difference gradient of v . score_many.
     spec = ScorerSpec(kind, input_dim, hidden_dim=hidden_dim if kind == "mlp1" else 0)
     rng = np.random.default_rng(seed)
     lead = () if clients is None else (clients,)
     w = rng.standard_normal(lead + (spec.param_count,))
     X = rng.standard_normal(lead + (n, input_dim))
-    scores, jac = score_grad_many(spec, w, X)
+    v = rng.standard_normal(lead + (n,))
+    scores, pullback = score_grad_many(spec, w, X)
     want = score_many(spec, w, X)
     assert scores.shape == want.shape == lead + (n,)
-    assert jac.shape == lead + (n, spec.param_count)
     assert scores.tobytes() == want.tobytes()
+    pulled = pullback(v)
+    assert pulled.shape == lead + (spec.param_count,)
+    for c in np.ndindex(lead):
+        terms = np.array([v[c][m] * score_grad(spec, w[c], X[c][m]) for m in range(n)])
+        np.testing.assert_allclose(pulled[c], terms.sum(axis=0), rtol=1e-12,
+                                   atol=1e-12 * np.abs(terms).sum(axis=0).max())
+        fd = finite_diff_grad(lambda u: float(v[c] @ score_many(spec, u, X[c])), w[c], 1e-5)
+        assert np.linalg.norm(pulled[c] - fd) <= 1e-5 * max(1.0, np.linalg.norm(pulled[c]))
+    with pytest.raises(ValueError, match=r"^pullback weights have shape"):
+        pullback(v[..., :-1])
 
 
 class TestFiniteDiff:
