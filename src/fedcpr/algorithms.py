@@ -25,28 +25,29 @@ moving-average machinery when the outer function is nonlinear).
 
 All five run through :func:`simulate`, each as the program
 :data:`PROGRAMS` names. fedx1, fedx2 and local_pair are one
-:class:`PairwiseProgram`; local_sgd and centralized subclass it with their
-own local step.
+:class:`PairwiseProgram`; centralized subclasses it with its own local
+step, local_sgd with its own local step and round state.
 
 The round engine. A client's K local steps in round r read only its own
 state and the round r-1 aggregate, so step k of every client is independent
 work. Each run of consecutive clients whose shards share a shape forms a
 :class:`ClientGroup`: models and momenta stacked as (G, d), u-tables as
-(G, n_pos). At the start of a round the engine makes every client-step's
-minibatch draws of the group in one :func:`~fedcpr.rng.choices` call (each
-row bit for bit the ``Generator.choice`` calls of that client-step's
-substream), seeds the group's buffer streams of each side in one
-:func:`~fedcpr.rng.substreams` pass, makes each client's
-:func:`~fedcpr.federation.buffer_draw` on its stream in turn, and gathers
-the features and lazy records into (K, G, ...) arrays; then each local step
-k is one stacked call of the program's ``local_step`` per group. It scores
-each batch in one forward pass, whose pullback gives the gradient terms,
-and :func:`fedx_estimate`, the one FedX estimator, is a function over the
-client axis. Fresh scores and u-values go into per-round (K, G, B) arrays;
-taken group after group, they are the record blocks of the round's one
-upload table, already in client order. Stacked matmuls loop the same BLAS
-calls over the client axis, so every value is bit for bit what the clients
-would compute one after another.
+(G, n_pos). At the start of a round the program's ``_prepare`` makes each
+group's round state of (K, G, n) arrays: the update batches ``z1``/``z2``
+and emission batches ``zh1``/``zh2`` from one :func:`~fedcpr.rng.choices`
+call (each row bit for bit the ``Generator.choice`` calls of that
+client-step's substream); the lazy records ``lazy_neg``/``lazy_pos``/
+``lazy_u`` at each client's :func:`~fedcpr.federation.buffer_draw`
+positions, its streams of each side seeded in one
+:func:`~fedcpr.rng.substreams` pass; and the emitted records
+``h1``/``h2``/``h1_u``, which step k fills at slice k. Each local step k is
+one stacked call of the program's ``local_step`` per group. It scores each
+batch in one forward pass, whose pullback gives the gradient terms, and
+:func:`fedx_estimate`, the one FedX estimator, is a function over the
+client axis. Taken group after group, the emitted records are the record
+blocks of the round's one upload table, already in client order. Stacked
+matmuls loop the same BLAS calls over the client axis, so every value is
+bit for bit what the clients would compute one after another.
 
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so a run's trace is
@@ -75,6 +76,7 @@ from .federation import (
     comm_cost,
     server_aggregate,
 )
+from .fields import check_numbers
 from .losses import (
     OuterFnSpec,
     PairwiseLossSpec,
@@ -108,6 +110,7 @@ class HyperParams:
 
     def __post_init__(self) -> None:
         # Each message starts with the field's config key name.
+        check_numbers(self)
         # eta = 0 is legal: frozen-model protocols rely on it.
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
@@ -260,12 +263,6 @@ class RunTrace:
         return self.rounds[-1]
 
 
-def _batch(n: int, batch: int) -> tuple[int, int]:
-    """The (pop, size) spec of a without-replacement minibatch of size
-    min(batch, n) out of n."""
-    return n, min(batch, n)
-
-
 def fedx_estimate(outer: OuterFnSpec, pull1, pull2, d1, d2, u1=None, lazy_u=None) -> np.ndarray:
     """FedX gradient estimates (G, d) for a stack of G clients.
 
@@ -289,20 +286,6 @@ def fedx_estimate(outer: OuterFnSpec, pull1, pull2, d1, d2, u1=None, lazy_u=None
     return pull1(d1) / d1.shape[-1] + pull2(d2) / d2.shape[-1]
 
 
-def _group_records(grp: ClientGroup, values: np.ndarray, sample_ids: np.ndarray,
-                   u: np.ndarray | None) -> Records:
-    """A group's records of a round from its (K, G, n) values, sample ids
-    and u-values (or None), client by client: row (j*K + k)*n + m is entry m
-    of the j-th client's iteration k."""
-    K, G, n = values.shape
-
-    def by_client(a):
-        return None if a is None else a.transpose(1, 0, 2).reshape(-1)
-
-    return Records(by_client(values), np.repeat(grp.clients, K * n),
-                   np.tile(np.repeat(np.arange(K), n), G), by_client(sample_ids), by_client(u))
-
-
 # What ``local_step`` returns: loss estimates, u-values or None, gradients.
 StepResult = tuple[np.ndarray, np.ndarray | None, np.ndarray]
 
@@ -311,10 +294,14 @@ class ClientGroup:
     """Consecutive clients whose shards have one shape, with their data and
     state stacked along a leading client axis of length G.
 
-    A round's draws are (K, G, n) arrays of positions, its lazy records
-    (``lazy_neg``, ...) and emitted records (K, G, n) arrays of values, so
-    step k reads slice k. ``emitted`` maps each upload block to its values,
-    sample ids and u-values (None but on fedx2's positive side).
+    The round state, made at the start of each round (round 0: the
+    bootstrap's records), is (K, G, n) arrays that step k reads at slice k:
+    update positions ``z1``/``z2`` and emission positions ``zh1``/``zh2``
+    (the same arrays unless fedx2 draws its emission batches apart); lazy
+    records ``lazy_neg``/``lazy_pos``/``lazy_u`` read at ``neg_at`` and
+    ``pos_at`` in the aggregate; emitted values ``h1``/``h2``/``h1_u``,
+    which :meth:`records` turns into upload rows; and local_sgd's batch rows
+    ``x`` and labels ``y``. Arrays a program does not make stay None.
     """
 
     def __init__(self, clients: list[int], shards: list[ClientShard], w0: np.ndarray):
@@ -328,14 +315,32 @@ class ClientGroup:
         self.model = np.tile(w0, (len(clients), 1))
         self.momentum: np.ndarray | None = None
         self.u_table: UTable | None = None
-        self.draws: list[np.ndarray] = []
-        self.emitted: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
+        self.z1 = self.z2 = self.zh1 = self.zh2 = None
+        self.neg_at = self.pos_at = self.lazy_neg = self.lazy_pos = self.lazy_u = None
+        self.h1 = self.h2 = self.h1_u = self.x = self.y = None
 
-    def sampled(self, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Step k's rows at draws ``first`` (positives) and ``first + 1``
-        (negatives), (G, n1, input_dim) and (G, n2, input_dim)."""
-        return (self.pos_X[self.rows, self.draws[first][k]],
-                self.neg_X[self.rows, self.draws[first + 1][k]])
+    def sampled(self, k: int, emission: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Step k's positive and negative rows, (G, n1, input_dim) and (G,
+        n2, input_dim), of the update batches or the emission batches."""
+        z1, z2 = (self.zh1, self.zh2) if emission else (self.z1, self.z2)
+        return self.pos_X[self.rows, z1[k]], self.neg_X[self.rows, z2[k]]
+
+    def records(self) -> tuple[Records, Records]:
+        """The round's positive-side and negative-side upload rows, client by
+        client: row (j*K + k)*n + m is entry m of the j-th client's
+        iteration k. Both are empty when the program emits no records."""
+        if self.h1 is None:
+            return Records.concat([]), Records.concat([])
+
+        def rows(values, at, ids, u=None):
+            K, G, n = values.shape
+            value, sample_id, u = (None if a is None else a.transpose(1, 0, 2).reshape(-1)
+                                   for a in (values, ids[self.rows, at], u))
+            return Records(value, np.repeat(self.clients, K * n),
+                           np.tile(np.repeat(np.arange(K), n), G), sample_id, u)
+
+        return (rows(self.h1, self.zh1, self.pos_ids, self.h1_u),
+                rows(self.h2, self.zh2, self.neg_ids))
 
     def descend(self, s: RunSettings, grad: np.ndarray, eta: float) -> None:
         """One model step along ``grad``, through the momentum if any."""
@@ -387,6 +392,8 @@ class PairwiseProgram:
         # local_sgd's update has no outer function; the configured one only
         # enters the reported objective.
         self.nonlinear = settings.outer.kind != "identity" and settings.algorithm != "local_sgd"
+        # fedx2's records score emission batches of their own unless "reuse".
+        self.separate = self.lazy and self.nonlinear and settings.hyper.history_samples != "reuse"
         if self.nonlinear:
             for grp in self.groups:
                 grp.momentum = np.zeros_like(grp.model)
@@ -395,56 +402,49 @@ class PairwiseProgram:
     def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
         return dataset.shards
 
-    def _pair_draw(self, grp: ClientGroup) -> list[tuple[int, int]]:
-        h = self.settings.hyper
-        return [_batch(grp.n_pos, h.B1), _batch(grp.n_neg, h.B2)]
-
-    def _draws(self, grp: ClientGroup, specs, purpose: str, *tags) -> list[np.ndarray]:
-        """The draws of ``specs`` from stream ``(purpose, client, *tags, k)``
-        of every client and local step k, one (K, G, size) array per spec."""
+    def _draws(self, grp: ClientGroup, sizes, purpose: str, *tags) -> list[np.ndarray]:
+        """Per (pop, batch) of ``sizes`` in turn, a (K, G, min(batch, pop))
+        array of positions drawn without replacement from stream ``(purpose,
+        client, *tags, k)`` of every client and local step k."""
         K, G = self.settings.hyper.K, len(grp.clients)
         streams = [(purpose, i, *tags, k) for k in range(K) for i in grp.clients]
+        specs = [(pop, min(batch, pop)) for pop, batch in sizes]
         return [d.reshape(K, G, d.shape[1]) for d in choices(self.settings.seed, streams, specs)]
 
     def bootstrap_uploads(self) -> RoundUpload:
         """Round 0: models (and zero momenta) with, for the lazy programs,
         K batches per side scored at the initial model."""
-        s = self.settings
+        s, h = self.settings, self.settings.hyper
         for grp in self.groups if self.lazy else ():
-            z1, z2 = self._draws(grp, self._pair_draw(grp), "bootstrap")
-            ids1 = grp.pos_ids[grp.rows, z1]
-            a = score_many(s.scorer, grp.model, grp.pos_X[grp.rows, z1])
-            b = score_many(s.scorer, grp.model, grp.neg_X[grp.rows, z2])
+            grp.zh1, grp.zh2 = self._draws(grp, [(grp.n_pos, h.B1), (grp.n_neg, h.B2)], "bootstrap")
+            a = grp.h1 = score_many(s.scorer, grp.model, grp.pos_X[grp.rows, grp.zh1])
+            b = grp.h2 = score_many(s.scorer, grp.model, grp.neg_X[grp.rows, grp.zh2])
             # Full-replacement u-estimates so the first cross-client
             # u-draws are well away from the outer-derivative clamp.
-            u = loss(s.loss, a, _cycle(b, a.shape[-1])) if self.nonlinear else None
-            grp.emitted = {"h1": (a, ids1, u), "h2": (b, grp.neg_ids[grp.rows, z2], None)}
+            grp.h1_u = loss(s.loss, a, _cycle(b, a.shape[-1])) if self.nonlinear else None
         return self.uploads()
 
     def begin_round(self, download: RoundDownload, round_idx: int) -> int:
-        """Take the aggregate and make the round's draws; returns the
-        number of buffer wraps they took."""
+        """Take the aggregate and make the round's state; returns the
+        number of buffer wraps its draws took."""
         wraps = 0
         for grp in self.groups:
             G = len(grp.clients)
             grp.model = np.tile(download.model, (G, 1))
             if grp.momentum is not None:
                 grp.momentum = np.tile(download.momentum, (G, 1))
-            grp.draws = self._draws(grp, self._step_draw(grp), "step", round_idx)
             wraps += self._prepare(grp, download, round_idx)
         return wraps
 
-    def _step_draw(self, grp: ClientGroup) -> list[tuple[int, int]]:
-        pair = self._pair_draw(grp)
-        if not (self.lazy and self.nonlinear) or self.settings.hyper.history_samples == "reuse":
-            return pair
-        # Independent emission batches, drawn after the update batches.
-        return pair + pair
-
     def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
-        """For the lazy programs, draw the round's lazy records: ``neg_at``
-        (K, G, n1) positions into r2 and ``pos_at`` (K, G, n2) into r1.
-        Returns the buffer wraps."""
+        """Make the group's round state: the batches and, for the lazy
+        programs, the lazy records at ``neg_at`` (K, G, n1) in r2 and
+        ``pos_at`` (K, G, n2) in r1, and the emission arrays; returns wraps."""
+        h = self.settings.hyper
+        pair = [(grp.n_pos, h.B1), (grp.n_neg, h.B2)]
+        # fedx2's separate emission batches are drawn after the update ones.
+        batches = self._draws(grp, pair + pair if self.separate else pair, "step", round_idx)
+        (grp.z1, grp.z2), (grp.zh1, grp.zh2) = batches[:2], batches[-2:]
         if not self.lazy:
             return 0
 
@@ -452,29 +452,21 @@ class PairwiseProgram:
             # One draw of all K steps' entries per client: the same
             # positions as K draws of n. Each client's draw is done before
             # the next stream is taken, as substreams requires.
-            K = self.settings.hyper.K
             streams = [(side, i, round_idx) for i in grp.clients]
-            drawn = [
-                buffer_draw(g, len(block), K * n)
-                for g in substreams(self.settings.seed, streams)
-            ]
-            at = np.stack([pos.reshape(K, n) for pos, _ in drawn], axis=1)
+            drawn = [buffer_draw(g, len(block), h.K * n)
+                     for g in substreams(self.settings.seed, streams)]
+            at = np.stack([pos.reshape(h.K, n) for pos, _ in drawn], axis=1)
             return at, sum(wraps for _, wraps in drawn)
 
-        grp.neg_at, neg_wraps = positions("buffer-neg", download.r2, grp.draws[0].shape[-1])
-        grp.pos_at, pos_wraps = positions("buffer-pos", download.r1, grp.draws[1].shape[-1])
+        grp.neg_at, neg_wraps = positions("buffer-neg", download.r2, grp.z1.shape[-1])
+        grp.pos_at, pos_wraps = positions("buffer-pos", download.r1, grp.z2.shape[-1])
         grp.lazy_neg = download.r2.value[grp.neg_at]
         grp.lazy_pos = download.r1.value[grp.pos_at]
-        zh1, zh2 = grp.draws[-2:]  # emission batches; else the update ones
-        u = None
+        grp.h1, grp.h2 = np.empty(grp.zh1.shape), np.empty(grp.zh2.shape)
         if self.nonlinear:
             # A drawn row holds a score and the u-value of one sample.
             grp.lazy_u = download.r1.u[grp.pos_at]
-            u = np.empty(zh1.shape)
-        grp.emitted = {
-            "h1": (np.empty(zh1.shape), grp.pos_ids[grp.rows, zh1], u),
-            "h2": (np.empty(zh2.shape), grp.neg_ids[grp.rows, zh2], None),
-        }
+            grp.h1_u = np.empty(grp.zh1.shape)
         return neg_wraps + pos_wraps
 
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
@@ -491,24 +483,21 @@ class PairwiseProgram:
         pair_loss, slope = loss_and_slope(s.loss, a, part_b)
         u1 = part_u = None
         if self.nonlinear:
-            u1 = grp.u_table.track((grp.rows, grp.draws[0][k]), pair_loss, s.hyper.gamma)
+            u1 = grp.u_table.track((grp.rows, grp.z1[k]), pair_loss, s.hyper.gamma)
             part_u = grp.lazy_u[k] if self.lazy else _cycle(u1, b.shape[-1])
         d2 = loss_and_slope(s.loss, part_a, b)[1]
         grad = fedx_estimate(s.outer, pull1, pull2, -slope, d2, u1, part_u)
         if self.lazy:
             # Records for the next round, scored at the pre-step model: the
             # emission batches, or the update ones (fedx1, "reuse" mode).
-            separate = len(grp.draws) > 2
-            if separate:
-                xh1, xh2 = grp.sampled(k, 2)
-                a, b = (score_many(s.scorer, grp.model, x) for x in (xh1, xh2))
-            grp.emitted["h1"][0][k] = a
-            grp.emitted["h2"][0][k] = b
+            if self.separate:
+                a, b = (score_many(s.scorer, grp.model, x) for x in grp.sampled(k, emission=True))
+            grp.h1[k], grp.h2[k] = a, b
             if self.nonlinear:
                 # The emission batch has the update batch's size, so part_b
                 # gives one partner each (on the update batch: pair_loss).
-                inner = loss(s.loss, a, part_b) if separate else pair_loss
-                grp.emitted["h1"][2][k] = grp.u_table.emission((grp.rows, grp.draws[-2][k]), inner)
+                inner = loss(s.loss, a, part_b) if self.separate else pair_loss
+                grp.h1_u[k] = grp.u_table.emission((grp.rows, grp.zh1[k]), inner)
         grp.descend(s, grad, eta)
         return pair_loss.mean(axis=-1), u1, grad
 
@@ -539,15 +528,10 @@ class PairwiseProgram:
         """The client models, (N, d) in client order."""
         return self._stacked("model")
 
-    def _records(self, name: str) -> Records:
-        """Every client's ``name`` records of the round in client order."""
-        return Records.concat([_group_records(grp, *grp.emitted[name])
-                               for grp in self.groups if grp.emitted])
-
     def uploads(self) -> RoundUpload:
         """The round's upload table, built from the groups' arrays."""
-        return RoundUpload(self._stacked("model"), self._records("h1"), self._records("h2"),
-                           self._stacked("momentum"))
+        h1, h2 = (Records.concat(blocks) for blocks in zip(*(grp.records() for grp in self.groups)))
+        return RoundUpload(self._stacked("model"), h1, h2, self._stacked("momentum"))
 
 
 class LocalSGDProgram(PairwiseProgram):
@@ -555,20 +539,17 @@ class LocalSGDProgram(PairwiseProgram):
     The configured pairwise loss and outer function are used only for
     objective reporting."""
 
-    def _step_draw(self, grp: ClientGroup) -> list[tuple[int, int]]:
-        h = self.settings.hyper
-        return [_batch(grp.n_pos + grp.n_neg, h.B1 + h.B2)]
-
     def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
-        (idx,) = grp.draws
+        h = self.settings.hyper
+        (idx,) = self._draws(grp, [(grp.n_pos + grp.n_neg, h.B1 + h.B2)], "step", round_idx)
         union = np.concatenate([grp.pos_X, grp.neg_X], axis=1)
         labels = np.concatenate([np.ones(grp.n_pos), -np.ones(grp.n_neg)])
-        grp.x1, grp.y = union[grp.rows, idx], labels[idx]
+        grp.x, grp.y = union[grp.rows, idx], labels[idx]
         return 0
 
     def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
         s = self.settings
-        xb, yb = grp.x1[k], grp.y[k]
+        xb, yb = grp.x[k], grp.y[k]
         scores, pullback = score_grad_many(s.scorer, grp.model, xb)
         margin = -yb * scores
         grad = pullback(-yb * expit(margin)) / xb.shape[-2]
@@ -594,7 +575,7 @@ class CentralizedProgram(PairwiseProgram):
         d1 = (-slope).sum(axis=-1)
         u = None
         if self.nonlinear:
-            u = grp.u_table.track((grp.rows, grp.draws[0][k]), lmat.mean(axis=-1), s.hyper.gamma)
+            u = grp.u_table.track((grp.rows, grp.z1[k]), lmat.mean(axis=-1), s.hyper.gamma)
             fpu = outer_deriv(s.outer, u)
             grad = (pull1(fpu * d1) + pull2(_vecmat(fpu, slope))) / n_pairs
         else:

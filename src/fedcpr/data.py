@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fields import check_numbers
 from .rng import substream
 
 # Evaluation split size as a multiple of the total per-class training count.
@@ -46,6 +47,7 @@ class DataConfig:
 
     def __post_init__(self) -> None:
         # Each message starts with the field's config key name.
+        check_numbers(self)
         for name in ("n_pos_per_client", "n_neg_per_client", "input_dim", "n_clients"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -17,7 +17,6 @@ per-iteration records go to a sibling ``<out>.iters.csv``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -32,6 +31,7 @@ from .algorithms import (
     simulate,
 )
 from .data import DataConfig, build_dataset
+from .fields import check_numbers
 from .losses import OuterFnSpec, PairwiseLossSpec
 from .model import ScorerSpec
 
@@ -55,6 +55,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         # RunConfig's own fields and the checks that span sections; each
         # message starts with the key at fault.
+        check_numbers(self)
         for name in ("eval_every_rounds", "oracle_every_rounds"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -72,12 +73,9 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {raw!r}")
-    return value
 
 
 def _parse_opt_int(key: str, raw: str) -> int | None:

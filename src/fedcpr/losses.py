@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_numbers
 from .model import ScorerSpec, score_grad_many
 
 LOSS_KINDS = ("psm_sigmoid", "kl_opauc", "square")
@@ -60,6 +61,7 @@ class PairwiseLossSpec:
 
     def __post_init__(self) -> None:
         # Each message starts with the field's config key name.
+        check_numbers(self)
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.kind == "kl_opauc" and self.lam <= 0:
@@ -73,6 +75,7 @@ class OuterFnSpec:
     u_floor: float = 1e-8  # kl_log only; clamp for f and f' near 0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.kind not in OUTER_KINDS:
             raise ValueError(f"kind must be one of {OUTER_KINDS}, got {self.kind!r}")
         if self.kind == "kl_log" and self.lam <= 0:

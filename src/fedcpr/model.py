@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .fields import check_numbers
+
 
 @dataclass(frozen=True)
 class ScorerSpec:
@@ -31,6 +33,7 @@ class ScorerSpec:
 
     def __post_init__(self) -> None:
         # Each message starts with the field's config key name.
+        check_numbers(self)
         if self.kind not in ("linear", "mlp1"):
             raise ValueError(f"kind must be linear or mlp1, got {self.kind!r}")
         if self.input_dim < 1:

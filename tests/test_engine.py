@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import ragged_dataset, reference_rounds
 
 from fedcpr import algorithms
@@ -146,3 +148,65 @@ def test_divergence_names_the_per_client_first_failure():
             simulate(*args, eval_every=0, oracle_every=0)
     assert str(got.value) == str(want.value)
     assert "client 0 at round 1, iteration 6" in str(got.value)
+
+
+def test_divergence_across_groups_names_the_per_client_first_failure():
+    # The ragged shards form four groups. In round 1 of this run client 2
+    # goes non-finite at iteration 1 and client 1 at 2; clients 0 and 3
+    # stay finite. One client after another, client 1 fails first, although
+    # client 2's group fails at an earlier step.
+    _, scorer, hyper = CASES["ragged"]
+    kl = (PairwiseLossSpec("kl_opauc", lam=0.5), OuterFnSpec("kl_log", lam=0.5))
+    args = ("local_pair", _ragged_dataset(), scorer, *kl, hyper)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError) as want:
+            reference_rounds(*args)
+        with pytest.raises(FloatingPointError) as got:
+            simulate(*args, eval_every=0, oracle_every=0)
+        program = PROGRAMS["local_pair"](RunSettings("local_pair", scorer, *kl, hyper),
+                                         _ragged_dataset())
+        assert len(program.groups) == 4
+        program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
+        failing = [np.flatnonzero(program.step(k, hyper.eta)[1] < len(program.WATCHED))
+                   for k in range(3)]
+    assert str(got.value) == str(want.value)
+    assert "client 1 at round 1, iteration 2" in str(got.value)
+    assert [list(f) for f in failing] == [[], [2], [1, 2]]
+
+
+@st.composite
+def _random_run(draw):
+    """Ragged shards of 1-4 clients with 1-6 samples a side, and batch sizes
+    that take some shards whole and not others."""
+    sides = st.integers(1, 6)
+    shapes = [(i, draw(sides), draw(sides)) for i in range(draw(st.integers(1, 4)))]
+    ds = ragged_dataset(shapes + [(-1, 2, 10)], draw(st.integers(0, 2**16)))
+    hyper = HyperParams(eta=0.01, K=draw(st.integers(1, 4)), R=2, B1=draw(st.integers(1, 7)),
+                        B2=draw(st.integers(1, 7)), gamma=0.3, beta=0.4,
+                        seed=draw(st.integers(0, 2**16)))
+    return ds, hyper
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@settings(max_examples=25, deadline=None)
+@given(run=_random_run())
+def test_engine_matches_per_client_reference_on_random_shapes(variant, run):
+    ds, hyper = run
+    algorithm, loss_spec, outer, history = VARIANTS[variant]
+    hyper = HyperParams(**{**vars(hyper), "history_samples": history})
+    args = (algorithm, ds, ScorerSpec("linear", 4), loss_spec, outer, hyper)
+    with np.errstate(all="ignore"):
+        try:
+            want = reference_rounds(*args)
+        except FloatingPointError as exc:  # a diverged run fails alike
+            with pytest.raises(FloatingPointError) as got:
+                simulate(*args, eval_every=0, oracle_every=0)
+            assert str(got.value) == str(exc)
+            return
+        got = _engine_rounds(*args)
+    assert len(got) == len(want) == hyper.R + 1
+    for (table, download, est, wraps), ref in zip(got, want):
+        assert _table_bytes(table) == _table_bytes(ref.table)
+        assert download.model.tobytes() == ref.download.model.tobytes()
+        assert est.tobytes() == ref.estimates.tobytes()
+        assert wraps == ref.wraps
