@@ -20,10 +20,8 @@ from .data import (
     FederatedDataset,
     apply_heterogeneity,
     build_dataset,
-    dump_dataset,
     flip_labels,
     generate,
-    load_dataset,
 )
 from .federation import (
     Records,
@@ -31,7 +29,6 @@ from .federation import (
     RoundUpload,
     buffer_draw,
     comm_cost,
-    comm_cost_ints,
     server_aggregate,
 )
 from .harness import ConfigError, RunConfig, parse_config, parse_config_file, run, sweep
@@ -50,9 +47,7 @@ from .metrics import (
     ScoredEval,
     auc,
     auc_and_partial_aucs,
-    auc_bruteforce,
     partial_auc,
-    partial_auc_bruteforce,
 )
 from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
 from .rng import substream

@@ -635,11 +635,17 @@ def simulate(
     and every ``oracle_every``/``eval_every`` rounds (0 = never between).
 
     Raises ValueError for an unknown algorithm or one that does not run
-    with ``outer`` (see :data:`REQUIRED_OUTER`), and FloatingPointError at
-    the first non-finite oracle value or quantity of a local step
-    (:attr:`PairwiseProgram.WATCHED`).
+    with ``outer`` (see :data:`REQUIRED_OUTER`) and for a held-out split
+    with no positive or too few negatives for a cap of :data:`PAUC_FPRS`,
+    before any work; and FloatingPointError at the first non-finite oracle
+    value or quantity of a local step (:attr:`PairwiseProgram.WATCHED`).
     """
     check_algorithm(algorithm, outer)
+    n_pos, n_neg = len(dataset.eval_pos_ids), len(dataset.eval_neg_ids)
+    need = max(math.ceil(1 / f) for f in PAUC_FPRS)  # floor(f * n_neg) >= 1
+    if n_pos < 1 or n_neg < need:
+        raise ValueError(f"held-out split: {n_pos} positives and {n_neg} negatives, "
+                         f"needs at least 1 and {need} (pAUC@{min(PAUC_FPRS)})")
     settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)
     program = PROGRAMS[algorithm](settings, dataset)
     _, pos_X = dataset.pos_union()

@@ -17,7 +17,6 @@ always clean: no shift, no flips.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,8 +26,6 @@ from .rng import substream
 
 # Evaluation split size as a multiple of the total per-class training count.
 EVAL_MULTIPLIER = 4
-
-POSITIVE, NEGATIVE = 0, 1  # group encoding, also used by the export format
 
 
 @dataclass(frozen=True)
@@ -214,80 +211,3 @@ def build_dataset(config: DataConfig) -> FederatedDataset:
     ds = generate(config)
     ds = apply_heterogeneity(ds, config)
     return flip_labels(ds, config.flip_fraction, config.seed)
-
-
-def _format_row(sample_id: int, group: int, client: int, features: np.ndarray) -> str:
-    feats = ",".join(repr(float(v)) for v in features)
-    return f"{sample_id}\t{group}\t{client}\t{feats}"
-
-
-def dump_dataset(dataset: FederatedDataset) -> str:
-    """Line-delimited export: id, group (0=positive), client, features.
-
-    Evaluation rows carry client = -1. Full decimal round-trip precision.
-    """
-    parts = []  # (ids, features, group, client)
-    for i, sh in enumerate(dataset.shards):
-        parts += [(sh.pos_ids, sh.pos_X, POSITIVE, i), (sh.neg_ids, sh.neg_X, NEGATIVE, i)]
-    parts += [(dataset.eval_pos_ids, dataset.eval_pos_X, POSITIVE, -1),
-              (dataset.eval_neg_ids, dataset.eval_neg_X, NEGATIVE, -1)]
-    out = io.StringIO()
-    for ids, X, group, client in parts:
-        for sid, row in zip(ids, X):
-            out.write(_format_row(int(sid), group, client, row) + "\n")
-    return out.getvalue()
-
-
-def load_dataset(text: str) -> FederatedDataset:
-    """Inverse of dump_dataset. Raises ValueError, naming the line, for a
-    line without 4 tab-separated fields, a non-integer sample id, group or
-    client, a feature that is not a finite number, a group other than 0 or
-    1, a client below -1, a repeated sample id, or a feature count unlike
-    the first row's."""
-    by_bucket: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
-    seen: set[int] = set()
-    width = max_client = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        try:
-            sid, group, client = (int(v) for v in fields[:3])
-            feats = np.array([float(v) for v in fields[3].split(",")])
-        except ValueError as exc:  # names the text at fault
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not np.isfinite(feats).all():
-            raise ValueError(f"line {lineno}: features must be finite, got {fields[3]!r}")
-        width = len(feats) if width < 0 else width
-        if group not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"line {lineno}: bad group value: {group}")
-        if client < -1:
-            raise ValueError(f"line {lineno}: client must be >= -1, got {client}")
-        if sid in seen:
-            raise ValueError(f"line {lineno}: duplicate sample id {sid}")
-        if len(feats) != width:
-            raise ValueError(f"line {lineno}: {len(feats)} features, the first row has {width}")
-        seen.add(sid)
-        ids, rows = by_bucket.setdefault((client, group), ([], []))
-        ids.append(sid)
-        rows.append(feats)
-        max_client = max(max_client, client)
-
-    def bucket(client: int, group: int) -> tuple[np.ndarray, np.ndarray]:
-        ids, rows = by_bucket.get((client, group), ([], []))
-        if not rows:
-            raise ValueError(f"missing records for client={client} group={group}")
-        return np.array(ids, dtype=np.int64), np.vstack(rows)
-
-    shards = []
-    for i in range(max_client + 1):
-        pos_ids, pos_X = bucket(i, POSITIVE)
-        neg_ids, neg_X = bucket(i, NEGATIVE)
-        shards.append(ClientShard(pos_ids, pos_X, neg_ids, neg_X))
-    eval_pos_ids, eval_pos_X = bucket(-1, POSITIVE)
-    eval_neg_ids, eval_neg_X = bucket(-1, NEGATIVE)
-    return FederatedDataset(
-        tuple(shards), eval_pos_ids, eval_pos_X, eval_neg_ids, eval_neg_X
-    )

@@ -150,31 +150,16 @@ def buffer_draw(
     return out, (count - 1) // size
 
 
-def _record_values(upload: RoundUpload, download: RoundDownload) -> tuple[np.ndarray, int]:
-    """Record values (a score, and its u-value where the block has one) of
-    each client's rows in the upload table, (N,), and of the download."""
-    n = len(upload.models)
-    up = sum(np.bincount(b.client, minlength=n) * (1 if b.u is None else 2)
-             for b in (upload.h1, upload.h2))
-    return up, sum(len(b) * (1 if b.u is None else 2) for b in (download.r1, download.r2))
-
-
 def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[np.ndarray, int]:
     """(uplink_floats, downlink_floats): every real number in each client's
     rows of the upload table, an (N,) array in client order, and in the
-    download every client receives.
-
-    Provenance integers are excluded; see :func:`comm_cost_ints`.
+    download every client receives. A record carries its score, and its
+    u-value where the block has one; the provenance integers are not
+    counted.
     """
-    up, down = _record_values(upload, download)
+    n = len(upload.models)
+    up = sum(np.bincount(b.client, minlength=n) * (1 if b.u is None else 2)
+             for b in (upload.h1, upload.h2))
+    down = sum(len(b) * (1 if b.u is None else 2) for b in (download.r1, download.r2))
     return (up + upload.models.shape[1] * (1 if upload.momenta is None else 2),
             down + download.model.size * (1 if download.momentum is None else 2))
-
-
-def comm_cost_ints(upload: RoundUpload, download: RoundDownload) -> tuple[np.ndarray, int]:
-    """Provenance integers of each client's upload, (N,), and of the
-    download, counted separately from the float payload: (client,
-    iteration, sample_id) per record value, so a score and its u-value
-    count 3 each."""
-    up, down = _record_values(upload, download)
-    return 3 * up, 3 * down

@@ -1,17 +1,15 @@
 """AUC and one-way partial AUC with exact tie handling.
 
 Ties count 0.5 everywhere (Wilcoxon convention). ``auc`` counts wins by
-binary search of each positive in the sorted negatives; ``auc_bruteforce``
-is the O(P·Q) pairwise definition it is verified against; keep both, they
-are independent routes to the same number.
+binary search of each positive in the sorted negatives.
 
 ``partial_auc`` restricts the comparison to the hardest (highest-scoring)
 floor(fpr_max·Q) negatives and reports the pairwise win rate of positives
 against exactly those negatives, so partial_auc(fpr_max=1) == auc. The
 sorted route counts those wins in the top suffix of the same sorted
 negatives, so ``auc_and_partial_aucs`` gets auc and every partial AUC from
-one sort; ``partial_auc_bruteforce`` selects the negatives by ``lexsort``
-and counts pairs, the independent route.
+one sort. The tests check every route against the O(P·Q) pairwise
+definitions in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -73,26 +71,6 @@ def auc(ev: ScoredEval) -> float:
     return _win_rates(ev, [ev.neg_scores.size])[0]
 
 
-def auc_bruteforce(ev: ScoredEval) -> float:
-    """Literal pairwise definition; the oracle for the sorted route."""
-    _check_nonempty(ev)
-    wins = 0.0
-    for s in ev.pos_scores:
-        for t in ev.neg_scores:
-            if s > t:
-                wins += 1.0
-            elif s == t:
-                wins += 0.5
-    return wins / (ev.pos_scores.size * ev.neg_scores.size)
-
-
-def _hardest_negatives(neg_scores: np.ndarray, fpr_max: float) -> np.ndarray:
-    keep = _keep_count(neg_scores.size, fpr_max)
-    # Ties at the quantile boundary break by score then by position index.
-    order = np.lexsort((np.arange(neg_scores.size), -neg_scores))
-    return neg_scores[order[:keep]]
-
-
 def partial_auc(ev: ScoredEval, fpr_max: float) -> float:
     """One-way partial AUC against the hardest fpr_max fraction of negatives."""
     _check_nonempty(ev)
@@ -105,11 +83,3 @@ def auc_and_partial_aucs(ev: ScoredEval, fprs) -> tuple[float, dict[float, float
     q = ev.neg_scores.size
     rates = _win_rates(ev, [q] + [_keep_count(q, f) for f in fprs])
     return rates[0], dict(zip(fprs, rates[1:]))
-
-
-def partial_auc_bruteforce(ev: ScoredEval, fpr_max: float) -> float:
-    """O(P·Q) route for partial_auc, restricted the same way."""
-    _check_nonempty(ev)
-    return auc_bruteforce(
-        ScoredEval(ev.pos_scores, _hardest_negatives(ev.neg_scores, fpr_max))
-    )

@@ -3,8 +3,10 @@
 * Scalar scoring (``score``, ``score_grad``) and one inner mean
   (``exact_inner``, ``exact_inner_all``), written per sample.
 * ``records_of``: the records of one client at one iteration.
-* ``ragged_dataset``: a dataset of given shard shapes, written by hand in
-  the export format.
+* ``ragged_dataset``: a dataset of given shard shapes, built directly as
+  shards and a held-out split.
+* ``auc_bruteforce``, ``partial_auc_bruteforce``: the O(P·Q) pairwise
+  definitions that the sorted routes of :mod:`fedcpr.metrics` must equal.
 * ``Buffer``: a stateful shuffled queue of positions into a received
   block, drawn step by step; :func:`fedcpr.federation.buffer_draw` must
   give the same positions and wraps in one call.
@@ -27,7 +29,7 @@ import numpy as np
 
 from fedcpr import algorithms
 from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
-from fedcpr.data import ClientShard, FederatedDataset, load_dataset
+from fedcpr.data import ClientShard, FederatedDataset
 from fedcpr.federation import (
     ProtocolError,
     Records,
@@ -36,6 +38,7 @@ from fedcpr.federation import (
     server_aggregate,
 )
 from fedcpr.losses import PairwiseLossSpec, expit, loss, loss_and_slope, outer_deriv
+from fedcpr.metrics import ScoredEval
 from fedcpr.model import ScorerSpec, init_params, score_grad_many, score_many
 from fedcpr.rng import substream
 
@@ -108,18 +111,56 @@ def records_of(value, client: int, iteration: int, sample_id, u=None) -> Records
 
 
 def ragged_dataset(shapes, seed: int) -> FederatedDataset:
-    """One (client, n_pos, n_neg) per entry of ``shapes``, client -1 for the
-    evaluation rows, written in the export format: 4 standard normal
-    features, shifted by +0.7 on positives and -0.7 on negatives."""
+    """One (client, n_pos, n_neg) per entry of ``shapes``, each client
+    0..N-1 once and client -1 for the held-out split. Rows are drawn entry
+    by entry, positives before negatives, as 4 standard normal features
+    shifted by +0.7 on positives and -0.7 on negatives; ids number the rows
+    in that order."""
     rng = np.random.default_rng(seed)
-    lines, sid = [], 0
+    columns, sid = {}, 0
     for client, n_pos, n_neg in shapes:
-        for group, count, shift in ((0, n_pos, 0.7), (1, n_neg, -0.7)):
-            for _ in range(count):
-                feats = ",".join(repr(float(v)) for v in rng.standard_normal(4) + shift)
-                lines.append(f"{sid}\t{group}\t{client}\t{feats}")
-                sid += 1
-    return load_dataset("\n".join(lines) + "\n")
+        columns[client] = []
+        for count, shift in ((n_pos, 0.7), (n_neg, -0.7)):
+            columns[client] += [np.arange(sid, sid + count, dtype=np.int64),
+                                rng.standard_normal((count, 4)) + shift]
+            sid += count
+    shards = tuple(ClientShard(*columns[i]) for i in range(len(columns) - 1))
+    return FederatedDataset(shards, *columns[-1])
+
+
+# ------------------------------------------------------------ pairwise metrics
+
+def auc_bruteforce(ev: ScoredEval) -> float:
+    """Literal pairwise definition of AUC, ties counting 0.5."""
+    if ev.pos_scores.size == 0 or ev.neg_scores.size == 0:
+        raise ValueError("both score sides must be nonempty")
+    wins = 0.0
+    for s in ev.pos_scores:
+        for t in ev.neg_scores:
+            if s > t:
+                wins += 1.0
+            elif s == t:
+                wins += 0.5
+    return wins / (ev.pos_scores.size * ev.neg_scores.size)
+
+
+def _hardest_negatives(neg_scores: np.ndarray, fpr_max: float) -> np.ndarray:
+    """The floor(fpr_max * Q) highest negatives, at least one."""
+    if not (0.0 < fpr_max <= 1.0):
+        raise ValueError("fpr_max must be in (0, 1]")
+    keep = int(np.floor(fpr_max * neg_scores.size))
+    if keep == 0:
+        raise ValueError(f"fpr_max={fpr_max} keeps zero of {neg_scores.size} negatives")
+    # Ties at the quantile boundary break by score then by position index.
+    order = np.lexsort((np.arange(neg_scores.size), -neg_scores))
+    return neg_scores[order[:keep]]
+
+
+def partial_auc_bruteforce(ev: ScoredEval, fpr_max: float) -> float:
+    """auc_bruteforce against the hardest fpr_max fraction of negatives."""
+    return auc_bruteforce(
+        ScoredEval(ev.pos_scores, _hardest_negatives(ev.neg_scores, fpr_max))
+    )
 
 
 class Buffer:

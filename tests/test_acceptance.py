@@ -9,7 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from reference import ClientState, exact_inner_all, one_client_fedx1, one_client_fedx2
+from reference import (
+    ClientState,
+    auc_bruteforce,
+    exact_inner_all,
+    one_client_fedx1,
+    one_client_fedx2,
+)
 
 from fedcpr.algorithms import (
     PROGRAMS,
@@ -33,7 +39,7 @@ from fedcpr.losses import (
     loss_and_slope,
     outer_deriv,
 )
-from fedcpr.metrics import ScoredEval, auc, auc_bruteforce, partial_auc
+from fedcpr.metrics import ScoredEval, auc, partial_auc
 from fedcpr.model import (
     ScorerSpec,
     finite_diff_grad,

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import ClientState, one_client_fedx1, one_client_fedx2
+from reference import ClientState, one_client_fedx1, one_client_fedx2, ragged_dataset
 
 from fedcpr.algorithms import (
     PROGRAMS,
@@ -237,6 +237,29 @@ class TestFedX1Run:
         ds = _dataset()
         with pytest.raises(ValueError, match="algorithm"):
             simulate("fedx3", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, HyperParams())
+
+    @pytest.mark.parametrize("held_out, counts", [
+        ((2, 3), "2 positives and 3 negatives"),
+        ((0, 10), "0 positives and 10 negatives"),
+    ])
+    def test_small_held_out_split_rejected_before_any_round(self, held_out, counts):
+        # pAUC@0.3 keeps floor(0.3 * Q) negatives, none of 3.
+        ds = ragged_dataset([(0, 3, 5), (-1, *held_out)], 1)
+        seen = []
+
+        class Sink:
+            on_round = seen.append
+
+        with pytest.raises(ValueError, match=rf"^held-out split: {counts}, needs at least 1 and 4 "):
+            simulate("fedx1", ds, ScorerSpec("linear", 4), PSM, IDENTITY_OUTER,
+                     HyperParams(K=1, R=1, B1=1, B2=1), trace_sink=Sink())
+        assert seen == []
+
+    def test_smallest_held_out_split_runs(self):
+        ds = ragged_dataset([(0, 3, 5), (-1, 1, 4)], 1)
+        trace = simulate("fedx1", ds, ScorerSpec("linear", 4), PSM, IDENTITY_OUTER,
+                         HyperParams(K=1, R=1, B1=1, B2=1))
+        assert [sorted(r.pauc) for r in trace.rounds] == [[0.3, 0.5]] * 2
 
     def test_zero_eta_returns_initial_model(self):
         ds = _dataset(n_clients=1)

@@ -1,20 +1,14 @@
-"""Data generation, partitioning, heterogeneity, flipping, and export."""
-
-import re
+"""Data generation, partitioning, heterogeneity, and flipping."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedcpr.data import (
     DataConfig,
     apply_heterogeneity,
     build_dataset,
-    dump_dataset,
     flip_labels,
     generate,
-    load_dataset,
 )
 from fedcpr.metrics import ScoredEval, auc
 from fedcpr.model import ScorerSpec, score_many
@@ -185,133 +179,3 @@ class TestFlipLabels:
         b = flip_labels(ds, 0.25, 3)
         for sa, sb in zip(a.shards, b.shards):
             np.testing.assert_array_equal(sa.pos_ids, sb.pos_ids)
-
-
-class TestExport:
-    def test_round_trip_exact(self):
-        cfg = clean_config(hetero_var=0.04, hetero_base=-0.08, hetero_step=0.01,
-                           flip_fraction=0.2)
-        ds = build_dataset(cfg)
-        text = dump_dataset(ds)
-        back = load_dataset(text)
-        assert dump_dataset(back) == text
-        for sa, sb in zip(ds.shards, back.shards):
-            np.testing.assert_array_equal(sa.pos_X, sb.pos_X)
-            np.testing.assert_array_equal(sa.neg_X, sb.neg_X)
-            np.testing.assert_array_equal(sa.pos_ids, sb.pos_ids)
-        np.testing.assert_array_equal(ds.eval_neg_X, back.eval_neg_X)
-
-    def test_line_format(self):
-        ds = generate(clean_config(n_pos_per_client=1, n_neg_per_client=1,
-                                   n_clients=1, input_dim=2))
-        line = dump_dataset(ds).splitlines()[0]
-        sid, group, client, feats = line.split("\t")
-        assert (sid, group, client) == ("0", "0", "0")
-        assert len(feats.split(",")) == 2
-
-
-def _edit_field(line: str, index: int, edit) -> str:
-    fields = line.split("\t")
-    fields[index] = edit(fields[index])
-    return "\t".join(fields)
-
-
-def _drop_feature(feats: str) -> str:
-    return feats.rsplit(",", 1)[0]
-
-
-# name -> (edit of the dumped lines, the line the error names, its message)
-_MALFORMED = {
-    "group other than 0 or 1": (
-        lambda lines: lines[:1] + [_edit_field(lines[1], 1, lambda _: "2")] + lines[2:],
-        2, "bad group value: 2"),
-    "client below -1": (
-        lambda lines: [_edit_field(lines[0], 2, lambda _: "-2")] + lines[1:],
-        1, "client must be >= -1"),
-    "width differs between clients": (
-        lambda lines: [_edit_field(ln, 3, _drop_feature) if ln.split("\t")[2] == "1" else ln
-                       for ln in lines],
-        6, "2 features, the first row has 3"),
-    "width differs inside a client": (
-        lambda lines: lines[:1] + [_edit_field(lines[1], 3, _drop_feature)] + lines[2:],
-        2, "2 features, the first row has 3"),
-    "duplicate sample id": (
-        lambda lines: lines[:2] + [_edit_field(lines[2], 0, lambda _: lines[0].split("\t")[0])]
-        + lines[3:],
-        3, "duplicate sample id 0"),
-    "three fields": (
-        lambda lines: lines[:3] + ["\t".join(lines[3].split("\t")[:3])] + lines[4:],
-        4, "expected 4 tab-separated fields, got 3"),
-    "sample id not an integer": (
-        lambda lines: lines[:1] + [_edit_field(lines[1], 0, lambda _: "x")] + lines[2:],
-        2, re.escape("invalid literal for int() with base 10: 'x'")),
-    "group not an integer": (
-        lambda lines: lines[:2] + [_edit_field(lines[2], 1, lambda _: "1.0")] + lines[3:],
-        3, re.escape("invalid literal for int() with base 10: '1.0'")),
-    "client not an integer": (
-        lambda lines: lines[:4] + [_edit_field(lines[4], 2, lambda _: "one")] + lines[5:],
-        5, re.escape("invalid literal for int() with base 10: 'one'")),
-    "feature not a number": (
-        lambda lines: lines[:1] + [_edit_field(lines[1], 3, lambda f: "abc," + f.split(",", 1)[1])]
-        + lines[2:],
-        2, "could not convert string to float: 'abc'"),
-    "empty feature": (
-        lambda lines: lines[:2] + [_edit_field(lines[2], 3, lambda f: f + ",")] + lines[3:],
-        3, "could not convert string to float: ''"),
-    "NaN feature": (
-        lambda lines: lines[:3] + [_edit_field(lines[3], 3, lambda f: "nan," + f.split(",", 1)[1])]
-        + lines[4:],
-        4, "features must be finite, got 'nan,"),
-    "infinite feature": (
-        lambda lines: lines[:5] + [_edit_field(lines[5], 3, lambda f: _drop_feature(f) + ",-inf")]
-        + lines[6:],
-        6, "features must be finite, got '.*,-inf'"),
-}
-
-
-class TestLoadRejects:
-    @pytest.mark.parametrize("case", list(_MALFORMED))
-    def test_malformed_line_is_named(self, case):
-        edit, lineno, message = _MALFORMED[case]
-        ds = generate(clean_config(n_pos_per_client=2, n_neg_per_client=3, input_dim=3))
-        lines = edit(dump_dataset(ds).splitlines())
-        with pytest.raises(ValueError, match=f"^line {lineno}: {message}"):
-            load_dataset("\n".join(lines) + "\n")
-
-    def test_client_without_negatives_is_named(self):
-        ds = generate(clean_config(n_pos_per_client=2, n_neg_per_client=3, input_dim=3))
-        lines = [ln for ln in dump_dataset(ds).splitlines() if ln.split("\t")[1:3] != ["1", "0"]]
-        with pytest.raises(ValueError, match="^missing records for client=0 group=1$"):
-            load_dataset("\n".join(lines) + "\n")
-
-
-_data_configs = st.builds(
-    clean_config,
-    n_pos_per_client=st.integers(1, 4),
-    n_neg_per_client=st.integers(1, 5),
-    input_dim=st.integers(1, 3),
-    n_clients=st.integers(1, 3),
-    hetero_step=st.floats(-0.5, 0.5),
-    hetero_base=st.floats(-1.0, 1.0),
-    hetero_var=st.floats(0.0, 2.0),
-    flip_fraction=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32),
-)
-
-
-class TestExportProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(_data_configs)
-    def test_load_of_dump_is_the_dataset_bit_for_bit(self, cfg):
-        ds = build_dataset(cfg)
-        text = dump_dataset(ds)
-        back = load_dataset(text)
-
-        def columns(d):
-            cols = [d.eval_pos_ids, d.eval_pos_X, d.eval_neg_ids, d.eval_neg_X]
-            for s in d.shards:
-                cols += [s.pos_ids, s.pos_X, s.neg_ids, s.neg_X]
-            return [(c.dtype.str, c.shape, c.tobytes()) for c in cols]
-
-        assert columns(back) == columns(ds)
-        assert dump_dataset(back) == text

@@ -17,7 +17,6 @@ from fedcpr.federation import (
     Records,
     RoundUpload,
     comm_cost,
-    comm_cost_ints,
     buffer_draw,
     server_aggregate,
     tree_mean,
@@ -187,13 +186,6 @@ class TestCommCost:
         up, down_floats = comm_cost(table, down)
         assert up.tolist() == [2 * d + 3 * k] * 2  # 32
         assert down_floats == 2 * d + 3 * (2 * k)
-
-    def test_provenance_ints_counted_separately(self):
-        d, k = 3, 2
-        table = _table(np.zeros((1, d)), k=k)
-        down = server_aggregate(table)
-        up, down_ints = comm_cost_ints(table, down)
-        assert (up.tolist(), down_ints) == ([3 * 2 * k], 3 * 2 * k)
 
 
 def _fedx1_fixture(n_clients=2, K=3, B=2, eta=0.05, seed=9):
@@ -402,8 +394,6 @@ class TestAggregateProperties:
         dims = 2 * d if nonlinear else d
         up, down_floats = comm_cost(table, down)
         assert (up.tolist(), down_floats) == ([dims + rows] * n, dims + n * rows)
-        up, down_ints = comm_cost_ints(table, down)
-        assert (up.tolist(), down_ints) == ([3 * rows] * n, 3 * n * rows)
 
 
 class TestRaggedAccounting:
@@ -433,9 +423,8 @@ class TestRaggedAccounting:
             for block in (table.h1, table.h2):
                 assert (np.diff(block.client) >= 0).all()
             assert (table.h1.u is not None) == fedx2
-            up, up_ints = comm_cost(table, down)[0], comm_cost_ints(table, down)[0]
+            up = comm_cost(table, down)[0]
             for i, (n_pos, n_neg) in enumerate(shards):
                 n1, n2 = min(hyper.B1, n_pos), min(hyper.B2, n_neg)
                 rows = hyper.K * (2 * n1 + n2 if fedx2 else n1 + n2)
                 assert up[i] == dims + rows
-                assert up_ints[i] == 3 * rows
