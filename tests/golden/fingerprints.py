@@ -9,7 +9,7 @@ Every config is a short-R version of one the simulator is known by: the
 five algorithms on the default config (the package's
 :data:`fedcpr.selftest.CONFIGS`), the variants the engine tests branch on,
 the buffer-wrap configs of ``tests/test_engine.py``, the preset, the three
-benchmark workloads and two ``square`` configs.
+benchmark workloads, two ``square`` configs and one with flipped labels.
 
 Traces are byte-identical per numeric profile, not across machines, so the
 file also records the canary and the ``profile`` it was made on, and a
@@ -59,6 +59,8 @@ def configs() -> dict[str, RunConfig]:
         "fedx1-square": {"algorithm": "fedx1", "loss.kind": "square", **short},
         "fedx2-square": {"algorithm": "fedx2", "loss.kind": "square",
                          "outer.kind": "kl_log", **short},
+        # The default config with label corruption, which writes every client's rows.
+        "fedx1-flip": {"algorithm": "fedx1", "data.flip_fraction": 0.2, **short},
         # tests/test_engine.py's wrap configs, R = 3 there already.
         "wrap-n1": {"algorithm": "fedx1", "data.n_clients": 1, "data.n_pos_per_client": 4,
                     "data.n_neg_per_client": 20, "data.input_dim": 4, "data.seed": 31,
