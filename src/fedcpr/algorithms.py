@@ -30,24 +30,24 @@ step, local_sgd with its own local step and round state.
 
 The round engine. A client's K local steps in round r read only its own
 state and the round r-1 aggregate, so step k of every client is independent
-work. Each run of consecutive clients whose shards share a shape forms a
-:class:`ClientGroup`: models and momenta stacked as (G, d), u-tables as
-(G, n_pos). At the start of a round the program's ``_prepare`` makes each
-group's round state of (K, G, n) arrays: the update batches ``z1``/``z2``
-and emission batches ``zh1``/``zh2`` from one :func:`~fedcpr.rng.choices`
-call (each row bit for bit the ``Generator.choice`` calls of that
-client-step's substream); the lazy records ``lazy_neg``/``lazy_pos``/
-``lazy_u`` at each client's :func:`~fedcpr.federation.buffer_draw`
-positions, its streams of each side seeded in one
-:func:`~fedcpr.rng.substreams` pass; and the emitted records
+work. The program holds the N clients' data and state stacked along a
+leading client axis, as the dataset stacks each client as a row: models and
+momenta as (N, d), u-tables as (N, n_pos). At the start of a round the
+program's ``_prepare`` makes the round state of (K, N, n) arrays: the
+update batches ``z1``/``z2`` and emission batches ``zh1``/``zh2`` from one
+:func:`~fedcpr.rng.choices` call (each row bit for bit the
+``Generator.choice`` calls of that client-step's substream); the lazy
+records ``lazy_neg``/``lazy_pos``/``lazy_u`` at each client's
+:func:`~fedcpr.federation.buffer_draw` positions, its streams of each side
+seeded in one :func:`~fedcpr.rng.substreams` pass; and the emitted records
 ``h1``/``h2``/``h1_u``, which step k fills at slice k. Each local step k is
-one stacked call of the program's ``local_step`` per group. It scores each
-batch in one forward pass, whose pullback gives the gradient terms, and
+one stacked call of the program's ``local_step``. It scores each batch in
+one forward pass, whose pullback gives the gradient terms, and
 :func:`fedx_estimate`, the one FedX estimator, is a function over the
-client axis. Taken group after group, the emitted records are the record
-blocks of the round's one upload table, already in client order. Stacked
-matmuls loop the same BLAS calls over the client axis, so every value is
-bit for bit what the clients would compute one after another.
+client axis. The emitted records, client by client, are the record blocks
+of the round's upload table. Stacked matmuls loop the same BLAS calls over
+the client axis, so every value is bit for bit what the clients would
+compute one after another.
 
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so a run's trace is
@@ -63,11 +63,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
-from .data import ClientShard, FederatedDataset
+from .data import FederatedDataset
 from .federation import (
     Records,
     RoundDownload,
@@ -193,10 +192,10 @@ def momentum_update(momentum: np.ndarray, estimate: np.ndarray, beta: float) -> 
 
 class UTable:
     """Per-positive-sample moving-average estimates of the inner pairwise
-    mean, indexed by the sample's position in its shard, or by (client row,
-    position) for a stack of equal shards. Entries start at 0 and only
-    change through :meth:`track`; ``touched`` marks the entries that ever
-    did."""
+    mean, indexed by (client row, the sample's position in the client's
+    positives), or by position alone for one client. Entries start at 0 and
+    only change through :meth:`track`; ``touched`` marks the entries that
+    ever did."""
 
     def __init__(self, shape: int | tuple[int, ...]) -> None:
         self.values = np.zeros(shape)
@@ -264,11 +263,11 @@ class RunTrace:
 
 
 def fedx_estimate(outer: OuterFnSpec, pull1, pull2, d1, d2, u1=None, lazy_u=None) -> np.ndarray:
-    """FedX gradient estimates (G, d) for a stack of G clients.
+    """FedX gradient estimates (N, d) for a stack of N clients.
 
     ``pull1``/``pull2`` are the score pullbacks (:func:`score_grad_many`)
     of the sampled positives and negatives at the clients' models, the
-    active factors. ``d1``/``d2`` (G, n1)/(G, n2) are the pair-loss slopes
+    active factors. ``d1``/``d2`` (N, n1)/(N, n2) are the pair-loss slopes
     they pull back: dl/da of each positive against its lazy negative score
     and dl/db of each negative against its lazy positive score. With
     tracked means (FedX2), the positive-sample term weights each pair by
@@ -290,67 +289,6 @@ def fedx_estimate(outer: OuterFnSpec, pull1, pull2, d1, d2, u1=None, lazy_u=None
 StepResult = tuple[np.ndarray, np.ndarray | None, np.ndarray]
 
 
-class ClientGroup:
-    """Consecutive clients whose shards have one shape, with their data and
-    state stacked along a leading client axis of length G.
-
-    The round state, made at the start of each round (round 0: the
-    bootstrap's records), is (K, G, n) arrays that step k reads at slice k:
-    update positions ``z1``/``z2`` and emission positions ``zh1``/``zh2``
-    (the same arrays unless fedx2 draws its emission batches apart); lazy
-    records ``lazy_neg``/``lazy_pos``/``lazy_u`` read at ``neg_at`` and
-    ``pos_at`` in the aggregate; emitted values ``h1``/``h2``/``h1_u``,
-    which :meth:`records` turns into upload rows; and local_sgd's batch rows
-    ``x`` and labels ``y``. Arrays a program does not make stay None.
-    """
-
-    def __init__(self, clients: list[int], shards: list[ClientShard], w0: np.ndarray):
-        self.clients = clients
-        self.rows = np.arange(len(clients))[:, None]  # pairs with (G, n) positions
-        self.pos_ids = np.stack([sh.pos_ids for sh in shards])
-        self.pos_X = np.stack([sh.pos_X for sh in shards])
-        self.neg_ids = np.stack([sh.neg_ids for sh in shards])
-        self.neg_X = np.stack([sh.neg_X for sh in shards])
-        self.n_pos, self.n_neg = self.pos_X.shape[1], self.neg_X.shape[1]
-        self.model = np.tile(w0, (len(clients), 1))
-        self.momentum: np.ndarray | None = None
-        self.u_table: UTable | None = None
-        self.z1 = self.z2 = self.zh1 = self.zh2 = None
-        self.neg_at = self.pos_at = self.lazy_neg = self.lazy_pos = self.lazy_u = None
-        self.h1 = self.h2 = self.h1_u = self.x = self.y = None
-
-    def sampled(self, k: int, emission: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Step k's positive and negative rows, (G, n1, input_dim) and (G,
-        n2, input_dim), of the update batches or the emission batches."""
-        z1, z2 = (self.zh1, self.zh2) if emission else (self.z1, self.z2)
-        return self.pos_X[self.rows, z1[k]], self.neg_X[self.rows, z2[k]]
-
-    def records(self) -> tuple[Records, Records]:
-        """The round's positive-side and negative-side upload rows, client by
-        client: row (j*K + k)*n + m is entry m of the j-th client's
-        iteration k. Both are empty when the program emits no records."""
-        if self.h1 is None:
-            return Records.concat([]), Records.concat([])
-
-        def rows(values, at, ids, u=None):
-            K, G, n = values.shape
-            value, sample_id, u = (None if a is None else a.transpose(1, 0, 2).reshape(-1)
-                                   for a in (values, ids[self.rows, at], u))
-            return Records(value, np.repeat(self.clients, K * n),
-                           np.tile(np.repeat(np.arange(K), n), G), sample_id, u)
-
-        return (rows(self.h1, self.zh1, self.pos_ids, self.h1_u),
-                rows(self.h2, self.zh2, self.neg_ids))
-
-    def descend(self, s: RunSettings, grad: np.ndarray, eta: float) -> None:
-        """One model step along ``grad``, through the momentum if any."""
-        if self.momentum is None:
-            self.model = self.model - eta * grad
-        else:
-            self.momentum = momentum_update(self.momentum, grad, s.hyper.beta)
-            self.model = self.model - eta * self.momentum
-
-
 def _cycle(batch: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` entries of each client's batch, cycling when the
     batch is shorter: one partner per sample of an n-sized batch."""
@@ -359,9 +297,10 @@ def _cycle(batch: np.ndarray, n: int) -> np.ndarray:
 
 class PairwiseProgram:
     """The round engine, with the pairwise local step of fedx1, fedx2 and
-    local_pair; the two other baselines replace the step. Every client's
-    step k runs as one stacked operation per :class:`ClientGroup`; only the
-    buffer draws loop over clients, once per round in :meth:`begin_round`.
+    local_pair; the two other baselines replace the step. It holds every
+    client's data and state stacked along a leading client axis of length
+    N, so every client's step k is one stacked operation; only the buffer
+    draws loop over clients, once per round in :meth:`begin_round`.
 
     Two values read from the settings tell the three algorithms apart:
 
@@ -373,6 +312,15 @@ class PairwiseProgram:
       and the momentum, and :func:`fedx_estimate` weights its terms by the
       outer derivative at the tracked means; otherwise it takes the linear
       outer function.
+
+    The round state, made at the start of each round (round 0: the
+    bootstrap's records), is (K, N, n) arrays that step k reads at slice k:
+    update positions ``z1``/``z2`` and emission positions ``zh1``/``zh2``
+    (the same arrays unless fedx2 draws its emission batches apart); lazy
+    records ``lazy_neg``/``lazy_pos``/``lazy_u`` read at ``neg_at`` and
+    ``pos_at`` in the aggregate; emitted values ``h1``/``h2``/``h1_u``,
+    which :meth:`uploads` turns into upload rows; and local_sgd's batch
+    rows ``x`` and labels ``y``. Arrays a program does not make stay None.
     """
 
     # What each local step checks for non-finite entries, in this order.
@@ -380,71 +328,81 @@ class PairwiseProgram:
 
     def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
         self.settings = settings
+        self.pos_ids, self.pos_X, self.neg_ids, self.neg_X = self._data(dataset)
+        self.n_clients, self.n_pos = self.pos_ids.shape
+        self.n_neg = self.neg_ids.shape[1]
+        self.rows = np.arange(self.n_clients)[:, None]  # pairs with (N, n) positions
         w0 = init_params(settings.scorer, substream(settings.seed, "init"))
-        shards = self._shards(dataset)
-        self.n_clients = len(shards)
-        runs = groupby(range(self.n_clients), key=lambda i: (shards[i].n_pos, shards[i].n_neg))
-        self.groups = [
-            ClientGroup(clients, [shards[i] for i in clients], w0)
-            for clients in (list(run) for _, run in runs)
-        ]
+        self.model = np.tile(w0, (self.n_clients, 1))
         self.lazy = settings.algorithm in ("fedx1", "fedx2")
         # local_sgd's update has no outer function; the configured one only
         # enters the reported objective.
         self.nonlinear = settings.outer.kind != "identity" and settings.algorithm != "local_sgd"
         # fedx2's records score emission batches of their own unless "reuse".
         self.separate = self.lazy and self.nonlinear and settings.hyper.history_samples != "reuse"
-        if self.nonlinear:
-            for grp in self.groups:
-                grp.momentum = np.zeros_like(grp.model)
-                grp.u_table = UTable((len(grp.clients), grp.n_pos))
+        self.momentum = np.zeros_like(self.model) if self.nonlinear else None
+        self.u_table = UTable((self.n_clients, self.n_pos)) if self.nonlinear else None
+        self.z1 = self.z2 = self.zh1 = self.zh2 = None
+        self.neg_at = self.pos_at = self.lazy_neg = self.lazy_pos = self.lazy_u = None
+        self.h1 = self.h2 = self.h1_u = self.x = self.y = None
 
-    def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
-        return dataset.shards
+    def _data(self, dataset: FederatedDataset) -> tuple[np.ndarray, ...]:
+        """The stacked (pos_ids, pos_X, neg_ids, neg_X), row i client i's."""
+        return dataset.pos_ids, dataset.pos_X, dataset.neg_ids, dataset.neg_X
 
-    def _draws(self, grp: ClientGroup, sizes, purpose: str, *tags) -> list[np.ndarray]:
-        """Per (pop, batch) of ``sizes`` in turn, a (K, G, min(batch, pop))
+    def _draws(self, sizes, purpose: str, *tags) -> list[np.ndarray]:
+        """Per (pop, batch) of ``sizes`` in turn, a (K, N, min(batch, pop))
         array of positions drawn without replacement from stream ``(purpose,
         client, *tags, k)`` of every client and local step k."""
-        K, G = self.settings.hyper.K, len(grp.clients)
-        streams = [(purpose, i, *tags, k) for k in range(K) for i in grp.clients]
+        K, N = self.settings.hyper.K, self.n_clients
+        streams = [(purpose, i, *tags, k) for k in range(K) for i in range(N)]
         specs = [(pop, min(batch, pop)) for pop, batch in sizes]
-        return [d.reshape(K, G, d.shape[1]) for d in choices(self.settings.seed, streams, specs)]
+        return [d.reshape(K, N, d.shape[1]) for d in choices(self.settings.seed, streams, specs)]
+
+    def sampled(self, k: int, emission: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Step k's positive and negative rows, (N, n1, input_dim) and (N,
+        n2, input_dim), of the update batches or the emission batches."""
+        z1, z2 = (self.zh1, self.zh2) if emission else (self.z1, self.z2)
+        return self.pos_X[self.rows, z1[k]], self.neg_X[self.rows, z2[k]]
+
+    def descend(self, grad: np.ndarray, eta: float) -> None:
+        """One model step along ``grad``, through the momentum if any."""
+        if self.momentum is None:
+            self.model = self.model - eta * grad
+        else:
+            self.momentum = momentum_update(self.momentum, grad, self.settings.hyper.beta)
+            self.model = self.model - eta * self.momentum
 
     def bootstrap_uploads(self) -> RoundUpload:
         """Round 0: models (and zero momenta) with, for the lazy programs,
         K batches per side scored at the initial model."""
         s, h = self.settings, self.settings.hyper
-        for grp in self.groups if self.lazy else ():
-            grp.zh1, grp.zh2 = self._draws(grp, [(grp.n_pos, h.B1), (grp.n_neg, h.B2)], "bootstrap")
-            a = grp.h1 = score_many(s.scorer, grp.model, grp.pos_X[grp.rows, grp.zh1])
-            b = grp.h2 = score_many(s.scorer, grp.model, grp.neg_X[grp.rows, grp.zh2])
+        if self.lazy:
+            self.zh1, self.zh2 = self._draws([(self.n_pos, h.B1), (self.n_neg, h.B2)], "bootstrap")
+            a = self.h1 = score_many(s.scorer, self.model, self.pos_X[self.rows, self.zh1])
+            b = self.h2 = score_many(s.scorer, self.model, self.neg_X[self.rows, self.zh2])
             # Full-replacement u-estimates so the first cross-client
             # u-draws are well away from the outer-derivative clamp.
-            grp.h1_u = loss(s.loss, a, _cycle(b, a.shape[-1])) if self.nonlinear else None
+            self.h1_u = loss(s.loss, a, _cycle(b, a.shape[-1])) if self.nonlinear else None
         return self.uploads()
 
     def begin_round(self, download: RoundDownload, round_idx: int) -> int:
         """Take the aggregate and make the round's state; returns the
         number of buffer wraps its draws took."""
-        wraps = 0
-        for grp in self.groups:
-            G = len(grp.clients)
-            grp.model = np.tile(download.model, (G, 1))
-            if grp.momentum is not None:
-                grp.momentum = np.tile(download.momentum, (G, 1))
-            wraps += self._prepare(grp, download, round_idx)
-        return wraps
+        self.model = np.tile(download.model, (self.n_clients, 1))
+        if self.momentum is not None:
+            self.momentum = np.tile(download.momentum, (self.n_clients, 1))
+        return self._prepare(download, round_idx)
 
-    def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
-        """Make the group's round state: the batches and, for the lazy
-        programs, the lazy records at ``neg_at`` (K, G, n1) in r2 and
-        ``pos_at`` (K, G, n2) in r1, and the emission arrays; returns wraps."""
+    def _prepare(self, download: RoundDownload, round_idx: int) -> int:
+        """Make the round state: the batches and, for the lazy programs,
+        the lazy records at ``neg_at`` (K, N, n1) in r2 and ``pos_at`` (K,
+        N, n2) in r1, and the emission arrays; returns wraps."""
         h = self.settings.hyper
-        pair = [(grp.n_pos, h.B1), (grp.n_neg, h.B2)]
+        pair = [(self.n_pos, h.B1), (self.n_neg, h.B2)]
         # fedx2's separate emission batches are drawn after the update ones.
-        batches = self._draws(grp, pair + pair if self.separate else pair, "step", round_idx)
-        (grp.z1, grp.z2), (grp.zh1, grp.zh2) = batches[:2], batches[-2:]
+        batches = self._draws(pair + pair if self.separate else pair, "step", round_idx)
+        (self.z1, self.z2), (self.zh1, self.zh2) = batches[:2], batches[-2:]
         if not self.lazy:
             return 0
 
@@ -452,53 +410,53 @@ class PairwiseProgram:
             # One draw of all K steps' entries per client: the same
             # positions as K draws of n. Each client's draw is done before
             # the next stream is taken, as substreams requires.
-            streams = [(side, i, round_idx) for i in grp.clients]
+            streams = [(side, i, round_idx) for i in range(self.n_clients)]
             drawn = [buffer_draw(g, len(block), h.K * n)
                      for g in substreams(self.settings.seed, streams)]
             at = np.stack([pos.reshape(h.K, n) for pos, _ in drawn], axis=1)
             return at, sum(wraps for _, wraps in drawn)
 
-        grp.neg_at, neg_wraps = positions("buffer-neg", download.r2, grp.z1.shape[-1])
-        grp.pos_at, pos_wraps = positions("buffer-pos", download.r1, grp.z2.shape[-1])
-        grp.lazy_neg = download.r2.value[grp.neg_at]
-        grp.lazy_pos = download.r1.value[grp.pos_at]
-        grp.h1, grp.h2 = np.empty(grp.zh1.shape), np.empty(grp.zh2.shape)
+        self.neg_at, neg_wraps = positions("buffer-neg", download.r2, self.z1.shape[-1])
+        self.pos_at, pos_wraps = positions("buffer-pos", download.r1, self.z2.shape[-1])
+        self.lazy_neg = download.r2.value[self.neg_at]
+        self.lazy_pos = download.r1.value[self.pos_at]
+        self.h1, self.h2 = np.empty(self.zh1.shape), np.empty(self.zh2.shape)
         if self.nonlinear:
             # A drawn row holds a score and the u-value of one sample.
-            grp.lazy_u = download.r1.u[grp.pos_at]
-            grp.h1_u = np.empty(grp.zh1.shape)
+            self.lazy_u = download.r1.u[self.pos_at]
+            self.h1_u = np.empty(self.zh1.shape)
         return neg_wraps + pos_wraps
 
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
-        """Step k of every client in ``grp``; returns their loss estimates,
-        tracked u-values of the sampled positives (None without a tracker)
-        and gradient estimates."""
+    def local_step(self, k: int, eta: float) -> StepResult:
+        """Step k of every client; returns their loss estimates, tracked
+        u-values of the sampled positives (None without a tracker) and
+        gradient estimates."""
         s = self.settings
-        x1, x2 = grp.sampled(k)
-        (a, pull1), (b, pull2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
+        x1, x2 = self.sampled(k)
+        (a, pull1), (b, pull2) = (score_grad_many(s.scorer, self.model, x) for x in (x1, x2))
         if self.lazy:
-            part_b, part_a = grp.lazy_neg[k], grp.lazy_pos[k]
+            part_b, part_a = self.lazy_neg[k], self.lazy_pos[k]
         else:  # m-th with m-th, cycling when the batch sizes differ
             part_b, part_a = _cycle(b, a.shape[-1]), _cycle(a, b.shape[-1])
         pair_loss, slope = loss_and_slope(s.loss, a, part_b)
         u1 = part_u = None
         if self.nonlinear:
-            u1 = grp.u_table.track((grp.rows, grp.z1[k]), pair_loss, s.hyper.gamma)
-            part_u = grp.lazy_u[k] if self.lazy else _cycle(u1, b.shape[-1])
+            u1 = self.u_table.track((self.rows, self.z1[k]), pair_loss, s.hyper.gamma)
+            part_u = self.lazy_u[k] if self.lazy else _cycle(u1, b.shape[-1])
         d2 = loss_and_slope(s.loss, part_a, b)[1]
         grad = fedx_estimate(s.outer, pull1, pull2, -slope, d2, u1, part_u)
         if self.lazy:
             # Records for the next round, scored at the pre-step model: the
             # emission batches, or the update ones (fedx1, "reuse" mode).
             if self.separate:
-                a, b = (score_many(s.scorer, grp.model, x) for x in grp.sampled(k, emission=True))
-            grp.h1[k], grp.h2[k] = a, b
+                a, b = (score_many(s.scorer, self.model, x) for x in self.sampled(k, emission=True))
+            self.h1[k], self.h2[k] = a, b
             if self.nonlinear:
                 # The emission batch has the update batch's size, so part_b
                 # gives one partner each (on the update batch: pair_loss).
                 inner = loss(s.loss, a, part_b) if self.separate else pair_loss
-                grp.h1_u[k] = grp.u_table.emission((grp.rows, grp.zh1[k]), inner)
-        grp.descend(s, grad, eta)
+                self.h1_u[k] = self.u_table.emission((self.rows, self.zh1[k]), inner)
+        self.descend(grad, eta)
         return pair_loss.mean(axis=-1), u1, grad
 
     def step(self, k: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -506,32 +464,32 @@ class PairwiseProgram:
         client, the index in :attr:`WATCHED` of the first quantity with a
         non-finite entry (``len(WATCHED)`` where there is none), both in
         client order."""
-        est, bad = [], []
-        for grp in self.groups:
-            loss_est, u, grad = self.local_step(grp, k, eta)
-            first = np.full(len(grp.clients), len(self.WATCHED))
-            watched = enumerate((loss_est, u, grad, grp.model))
-            for q, value in reversed(list(watched)):  # the earliest one wins
-                if value is not None and not np.isfinite(value).all():
-                    first[~np.isfinite(value.reshape(len(grp.clients), -1)).all(axis=1)] = q
-            est.append(loss_est)
-            bad.append(first)
-        return np.concatenate(est), np.concatenate(bad)
-
-    def _stacked(self, name: str) -> np.ndarray | None:
-        """Every client's ``model`` or ``momentum``, (N, d) in client order."""
-        if getattr(self.groups[0], name) is None:
-            return None
-        return np.concatenate([getattr(grp, name) for grp in self.groups])
-
-    def models(self) -> np.ndarray:
-        """The client models, (N, d) in client order."""
-        return self._stacked("model")
+        loss_est, u, grad = self.local_step(k, eta)
+        first = np.full(self.n_clients, len(self.WATCHED))
+        watched = enumerate((loss_est, u, grad, self.model))
+        for q, value in reversed(list(watched)):  # the earliest one wins
+            if value is not None and not np.isfinite(value).all():
+                first[~np.isfinite(value.reshape(self.n_clients, -1)).all(axis=1)] = q
+        return loss_est, first
 
     def uploads(self) -> RoundUpload:
-        """The round's upload table, built from the groups' arrays."""
-        h1, h2 = (Records.concat(blocks) for blocks in zip(*(grp.records() for grp in self.groups)))
-        return RoundUpload(self._stacked("model"), h1, h2, self._stacked("momentum"))
+        """The round's upload table: the client models (and momenta), and
+        the positive-side and negative-side records client by client, row
+        (i*K + k)*n + m of a block entry m of client i's iteration k. Both
+        blocks are empty when the program emits no records."""
+
+        def rows(values, at, ids, u=None):
+            K, N, n = values.shape
+            value, sample_id, u = (None if a is None else a.transpose(1, 0, 2).reshape(-1)
+                                   for a in (values, ids[self.rows, at], u))
+            return Records(value, np.repeat(np.arange(N), K * n),
+                           np.tile(np.repeat(np.arange(K), n), N), sample_id, u)
+
+        h1 = h2 = Records.concat([])
+        if self.h1 is not None:
+            h1 = rows(self.h1, self.zh1, self.pos_ids, self.h1_u)
+            h2 = rows(self.h2, self.zh2, self.neg_ids)
+        return RoundUpload(self.model, h1, h2, self.momentum)
 
 
 class LocalSGDProgram(PairwiseProgram):
@@ -539,21 +497,21 @@ class LocalSGDProgram(PairwiseProgram):
     The configured pairwise loss and outer function are used only for
     objective reporting."""
 
-    def _prepare(self, grp: ClientGroup, download: RoundDownload, round_idx: int) -> int:
+    def _prepare(self, download: RoundDownload, round_idx: int) -> int:
         h = self.settings.hyper
-        (idx,) = self._draws(grp, [(grp.n_pos + grp.n_neg, h.B1 + h.B2)], "step", round_idx)
-        union = np.concatenate([grp.pos_X, grp.neg_X], axis=1)
-        labels = np.concatenate([np.ones(grp.n_pos), -np.ones(grp.n_neg)])
-        grp.x, grp.y = union[grp.rows, idx], labels[idx]
+        (idx,) = self._draws([(self.n_pos + self.n_neg, h.B1 + h.B2)], "step", round_idx)
+        union = np.concatenate([self.pos_X, self.neg_X], axis=1)
+        labels = np.concatenate([np.ones(self.n_pos), -np.ones(self.n_neg)])
+        self.x, self.y = union[self.rows, idx], labels[idx]
         return 0
 
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
+    def local_step(self, k: int, eta: float) -> StepResult:
         s = self.settings
-        xb, yb = grp.x[k], grp.y[k]
-        scores, pullback = score_grad_many(s.scorer, grp.model, xb)
+        xb, yb = self.x[k], self.y[k]
+        scores, pullback = score_grad_many(s.scorer, self.model, xb)
         margin = -yb * scores
         grad = pullback(-yb * expit(margin)) / xb.shape[-2]
-        grp.descend(s, grad, eta)
+        self.descend(grad, eta)
         return np.logaddexp(0.0, margin).mean(axis=-1), None, grad
 
 
@@ -562,25 +520,26 @@ class CentralizedProgram(PairwiseProgram):
     minibatches contributes. Nonlinear outer is the moving-average tracker
     algorithm with fresh same-iteration negative scores and momentum."""
 
-    def _shards(self, dataset: FederatedDataset) -> tuple[ClientShard, ...]:
-        return (ClientShard(*dataset.pos_union(), *dataset.neg_union()),)
+    def _data(self, dataset: FederatedDataset) -> tuple[np.ndarray, ...]:
+        # The union as a stack of one client.
+        return tuple(a[None] for a in (*dataset.pos_union(), *dataset.neg_union()))
 
-    def local_step(self, grp: ClientGroup, k: int, eta: float) -> StepResult:
+    def local_step(self, k: int, eta: float) -> StepResult:
         s = self.settings
-        x1, x2 = grp.sampled(k)
-        (a, pull1), (b, pull2) = (score_grad_many(s.scorer, grp.model, x) for x in (x1, x2))
-        a, b = a[..., :, None], b[..., None, :]  # (G, n1, n2) pairs
+        x1, x2 = self.sampled(k)
+        (a, pull1), (b, pull2) = (score_grad_many(s.scorer, self.model, x) for x in (x1, x2))
+        a, b = a[..., :, None], b[..., None, :]  # (1, n1, n2) pairs
         n_pairs = a.shape[-2] * b.shape[-1]
         lmat, slope = loss_and_slope(s.loss, a, b)
         d1 = (-slope).sum(axis=-1)
         u = None
         if self.nonlinear:
-            u = grp.u_table.track((grp.rows, grp.z1[k]), lmat.mean(axis=-1), s.hyper.gamma)
+            u = self.u_table.track((self.rows, self.z1[k]), lmat.mean(axis=-1), s.hyper.gamma)
             fpu = outer_deriv(s.outer, u)
             grad = (pull1(fpu * d1) + pull2(_vecmat(fpu, slope))) / n_pairs
         else:
             grad = (pull1(d1) + pull2(slope.sum(axis=-2))) / n_pairs
-        grp.descend(s, grad, eta)
+        self.descend(grad, eta)
         return lmat.mean(axis=(-2, -1)), u, grad
 
 

@@ -8,6 +8,9 @@ into clients, so regenerating with a different client count but the same
 totals yields bitwise-identical global data, which is what makes the
 fixed-total vary-N ablation well posed.
 
+Client i's data is row i of the dataset's stacked arrays, so every client
+holds as many positives and as many negatives.
+
 Per-client heterogeneity adds N(mu_i, hetero_var) noise to every feature on
 client i, mu_i = hetero_base + i*hetero_step. Label flipping moves a
 uniformly random floor(fraction * count) subset of each side to the other
@@ -61,46 +64,56 @@ class DataConfig:
         return self.hetero_base + client * self.hetero_step
 
 
+# The stacked training fields and their dimensions, which they share.
+_STACKED = {"pos_ids": ("N", "n_pos"), "pos_X": ("N", "n_pos", "d"),
+            "neg_ids": ("N", "n_neg"), "neg_X": ("N", "n_neg", "d")}
+
+
 @dataclass(frozen=True)
-class ClientShard:
-    """One client's local data: positive side (S1) and negative side (S2)."""
+class FederatedDataset:
+    """Client i's training data is row i of stacked arrays: ``pos_ids`` (N,
+    n_pos) and ``pos_X`` (N, n_pos, d) for its positive side (S1), and
+    ``neg_ids`` (N, n_neg) and ``neg_X`` (N, n_neg, d) for its negative side
+    (S2), so every client holds as many of each side. The held-out split is
+    flat: (n,) ids and (n, d) features per side.
+
+    Raises ValueError, its message starting with the field at fault, when
+    the training fields' shapes disagree or a field's client rows differ
+    in length.
+    """
 
     pos_ids: np.ndarray
     pos_X: np.ndarray
     neg_ids: np.ndarray
     neg_X: np.ndarray
-
-    @property
-    def n_pos(self) -> int:
-        return self.pos_ids.size
-
-    @property
-    def n_neg(self) -> int:
-        return self.neg_ids.size
-
-
-@dataclass(frozen=True)
-class FederatedDataset:
-    shards: tuple[ClientShard, ...]
     eval_pos_ids: np.ndarray
     eval_pos_X: np.ndarray
     eval_neg_ids: np.ndarray
     eval_neg_X: np.ndarray
 
+    def __post_init__(self) -> None:
+        sizes: dict[str, int] = {}  # each dimension, as the first field has it
+        for name, dims in _STACKED.items():
+            try:
+                value = np.asarray(getattr(self, name))
+            except ValueError:  # client rows of unequal lengths
+                raise ValueError(f"{name}: every client must hold as many rows") from None
+            object.__setattr__(self, name, value)
+            if value.ndim != len(dims) or any(
+                    sizes.setdefault(dim, n) != n for dim, n in zip(dims, value.shape)):
+                raise ValueError(f"{name}: shape {value.shape} is not ({', '.join(dims)}), "
+                                 "one row per client, as the other stacked fields have it")
+
     @property
     def n_clients(self) -> int:
-        return len(self.shards)
+        return self.pos_ids.shape[0]
 
     def pos_union(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, features) of the full positive set in client order."""
-        ids = np.concatenate([s.pos_ids for s in self.shards])
-        X = np.vstack([s.pos_X for s in self.shards])
-        return ids, X
+        return self.pos_ids.reshape(-1), self.pos_X.reshape(-1, self.pos_X.shape[-1])
 
     def neg_union(self) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.concatenate([s.neg_ids for s in self.shards])
-        X = np.vstack([s.neg_X for s in self.shards])
-        return ids, X
+        return self.neg_ids.reshape(-1), self.neg_X.reshape(-1, self.neg_X.shape[-1])
 
 
 def _cluster_means(config: DataConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -134,16 +147,11 @@ def generate(config: DataConfig) -> FederatedDataset:
 
     pos_ids, neg_ids = ids(total_pos), ids(total_neg)
     eval_pos_ids, eval_neg_ids = ids(eval_pos_X.shape[0]), ids(eval_neg_X.shape[0])
-
-    shards = []
-    for i in range(config.n_clients):
-        ps = slice(i * config.n_pos_per_client, (i + 1) * config.n_pos_per_client)
-        ns = slice(i * config.n_neg_per_client, (i + 1) * config.n_neg_per_client)
-        shards.append(
-            ClientShard(pos_ids[ps], pos_X[ps], neg_ids[ns], neg_X[ns])
-        )
+    # Contiguous partition: client i holds rows i*n .. (i+1)*n - 1 of each pool.
+    n, p, q = config.n_clients, config.n_pos_per_client, config.n_neg_per_client
     return FederatedDataset(
-        tuple(shards), eval_pos_ids, eval_pos_X, eval_neg_ids, eval_neg_X
+        pos_ids.reshape(n, p), pos_X.reshape(n, p, -1), neg_ids.reshape(n, q),
+        neg_X.reshape(n, q, -1), eval_pos_ids, eval_pos_X, eval_neg_ids, eval_neg_X,
     )
 
 
@@ -159,19 +167,13 @@ def apply_heterogeneity(dataset: FederatedDataset, config: DataConfig) -> Federa
     if config.hetero_var == 0 and config.hetero_base == 0 and config.hetero_step == 0:
         return dataset
     std = np.sqrt(config.hetero_var)
-    shards = []
-    for i, shard in enumerate(dataset.shards):
+    pos_X, neg_X = np.empty_like(dataset.pos_X), np.empty_like(dataset.neg_X)
+    for i in range(dataset.n_clients):
         g = substream(config.seed, "hetero", i)
         mu = config.client_mean_shift(i)
-        shards.append(
-            ClientShard(
-                shard.pos_ids,
-                shard.pos_X + mu + std * g.standard_normal(shard.pos_X.shape),
-                shard.neg_ids,
-                shard.neg_X + mu + std * g.standard_normal(shard.neg_X.shape),
-            )
-        )
-    return replace(dataset, shards=tuple(shards))
+        pos_X[i] = dataset.pos_X[i] + mu + std * g.standard_normal(pos_X[i].shape)
+        neg_X[i] = dataset.neg_X[i] + mu + std * g.standard_normal(neg_X[i].shape)
+    return replace(dataset, pos_X=pos_X, neg_X=neg_X)
 
 
 def flip_labels(
@@ -180,30 +182,31 @@ def flip_labels(
     """Swap a random floor(fraction * count) subset of each side, per client.
 
     Feature vectors, ids and per-client totals are preserved exactly; only
-    group membership changes. Runs before any training or history bootstrap.
+    the side a sample is on changes. Runs before any training or history
+    bootstrap. Every client moves as many of each side, so the rows stay
+    equal.
     """
     if not (0.0 <= flip_fraction <= 1.0):
         raise ValueError("flip_fraction must be in [0, 1]")
     if flip_fraction == 0.0:
         return dataset
-    shards = []
-    for i, shard in enumerate(dataset.shards):
+    n_pos, n_neg = dataset.pos_ids.shape[1], dataset.neg_ids.shape[1]
+    k_pos, k_neg = int(np.floor(flip_fraction * n_pos)), int(np.floor(flip_fraction * n_neg))
+    # Positions in each client's row of both sides, positives first.
+    ids = np.concatenate([dataset.pos_ids, dataset.neg_ids], axis=1)
+    X = np.concatenate([dataset.pos_X, dataset.neg_X], axis=1)
+    to_pos, to_neg = [], []
+    for i in range(dataset.n_clients):
         g = substream(seed, "flip", i)
-        k_pos = int(np.floor(flip_fraction * shard.n_pos))
-        k_neg = int(np.floor(flip_fraction * shard.n_neg))
-        pos_out = np.sort(g.choice(shard.n_pos, size=k_pos, replace=False))
-        neg_out = np.sort(g.choice(shard.n_neg, size=k_neg, replace=False))
-        pos_keep = np.setdiff1d(np.arange(shard.n_pos), pos_out)
-        neg_keep = np.setdiff1d(np.arange(shard.n_neg), neg_out)
-        shards.append(
-            ClientShard(
-                np.concatenate([shard.pos_ids[pos_keep], shard.neg_ids[neg_out]]),
-                np.vstack([shard.pos_X[pos_keep], shard.neg_X[neg_out]]),
-                np.concatenate([shard.neg_ids[neg_keep], shard.pos_ids[pos_out]]),
-                np.vstack([shard.neg_X[neg_keep], shard.pos_X[pos_out]]),
-            )
-        )
-    return replace(dataset, shards=tuple(shards))
+        pos_out = np.sort(g.choice(n_pos, size=k_pos, replace=False))
+        neg_out = n_pos + np.sort(g.choice(n_neg, size=k_neg, replace=False))
+        to_pos.append(np.concatenate([np.setdiff1d(np.arange(n_pos), pos_out), neg_out]))
+        to_neg.append(np.concatenate([np.setdiff1d(np.arange(n_pos, n_pos + n_neg), neg_out),
+                                      pos_out]))
+    rows = np.arange(dataset.n_clients)[:, None]
+    to_pos, to_neg = np.array(to_pos), np.array(to_neg)
+    return replace(dataset, pos_ids=ids[rows, to_pos], pos_X=X[rows, to_pos],
+                   neg_ids=ids[rows, to_neg], neg_X=X[rows, to_neg])
 
 
 def build_dataset(config: DataConfig) -> FederatedDataset:

@@ -316,8 +316,8 @@ def sweep(
     vary-N regenerates data with the new client count and proportionally
     scaled per-client sizes, keeping the total dataset fixed. The summary
     CSV is written incrementally; a failed run aborts the sweep with the
-    finished traces and summary rows preserved. Bad values are rejected
-    before the first run.
+    finished traces and summary rows preserved. Bad values, and a value
+    given twice, are rejected before the first run.
     """
     if axis not in ("K", "N"):
         raise ConfigError(f"axis: must be K or N, got {axis!r}")
@@ -325,6 +325,10 @@ def sweep(
         raise ConfigError("values: must be nonempty")
     if min(values) < 1:
         raise ConfigError(f"values: must be positive, got {values}")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"values: {repeated[0]} is repeated; each value runs once, "
+                          f"to trace_{axis}{repeated[0]}.csv")
     total_pos = base_config.data.n_pos_per_client * base_config.data.n_clients
     total_neg = base_config.data.n_neg_per_client * base_config.data.n_clients
     bad_n = [v for v in values if axis == "N" and (total_pos % v or total_neg % v)]

@@ -38,7 +38,9 @@ def _keep_count(q: int, fpr_max: float) -> int:
     """floor(fpr_max * q) negatives, at least one, for fpr_max in (0, 1]."""
     if not (0.0 < fpr_max <= 1.0):
         raise ValueError("fpr_max must be in (0, 1]")
-    keep = int(np.floor(fpr_max * q))
+    # Values within 1e-9 of an integer floor to it, as algorithms._ceil
+    # rounds up: a cap of exactly k/q keeps k.
+    keep = int(np.floor(fpr_max * q + 1e-9))
     if keep == 0:
         raise ValueError(f"fpr_max={fpr_max} keeps zero of {q} negatives")
     return keep

@@ -3,33 +3,35 @@
 * Scalar scoring (``score``, ``score_grad``) and one inner mean
   (``exact_inner``, ``exact_inner_all``), written per sample.
 * ``records_of``: the records of one client at one iteration.
-* ``ragged_dataset``: a dataset of given shard shapes, built directly as
-  shards and a held-out split.
+* ``Shard``, ``client_shard``: one client's data, the per-client view the
+  reference round reads; ``small_dataset``: a dataset built directly from
+  its stacked arrays and a held-out split of any size.
 * ``auc_bruteforce``, ``partial_auc_bruteforce``: the O(P·Q) pairwise
   definitions that the sorted routes of :mod:`fedcpr.metrics` must equal.
 * ``Buffer``: a stateful shuffled queue of positions into a received
   block, drawn step by step; :func:`fedcpr.federation.buffer_draw` must
   give the same positions and wraps in one call.
-* The per-client round: each client keeps its own state and takes its K
-  local steps one after another, building its records step by step and
-  its own :class:`ClientUpload`, as the simulator did before the stacked
-  round engine. :func:`stack_uploads` makes the round's upload table of
+* The per-client round: each client keeps its own state and its own view
+  of its row of the dataset, and takes its K local steps one after
+  another, building its records step by step and its own
+  :class:`ClientUpload`, as the simulator did before the stacked round
+  engine. :func:`stack_uploads` makes the round's upload table of
   them; :func:`reference_rounds` runs it; the engine must match it bit for
   bit.
 * ``one_client_fedx1``/``one_client_fedx2``: the package's stacked
-  estimator called on one client's state, a stack of G = 1, without and
+  estimator called on one client's state, a stack of N = 1, without and
   with tracked means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from fedcpr import algorithms
 from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
-from fedcpr.data import ClientShard, FederatedDataset
+from fedcpr.data import FederatedDataset
 from fedcpr.federation import (
     ProtocolError,
     Records,
@@ -110,22 +112,46 @@ def records_of(value, client: int, iteration: int, sample_id, u=None) -> Records
     return Records(value, np.full(n, client), np.full(n, iteration), sample_id, u)
 
 
-def ragged_dataset(shapes, seed: int) -> FederatedDataset:
-    """One (client, n_pos, n_neg) per entry of ``shapes``, each client
-    0..N-1 once and client -1 for the held-out split. Rows are drawn entry
-    by entry, positives before negatives, as 4 standard normal features
-    shifted by +0.7 on positives and -0.7 on negatives; ids number the rows
-    in that order."""
-    rng = np.random.default_rng(seed)
-    columns, sid = {}, 0
-    for client, n_pos, n_neg in shapes:
-        columns[client] = []
-        for count, shift in ((n_pos, 0.7), (n_neg, -0.7)):
-            columns[client] += [np.arange(sid, sid + count, dtype=np.int64),
-                                rng.standard_normal((count, 4)) + shift]
-            sid += count
-    shards = tuple(ClientShard(*columns[i]) for i in range(len(columns) - 1))
-    return FederatedDataset(shards, *columns[-1])
+@dataclass(frozen=True)
+class Shard:
+    """One client's data: positive side (S1) and negative side (S2)."""
+
+    pos_ids: np.ndarray
+    pos_X: np.ndarray
+    neg_ids: np.ndarray
+    neg_X: np.ndarray
+
+    @property
+    def n_pos(self) -> int:
+        return self.pos_ids.size
+
+    @property
+    def n_neg(self) -> int:
+        return self.neg_ids.size
+
+
+def client_shard(dataset: FederatedDataset, i: int) -> Shard:
+    """Client i's data, row i of the dataset's stacked arrays."""
+    return Shard(dataset.pos_ids[i], dataset.pos_X[i], dataset.neg_ids[i], dataset.neg_X[i])
+
+
+def small_dataset(n_clients: int, n_pos: int, n_neg: int, held_out, seed: int) -> FederatedDataset:
+    """``n_clients`` clients of ``n_pos`` positives and ``n_neg`` negatives
+    and a held-out split of ``held_out`` (positives, negatives). Rows are
+    drawn client by client, positives before negatives, then the held-out
+    split, as 4 standard normal features shifted by +0.7 on positives and
+    -0.7 on negatives; ids number the rows in that order."""
+    rng, start = np.random.default_rng(seed), 0
+
+    def rows(count: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal start
+        start += count
+        return (np.arange(start - count, start, dtype=np.int64),
+                rng.standard_normal((count, 4)) + shift)
+
+    clients = [(*rows(n_pos, 0.7), *rows(n_neg, -0.7)) for _ in range(n_clients)]
+    return FederatedDataset(*(np.stack(column) for column in zip(*clients)),
+                            *rows(held_out[0], 0.7), *rows(held_out[1], -0.7))
 
 
 # ------------------------------------------------------------ pairwise metrics
@@ -148,7 +174,7 @@ def _hardest_negatives(neg_scores: np.ndarray, fpr_max: float) -> np.ndarray:
     """The floor(fpr_max * Q) highest negatives, at least one."""
     if not (0.0 < fpr_max <= 1.0):
         raise ValueError("fpr_max must be in (0, 1]")
-    keep = int(np.floor(fpr_max * neg_scores.size))
+    keep = int(np.floor(fpr_max * neg_scores.size + 1e-9))  # 1/q keeps one
     if keep == 0:
         raise ValueError(f"fpr_max={fpr_max} keeps zero of {neg_scores.size} negatives")
     # Ties at the quantile boundary break by score then by position index.
@@ -231,7 +257,7 @@ class ClientState:
     """One client's exclusively-owned mutable state."""
 
     index: int
-    shard: ClientShard
+    shard: Shard
     settings: RunSettings
     model: np.ndarray
     momentum: np.ndarray | None = None
@@ -294,12 +320,12 @@ class ReferenceProgram:
     def init_states(self, dataset: FederatedDataset) -> list[ClientState]:
         s = self.settings
         if self.alg == "centralized":
-            pos_ids, pos_X = dataset.pos_union()
-            neg_ids, neg_X = dataset.neg_union()
-            dataset = replace(dataset, shards=(ClientShard(pos_ids, pos_X, neg_ids, neg_X),))
+            shards = [Shard(*dataset.pos_union(), *dataset.neg_union())]
+        else:
+            shards = [client_shard(dataset, i) for i in range(dataset.n_clients)]
         w0 = init_params(s.scorer, substream(s.seed, "init"))
         states = []
-        for i, shard in enumerate(dataset.shards):
+        for i, shard in enumerate(shards):
             st = ClientState(index=i, shard=shard, settings=s, model=w0.copy())
             if self.uses_momentum:
                 st.momentum = np.zeros_like(w0)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from reference import (
     ClientState,
+    Shard,
     auc_bruteforce,
+    client_shard,
     exact_inner_all,
     one_client_fedx1,
     one_client_fedx2,
@@ -130,35 +132,33 @@ def test_criterion_2_fedx1_unbiasedness():
     settings = RunSettings("fedx1", scorer, loss_spec, IDENTITY_OUTER, hyper)
     program = PROGRAMS["fedx1"](settings, ds)
     download = server_aggregate(program.bootstrap_uploads())
-    grp = program.groups[0]  # equal shards: all four clients
 
     # Leg A: the estimator through the real exchange machinery equals an
     # independent scalar recomputation, and under eta=0 every lazy record
     # equals the frozen-model score of its sample (the protocol's premise).
     all_scores = {}
-    for shard in ds.shards:
-        for sid, x in zip(shard.pos_ids, shard.pos_X):
-            all_scores[int(sid)] = float(np.dot(w0, x))
-        for sid, x in zip(shard.neg_ids, shard.neg_X):
+    for ids, X in (ds.pos_union(), ds.neg_union()):
+        for sid, x in zip(ids, X):
             all_scores[int(sid)] = float(np.dot(w0, x))
     machinery_ok = True
     for r in range(1, 301):
         program.begin_round(download, r)
         # The engine's step-0 estimate for every client at once.
-        x1, x2 = grp.sampled(0)
-        (a_now, pull1), (b_now, pull2) = (score_grad_many(scorer, grp.model, x) for x in (x1, x2))
+        x1, x2 = program.sampled(0)
+        (a_now, pull1), (b_now, pull2) = (score_grad_many(scorer, program.model, x)
+                                          for x in (x1, x2))
         ests = fedx_estimate(settings.outer, pull1, pull2,
-                             -loss_and_slope(loss_spec, a_now, grp.lazy_neg[0])[1],
-                             loss_and_slope(loss_spec, grp.lazy_pos[0], b_now)[1])
-        for j, i in enumerate(grp.clients):
-            shard = ds.shards[i]
+                             -loss_and_slope(loss_spec, a_now, program.lazy_neg[0])[1],
+                             loss_and_slope(loss_spec, program.lazy_pos[0], b_now)[1])
+        for i in range(ds.n_clients):
+            shard = client_shard(ds, i)
             g = substream(42, "step", i, r, 0)
             z1 = g.choice(shard.n_pos, size=1, replace=False)
             z2 = g.choice(shard.n_neg, size=1, replace=False)
             neg_block, pos_block = download.r2, download.r1
-            (jn,), (jp,) = grp.neg_at[0, j], grp.pos_at[0, j]
+            (jn,), (jp,) = program.neg_at[0, i], program.pos_at[0, i]
             lazy_neg, lazy_pos = neg_block.value[[jn]], pos_block.value[[jp]]
-            est = ests[j]
+            est = ests[i]
             a = float(np.dot(w0, shard.pos_X[z1[0]]))
             b = float(np.dot(w0, shard.neg_X[z2[0]]))
             manual = (
@@ -178,10 +178,8 @@ def test_criterion_2_fedx1_unbiasedness():
     # active sample uniform on the client shard, lazy record uniform over
     # (client, sample) exactly as a uniform draw of the aggregated history.
     P, Q, N, d = 5, 8, 4, 6
-    a_all = np.stack([score_many(scorer, w0, s.pos_X) for s in ds.shards])
-    b_all = np.stack([score_many(scorer, w0, s.neg_X) for s in ds.shards])
-    posX = np.stack([s.pos_X for s in ds.shards])
-    negX = np.stack([s.neg_X for s in ds.shards])
+    a_all, b_all = score_many(scorer, w0, ds.pos_X), score_many(scorer, w0, ds.neg_X)
+    posX, negX = ds.pos_X, ds.neg_X
     truth = exact_grad(loss_spec, IDENTITY_OUTER, scorer, w0,
                        ds.pos_union()[1], ds.neg_union()[1])
     rng = substream(42, "mc-draws")
@@ -217,12 +215,10 @@ def test_criterion_3_fedx2_exact_u_consistency():
     outer = OuterFnSpec("kl_log", lam=2.0)
     neg_union = ds.neg_union()[1]
     P, Q, N, d = 5, 8, 4, 6
-    a_all = np.stack([score_many(scorer, w0, s.pos_X) for s in ds.shards])
-    b_all = np.stack([score_many(scorer, w0, s.neg_X) for s in ds.shards])
-    posX = np.stack([s.pos_X for s in ds.shards])
-    negX = np.stack([s.neg_X for s in ds.shards])
+    a_all, b_all = score_many(scorer, w0, ds.pos_X), score_many(scorer, w0, ds.neg_X)
+    posX, negX = ds.pos_X, ds.neg_X
     u_exact = np.stack(
-        [exact_inner_all(loss_spec, scorer, w0, s.pos_X, neg_union) for s in ds.shards]
+        [exact_inner_all(loss_spec, scorer, w0, pos_X, neg_union) for pos_X in ds.pos_X]
     )
     truth = exact_grad(loss_spec, outer, scorer, w0, ds.pos_union()[1], neg_union)
 
@@ -236,9 +232,9 @@ def test_criterion_3_fedx2_exact_u_consistency():
     machinery_ok = True
     for _ in range(300):
         i = int(check_rng.integers(0, N))
-        st = ClientState(index=i, shard=ds.shards[i], settings=settings,
+        st = ClientState(index=i, shard=client_shard(ds, i), settings=settings,
                          model=w0.copy())
-        st.u_table = UTable(ds.shards[i].n_pos)
+        st.u_table = UTable(P)
         st.u_table.values[:] = u_exact[i]
         z1 = check_rng.integers(0, P, 1)
         z2 = check_rng.integers(0, Q, 1)
@@ -359,10 +355,8 @@ def test_criterion_5_fedx2_stationarity_trend():
 def test_criterion_6_reduction_identities():
     t0 = time.perf_counter()
     # (a) identity-outer estimator equality, exact.
-    from fedcpr.data import ClientShard
-
     rng = np.random.default_rng(1006)
-    shard = ClientShard(
+    shard = Shard(
         pos_ids=np.arange(4), pos_X=rng.standard_normal((4, 3)),
         neg_ids=np.arange(4, 10), neg_X=rng.standard_normal((6, 3)),
     )

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import ClientState, one_client_fedx1, one_client_fedx2, ragged_dataset
+from reference import (
+    ClientState,
+    Shard,
+    client_shard,
+    one_client_fedx1,
+    one_client_fedx2,
+    small_dataset,
+)
 
 from fedcpr.algorithms import (
     PROGRAMS,
@@ -19,7 +26,7 @@ from fedcpr.algorithms import (
     simulate,
     theory_schedule,
 )
-from fedcpr.data import ClientShard, DataConfig, FederatedDataset, build_dataset
+from fedcpr.data import DataConfig, FederatedDataset, build_dataset
 from fedcpr.federation import server_aggregate
 from fedcpr.losses import (
     IDENTITY_OUTER,
@@ -49,7 +56,7 @@ def _state(scorer, loss_spec, outer, w, shard, hyper=None, with_u=False):
 
 
 def _shard2():
-    return ClientShard(
+    return Shard(
         pos_ids=np.array([0, 1]),
         pos_X=np.array([[2.0, 1.0], [1.0, 0.0]]),
         neg_ids=np.array([2, 3]),
@@ -88,14 +95,15 @@ class TestFedX1Estimate:
         # A frozen-model round on one client: the upload table carries each
         # step's fresh scores with (client, iteration, sample id) provenance.
         shard = _shard2()
-        ds = FederatedDataset((shard,), shard.pos_ids, shard.pos_X, shard.neg_ids, shard.neg_X)
+        arrays = (shard.pos_ids, shard.pos_X, shard.neg_ids, shard.neg_X)
+        ds = FederatedDataset(*(a[None] for a in arrays), *arrays)
         hyper = HyperParams(eta=0.0, K=4, R=1, B1=1, B2=1, seed=3)
         program = PROGRAMS["fedx1"](RunSettings("fedx1", LIN2, SQ, IDENTITY_OUTER, hyper), ds)
         program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
         for k in range(hyper.K):
             program.step(k, hyper.eta)
         up = program.uploads()
-        w = program.models()[0]
+        w = program.model[0]
         for k in range(hyper.K):
             g = substream(3, "step", 0, 1, k)
             z1, z2 = g.choice(2, size=1, replace=False), g.choice(2, size=1, replace=False)
@@ -244,7 +252,7 @@ class TestFedX1Run:
     ])
     def test_small_held_out_split_rejected_before_any_round(self, held_out, counts):
         # pAUC@0.3 keeps floor(0.3 * Q) negatives, none of 3.
-        ds = ragged_dataset([(0, 3, 5), (-1, *held_out)], 1)
+        ds = small_dataset(1, 3, 5, held_out, 1)
         seen = []
 
         class Sink:
@@ -256,7 +264,7 @@ class TestFedX1Run:
         assert seen == []
 
     def test_smallest_held_out_split_runs(self):
-        ds = ragged_dataset([(0, 3, 5), (-1, 1, 4)], 1)
+        ds = small_dataset(1, 3, 5, (1, 4), 1)
         trace = simulate("fedx1", ds, ScorerSpec("linear", 4), PSM, IDENTITY_OUTER,
                          HyperParams(K=1, R=1, B1=1, B2=1))
         assert [sorted(r.pauc) for r in trace.rounds] == [[0.3, 0.5]] * 2
@@ -298,8 +306,7 @@ class TestFedX1Run:
         # Finite features at which the square loss's exact objective (x1e200),
         # or only its squared gradient norm (x1e77), overflows at round 0.
         ds = _dataset()
-        ds = replace(ds, shards=tuple(replace(sh, pos_X=sh.pos_X * scale, neg_X=sh.neg_X * scale)
-                                      for sh in ds.shards))
+        ds = replace(ds, pos_X=ds.pos_X * scale, neg_X=ds.neg_X * scale)
         hyper = HyperParams(eta=0.01, K=1, R=1, B1=2, B2=2, seed=8)
         with pytest.raises(FloatingPointError,
                            match=rf"^exact {name} is non-finite \(inf\) at round 0$"):
@@ -347,7 +354,7 @@ class TestFedX2Run:
         program.begin_round(download, 1)
         for k in range(hyper.K):
             program.step(k, hyper.eta)
-        np.testing.assert_array_equal(trace.final_model, program.models()[0])
+        np.testing.assert_array_equal(trace.final_model, program.model[0])
 
     def test_u_table_locality_and_emission_counts(self):
         ds = _dataset(n_clients=2, n_pos=6, n_neg=8)
@@ -356,7 +363,7 @@ class TestFedX2Run:
         program = PROGRAMS["fedx2"](settings, ds)
         download = server_aggregate(program.bootstrap_uploads())
         program.begin_round(download, 1)
-        table = program.groups[0].u_table
+        table = program.u_table
         before = table.values.copy()
         program.step(0, hyper.eta)
         changed = np.flatnonzero(before[0] != table.values[0])
@@ -393,10 +400,9 @@ class TestFedX2Run:
         assert download.r1.u.shape == download.r1.value.shape
         # ...and one drawn position reads both, preserving the pairing.
         program.begin_round(download, 1)
-        grp = program.groups[0]
-        drawn = grp.pos_at[:, 0].reshape(-1)
-        assert grp.lazy_pos[:, 0].reshape(-1).tobytes() == download.r1.value[drawn].tobytes()
-        assert grp.lazy_u[:, 0].reshape(-1).tobytes() == download.r1.u[drawn].tobytes()
+        drawn = program.pos_at[:, 0].reshape(-1)
+        assert program.lazy_pos[:, 0].reshape(-1).tobytes() == download.r1.value[drawn].tobytes()
+        assert program.lazy_u[:, 0].reshape(-1).tobytes() == download.r1.u[drawn].tobytes()
 
     def test_single_pair_first_round_matches_centralized_direction(self):
         # On a 1-positive/1-negative instance every draw is the same sample,
@@ -432,13 +438,12 @@ class TestFedX2Run:
         # Every round starts from the frozen-model bootstrap aggregate; one
         # step per client, gamma = 1 and beta = 1, so each client's momentum
         # after the step is its raw estimate.
-        grp = program.groups[0]
         draws = []
         for r in range(1, 2001):
             program.begin_round(bootstrap, r)
             program.step(0, 0.0)
             gsum = np.zeros(3)
-            for estimate in grp.momentum:
+            for estimate in program.momentum:
                 gsum += estimate
             draws.append(gsum / 2)
         mean = np.mean(draws, axis=0)
@@ -471,13 +476,13 @@ class TestBaselines:
 
         program = LocalSGDProgram(settings, ds)
         program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
-        w0 = program.models()[0]
+        w0 = program.model[0]
         program.step(0, hyper.eta)
-        grad = (w0 - program.models()[0]) / hyper.eta
+        grad = (w0 - program.model[0]) / hyper.eta
 
         # Reconstruct the drawn batch from the same substream.
         g = substream(hyper.seed, "step", 0, 1, 0)
-        shard = ds.shards[0]
+        shard = client_shard(ds, 0)
         X = np.vstack([shard.pos_X, shard.neg_X])
         y = np.concatenate([np.ones(shard.n_pos), -np.ones(shard.n_neg)])
         idx = g.choice(X.shape[0], size=6, replace=False)
@@ -519,9 +524,9 @@ class TestBaselines:
         settings = RunSettings("centralized", scorer, KL, KL_LOG, hyper)
         program = CentralizedProgram(settings, ds)
         program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
-        w0 = program.models()[0]
+        w0 = program.model[0]
         program.step(0, hyper.eta)
-        step_dir = (w0 - program.models()[0]) / hyper.eta
+        step_dir = (w0 - program.model[0]) / hyper.eta
         expected = exact_grad(KL, KL_LOG, scorer, w0, pos_X, neg_X)
         np.testing.assert_allclose(step_dir, expected, rtol=1e-12)
 

@@ -5,6 +5,7 @@ import pytest
 
 from fedcpr.data import (
     DataConfig,
+    FederatedDataset,
     apply_heterogeneity,
     build_dataset,
     flip_labels,
@@ -32,30 +33,27 @@ def clean_config(**kw):
 class TestGenerate:
     def test_counts(self):
         ds = generate(clean_config())
-        assert sum(s.n_pos for s in ds.shards) == 8
-        assert sum(s.n_neg for s in ds.shards) == 40
-        assert all(s.n_pos == 4 and s.n_neg == 20 for s in ds.shards)
+        assert (ds.pos_ids.shape, ds.pos_X.shape) == ((2, 4), (2, 4, 6))
+        assert (ds.neg_ids.shape, ds.neg_X.shape) == ((2, 20), (2, 20, 6))
 
     def test_single_client_union_is_everything(self):
         ds = generate(clean_config(n_clients=1, n_pos_per_client=8,
                                    n_neg_per_client=40))
         ids, X = ds.pos_union()
         assert ids.size == 8 and X.shape == (8, 6)
-        np.testing.assert_array_equal(ids, ds.shards[0].pos_ids)
+        np.testing.assert_array_equal(ids, ds.pos_ids[0])
 
     def test_bitwise_determinism(self):
         a = generate(clean_config())
         b = generate(clean_config())
-        for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa.pos_X, sb.pos_X)
-            np.testing.assert_array_equal(sa.neg_X, sb.neg_X)
+        np.testing.assert_array_equal(a.pos_X, b.pos_X)
+        np.testing.assert_array_equal(a.neg_X, b.neg_X)
         np.testing.assert_array_equal(a.eval_pos_X, b.eval_pos_X)
 
     def test_ids_unique_across_federation(self):
         ds = generate(clean_config())
         all_ids = np.concatenate(
-            [np.concatenate([s.pos_ids, s.neg_ids]) for s in ds.shards]
-            + [ds.eval_pos_ids, ds.eval_neg_ids]
+            [ds.pos_ids.ravel(), ds.neg_ids.ravel(), ds.eval_pos_ids, ds.eval_neg_ids]
         )
         assert all_ids.size == np.unique(all_ids).size
 
@@ -92,6 +90,41 @@ class TestGenerate:
             DataConfig(1, 1, 1, 1, flip_fraction=1.5)
 
 
+class TestStackedShape:
+    def _arrays(self, n_pos=(3, 3), n_neg=(5, 5)):
+        """Two clients' (pos_ids, pos_X, neg_ids, neg_X) rows of 2 features,
+        as lists, and a held-out split."""
+        rows = [(np.arange(p), np.zeros((p, 2)), np.arange(q), np.zeros((q, 2)))
+                for p, q in zip(n_pos, n_neg)]
+        return [list(column) for column in zip(*rows)] + [
+            np.arange(4), np.zeros((4, 2)), np.arange(4), np.zeros((4, 2))]
+
+    def test_equal_rows_stack(self):
+        ds = FederatedDataset(*self._arrays())
+        assert ds.n_clients == 2
+        assert (ds.pos_X.shape, ds.neg_X.shape) == ((2, 3, 2), (2, 5, 2))
+
+    @pytest.mark.parametrize("n_pos, n_neg, field", [
+        ((3, 4), (5, 5), "pos_ids"),
+        ((3, 3), (5, 2), "neg_ids"),
+    ])
+    def test_unequal_client_rows_rejected(self, n_pos, n_neg, field):
+        with pytest.raises(ValueError, match=f"^{field}: every client must hold as many rows"):
+            FederatedDataset(*self._arrays(n_pos, n_neg))
+
+    @pytest.mark.parametrize("index, value, field", [
+        (1, np.zeros((2, 4, 2)), "pos_X"),   # 4 rows against pos_ids' 3
+        (2, np.zeros((3, 5), dtype=int), "neg_ids"),  # 3 clients against 2
+        (3, np.zeros((2, 5, 3)), "neg_X"),  # 3 features against pos_X's 2
+        (3, np.zeros((2, 5)), "neg_X"),  # no feature axis
+    ])
+    def test_disagreeing_shapes_rejected(self, index, value, field):
+        arrays = self._arrays()
+        arrays[index] = value
+        with pytest.raises(ValueError, match=f"^{field}: shape "):
+            FederatedDataset(*arrays)
+
+
 class TestHeterogeneity:
     def test_all_zero_parameters_are_identity(self):
         ds = generate(clean_config())
@@ -120,8 +153,8 @@ class TestHeterogeneity:
         noisy = apply_heterogeneity(clean, cfg)
         n_draws = 10_000 * cfg.input_dim
         shift = (
-            np.concatenate([noisy.shards[0].pos_X, noisy.shards[0].neg_X]).mean()
-            - np.concatenate([clean.shards[0].pos_X, clean.shards[0].neg_X]).mean()
+            np.concatenate([noisy.pos_X[0], noisy.neg_X[0]]).mean()
+            - np.concatenate([clean.pos_X[0], clean.neg_X[0]]).mean()
         )
         se = np.sqrt(0.04 / n_draws)
         assert abs(shift - (-0.08)) <= 3 * se
@@ -147,35 +180,31 @@ class TestFlipLabels:
     def test_full_flip_swaps_sides(self):
         ds = generate(clean_config())
         flipped = flip_labels(ds, 1.0, 7)
-        for before, after in zip(ds.shards, flipped.shards):
-            assert after.n_pos == before.n_neg
-            assert after.n_neg == before.n_pos
-            np.testing.assert_array_equal(np.sort(after.pos_ids), np.sort(before.neg_ids))
+        assert flipped.pos_ids.shape == ds.neg_ids.shape
+        assert flipped.neg_ids.shape == ds.pos_ids.shape
+        np.testing.assert_array_equal(np.sort(flipped.pos_ids), np.sort(ds.neg_ids))
 
     def test_counting_example(self):
         cfg = clean_config(n_pos_per_client=10, n_neg_per_client=50, n_clients=3)
         flipped = flip_labels(generate(cfg), 0.2, 7)
-        for shard in flipped.shards:
-            assert shard.n_pos == 10 - 2 + 10
-            assert shard.n_neg == 50 - 10 + 2
+        assert flipped.pos_ids.shape == (3, 10 - 2 + 10)
+        assert flipped.neg_ids.shape == (3, 50 - 10 + 2)
 
     def test_preserves_ids_features_and_totals(self):
         ds = generate(clean_config())
         flipped = flip_labels(ds, 0.3, 11)
-        for before, after in zip(ds.shards, flipped.shards):
-            assert before.n_pos + before.n_neg == after.n_pos + after.n_neg
-            ids_before = np.sort(np.concatenate([before.pos_ids, before.neg_ids]))
-            ids_after = np.sort(np.concatenate([after.pos_ids, after.neg_ids]))
+        for c in range(ds.n_clients):
+            ids_before = np.sort(np.concatenate([ds.pos_ids[c], ds.neg_ids[c]]))
+            ids_after = np.sort(np.concatenate([flipped.pos_ids[c], flipped.neg_ids[c]]))
             np.testing.assert_array_equal(ids_before, ids_after)
             # features travel with their ids
-            feat = {int(i): row for i, row in zip(before.pos_ids, before.pos_X)}
-            feat.update({int(i): row for i, row in zip(before.neg_ids, before.neg_X)})
-            for i, row in zip(after.pos_ids, after.pos_X):
+            feat = {int(i): row for i, row in zip(ds.pos_ids[c], ds.pos_X[c])}
+            feat.update({int(i): row for i, row in zip(ds.neg_ids[c], ds.neg_X[c])})
+            for i, row in zip(flipped.pos_ids[c], flipped.pos_X[c]):
                 np.testing.assert_array_equal(row, feat[int(i)])
 
     def test_deterministic_in_seed(self):
         ds = generate(clean_config())
         a = flip_labels(ds, 0.25, 3)
         b = flip_labels(ds, 0.25, 3)
-        for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa.pos_ids, sb.pos_ids)
+        np.testing.assert_array_equal(a.pos_ids, b.pos_ids)

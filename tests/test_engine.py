@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ragged_dataset, reference_rounds
+from reference import reference_rounds, small_dataset
 
 from fedcpr import algorithms
 from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings, simulate
@@ -31,12 +31,6 @@ VARIANTS = {
 }
 
 
-def _ragged_dataset():
-    """Four clients with unequal (positive, negative) counts, written by
-    hand in the export format: clients 0 and 2 share a shape."""
-    return ragged_dataset([(0, 3, 7), (1, 5, 9), (2, 3, 7), (3, 2, 4), (-1, 12, 30)], 123)
-
-
 def _equal_dataset(n_clients=3, n_pos=5, n_neg=9):
     return build_dataset(DataConfig(
         n_pos_per_client=n_pos, n_neg_per_client=n_neg, input_dim=4,
@@ -48,8 +42,6 @@ def _equal_dataset(n_clients=3, n_pos=5, n_neg=9):
 CASES = {
     "equal": (_equal_dataset, ScorerSpec("mlp1", 4, hidden_dim=3),
               HyperParams(eta=0.05, K=4, R=3, B1=3, B2=4, gamma=0.3, beta=0.4, seed=5)),
-    "ragged": (_ragged_dataset, ScorerSpec("linear", 4),
-               HyperParams(eta=0.01, K=5, R=3, B1=4, B2=6, gamma=0.3, beta=0.4, seed=3)),
     # fedx1's wrap config: the negative buffer holds K entries, drawn 4 per step.
     "wrap-n1": (lambda: _equal_dataset(n_clients=1, n_pos=4, n_neg=20),
                 ScorerSpec("linear", 4),
@@ -60,7 +52,7 @@ CASES = {
                 HyperParams(eta=0.01, K=6, R=3, B1=1, B2=9, seed=9)),
 }
 
-# Pair-loss evaluations per group and local step: one per pair set the step
+# Pair-loss evaluations per local step: one per pair set the step
 # needs (each side's update pairs, and fedx2's independent emission pairs).
 LOSS_EVALS = {
     "fedx1": 2, "fedx2": 3, "fedx2-reuse": 2, "local_sgd": 0, "local_pair": 2,
@@ -117,11 +109,10 @@ def test_engine_matches_per_client_reference(case, variant):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_one_loss_evaluation_per_pair_set(monkeypatch, variant):
-    _, scorer, hyper = CASES["ragged"]
+    make, scorer, hyper = CASES["equal"]
     algorithm, loss_spec, outer, history = VARIANTS[variant]
     hyper = HyperParams(**{**vars(hyper), "history_samples": history})
-    program = PROGRAMS[algorithm](RunSettings(algorithm, scorer, loss_spec, outer, hyper),
-                                  _ragged_dataset())
+    program = PROGRAMS[algorithm](RunSettings(algorithm, scorer, loss_spec, outer, hyper), make())
     program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
     calls = []
     for name in ("loss_and_slope", "loss"):
@@ -129,7 +120,7 @@ def test_one_loss_evaluation_per_pair_set(monkeypatch, variant):
         monkeypatch.setattr(algorithms, name, lambda *args, fn=fn: calls.append(fn) or fn(*args))
     for k in range(hyper.K):
         program.step(k, hyper.eta)
-    assert len(calls) == LOSS_EVALS[variant] * hyper.K * len(program.groups)
+    assert len(calls) == LOSS_EVALS[variant] * hyper.K
 
 
 def test_divergence_names_the_per_client_first_failure():
@@ -150,37 +141,13 @@ def test_divergence_names_the_per_client_first_failure():
     assert "client 0 at round 1, iteration 6" in str(got.value)
 
 
-def test_divergence_across_groups_names_the_per_client_first_failure():
-    # The ragged shards form four groups. In round 1 of this run client 2
-    # goes non-finite at iteration 1 and client 1 at 2; clients 0 and 3
-    # stay finite. One client after another, client 1 fails first, although
-    # client 2's group fails at an earlier step.
-    _, scorer, hyper = CASES["ragged"]
-    kl = (PairwiseLossSpec("kl_opauc", lam=0.5), OuterFnSpec("kl_log", lam=0.5))
-    args = ("local_pair", _ragged_dataset(), scorer, *kl, hyper)
-    with np.errstate(all="ignore"):
-        with pytest.raises(FloatingPointError) as want:
-            reference_rounds(*args)
-        with pytest.raises(FloatingPointError) as got:
-            simulate(*args, eval_every=0, oracle_every=0)
-        program = PROGRAMS["local_pair"](RunSettings("local_pair", scorer, *kl, hyper),
-                                         _ragged_dataset())
-        assert len(program.groups) == 4
-        program.begin_round(server_aggregate(program.bootstrap_uploads()), 1)
-        failing = [np.flatnonzero(program.step(k, hyper.eta)[1] < len(program.WATCHED))
-                   for k in range(3)]
-    assert str(got.value) == str(want.value)
-    assert "client 1 at round 1, iteration 2" in str(got.value)
-    assert [list(f) for f in failing] == [[], [2], [1, 2]]
-
-
 @st.composite
 def _random_run(draw):
-    """Ragged shards of 1-4 clients with 1-6 samples a side, and batch sizes
-    that take some shards whole and not others."""
+    """1-4 clients of one shape, 1-6 samples a side, and batch sizes that
+    take a client's side whole or not."""
     sides = st.integers(1, 6)
-    shapes = [(i, draw(sides), draw(sides)) for i in range(draw(st.integers(1, 4)))]
-    ds = ragged_dataset(shapes + [(-1, 2, 10)], draw(st.integers(0, 2**16)))
+    ds = small_dataset(draw(st.integers(1, 4)), draw(sides), draw(sides), (2, 10),
+                       draw(st.integers(0, 2**16)))
     hyper = HyperParams(eta=0.01, K=draw(st.integers(1, 4)), R=2, B1=draw(st.integers(1, 7)),
                         B2=draw(st.integers(1, 7)), gamma=0.3, beta=0.4,
                         seed=draw(st.integers(0, 2**16)))

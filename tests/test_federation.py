@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import Buffer, ClientUpload, ragged_dataset, records_of, stack_uploads
+from reference import Buffer, ClientUpload, records_of, small_dataset, stack_uploads
 
 from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings
 from fedcpr.data import DataConfig, build_dataset
@@ -231,10 +231,9 @@ class TestRoundContract:
         # Round 1 draws its lazy records from exactly the round-0 aggregate,
         # so every draw is one round stale.
         wraps = program.begin_round(download0, 1)
-        grp = program.groups[0]
-        drained = grp.neg_at[:, 0].reshape(-1)
+        drained = program.neg_at[:, 0].reshape(-1)
         assert sorted(_rows(download0.r2, drained)) == sorted(_rows(download0.r2))
-        assert grp.lazy_neg[:, 0].reshape(-1).tobytes() == download0.r2.value[drained].tobytes()
+        assert program.lazy_neg[:, 0].reshape(-1).tobytes() == download0.r2.value[drained].tobytes()
         assert wraps == 0
 
     def test_zero_eta_keeps_models_at_global_model(self):
@@ -255,7 +254,7 @@ class TestRoundContract:
             download.model, tree_mean([table.models[0], table.models[1]])
         )
         program.begin_round(download, 2)
-        models = program.models()
+        models = program.model
         np.testing.assert_array_equal(models[0], models[1])
 
     def test_barrier_requires_all_uploads(self):
@@ -399,16 +398,15 @@ class TestAggregateProperties:
 class TestRaggedAccounting:
     @settings(max_examples=30, deadline=None)
     @given(
-        shards=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=4),
+        n_clients=st.integers(1, 4), n_pos=st.integers(1, 5), n_neg=st.integers(1, 5),
         hyper=st.builds(HyperParams, eta=st.just(0.01), K=st.integers(1, 3), R=st.just(1),
                         B1=st.integers(1, 4), B2=st.integers(1, 4), seed=st.integers(0, 99)),
         algorithm=st.sampled_from(["fedx1", "fedx2"]),
     )
-    def test_uplink_of_every_client(self, shards, hyper, algorithm):
-        # Ragged shards make several client groups; each client's uplink
-        # counts its own effective batch sizes.
-        ds = ragged_dataset([(i, p, q) for i, (p, q) in enumerate(shards)] + [(-1, 3, 3)],
-                            hyper.seed)
+    def test_uplink_of_every_client(self, n_clients, n_pos, n_neg, hyper, algorithm):
+        # Each client's uplink counts the effective batch sizes, which
+        # shrink to a side's size when the batch would exceed it.
+        ds = small_dataset(n_clients, n_pos, n_neg, (3, 3), hyper.seed)
         fedx2 = algorithm == "fedx2"
         scorer = ScorerSpec("linear", 4)
         outer = OuterFnSpec("kl_log") if fedx2 else IDENTITY_OUTER
@@ -423,8 +421,6 @@ class TestRaggedAccounting:
             for block in (table.h1, table.h2):
                 assert (np.diff(block.client) >= 0).all()
             assert (table.h1.u is not None) == fedx2
-            up = comm_cost(table, down)[0]
-            for i, (n_pos, n_neg) in enumerate(shards):
-                n1, n2 = min(hyper.B1, n_pos), min(hyper.B2, n_neg)
-                rows = hyper.K * (2 * n1 + n2 if fedx2 else n1 + n2)
-                assert up[i] == dims + rows
+            n1, n2 = min(hyper.B1, n_pos), min(hyper.B2, n_neg)
+            rows = hyper.K * (2 * n1 + n2 if fedx2 else n1 + n2)
+            assert comm_cost(table, down)[0].tolist() == [dims + rows] * n_clients

@@ -1,5 +1,5 @@
-"""Every config dataclass rejects a non-finite float or a non-integral int
-where it is made, naming the field by its config key."""
+"""Every config dataclass rejects a non-finite float, a non-integral int or
+a bool in either where it is made, naming the field by its config key."""
 
 from dataclasses import fields, replace
 
@@ -58,7 +58,13 @@ def test_non_finite_float_names_its_key(cls, name, value):
         _make(cls, **{name: value})
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("cls, name", FLOATS)
+def test_bool_float_names_its_key(cls, name):
+    with pytest.raises(ValueError, match=f"^{_key(name)} must be a number, got True"):
+        _make(cls, **{name: True})
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
 @pytest.mark.parametrize("cls, name", INTS)
 def test_non_integral_int_names_its_key(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ragged_dataset
+from reference import small_dataset
 
 import fedcpr
 from fedcpr import harness
@@ -422,17 +422,18 @@ class TestRun:
         assert trace.total_floats == expected
 
     def test_ragged_total_floats_count_each_clients_rows(self):
-        # tests/test_engine.py's ragged shapes: (client, n_pos, n_neg).
-        shapes = [(0, 3, 7), (1, 5, 9), (2, 3, 7), (3, 2, 4)]
-        ds = ragged_dataset(shapes + [(-1, 12, 30)], 123)
+        # B1 = 4 and B2 = 8 exceed each client's 3 positives and 7
+        # negatives, so every batch takes its side whole: 10 records per
+        # client and step, 34 floats up and 124 down per client and round.
+        n, n_pos, n_neg = 4, 3, 7
+        ds = small_dataset(n, n_pos, n_neg, (12, 30), 123)
         d, K, R, B1, B2 = 4, 3, 2, 4, 8
         hyper = HyperParams(eta=0.01, K=K, R=R, B1=B1, B2=B2, seed=3)
         trace = simulate("fedx1", ds, ScorerSpec("linear", d), PairwiseLossSpec("psm_sigmoid"),
                          IDENTITY_OUTER, hyper)
-        rows = [min(B1, n_pos) + min(B2, n_neg) for _, n_pos, n_neg in shapes]
-        n = len(shapes)
-        per_round = sum(d + K * r for r in rows) + n * (d + K * sum(rows))
-        assert trace.total_floats == (R + 1) * per_round == 1806
+        rows = min(B1, n_pos) + min(B2, n_neg)
+        per_round = n * (d + K * rows) + n * (d + K * n * rows)
+        assert trace.total_floats == (R + 1) * per_round == 1896
 
     def test_default_config_completes_within_budget(self, tmp_path):
         import time
@@ -499,6 +500,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"^values: must be positive, got \[0\]"):
             sweep(parse_config(TINY), "K", [0], tmp_path / "z")
         assert not (tmp_path / "z").exists()
+
+    def test_repeated_value_rejected_before_any_run(self, tmp_path):
+        # A second K=2 run would overwrite trace_K2.csv and add a second row.
+        with pytest.raises(ConfigError, match=r"^values: 2 is repeated"):
+            sweep(parse_config(TINY), "K", [2, 1, 2], tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     def test_bad_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

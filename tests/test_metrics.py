@@ -74,6 +74,13 @@ class TestPartialAuc:
         with pytest.raises(ValueError):
             partial_auc(ScoredEval([1.0], [0.0, 0.5]), 0.3)
 
+    @pytest.mark.parametrize("q", [49, 98, 103, 107, 161])
+    def test_cap_of_exactly_one_negative_keeps_it(self, q):
+        # fpr_max = 1/q keeps the one hardest negative, 0.0, although
+        # (1/q) * q rounds below 1 for these q; the positive beats it.
+        ev = ScoredEval([1.0], [0.0] * q)
+        assert partial_auc(ev, 1 / q) == partial_auc_bruteforce(ev, 1 / q) == 1.0
+
     def test_fpr_out_of_range(self):
         ev = ScoredEval([1.0], [0.0])
         with pytest.raises(ValueError):
