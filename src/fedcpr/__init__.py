@@ -24,7 +24,6 @@ from .data import (
     generate,
 )
 from .federation import (
-    Records,
     RoundDownload,
     RoundUpload,
     buffer_draw,

@@ -11,8 +11,8 @@ then R rounds of K local steps between exchanges):
   previous round, delivered via the server and read at positions that
   :func:`~fedcpr.federation.buffer_draw` draws without replacement).
 * ``fedx2`` (nonlinear outer function): adds a per-positive-sample moving
-  average ``u`` tracking the inner pairwise mean, whose values travel as a
-  ``u`` column of the positive-side score records (so each drawn position
+  average ``u`` tracking the inner pairwise mean, whose values travel in
+  an array shaped like the positive-side scores (so each drawn position
   reads a score and the u-value of the same sample), and a momentum
   average of the gradient estimates; model and momentum are both averaged
   by the server.
@@ -44,10 +44,10 @@ seeded in one :func:`~fedcpr.rng.substreams` pass; and the emitted records
 one stacked call of the program's ``local_step``. It scores each batch in
 one forward pass, whose pullback gives the gradient terms, and
 :func:`fedx_estimate`, the one FedX estimator, is a function over the
-client axis. The emitted records, client by client, are the record blocks
-of the round's upload table. Stacked matmuls loop the same BLAS calls over
-the client axis, so every value is bit for bit what the clients would
-compute one after another.
+client axis. The emitted records, transposed client-major to (N, K, n),
+are the score blocks of the round's upload table. Stacked matmuls loop
+the same BLAS calls over the client axis, so every value is bit for bit
+what the clients would compute one after another.
 
 Every random draw comes from a named substream keyed by
 (seed, purpose, client, round, iteration), so a run's trace is
@@ -67,14 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FederatedDataset
-from .federation import (
-    Records,
-    RoundDownload,
-    RoundUpload,
-    buffer_draw,
-    comm_cost,
-    server_aggregate,
-)
+from .federation import RoundDownload, RoundUpload, buffer_draw, comm_cost, server_aggregate
 from .fields import check_numbers
 from .losses import (
     OuterFnSpec,
@@ -319,7 +312,7 @@ class PairwiseProgram:
     (the same arrays unless fedx2 draws its emission batches apart); lazy
     records ``lazy_neg``/``lazy_pos``/``lazy_u`` read at ``neg_at`` and
     ``pos_at`` in the aggregate; emitted values ``h1``/``h2``/``h1_u``,
-    which :meth:`uploads` turns into upload rows; and local_sgd's batch
+    which :meth:`uploads` hands over client-major; and local_sgd's batch
     rows ``x`` and labels ``y``. Arrays a program does not make stay None.
     """
 
@@ -406,7 +399,7 @@ class PairwiseProgram:
         if not self.lazy:
             return 0
 
-        def positions(side: str, block: Records, n: int) -> tuple[np.ndarray, int]:
+        def positions(side: str, block: np.ndarray, n: int) -> tuple[np.ndarray, int]:
             # One draw of all K steps' entries per client: the same
             # positions as K draws of n. Each client's draw is done before
             # the next stream is taken, as substreams requires.
@@ -418,12 +411,12 @@ class PairwiseProgram:
 
         self.neg_at, neg_wraps = positions("buffer-neg", download.r2, self.z1.shape[-1])
         self.pos_at, pos_wraps = positions("buffer-pos", download.r1, self.z2.shape[-1])
-        self.lazy_neg = download.r2.value[self.neg_at]
-        self.lazy_pos = download.r1.value[self.pos_at]
+        self.lazy_neg = download.r2[self.neg_at]
+        self.lazy_pos = download.r1[self.pos_at]
         self.h1, self.h2 = np.empty(self.zh1.shape), np.empty(self.zh2.shape)
         if self.nonlinear:
-            # A drawn row holds a score and the u-value of one sample.
-            self.lazy_u = download.r1.u[self.pos_at]
+            # A drawn position reads a score and the u-value of one sample.
+            self.lazy_u = download.r1_u[self.pos_at]
             self.h1_u = np.empty(self.zh1.shape)
         return neg_wraps + pos_wraps
 
@@ -446,7 +439,7 @@ class PairwiseProgram:
         d2 = loss_and_slope(s.loss, part_a, b)[1]
         grad = fedx_estimate(s.outer, pull1, pull2, -slope, d2, u1, part_u)
         if self.lazy:
-            # Records for the next round, scored at the pre-step model: the
+            # Scores for the next round, taken at the pre-step model: the
             # emission batches, or the update ones (fedx1, "reuse" mode).
             if self.separate:
                 a, b = (score_many(s.scorer, self.model, x) for x in self.sampled(k, emission=True))
@@ -474,22 +467,13 @@ class PairwiseProgram:
 
     def uploads(self) -> RoundUpload:
         """The round's upload table: the client models (and momenta), and
-        the positive-side and negative-side records client by client, row
-        (i*K + k)*n + m of a block entry m of client i's iteration k. Both
-        blocks are empty when the program emits no records."""
-
-        def rows(values, at, ids, u=None):
-            K, N, n = values.shape
-            value, sample_id, u = (None if a is None else a.transpose(1, 0, 2).reshape(-1)
-                                   for a in (values, ids[self.rows, at], u))
-            return Records(value, np.repeat(np.arange(N), K * n),
-                           np.tile(np.repeat(np.arange(K), n), N), sample_id, u)
-
-        h1 = h2 = Records.concat([])
-        if self.h1 is not None:
-            h1 = rows(self.h1, self.zh1, self.pos_ids, self.h1_u)
-            h2 = rows(self.h2, self.zh2, self.neg_ids)
-        return RoundUpload(self.model, h1, h2, self.momentum)
+        the emitted scores (and u-values) client-major, entry [i, k, m] of
+        a block client i's for the m-th sample of its iteration-k emission
+        batch; None where the program emits none. The arrays are views of
+        this round's state, which no later round writes."""
+        h1, h2, h1_u = (None if a is None else a.transpose(1, 0, 2)
+                        for a in (self.h1, self.h2, self.h1_u))
+        return RoundUpload(self.model, h1, h2, h1_u, self.momentum)
 
 
 class LocalSGDProgram(PairwiseProgram):
@@ -613,7 +597,7 @@ def simulate(
 
     def emit_round(idx, t_start, download, table, wraps):
         up_floats, down_floats = comm_cost(table, download)
-        trace.total_floats += int(up_floats.sum()) + len(up_floats) * down_floats
+        trace.total_floats += len(table.models) * (up_floats + down_floats)
         objective = grad_sq = auc_val = pauc_val = None
         w = download.model
         if _due(idx, hyper.R, oracle_every):
@@ -633,7 +617,7 @@ def simulate(
             grad_norm_sq=grad_sq,
             auc=auc_val,
             pauc=pauc_val,
-            uplink_floats=int(up_floats[0]),
+            uplink_floats=up_floats,
             downlink_floats=down_floats,
             buffer_wraps=wraps,
         )

@@ -1,24 +1,24 @@
-"""Communication fabric: record blocks, shuffled buffer draws, server
-aggregation, and message accounting.
+"""Communication fabric: the round's upload table, shuffled buffer draws,
+server aggregation, and message accounting.
 
-One round = every client uploads (model, this round's score records, and
-for the nonlinear-f algorithm its momentum and u-values), the server
-averages the models (and momenta) and passes the record blocks on, and the
-aggregate is broadcast back. The round engine in :mod:`fedcpr.algorithms`
-builds one :class:`RoundUpload` table of all N uploads after every client's
-K local steps, then calls :func:`server_aggregate` once, so no client sees
-round r+1 state before every round-r upload is in.
+One round = every client uploads (model, this round's scores, and for the
+nonlinear-f algorithm its momentum and u-values), the server averages the
+models (and momenta) and passes the scores on, and the aggregate is
+broadcast back. The round engine in :mod:`fedcpr.algorithms` builds one
+:class:`RoundUpload` table of all N uploads after every client's K local
+steps, then calls :func:`server_aggregate` once, so no client sees round
+r+1 state before every round-r upload is in.
 
-Every record set is one :class:`Records` block of equal-length numpy
-columns. A positive-side score and the u-value of the same sample share one
-row, so a draw reads both at one position. Clients read a received block at
-the positions :func:`buffer_draw` gives: a shuffle of the whole block,
-drawn without replacement. Records consumed in round r were produced in
-round r-1, never earlier, because every round's draws are made afresh from
-that round's aggregate.
-
-Record provenance (client, iteration, sample_id) is carried for
-testability; the math needs only the ``value`` and ``u`` columns.
+A side's scores are one client-major (N, K, n) float array: entry [i, k, m]
+is client i's score at iteration k of the m-th sample of its emission
+batch. fedx2's u-values are an array of the same shape, entry for entry
+the u-value of the scored sample. The download flattens each array in C
+order, so one position reads a score and the u-value of the same sample.
+Clients read the download at the positions :func:`buffer_draw` gives: a
+shuffle of the whole block, drawn without replacement. Scores consumed in
+round r were produced in round r-1, never earlier, because every round's
+draws are made afresh from that round's aggregate. Only what is counted is
+sent: the sampled rows' identities stay with the engine.
 """
 
 from __future__ import annotations
@@ -28,69 +28,32 @@ from typing import Sequence
 
 import numpy as np
 
-_COLUMNS = {
-    "value": np.float64,
-    "client": np.int32,
-    "iteration": np.int32,
-    "sample_id": np.int64,
-    "u": np.float64,
-}
-
 
 class ProtocolError(RuntimeError):
     """A violation of the round exchange contract."""
 
 
-@dataclass(frozen=True, eq=False)
-class Records:
-    """A block of communicated scores: one row per record, ``value`` with
-    its provenance ``client``, ``iteration`` and ``sample_id``, and for the
-    nonlinear-f algorithm's positive side the sample's u-value ``u``, as
-    equal-length columns."""
-
-    value: np.ndarray
-    client: np.ndarray
-    iteration: np.ndarray
-    sample_id: np.ndarray
-    u: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        names = [name for name in _COLUMNS if getattr(self, name) is not None]
-        for name in names:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=_COLUMNS[name]))
-        if any(getattr(self, name).shape != self.value.shape for name in names):
-            raise ValueError("record columns must have equal shapes")
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-    @classmethod
-    def concat(cls, blocks: Sequence[Records]) -> Records:
-        """The blocks' rows in order; no blocks give an empty block. Either
-        every block has a ``u`` column or none has."""
-        with_u = {b.u is not None for b in blocks}
-        if len(with_u) > 1:
-            raise ValueError("cannot concatenate blocks with and without u-values")
-        return cls(**{name: np.concatenate([getattr(b, name) for b in blocks]) if blocks else []
-                      for name in _COLUMNS if name != "u" or with_u == {True}})
-
-
 @dataclass(frozen=True)
 class RoundUpload:
-    """All N uploads of a round: row i of ``models`` (and ``momenta``) is
-    client i's; each record block holds every client's rows in client order."""
+    """All N uploads of a round: row i of every array is client i's. A block
+    a program does not emit is None."""
 
     models: np.ndarray  # (N, d)
-    h1: Records  # positive-side scores produced this round, with u-values for fedx2
-    h2: Records  # negative-side scores produced this round
+    h1: np.ndarray | None = None  # (N, K, n1) positive-side scores produced this round
+    h2: np.ndarray | None = None  # (N, K, n2) negative-side scores produced this round
+    h1_u: np.ndarray | None = None  # (N, K, n1) u-values of the h1 samples, fedx2 only
     momenta: np.ndarray | None = None  # (N, d), nonlinear-f algorithms only
 
 
 @dataclass(frozen=True)
 class RoundDownload:
+    """The aggregate: the mean model (and momentum), and each upload block
+    flattened in C order, position (i*K + k)*n + m holding entry [i, k, m]."""
+
     model: np.ndarray
-    r1: Records  # aggregated positive-side scores (and u-values)
-    r2: Records  # aggregated negative-side scores
+    r1: np.ndarray | None = None  # every client's positive-side scores
+    r2: np.ndarray | None = None  # every client's negative-side scores
+    r1_u: np.ndarray | None = None  # the u-values of the r1 samples
     momentum: np.ndarray | None = None
 
 
@@ -107,22 +70,27 @@ def tree_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def server_aggregate(table: RoundUpload) -> RoundDownload:
-    """Average the models (and momenta); the record blocks pass through.
+    """Average the models (and momenta); the score blocks pass through.
 
-    Raises :class:`ProtocolError` for a table without clients, or a record
-    block out of client order or naming a client outside 0..N-1.
+    Raises :class:`ProtocolError` for a table without clients, a score
+    block that is not (N, K, n) with one row per model row, or u-values not
+    shaped like the scores.
     """
     n = len(table.models)
     if not n:
         raise ProtocolError("no uploads to aggregate")
-    for name, block in (("h1", table.h1), ("h2", table.h2)):
-        c = block.client
-        if len(c) and (c[0] < 0 or c[-1] >= n or (np.diff(c) < 0).any()):
-            raise ProtocolError(f"{name} records must be in client order, clients 0..{n - 1}")
+    blocks = {"h1": table.h1, "h2": table.h2, "h1_u": table.h1_u}
+    for name, block in blocks.items():
+        if block is not None and (block.ndim != 3 or len(block) != n):
+            raise ProtocolError(f"{name} must hold one row per client")
+    if table.h1_u is not None and (table.h1 is None or table.h1_u.shape != table.h1.shape):
+        raise ProtocolError("h1_u must be shaped like h1")
+    r1, r2, r1_u = (None if b is None else b.reshape(-1) for b in blocks.values())
     return RoundDownload(
         model=tree_mean(table.models),
-        r1=table.h1,
-        r2=table.h2,
+        r1=r1,
+        r2=r2,
+        r1_u=r1_u,
         momentum=None if table.momenta is None else tree_mean(table.momenta),
     )
 
@@ -150,16 +118,11 @@ def buffer_draw(
     return out, (count - 1) // size
 
 
-def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[np.ndarray, int]:
-    """(uplink_floats, downlink_floats): every real number in each client's
-    rows of the upload table, an (N,) array in client order, and in the
-    download every client receives. A record carries its score, and its
-    u-value where the block has one; the provenance integers are not
-    counted.
-    """
-    n = len(upload.models)
-    up = sum(np.bincount(b.client, minlength=n) * (1 if b.u is None else 2)
-             for b in (upload.h1, upload.h2))
-    down = sum(len(b) * (1 if b.u is None else 2) for b in (download.r1, download.r2))
-    return (up + upload.models.shape[1] * (1 if upload.momenta is None else 2),
-            down + download.model.size * (1 if download.momentum is None else 2))
+def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:
+    """(uplink_floats, downlink_floats): the real numbers one client sends,
+    its row of every upload array, and the ones every client receives, the
+    whole download. Every client's row has the same shape."""
+    up = (upload.models, upload.momenta, upload.h1, upload.h2, upload.h1_u)
+    down = (download.model, download.momentum, download.r1, download.r2, download.r1_u)
+    return (sum(a[0].size for a in up if a is not None),
+            sum(a.size for a in down if a is not None))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 from typing import get_type_hints
 
@@ -323,6 +324,8 @@ def sweep(
         raise ConfigError(f"axis: must be K or N, got {axis!r}")
     if not values:
         raise ConfigError("values: must be nonempty")
+    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in values):
+        raise ConfigError(f"values: must be integers, got {values}")
     if min(values) < 1:
         raise ConfigError(f"values: must be positive, got {values}")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]

@@ -2,7 +2,6 @@
 
 * Scalar scoring (``score``, ``score_grad``) and one inner mean
   (``exact_inner``, ``exact_inner_all``), written per sample.
-* ``records_of``: the records of one client at one iteration.
 * ``Shard``, ``client_shard``: one client's data, the per-client view the
   reference round reads; ``small_dataset``: a dataset built directly from
   its stacked arrays and a held-out split of any size.
@@ -13,11 +12,12 @@
   give the same positions and wraps in one call.
 * The per-client round: each client keeps its own state and its own view
   of its row of the dataset, and takes its K local steps one after
-  another, building its records step by step and its own
-  :class:`ClientUpload`, as the simulator did before the stacked round
-  engine. :func:`stack_uploads` makes the round's upload table of
-  them; :func:`reference_rounds` runs it; the engine must match it bit for
-  bit.
+  another, keeping each step's emitted scores, u-values and sample ids,
+  and building its own :class:`ClientUpload`, as the simulator did before
+  the stacked round engine. :func:`stack_uploads` makes the round's upload
+  table and emitted ids of them; :func:`reference_rounds` runs it; the
+  engine must match it bit for bit, and :func:`emitted_ids` gives the
+  engine's ids to compare.
 * ``one_client_fedx1``/``one_client_fedx2``: the package's stacked
   estimator called on one client's state, a stack of N = 1, without and
   with tracked means.
@@ -32,13 +32,7 @@ import numpy as np
 from fedcpr import algorithms
 from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
 from fedcpr.data import FederatedDataset
-from fedcpr.federation import (
-    ProtocolError,
-    Records,
-    RoundDownload,
-    RoundUpload,
-    server_aggregate,
-)
+from fedcpr.federation import ProtocolError, RoundDownload, RoundUpload, server_aggregate
 from fedcpr.losses import PairwiseLossSpec, expit, loss, loss_and_slope, outer_deriv
 from fedcpr.metrics import ScoredEval
 from fedcpr.model import ScorerSpec, init_params, score_grad_many, score_many
@@ -104,12 +98,6 @@ def exact_inner_all(
         raise ValueError("positive and negative sets must both be nonempty")
     a, b = score_many(scorer, w, pos_X), score_many(scorer, w, neg_X)
     return loss(loss_spec, a[:, None], b[None, :]).mean(axis=1)
-
-
-def records_of(value, client: int, iteration: int, sample_id, u=None) -> Records:
-    """Records produced by one client at one iteration."""
-    n = len(sample_id)
-    return Records(value, np.full(n, client), np.full(n, iteration), sample_id, u)
 
 
 @dataclass(frozen=True)
@@ -190,22 +178,24 @@ def partial_auc_bruteforce(ev: ScoredEval, fpr_max: float) -> float:
 
 
 class Buffer:
-    """Shuffled queue of positions into a received record block, drawn
+    """Shuffled queue of positions into a received score block, drawn
     sequentially without replacement. If a draw exhausts the buffer
     mid-round it reshuffles the same positions and continues (wrap-around);
     ``wraps`` counts those events.
     """
 
     def __init__(self) -> None:
-        self.block: Records | None = None  # the shared aggregate, not a copy
+        self.block: np.ndarray | None = None  # the shared aggregate, not a copy
+        self.u: np.ndarray | None = None  # the u-values of its samples, if any
         self.cursor = 0
         self.wraps = 0
 
-    def refill(self, block: Records, rng: np.random.Generator) -> None:
-        """Flush and replace contents with a permutation of ``block``'s rows."""
+    def refill(self, block: np.ndarray, rng: np.random.Generator, u=None) -> None:
+        """Flush and replace contents with a permutation of ``block``'s
+        positions; ``u`` holds the u-value at each of them."""
         if not len(block):
             raise ProtocolError("cannot refill a buffer from an empty aggregate")
-        self.block = block
+        self.block, self.u = block, u
         self._rng = rng
         self._reshuffle()
 
@@ -231,25 +221,40 @@ class Buffer:
 
 @dataclass(frozen=True)
 class ClientUpload:
-    """One client's upload of a round."""
+    """One client's upload of a round, and the sample ids of its scores.
+    Scores, u-values and ids are (K, n), row k iteration k's; None where
+    the algorithm emits none."""
 
     model: np.ndarray
-    h1: Records  # with the u-values of its samples when the algorithm shares them
-    h2: Records
-    momentum: np.ndarray | None
+    h1: np.ndarray | None = None
+    h2: np.ndarray | None = None
+    h1_u: np.ndarray | None = None
+    momentum: np.ndarray | None = None
+    ids1: np.ndarray | None = None
+    ids2: np.ndarray | None = None
 
 
-def stack_uploads(uploads: list[ClientUpload]) -> RoundUpload:
-    """The round's upload table of every client's upload, in client order."""
+def stack_uploads(uploads: list[ClientUpload]) -> tuple[RoundUpload, tuple]:
+    """The round's upload table of every client's upload, in client order,
+    and the (N, K, n1) and (N, K, n2) sample ids of its h1 and h2."""
 
     def stacked(name):
         parts = [getattr(up, name) for up in uploads]
-        if parts[0] is None:
-            return None
-        return Records.concat(parts) if isinstance(parts[0], Records) else np.stack(parts)
+        return None if parts[0] is None else np.stack(parts)
 
-    return RoundUpload(models=stacked("model"), h1=stacked("h1"), h2=stacked("h2"),
-                       momenta=stacked("momentum"))
+    table = RoundUpload(models=stacked("model"), h1=stacked("h1"), h2=stacked("h2"),
+                        h1_u=stacked("h1_u"), momenta=stacked("momentum"))
+    return table, (stacked("ids1"), stacked("ids2"))
+
+
+def emitted_ids(program) -> tuple:
+    """The sample ids of the engine's emitted scores, (N, K, n1) and (N, K,
+    n2) in upload order, or (None, None) where it emits none. Read before
+    the next round's state replaces the emission batches."""
+    if program.h1 is None:
+        return None, None
+    return tuple(ids[program.rows, at].transpose(1, 0, 2)
+                 for ids, at in ((program.pos_ids, program.zh1), (program.neg_ids, program.zh2)))
 
 
 @dataclass
@@ -264,8 +269,15 @@ class ClientState:
     u_table: UTable | None = None
     pos_buffer: Buffer | None = None
     neg_buffer: Buffer | None = None
-    out_h1: list[Records] = field(default_factory=list)  # one block per emission
-    out_h2: list[Records] = field(default_factory=list)
+    # ClientUpload field -> one entry per emission this round.
+    out: dict[str, list] = field(default_factory=dict)
+
+    def emit(self, h1, ids1, h2, ids2, h1_u=None) -> None:
+        """Keep one iteration's scores of each side with their sample ids,
+        and the u-values of the h1 samples when the algorithm shares them."""
+        for name, value in (("h1", h1), ("ids1", ids1), ("h2", h2), ("ids2", ids2), ("h1_u", h1_u)):
+            if value is not None:
+                self.out.setdefault(name, []).append(value)
 
 
 def _draw_batch(rng: np.random.Generator, n: int, batch: int) -> np.ndarray:
@@ -284,8 +296,7 @@ def fedx1_estimate(st, iteration, z1, z2, lazy_neg, lazy_pos):
     d1 = -loss_and_slope(s.loss, a, lazy_neg)[1]
     d2 = loss_and_slope(s.loss, lazy_pos, b)[1]
     g = pull1(np.asarray(d1)) / len(z1) + pull2(np.asarray(d2)) / len(z2)
-    st.out_h1.append(records_of(a, st.index, iteration, shard.pos_ids[z1]))
-    st.out_h2.append(records_of(b, st.index, iteration, shard.neg_ids[z2]))
+    st.emit(a, shard.pos_ids[z1], b, shard.neg_ids[z2])
     return g
 
 
@@ -346,18 +357,16 @@ class ReferenceProgram:
                 a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
                 b = score_many(s.scorer, st.model, st.shard.neg_X[z2])
                 u = loss(s.loss, a, b[np.arange(len(a)) % len(b)]) if self.uses_u else None
-                st.out_h1.append(records_of(a, st.index, k, st.shard.pos_ids[z1], u))
-                st.out_h2.append(records_of(b, st.index, k, st.shard.neg_ids[z2]))
+                st.emit(a, st.shard.pos_ids[z1], b, st.shard.neg_ids[z2], u)
         return self.build_upload(st)
 
     def build_upload(self, st: ClientState) -> ClientUpload:
         up = ClientUpload(
             model=st.model.copy(),
-            h1=Records.concat(st.out_h1),
-            h2=Records.concat(st.out_h2),
             momentum=st.momentum.copy() if self.uses_momentum else None,
+            **{name: np.stack(parts) for name, parts in st.out.items()},
         )
-        st.out_h1, st.out_h2 = [], []
+        st.out = {}
         return up
 
     def begin_round(self, st: ClientState, download: RoundDownload, r: int) -> None:
@@ -366,7 +375,8 @@ class ReferenceProgram:
         if self.uses_momentum:
             st.momentum = download.momentum.copy()
         if self.shares_histories:
-            st.pos_buffer.refill(download.r1, substream(s.seed, "buffer-pos", st.index, r))
+            st.pos_buffer.refill(download.r1, substream(s.seed, "buffer-pos", st.index, r),
+                                 download.r1_u)
             st.neg_buffer.refill(download.r2, substream(s.seed, "buffer-neg", st.index, r))
 
     def local_step(self, st: ClientState, r: int, k: int, eta: float):
@@ -387,10 +397,10 @@ class ReferenceProgram:
         z1 = _draw_batch(g, st.shard.n_pos, h.B1)
         z2 = _draw_batch(g, st.shard.n_neg, h.B2)
         if self.alg == "fedx1":
-            lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
-            lazy_pos = st.pos_buffer.block.value[st.pos_buffer.draw(len(z2))]
+            lazy_neg = st.neg_buffer.block[st.neg_buffer.draw(len(z1))]
+            lazy_pos = st.pos_buffer.block[st.pos_buffer.draw(len(z2))]
             grad = fedx1_estimate(st, k, z1, z2, lazy_neg, lazy_pos)
-            est = float(np.mean(loss(s.loss, st.out_h1[-1].value, lazy_neg)))
+            est = float(np.mean(loss(s.loss, st.out["h1"][-1], lazy_neg)))
             st.model = st.model - eta * grad
             return est, None, grad
         if self.alg == "fedx2":
@@ -433,10 +443,10 @@ class ReferenceProgram:
 
     def _fedx2_step(self, st, g, k, z1, z2, eta):
         s, h = self.settings, self.settings.hyper
-        lazy_neg = st.neg_buffer.block.value[st.neg_buffer.draw(len(z1))]
+        lazy_neg = st.neg_buffer.block[st.neg_buffer.draw(len(z1))]
         paired = st.pos_buffer.draw(len(z2))
-        lazy_pos = st.pos_buffer.block.value[paired]
-        lazy_u = st.pos_buffer.block.u[paired]
+        lazy_pos = st.pos_buffer.block[paired]
+        lazy_u = st.pos_buffer.u[paired]
         a = score_many(s.scorer, st.model, st.shard.pos_X[z1])
         pair_loss = loss(s.loss, a, lazy_neg)
         st.u_table.track(z1, pair_loss, h.gamma)
@@ -449,8 +459,7 @@ class ReferenceProgram:
             zh1, zh2, ah = z1, z2, a
         bh = score_many(s.scorer, st.model, st.shard.neg_X[zh2])
         u_emit = st.u_table.emission(zh1, loss(s.loss, ah, lazy_neg))
-        st.out_h1.append(records_of(ah, st.index, k, st.shard.pos_ids[zh1], u_emit))
-        st.out_h2.append(records_of(bh, st.index, k, st.shard.neg_ids[zh2]))
+        st.emit(ah, st.shard.pos_ids[zh1], bh, st.shard.neg_ids[zh2], u_emit)
         st.momentum = momentum_update(st.momentum, grad, h.beta)
         st.model = st.model - eta * st.momentum
         return float(np.mean(pair_loss)), st.u_table.values[z1], grad
@@ -480,6 +489,7 @@ def one_client_fedx2(st, z1, z2, lazy_neg, lazy_pos, lazy_u) -> np.ndarray:
 @dataclass
 class ReferenceRound:
     table: RoundUpload
+    ids: tuple  # the sample ids of the table's h1 and h2, or None
     download: RoundDownload
     estimates: np.ndarray  # (K, N)
     wraps: int
@@ -503,8 +513,8 @@ def reference_rounds(
     def wraps() -> int:
         return sum(b.wraps for st in states for b in (st.pos_buffer, st.neg_buffer) if b)
 
-    table = stack_uploads([program.bootstrap_upload(st) for st in states])
-    rounds = [ReferenceRound(table, server_aggregate(table), np.empty((0, len(states))), 0)]
+    table, ids = stack_uploads([program.bootstrap_upload(st) for st in states])
+    rounds = [ReferenceRound(table, ids, server_aggregate(table), np.empty((0, len(states))), 0)]
     for r in range(1, hyper.R + 1):
         before = wraps()
         estimates = np.empty((hyper.K, len(states)))
@@ -521,6 +531,7 @@ def reference_rounds(
                                                  f"at round {r}, iteration {k}")
                 estimates[k, st.index] = est
             uploads.append(program.build_upload(st))
-        table = stack_uploads(uploads)
-        rounds.append(ReferenceRound(table, server_aggregate(table), estimates, wraps() - before))
+        table, ids = stack_uploads(uploads)
+        rounds.append(ReferenceRound(table, ids, server_aggregate(table), estimates,
+                                     wraps() - before))
     return rounds

@@ -14,6 +14,7 @@ from reference import (
     Shard,
     auc_bruteforce,
     client_shard,
+    emitted_ids,
     exact_inner_all,
     one_client_fedx1,
     one_client_fedx2,
@@ -132,6 +133,8 @@ def test_criterion_2_fedx1_unbiasedness():
     settings = RunSettings("fedx1", scorer, loss_spec, IDENTITY_OUTER, hyper)
     program = PROGRAMS["fedx1"](settings, ds)
     download = server_aggregate(program.bootstrap_uploads())
+    # The sample ids of the aggregate's scores, in download order.
+    pos_ids, neg_ids = (ids.reshape(-1) for ids in emitted_ids(program))
 
     # Leg A: the estimator through the real exchange machinery equals an
     # independent scalar recomputation, and under eta=0 every lazy record
@@ -155,9 +158,8 @@ def test_criterion_2_fedx1_unbiasedness():
             g = substream(42, "step", i, r, 0)
             z1 = g.choice(shard.n_pos, size=1, replace=False)
             z2 = g.choice(shard.n_neg, size=1, replace=False)
-            neg_block, pos_block = download.r2, download.r1
             (jn,), (jp,) = program.neg_at[0, i], program.pos_at[0, i]
-            lazy_neg, lazy_pos = neg_block.value[[jn]], pos_block.value[[jp]]
+            lazy_neg, lazy_pos = download.r2[[jn]], download.r1[[jp]]
             est = ests[i]
             a = float(np.dot(w0, shard.pos_X[z1[0]]))
             b = float(np.dot(w0, shard.neg_X[z2[0]]))
@@ -166,13 +168,14 @@ def test_criterion_2_fedx1_unbiasedness():
                 + _scalar_d2_psm(lazy_pos[0], b) * shard.neg_X[z2[0]]
             )
             frozen = (
-                lazy_neg[0] == all_scores[int(neg_block.sample_id[jn])]
-                and lazy_pos[0] == all_scores[int(pos_block.sample_id[jp])]
+                lazy_neg[0] == all_scores[int(neg_ids[jn])]
+                and lazy_pos[0] == all_scores[int(pos_ids[jp])]
             )
             if not (np.allclose(est, manual, rtol=1e-12) and frozen):
                 machinery_ok = False
         program.step(0, hyper.eta)
         download = server_aggregate(program.uploads())
+        pos_ids, neg_ids = (ids.reshape(-1) for ids in emitted_ids(program))
 
     # Leg B: 1e5 i.i.d. draws of the same (verified) estimator distribution:
     # active sample uniform on the client shard, lazy record uniform over

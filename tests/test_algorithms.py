@@ -10,6 +10,7 @@ from reference import (
     ClientState,
     Shard,
     client_shard,
+    emitted_ids,
     one_client_fedx1,
     one_client_fedx2,
     small_dataset,
@@ -103,15 +104,16 @@ class TestFedX1Estimate:
         for k in range(hyper.K):
             program.step(k, hyper.eta)
         up = program.uploads()
+        ids1, ids2 = emitted_ids(program)
+        assert up.h1.shape == up.h2.shape == ids1.shape == ids2.shape == (1, hyper.K, 1)
         w = program.model[0]
         for k in range(hyper.K):
             g = substream(3, "step", 0, 1, k)
             z1, z2 = g.choice(2, size=1, replace=False), g.choice(2, size=1, replace=False)
-            h1, h2 = (rec.iteration == k for rec in (up.h1, up.h2))
-            assert (list(up.h1.client[h1]), list(up.h1.sample_id[h1])) == ([0], list(shard.pos_ids[z1]))
-            assert (list(up.h2.client[h2]), list(up.h2.sample_id[h2])) == ([0], list(shard.neg_ids[z2]))
-            assert list(up.h1.value[h1]) == [w @ shard.pos_X[z1[0]]]
-            assert list(up.h2.value[h2]) == [w @ shard.neg_X[z2[0]]]
+            assert (list(ids1[0, k]), list(ids2[0, k])) == (list(shard.pos_ids[z1]),
+                                                            list(shard.neg_ids[z2]))
+            assert list(up.h1[0, k]) == [w @ shard.pos_X[z1[0]]]
+            assert list(up.h2[0, k]) == [w @ shard.neg_X[z2[0]]]
 
     def test_batch_size_mismatch_rejected(self):
         # Two sampled positives but one slope: that of the first against
@@ -368,9 +370,11 @@ class TestFedX2Run:
         program.step(0, hyper.eta)
         changed = np.flatnonzero(before[0] != table.values[0])
         assert len(changed) == hyper.B1
-        h1 = program.uploads().h1
-        assert np.count_nonzero((h1.client == 0) & (h1.iteration == 0)) == hyper.B1
-        assert len(h1.u) == len(h1)
+        up = program.uploads()
+        assert up.h1.shape == up.h1_u.shape == (2, hyper.K, hyper.B1)
+        # Client 0's iteration-0 emission: B1 distinct samples of its own.
+        ids = emitted_ids(program)[0][0, 0]
+        assert len(set(ids)) == hyper.B1 and set(ids) <= set(program.pos_ids[0])
 
     def test_emitted_u_values_never_zero(self):
         # Never-updated entries emit the full-replacement fallback, of which
@@ -386,7 +390,7 @@ class TestFedX2Run:
                 program.step(k, hyper.eta)
             table = program.uploads()
             download = server_aggregate(table)
-            assert table.h1.u.min() > 0
+            assert table.h1_u.min() > 0
 
     def test_paired_lazy_draws_share_provenance(self):
         ds = _dataset(n_clients=2, n_pos=4, n_neg=4)
@@ -395,14 +399,14 @@ class TestFedX2Run:
         program = PROGRAMS["fedx2"](settings, ds)
         download = server_aggregate(program.bootstrap_uploads())
 
-        # Every aggregated positive-side row holds a score and the u-value
-        # of one sample...
-        assert download.r1.u.shape == download.r1.value.shape
+        # Every aggregated positive-side position holds a score and the
+        # u-value of one sample...
+        assert download.r1_u.shape == download.r1.shape == emitted_ids(program)[0].reshape(-1).shape
         # ...and one drawn position reads both, preserving the pairing.
         program.begin_round(download, 1)
         drawn = program.pos_at[:, 0].reshape(-1)
-        assert program.lazy_pos[:, 0].reshape(-1).tobytes() == download.r1.value[drawn].tobytes()
-        assert program.lazy_u[:, 0].reshape(-1).tobytes() == download.r1.u[drawn].tobytes()
+        assert program.lazy_pos[:, 0].reshape(-1).tobytes() == download.r1[drawn].tobytes()
+        assert program.lazy_u[:, 0].reshape(-1).tobytes() == download.r1_u[drawn].tobytes()
 
     def test_single_pair_first_round_matches_centralized_direction(self):
         # On a 1-positive/1-negative instance every draw is the same sample,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_rounds, small_dataset
+from reference import emitted_ids, reference_rounds, small_dataset
 
 from fedcpr import algorithms
 from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings, simulate
@@ -61,31 +61,29 @@ LOSS_EVALS = {
 
 
 def _engine_rounds(algorithm, dataset, scorer, loss_spec, outer, hyper):
-    """The engine's upload tables, aggregates, estimates and wraps, round by
-    round."""
+    """The engine's upload tables, emitted ids, aggregates, estimates and
+    wraps, round by round."""
     program = PROGRAMS[algorithm](RunSettings(algorithm, scorer, loss_spec, outer, hyper), dataset)
     table = program.bootstrap_uploads()
-    rounds = [(table, server_aggregate(table), np.empty((0, program.n_clients)), 0)]
+    rounds = [(table, emitted_ids(program), server_aggregate(table),
+               np.empty((0, program.n_clients)), 0)]
     for r in range(1, hyper.R + 1):
-        wraps = program.begin_round(rounds[-1][1], r)
+        wraps = program.begin_round(rounds[-1][2], r)
         est = np.array([program.step(k, hyper.eta_at((r - 1) * hyper.K + k))[0]
                         for k in range(hyper.K)])
         table = program.uploads()
-        rounds.append((table, server_aggregate(table), est, wraps))
+        rounds.append((table, emitted_ids(program), server_aggregate(table), est, wraps))
     return rounds
 
 
-def _columns(records):
-    return [None if col is None else (col.dtype.str, col.tobytes()) for col in
-            (records.value, records.client, records.iteration, records.sample_id, records.u)]
+def _arrays(*arrays):
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def _table_bytes(table):
-    """Every column of an upload table; the ``client`` column of each record
-    block pins each client's rows."""
-    return (table.models.shape, table.models.tobytes(),
-            None if table.momenta is None else table.momenta.tobytes(),
-            _columns(table.h1), _columns(table.h2))
+def _table_bytes(table, ids):
+    """Every array of an upload table, and the sample ids of its scores:
+    row i of each is client i's, so the ids pin each emission position."""
+    return _arrays(table.models, table.momenta, table.h1, table.h2, table.h1_u, *ids)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -98,8 +96,8 @@ def test_engine_matches_per_client_reference(case, variant):
     got = _engine_rounds(algorithm, ds, scorer, loss_spec, outer, hyper)
     want = reference_rounds(algorithm, ds, scorer, loss_spec, outer, hyper)
     assert len(got) == len(want) == hyper.R + 1
-    for (table, download, est, wraps), ref in zip(got, want):
-        assert _table_bytes(table) == _table_bytes(ref.table)
+    for (table, ids, download, est, wraps), ref in zip(got, want):
+        assert _table_bytes(table, ids) == _table_bytes(ref.table, ref.ids)
         assert download.model.tobytes() == ref.download.model.tobytes()
         assert est.tobytes() == ref.estimates.tobytes()
         assert wraps == ref.wraps
@@ -172,8 +170,8 @@ def test_engine_matches_per_client_reference_on_random_shapes(variant, run):
             return
         got = _engine_rounds(*args)
     assert len(got) == len(want) == hyper.R + 1
-    for (table, download, est, wraps), ref in zip(got, want):
-        assert _table_bytes(table) == _table_bytes(ref.table)
+    for (table, ids, download, est, wraps), ref in zip(got, want):
+        assert _table_bytes(table, ids) == _table_bytes(ref.table, ref.ids)
         assert download.model.tobytes() == ref.download.model.tobytes()
         assert est.tobytes() == ref.estimates.tobytes()
         assert wraps == ref.wraps

@@ -8,78 +8,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import Buffer, ClientUpload, records_of, small_dataset, stack_uploads
+from reference import Buffer, ClientUpload, emitted_ids, small_dataset, stack_uploads
 
-from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings
+from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings, simulate
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.federation import (
     ProtocolError,
-    Records,
     RoundUpload,
     comm_cost,
     buffer_draw,
     server_aggregate,
     tree_mean,
 )
+from fedcpr.harness import parse_config
 from fedcpr.losses import IDENTITY_OUTER, OuterFnSpec, PairwiseLossSpec
 from fedcpr.model import ScorerSpec
 from fedcpr.rng import substream, substreams
 
 
-def _records(client, count, iteration=0):
-    ids = np.arange(count)
-    return records_of(client * 100.0 + ids, client, iteration, ids)
-
-
-def _block(clients, k=1):
-    """k records of each client in ``clients``, in that order."""
-    return Records.concat([_records(c, k) for c in clients])
+def _block(n_clients, k=1):
+    """k scores of each of ``n_clients`` clients at one iteration, (N, 1, k)."""
+    return np.arange(n_clients * k, dtype=float).reshape(n_clients, 1, k)
 
 
 def _table(models, k=2, momenta=None):
-    """An upload table of one client per model row, each with k records per
+    """An upload table of one client per model row, each with k scores per
     side."""
-    clients = range(len(models))
     return RoundUpload(
         models=np.asarray(models, dtype=float),
-        h1=_block(clients, k),
-        h2=_block(clients, k),
+        h1=_block(len(models), k),
+        h2=_block(len(models), k),
         momenta=None if momenta is None else np.asarray(momenta, dtype=float),
     )
 
 
 def _with_u(table):
     """The table with u-values on its positive-side scores."""
-    return replace(table, h1=replace(table.h1, u=np.ones(len(table.h1))))
-
-
-def _rows(block, positions=None):
-    """(value, client, iteration, sample_id) tuples of a block's rows."""
-    if positions is None:
-        positions = np.arange(len(block))
-    return list(zip(block.value[positions], block.client[positions],
-                    block.iteration[positions], block.sample_id[positions]))
-
-
-class TestRecords:
-    def test_rejects_u_column_of_wrong_length(self):
-        # A u-value shares its row with the score of its sample, so a u
-        # column that is not one value per row cannot be built.
-        h1 = _block([0, 1], 2)
-        for u in (np.ones(3), np.ones(5), np.ones((4, 1))):
-            with pytest.raises(ValueError, match="equal shapes"):
-                replace(h1, u=u)
-        table = _with_u(_table([[0.0], [0.0]], k=2))
-        assert server_aggregate(table).r1 is table.h1
-
-    def test_concat_carries_u(self):
-        a = records_of([1.0], 0, 0, [5], u=[0.5])
-        b = records_of([2.0, 3.0], 1, 0, [6, 7], u=[0.25, 0.75])
-        both = Records.concat([a, b])
-        assert both.u.dtype == np.float64 and list(both.u) == [0.5, 0.25, 0.75]
-        assert Records.concat([_block([0]), _block([1])]).u is None
-        with pytest.raises(ValueError, match="with and without u-values"):
-            Records.concat([a, _block([1])])
+    return replace(table, h1_u=np.ones_like(table.h1))
 
 
 class TestServerAggregate:
@@ -90,6 +55,18 @@ class TestServerAggregate:
     def test_two_client_mean(self):
         down = server_aggregate(_table([[0.0, 0.0], [2.0, 4.0]]))
         np.testing.assert_array_equal(down.model, [1.0, 2.0])
+
+    def test_rejects_u_values_not_shaped_like_h1(self):
+        # A u-value belongs to the score at the same position, so u-values
+        # that are not one per score are rejected.
+        table = _table([[0.0], [0.0]], k=2)
+        for u in (np.ones((2, 1, 3)), np.ones((2, 2, 1)), np.ones((2, 2)), np.ones((1, 1, 2))):
+            with pytest.raises(ProtocolError, match="^h1_u must"):
+                server_aggregate(replace(table, h1_u=u))
+        with pytest.raises(ProtocolError, match="^h1_u must be shaped like h1$"):
+            server_aggregate(replace(table, h1_u=np.ones((2, 1, 3))))
+        down = server_aggregate(_with_u(table))
+        assert down.r1_u.tolist() == [1.0] * 4 and down.r1.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_history_union_size(self):
         k = 5
@@ -103,22 +80,16 @@ class TestServerAggregate:
 
     def test_rejects_empty_table(self):
         with pytest.raises(ProtocolError, match="no uploads"):
-            server_aggregate(RoundUpload(np.empty((0, 1)), _block([]), _block([])))
+            server_aggregate(RoundUpload(np.empty((0, 1)), _block(0), _block(0)))
 
-    def test_rejects_bad_client_indices(self):
-        # Records of a client the table has no model row for, or of a
-        # negative client, on either side.
-        for clients in ([0, 2], [-1, 0]):
-            for side in ("h1", "h2"):
-                table = replace(_table([[0.0], [0.0]], k=1), **{side: _block(clients)})
-                with pytest.raises(ProtocolError, match="client order, clients 0..1"):
-                    server_aggregate(table)
-
-    def test_rejects_records_out_of_client_order(self):
+    def test_rejects_block_without_one_row_per_client(self):
+        # Scores of more or fewer clients than the table has model rows, or
+        # without a client axis, on either side.
         table = _table([[0.0], [0.0]], k=1)
-        for side in ("h1", "h2"):
-            with pytest.raises(ProtocolError, match=f"^{side} records must be in client order"):
-                server_aggregate(replace(table, **{side: _block([1, 0])}))
+        for block in (_block(3), _block(1), np.zeros((2, 2)), np.zeros(2)):
+            for side in ("h1", "h2"):
+                with pytest.raises(ProtocolError, match=f"^{side} must hold one row per client"):
+                    server_aggregate(replace(table, **{side: block}))
 
     def test_tree_mean_matches_plain_mean(self):
         rng = np.random.default_rng(0)
@@ -175,17 +146,43 @@ class TestCommCost:
         d, k = 10, 4
         table = _table(np.zeros((2, d)), k=k)
         down = server_aggregate(table)
-        up, down_floats = comm_cost(table, down)
-        assert up.tolist() == [d + 2 * k] * 2 and down_floats == d + 2 * (2 * k)  # (18, 26)
+        assert comm_cost(table, down) == (d + 2 * k, d + 2 * (2 * k))  # (18, 26)
 
     def test_nonlinear_algorithm_example(self):
         d, k = 10, 4
         table = _table(np.zeros((2, d)), k=k, momenta=np.zeros((2, d)))
         table = _with_u(table)
         down = server_aggregate(table)
-        up, down_floats = comm_cost(table, down)
-        assert up.tolist() == [2 * d + 3 * k] * 2  # 32
-        assert down_floats == 2 * d + 3 * (2 * k)
+        assert comm_cost(table, down) == (2 * d + 3 * k, 2 * d + 3 * (2 * k))  # (32, 44)
+
+
+# The default config (d = 8, N = 16, 4 positives and 20 negatives per
+# client) at K = 2, so the effective batches are B1 = min(32, 4) = 4 and
+# B2 = min(32, 20) = 20. Per client and round: (uplink, downlink) floats.
+D, K2, N16, EB1, EB2 = 8, 2, 16, 4, 20
+TRAFFIC = {
+    ("local_sgd", "identity"): (D, D),  # (8, 8)
+    ("local_pair", "identity"): (D, D),  # (8, 8)
+    ("local_pair", "kl_log"): (2 * D, 2 * D),  # model and momentum: (16, 16)
+    ("centralized", "identity"): (D, D),  # (8, 8)
+    ("centralized", "kl_log"): (2 * D, 2 * D),  # (16, 16)
+    # d + K(B1+B2) up; every client's records down: (56, 776)
+    ("fedx1", "identity"): (D + K2 * (EB1 + EB2), D + N16 * K2 * (EB1 + EB2)),
+    # 2d + K(2B1+B2) up, u-values riding with the positive scores: (72, 912)
+    ("fedx2", "kl_log"): (2 * D + K2 * (2 * EB1 + EB2), 2 * D + N16 * K2 * (2 * EB1 + EB2)),
+}
+
+
+@pytest.mark.parametrize("algorithm,outer", list(TRAFFIC))
+def test_every_algorithms_uplink_and_downlink(algorithm, outer):
+    cfg = parse_config(f"algorithm = {algorithm}\nouter.kind = {outer}\nhyper.K = 2\nhyper.R = 1\n")
+    trace = simulate(algorithm, build_dataset(cfg.data), cfg.scorer, cfg.loss, cfg.outer,
+                     cfg.hyper, eval_every=0, oracle_every=0)
+    up, down = TRAFFIC[algorithm, outer]
+    assert [(r.uplink_floats, r.downlink_floats) for r in trace.rounds] == [(up, down)] * 2
+    # centralized is one worker; every other program sends from N clients.
+    senders = 1 if algorithm == "centralized" else N16
+    assert trace.total_floats == 2 * senders * (up + down)
 
 
 def _fedx1_fixture(n_clients=2, K=3, B=2, eta=0.05, seed=9):
@@ -215,14 +212,14 @@ class TestRoundContract:
     def test_history_partition_of_provenance(self):
         program, hyper = _fedx1_fixture()
         download = server_aggregate(program.bootstrap_uploads())
-        download, _ = _one_round(program, hyper, download, 1)
+        download, table = _one_round(program, hyper, download, 1)
         n, k, b = program.n_clients, hyper.K, hyper.B1
-        for hist in (download.r1, download.r2):
-            assert len(hist) == n * k * b
+        sides = ((table.h1, download.r1, program.pos_ids), (table.h2, download.r2, program.neg_ids))
+        for (block, hist, own), ids in zip(sides, emitted_ids(program)):
+            assert block.shape == ids.shape == (n, k, b) and len(hist) == n * k * b
             for client in range(n):
-                mine = hist.client == client
-                assert mine.sum() == k * b
-                assert set(hist.iteration[mine]) == set(range(k))
+                # Row i holds client i's own samples, B of them per iteration.
+                assert set(ids[client].ravel()) <= set(own[client])
 
     def test_lazy_records_are_exactly_one_round_stale(self):
         # One client, so the round's K*B lazy negatives are one full lap.
@@ -230,10 +227,13 @@ class TestRoundContract:
         download0 = server_aggregate(program.bootstrap_uploads())
         # Round 1 draws its lazy records from exactly the round-0 aggregate,
         # so every draw is one round stale.
+        ids = emitted_ids(program)[1].reshape(-1)
         wraps = program.begin_round(download0, 1)
         drained = program.neg_at[:, 0].reshape(-1)
-        assert sorted(_rows(download0.r2, drained)) == sorted(_rows(download0.r2))
-        assert program.lazy_neg[:, 0].reshape(-1).tobytes() == download0.r2.value[drained].tobytes()
+        # Every round-0 score is read once, with the sample it scored.
+        assert sorted(drained) == list(range(len(download0.r2)))
+        assert sorted(ids[drained]) == sorted(ids)
+        assert program.lazy_neg[:, 0].reshape(-1).tobytes() == download0.r2[drained].tobytes()
         assert wraps == 0
 
     def test_zero_eta_keeps_models_at_global_model(self):
@@ -259,10 +259,10 @@ class TestRoundContract:
 
     def test_barrier_requires_all_uploads(self):
         # The engine aggregates all N uploads at once; a table missing a
-        # client (records of client 1, a model row for one client only) is
+        # client (scores of two clients, a model row for one client only) is
         # rejected.
         with pytest.raises(ProtocolError):
-            server_aggregate(RoundUpload(np.zeros((1, 1)), _block([1], 2), _block([1], 2)))
+            server_aggregate(RoundUpload(np.zeros((1, 1)), _block(2, 2), _block(2, 2)))
 
 
 _draw_plans = st.tuples(
@@ -296,8 +296,8 @@ class TestBufferProperties:
         n, sizes, seed = plan
         drawn, wraps = buffer_draw(substream(seed, "prop"), n, sum(sizes))
         a, b = Buffer(), Buffer()
-        a.refill(_records(0, n), substream(seed, "prop"))
-        b.refill(_records(1, n), substream(seed, "prop"))
+        a.refill(np.zeros(n), substream(seed, "prop"))
+        b.refill(np.ones(n), substream(seed, "prop"))
         chunks = []
         for c in sizes:
             chunks.append(a.draw(c))
@@ -335,7 +335,7 @@ class TestBatchedBufferDraws:
             np.testing.assert_array_equal(drawn, want)
             assert wraps == want_wraps == math.ceil(count / size) - 1
             ref = Buffer()
-            ref.refill(_records(0, size), substream(seed, *tags))
+            ref.refill(np.zeros(size), substream(seed, *tags))
             np.testing.assert_array_equal(ref.draw(count), drawn)
             assert ref.wraps == wraps
             # The positions own their memory: no whole lap is kept alive.
@@ -346,22 +346,14 @@ def _fed_table(n_clients, d, K, B1, B2, nonlinear, rng):
     """An upload table shaped like one round of fedx1 (or fedx2 when
     nonlinear)."""
 
-    def block(client, b):
-        return Records.concat([
-            records_of(rng.standard_normal(b), client, k, rng.integers(0, 99, b))
-            for k in range(K)
-        ])
-
-    uploads = []
-    for i in range(n_clients):
-        h1 = block(i, B1)
-        uploads.append(ClientUpload(
-            model=rng.standard_normal(d),
-            h1=replace(h1, u=rng.standard_normal(len(h1))) if nonlinear else h1,
-            h2=block(i, B2),
-            momentum=rng.standard_normal(d) if nonlinear else None,
-        ))
-    return stack_uploads(uploads)
+    uploads = [ClientUpload(
+        model=rng.standard_normal(d),
+        h1=rng.standard_normal((K, B1)),
+        h2=rng.standard_normal((K, B2)),
+        h1_u=rng.standard_normal((K, B1)) if nonlinear else None,
+        momentum=rng.standard_normal(d) if nonlinear else None,
+    ) for _ in range(n_clients)]
+    return stack_uploads(uploads)[0]
 
 
 class TestAggregateProperties:
@@ -381,18 +373,19 @@ class TestAggregateProperties:
         assert (down.momentum is None) == (table.momenta is None) == (not nonlinear)
         if nonlinear:
             assert down.momentum.tobytes() == tree_mean(list(table.momenta)).tobytes()
-        assert (down.r1, down.r2) == (table.h1, table.h2)
-        assert (down.r1.u is None) == (not nonlinear)
-        for block in (down.r1, down.r2):
-            assert list(block.client) == sorted(block.client)
+        # Each block passes through flattened in client-major order.
+        assert (table.h1.shape, table.h2.shape) == ((n, K, B1), (n, K, B2))
+        assert (down.r1_u is None) == (table.h1_u is None) == (not nonlinear)
+        for got, sent in ((down.r1, table.h1), (down.r2, table.h2), (down.r1_u, table.h1_u)):
+            if sent is not None:
+                assert got.tobytes() == sent.tobytes()
 
         # README: per client and round the uplink carries d + K(B1+B2)
         # floats for fedx1 and 2d + K(2B1+B2) for fedx2; the downlink
         # carries the same with every client's records.
         rows = K * (2 * B1 + B2) if nonlinear else K * (B1 + B2)
         dims = 2 * d if nonlinear else d
-        up, down_floats = comm_cost(table, down)
-        assert (up.tolist(), down_floats) == ([dims + rows] * n, dims + n * rows)
+        assert comm_cost(table, down) == (dims + rows, dims + n * rows)
 
 
 class TestRaggedAccounting:
@@ -418,9 +411,9 @@ class TestRaggedAccounting:
         dims = scorer.param_count * (2 if fedx2 else 1)
         for table in tables:
             down = server_aggregate(table)
-            for block in (table.h1, table.h2):
-                assert (np.diff(block.client) >= 0).all()
-            assert (table.h1.u is not None) == fedx2
             n1, n2 = min(hyper.B1, n_pos), min(hyper.B2, n_neg)
+            assert (table.h1.shape, table.h2.shape) == ((n_clients, hyper.K, n1),
+                                                        (n_clients, hyper.K, n2))
+            assert (table.h1_u is not None) == fedx2
             rows = hyper.K * (2 * n1 + n2 if fedx2 else n1 + n2)
-            assert comm_cost(table, down)[0].tolist() == [dims + rows] * n_clients
+            assert comm_cost(table, down)[0] == dims + rows

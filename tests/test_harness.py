@@ -501,6 +501,21 @@ class TestSweep:
             sweep(parse_config(TINY), "K", [0], tmp_path / "z")
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize("axis,values", [
+        ("K", [2, 2.5]), ("N", [2.0]), ("K", ["3"]), ("K", [True]), ("N", [1, False]),
+    ])
+    def test_non_integer_value_rejected_before_any_run(self, tmp_path, axis, values):
+        # K=2 of [2, 2.5] must not run and write its trace before 2.5 is
+        # rejected.
+        with pytest.raises(ConfigError, match=r"^values: must be integers, got \["):
+            sweep(parse_config(TINY), axis, values, tmp_path / "i")
+        assert not (tmp_path / "i").exists()
+
+    def test_numpy_integer_values_run(self, tmp_path):
+        rows = sweep(parse_config(TINY), "K", [np.int64(1)], tmp_path / "np")
+        assert [r["value"] for r in rows] == [1]
+        assert (tmp_path / "np" / "trace_K1.csv").exists()
+
     def test_repeated_value_rejected_before_any_run(self, tmp_path):
         # A second K=2 run would overwrite trace_K2.csv and add a second row.
         with pytest.raises(ConfigError, match=r"^values: 2 is repeated"):
