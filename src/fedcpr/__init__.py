@@ -26,7 +26,6 @@ from .data import (
 from .federation import (
     RoundDownload,
     RoundUpload,
-    buffer_draw,
     comm_cost,
     server_aggregate,
 )

@@ -8,8 +8,8 @@ then R rounds of K local steps between exchanges):
   factors (fresh scores of locally sampled data at the current local
   model, whose pullback turns per-sample weights into a gradient) with
   *lazy* factors (score records produced on all machines during the
-  previous round, delivered via the server and read at positions that
-  :func:`~fedcpr.federation.buffer_draw` draws without replacement).
+  previous round, delivered via the server and read at positions drawn
+  without replacement, :func:`~fedcpr.rng.buffer_positions`).
 * ``fedx2`` (nonlinear outer function): adds a per-positive-sample moving
   average ``u`` tracking the inner pairwise mean, whose values travel in
   an array shaped like the positive-side scores (so each drawn position
@@ -34,12 +34,10 @@ work. The program holds the N clients' data and state stacked along a
 leading client axis, as the dataset stacks each client as a row: models and
 momenta as (N, d), u-tables as (N, n_pos). At the start of a round the
 program's ``_prepare`` makes the round state of (K, N, n) arrays: the
-update batches ``z1``/``z2`` and emission batches ``zh1``/``zh2`` from one
-:func:`~fedcpr.rng.choices` call (each row bit for bit the
-``Generator.choice`` calls of that client-step's substream); the lazy
-records ``lazy_neg``/``lazy_pos``/``lazy_u`` at each client's
-:func:`~fedcpr.federation.buffer_draw` positions, its streams of each side
-seeded in one :func:`~fedcpr.rng.substreams` pass; and the emitted records
+update batches ``z1``/``z2`` and emission batches ``zh1``/``zh2``
+(:func:`~fedcpr.rng.batches`); the lazy records
+``lazy_neg``/``lazy_pos``/``lazy_u`` at each client's positions in the
+aggregate (:func:`~fedcpr.rng.buffer_positions`); and the emitted records
 ``h1``/``h2``/``h1_u``, which step k fills at slice k. Each local step k is
 one stacked call of the program's ``local_step``. It scores each batch in
 one forward pass, whose pullback gives the gradient terms, and
@@ -49,10 +47,10 @@ are the score blocks of the round's upload table. Stacked matmuls loop
 the same BLAS calls over the client axis, so every value is bit for bit
 what the clients would compute one after another.
 
-Every random draw comes from a named substream keyed by
-(seed, purpose, client, round, iteration), so a run's trace is
-byte-identical for a given (config, seed) on one numeric profile: numpy's
-SIMD dispatch for exp and log, and the BLAS kernel for matmuls.
+Every random draw comes from a named substream (:mod:`fedcpr.rng`), so a
+run's trace is byte-identical for a given (config, seed) on one numeric
+profile: numpy's SIMD dispatch for exp and log, and the BLAS kernel for
+matmuls.
 The package's ``fingerprints.json`` pins the traces per profile; traces
 that are the same on every profile are left to the ROADMAP item on portable
 traces.
@@ -67,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FederatedDataset
-from .federation import RoundDownload, RoundUpload, buffer_draw, comm_cost, server_aggregate
+from .federation import RoundDownload, RoundUpload, comm_cost, server_aggregate
 from .fields import check_numbers
 from .losses import (
     OuterFnSpec,
@@ -79,8 +77,8 @@ from .losses import (
     outer_deriv,
 )
 from .metrics import ScoredEval, auc_and_partial_aucs
-from .model import ScorerSpec, _vecmat, init_params, score_grad_many, score_many
-from .rng import choices, substream, substreams
+from .model import ScorerSpec, _vecmat, initial_model, score_grad_many, score_many
+from .rng import batches, buffer_positions
 
 # The false-positive-rate caps of the held-out partial AUCs.
 PAUC_FPRS = (0.3, 0.5)
@@ -292,13 +290,12 @@ class PairwiseProgram:
     """The round engine, with the pairwise local step of fedx1, fedx2 and
     local_pair; the two other baselines replace the step. It holds every
     client's data and state stacked along a leading client axis of length
-    N, so every client's step k is one stacked operation; only the buffer
-    draws loop over clients, once per round in :meth:`begin_round`.
+    N, so every client's step k is one stacked operation.
 
     Two values read from the settings tell the three algorithms apart:
 
     * ``lazy`` (fedx1, fedx2): partner scores are the previous round's
-      records at :func:`buffer_draw` positions, and each step's fresh
+      records at :func:`~fedcpr.rng.buffer_positions`, and each step's fresh
       scores go out for the next round. Otherwise (local_pair) they are
       the cycled opposite-side local batch.
     * ``nonlinear`` (an outer function other than identity): the u-tracker
@@ -325,8 +322,7 @@ class PairwiseProgram:
         self.n_clients, self.n_pos = self.pos_ids.shape
         self.n_neg = self.neg_ids.shape[1]
         self.rows = np.arange(self.n_clients)[:, None]  # pairs with (N, n) positions
-        w0 = init_params(settings.scorer, substream(settings.seed, "init"))
-        self.model = np.tile(w0, (self.n_clients, 1))
+        self.model = np.tile(initial_model(settings.scorer, settings.seed), (self.n_clients, 1))
         self.lazy = settings.algorithm in ("fedx1", "fedx2")
         # local_sgd's update has no outer function; the configured one only
         # enters the reported objective.
@@ -342,15 +338,6 @@ class PairwiseProgram:
     def _data(self, dataset: FederatedDataset) -> tuple[np.ndarray, ...]:
         """The stacked (pos_ids, pos_X, neg_ids, neg_X), row i client i's."""
         return dataset.pos_ids, dataset.pos_X, dataset.neg_ids, dataset.neg_X
-
-    def _draws(self, sizes, purpose: str, *tags) -> list[np.ndarray]:
-        """Per (pop, batch) of ``sizes`` in turn, a (K, N, min(batch, pop))
-        array of positions drawn without replacement from stream ``(purpose,
-        client, *tags, k)`` of every client and local step k."""
-        K, N = self.settings.hyper.K, self.n_clients
-        streams = [(purpose, i, *tags, k) for k in range(K) for i in range(N)]
-        specs = [(pop, min(batch, pop)) for pop, batch in sizes]
-        return [d.reshape(K, N, d.shape[1]) for d in choices(self.settings.seed, streams, specs)]
 
     def sampled(self, k: int, emission: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Step k's positive and negative rows, (N, n1, input_dim) and (N,
@@ -371,7 +358,8 @@ class PairwiseProgram:
         K batches per side scored at the initial model."""
         s, h = self.settings, self.settings.hyper
         if self.lazy:
-            self.zh1, self.zh2 = self._draws([(self.n_pos, h.B1), (self.n_neg, h.B2)], "bootstrap")
+            self.zh1, self.zh2 = batches(h.seed, [(self.n_pos, h.B1), (self.n_neg, h.B2)],
+                                         h.K, self.n_clients, "bootstrap")
             a = self.h1 = score_many(s.scorer, self.model, self.pos_X[self.rows, self.zh1])
             b = self.h2 = score_many(s.scorer, self.model, self.neg_X[self.rows, self.zh2])
             # Full-replacement u-estimates so the first cross-client
@@ -394,23 +382,16 @@ class PairwiseProgram:
         h = self.settings.hyper
         pair = [(self.n_pos, h.B1), (self.n_neg, h.B2)]
         # fedx2's separate emission batches are drawn after the update ones.
-        batches = self._draws(pair + pair if self.separate else pair, "step", round_idx)
-        (self.z1, self.z2), (self.zh1, self.zh2) = batches[:2], batches[-2:]
+        drawn = batches(h.seed, pair + pair if self.separate else pair, h.K, self.n_clients,
+                        "step", round_idx)
+        (self.z1, self.z2), (self.zh1, self.zh2) = drawn[:2], drawn[-2:]
         if not self.lazy:
             return 0
-
-        def positions(side: str, block: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-            # One draw of all K steps' entries per client: the same
-            # positions as K draws of n. Each client's draw is done before
-            # the next stream is taken, as substreams requires.
-            streams = [(side, i, round_idx) for i in range(self.n_clients)]
-            drawn = [buffer_draw(g, len(block), h.K * n)
-                     for g in substreams(self.settings.seed, streams)]
-            at = np.stack([pos.reshape(h.K, n) for pos, _ in drawn], axis=1)
-            return at, sum(wraps for _, wraps in drawn)
-
-        self.neg_at, neg_wraps = positions("buffer-neg", download.r2, self.z1.shape[-1])
-        self.pos_at, pos_wraps = positions("buffer-pos", download.r1, self.z2.shape[-1])
+        N, n1, n2 = self.n_clients, self.z1.shape[-1], self.z2.shape[-1]
+        self.neg_at, neg_wraps = buffer_positions(h.seed, "buffer-neg", round_idx, N,
+                                                  len(download.r2), h.K, n1)
+        self.pos_at, pos_wraps = buffer_positions(h.seed, "buffer-pos", round_idx, N,
+                                                  len(download.r1), h.K, n2)
         self.lazy_neg = download.r2[self.neg_at]
         self.lazy_pos = download.r1[self.pos_at]
         self.h1, self.h2 = np.empty(self.zh1.shape), np.empty(self.zh2.shape)
@@ -483,7 +464,8 @@ class LocalSGDProgram(PairwiseProgram):
 
     def _prepare(self, download: RoundDownload, round_idx: int) -> int:
         h = self.settings.hyper
-        (idx,) = self._draws([(self.n_pos + self.n_neg, h.B1 + h.B2)], "step", round_idx)
+        (idx,) = batches(h.seed, [(self.n_pos + self.n_neg, h.B1 + h.B2)], h.K, self.n_clients,
+                         "step", round_idx)
         union = np.concatenate([self.pos_X, self.neg_X], axis=1)
         labels = np.concatenate([np.ones(self.n_pos), -np.ones(self.n_neg)])
         self.x, self.y = union[self.rows, idx], labels[idx]

@@ -18,8 +18,7 @@ import numpy as np
 from .data import build_dataset
 from .harness import ConfigError, parse_config_file, run, sweep
 from .losses import exact_oracle
-from .model import init_params
-from .rng import substream
+from .model import initial_model
 from .selftest import run_selftest
 
 
@@ -80,7 +79,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     config = parse_config_file(args.config)
     dataset = build_dataset(config.data)
-    w0 = init_params(config.scorer, substream(config.hyper.seed, "init"))
+    w0 = initial_model(config.scorer, config.hyper.seed)
     _, pos_X = dataset.pos_union()
     _, neg_X = dataset.neg_union()
     obj, grad = exact_oracle(config.loss, config.outer, config.scorer, w0, pos_X, neg_X)

@@ -1,5 +1,5 @@
-"""Communication fabric: the round's upload table, shuffled buffer draws,
-server aggregation, and message accounting.
+"""Communication fabric: the round's upload table, server aggregation, and
+message accounting.
 
 One round = every client uploads (model, this round's scores, and for the
 nonlinear-f algorithm its momentum and u-values), the server averages the
@@ -14,11 +14,10 @@ is client i's score at iteration k of the m-th sample of its emission
 batch. fedx2's u-values are an array of the same shape, entry for entry
 the u-value of the scored sample. The download flattens each array in C
 order, so one position reads a score and the u-value of the same sample.
-Clients read the download at the positions :func:`buffer_draw` gives: a
-shuffle of the whole block, drawn without replacement. Scores consumed in
-round r were produced in round r-1, never earlier, because every round's
-draws are made afresh from that round's aggregate. Only what is counted is
-sent: the sampled rows' identities stay with the engine.
+Clients read the download at positions that :mod:`fedcpr.rng` draws afresh
+each round, so scores consumed in round r were produced in round r-1, never
+earlier. Only what is counted is sent: the sampled rows' identities stay
+with the engine.
 """
 
 from __future__ import annotations
@@ -93,29 +92,6 @@ def server_aggregate(table: RoundUpload) -> RoundDownload:
         r1_u=r1_u,
         momentum=None if table.momenta is None else tree_mean(table.momenta),
     )
-
-
-def buffer_draw(
-    rng: np.random.Generator, size: int, count: int
-) -> tuple[np.ndarray, int]:
-    """``count`` positions into a received block of ``size`` records, drawn
-    without replacement from a shuffle of the block, and the wraps.
-
-    When the draws exhaust the block mid-round, the same positions are
-    reshuffled and drawing continues (wrap-around); ``wraps`` counts those
-    events so tests can assert they never happen under default
-    configurations. Each lap is the next ``rng.permutation(size)``; the
-    positions come back in an array of their own, so no lap outlives the
-    call.
-    """
-    if not size:
-        raise ProtocolError("cannot draw from an empty aggregate")
-    if count < 1:
-        raise ValueError("count must be positive")
-    out = np.empty(count, dtype=np.int64)
-    for done in range(0, count, size):
-        out[done:done + size] = rng.permutation(size)[:count - done]
-    return out, (count - 1) // size
 
 
 def comm_cost(upload: RoundUpload, download: RoundDownload) -> tuple[int, int]:

@@ -60,6 +60,8 @@ class RunConfig:
         for name in ("eval_every_rounds", "oracle_every_rounds"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if not self.output_path:  # Path("") would name the working directory
+            raise ValueError("output_path must not be empty")
         if self.scorer.input_dim != self.data.input_dim:
             raise ValueError("scorer.input_dim must match data.input_dim")
         check_algorithm(self.algorithm, self.outer)
@@ -269,7 +271,9 @@ def run(
             data=_build(partial(replace, config.data), "data", {"seed": seed}),
             hyper=_build(partial(replace, config.hyper), "hyper", {"seed": seed}),
         )
-    out_path = Path(out) if out is not None else Path(config.output_path)
+    if out is not None:
+        config = _build(partial(replace, config), "", {"output_path": str(out)})
+    out_path = Path(config.output_path)
     config = replace(config, output_path=str(out_path))
     iter_path = out_path.with_name(out_path.name + ".iters.csv") if iteration_trace else None
     sink = CsvTraceSink(out_path, config, iteration_path=iter_path)

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import check_numbers
+from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -124,3 +125,9 @@ def init_params(spec: ScorerSpec, rng: np.random.Generator) -> np.ndarray:
     hidden = rng.standard_normal((h, d)) / np.sqrt(d)
     out = rng.standard_normal(h) / np.sqrt(h)
     return np.concatenate([hidden.ravel(), out])
+
+
+def initial_model(spec: ScorerSpec, seed: int) -> np.ndarray:
+    """The model every client of a run starts from: :func:`init_params` on
+    the run seed's ``("init",)`` stream."""
+    return init_params(spec, substream(seed, "init"))

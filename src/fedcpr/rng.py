@@ -4,6 +4,10 @@ Every random draw in the package flows through a named substream, so any
 draw is attributable to a named stream and replays bitwise given the same
 seed, regardless of the order in which clients run.
 
+Every draw of the round engine after the initial model is made here:
+:func:`batches` draws the minibatches, and :func:`buffer_positions` the
+positions at which clients read the aggregate.
+
 Port contract (what an alternate-language port needs besides PCG64):
 
 * Key. The seed is encoded as 8 signed big-endian bytes, each tag is
@@ -37,8 +41,8 @@ and adds nothing to the contract: the SHA-256 inputs are the bytes
 :func:`derive_key` hashes, the pool mixing runs on (S, 4) uint32 arrays, and
 128-bit numbers are (high, low) uint64 halves. All streams then advance
 together, one PCG64 step ``state * M + inc`` per 64-bit output, followed by
-its XSL-RR output. :func:`substreams` resets one shared generator to each
-stream's start, and :func:`choices` draws whole-population minibatches
+its XSL-RR output. :func:`buffer_positions` resets one shared generator to
+each stream's start, and :func:`choices` draws whole-population minibatches
 (``pop == size``) of many streams from those words, bit for bit what
 ``Generator.choice`` gives.
 """
@@ -46,7 +50,6 @@ stream's start, and :func:`choices` draws whole-population minibatches
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
 
 import numpy as np
 # numpy 2.x imports numpy.random on first use; import it with the package,
@@ -98,24 +101,6 @@ def derive_key(seed: int, *tags: Tag) -> int:
 def substream(seed: int, *tags: Tag) -> np.random.Generator:
     """Return a fresh PCG64 generator for the named substream."""
     return np.random.Generator(np.random.PCG64(derive_key(seed, *tags)))
-
-
-def substreams(
-    seed: int, streams: list[tuple[Tag, ...]]
-) -> Iterator[np.random.Generator]:
-    """``substream(seed, *tags)`` for each tag tuple in turn, every stream
-    seeded in one pass up front. One generator is reset to each stream's
-    start, so a yielded generator is valid only until the next is taken."""
-    bitgen = np.random.PCG64(0)  # its state is set per stream below
-    gen = np.random.Generator(bitgen)
-
-    def reset(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> np.random.Generator:
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-                        "has_uint32": 0, "uinteger": 0}
-        return gen
-
-    return map(reset, *_start(_keys(seed, streams)).tolist())
 
 
 def _keys(seed: int, streams: list[tuple[Tag, ...]]) -> np.ndarray:
@@ -244,12 +229,6 @@ def _shuffle(idx: np.ndarray, swaps: np.ndarray) -> np.ndarray:
     return flat.reshape(S, n)
 
 
-def _per_stream(pop: int, size: int) -> bool:
-    """Specs outside :func:`choices`' batched route, which covers
-    ``pop == size <= 10000`` (above that lies the tail regime)."""
-    return pop != size or pop > 10000
-
-
 def choices(
     seed: int, streams: list[tuple[Tag, ...]], specs: list[tuple[int, int]]
 ) -> list[np.ndarray]:
@@ -266,7 +245,8 @@ def choices(
     for pop, size in specs:
         if not 0 <= size <= pop:
             raise ValueError(f"cannot draw {size} of {pop} without replacement")
-    if any(_per_stream(*spec) for spec in specs):
+    # The batched route covers pop == size <= 10000; above lies the tail regime.
+    if any(pop != size or pop > 10000 for pop, size in specs):
         gens = [substream(seed, *tags) for tags in streams]
         return [np.array([g.choice(pop, size, replace=False) for g in gens],
                          dtype=np.int64).reshape(len(gens), size)
@@ -283,3 +263,47 @@ def choices(
         end += 2 * swaps
         out.append(_shuffle(np.tile(np.arange(n), (len(streams), 1)), drawn[:, end - swaps:end]))
     return out
+
+
+def batches(
+    seed: int, sizes: list[tuple[int, int]], K: int, N: int, purpose: str, *tags: Tag
+) -> list[np.ndarray]:
+    """Per ``(pop, batch)`` of ``sizes`` in turn, a (K, N, min(batch, pop))
+    int64 array of positions drawn without replacement: row (k, i) from
+    stream ``(purpose, i, *tags, k)``, the sizes drawn one after another on
+    that stream (:func:`choices`)."""
+    streams = [(purpose, i, *tags, k) for k in range(K) for i in range(N)]
+    specs = [(pop, min(batch, pop)) for pop, batch in sizes]
+    return [d.reshape(K, N, d.shape[1]) for d in choices(seed, streams, specs)]
+
+
+def buffer_positions(
+    seed: int, side: str, round_idx: int, N: int, size: int, K: int, n: int
+) -> tuple[np.ndarray, int]:
+    """The (K, N, n) int64 positions at which N clients read a received
+    block of ``size`` records in round ``round_idx``, and the wraps.
+
+    Client i reads the laps of stream ``(side, i, round_idx)``, each the
+    generator's next ``permutation(size)``, one after another; its first
+    K·n positions, in order, fill column i. Every lap past a client's first
+    is a wrap. The N streams are seeded in one pass, and one generator is
+    reset to each stream's start in turn.
+    """
+    if size < 1:
+        raise ValueError("cannot draw from an empty aggregate")
+    count = K * n
+    if count < 1:
+        raise ValueError("K * n must be positive")
+    bitgen = np.random.PCG64(0)  # its state is set per stream below
+    gen = np.random.Generator(bitgen)
+    at = np.empty((K, N, n), dtype=np.int64)
+    row = np.empty(count, dtype=np.int64)
+    starts = _start(_keys(seed, [(side, i, round_idx) for i in range(N)])).T.tolist()
+    for i, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(starts):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                        "has_uint32": 0, "uinteger": 0}
+        for done in range(0, count, size):
+            row[done:done + size] = gen.permutation(size)[:count - done]
+        at[:, i] = row.reshape(K, n)
+    return at, N * ((count - 1) // size)

@@ -26,7 +26,7 @@ import numpy as np
 from .harness import RunConfig, parse_config, run
 from .losses import OuterFnSpec, PairwiseLossSpec, exact_objective, exact_oracle
 from .model import ScorerSpec, finite_diff_grad
-from .rng import choices, substream, substreams
+from .rng import batches, buffer_positions, substream
 
 PARTS = ("trajectory", "oracle")
 ORACLE_COLUMNS = ("objective", "grad_norm_sq")
@@ -163,30 +163,31 @@ def _check_batched_draws() -> CheckResult:
     # The batched draw reproduces numpy's choice from PCG64's raw output; an
     # installed numpy whose choice differs fails here rather than in a trace.
     name = "batched draws equal Generator.choice"
-    streams = [("selftest-choices", i) for i in range(300)]
-    specs = [(20, 20), (9, 9), (1000, 1000), (4, 4)]  # the batched route
-    got = choices(1, streams, specs)
-    for row, tags in enumerate(streams):
-        g = substream(1, *tags)
-        for (pop, size), drawn in zip(specs, got):
-            if not np.array_equal(drawn[row], g.choice(pop, size, replace=False)):
+    K, N = 3, 100
+    sizes = [(20, 20), (9, 9), (1000, 1000), (4, 4)]  # the batched route
+    got = batches(1, sizes, K, N, "selftest-choices")
+    for k, i in np.ndindex(K, N):
+        g = substream(1, "selftest-choices", i, k)
+        for (pop, size), drawn in zip(sizes, got):
+            if not np.array_equal(drawn[k, i], g.choice(pop, size, replace=False)):
+                tags = ("selftest-choices", i, k)
                 return CheckResult(name, False, f"stream {tags}, choice({pop}, {size})")
-    return CheckResult(name, True, f"{len(streams)} streams x {len(specs)} draws")
+    return CheckResult(name, True, f"{K * N} streams x {len(sizes)} draws")
 
 
 def _check_batched_seeding() -> CheckResult:
     # The one-pass seeding restates numpy's SeedSequence and PCG64; an
     # installed numpy that seeds differently fails here.
     name = "batched seeding equals substream"
-    streams = [("step", i, 3, k) for i in range(50) for k in range(4)]
-    streams += [(side, i, 3) for side in ("buffer-pos", "buffer-neg") for i in range(50)]
-    for g, tags in zip(substreams(1, streams), streams):
-        want = substream(1, *tags)
-        if g.bit_generator.state != want.bit_generator.state or not np.array_equal(
-            g.permutation(52), want.permutation(52)
-        ):
-            return CheckResult(name, False, f"stream {tags}")
-    return CheckResult(name, True, f"{len(streams)} streams")
+    N, size, K, n = 50, 52, 2, 40  # two laps per client
+    for side in ("buffer-pos", "buffer-neg"):
+        at, _ = buffer_positions(1, side, 3, N, size, K, n)
+        for i in range(N):
+            g = substream(1, side, i, 3)
+            laps = np.concatenate([g.permutation(size), g.permutation(size)])
+            if not np.array_equal(at[:, i].ravel(), laps[:K * n]):
+                return CheckResult(name, False, f"stream {(side, i, 3)}")
+    return CheckResult(name, True, f"{2 * N} streams")
 
 
 def run_selftest() -> list[CheckResult]:

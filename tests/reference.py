@@ -8,7 +8,7 @@
 * ``auc_bruteforce``, ``partial_auc_bruteforce``: the O(P·Q) pairwise
   definitions that the sorted routes of :mod:`fedcpr.metrics` must equal.
 * ``Buffer``: a stateful shuffled queue of positions into a received
-  block, drawn step by step; :func:`fedcpr.federation.buffer_draw` must
+  block, drawn step by step; :func:`fedcpr.rng.buffer_positions` must
   give the same positions and wraps in one call.
 * The per-client round: each client keeps its own state and its own view
   of its row of the dataset, and takes its K local steps one after

@@ -1,4 +1,5 @@
-"""Aggregation, buffers, message accounting, and the round contract."""
+"""Aggregation, the positions at which clients read the aggregate, message
+accounting, and the round contract."""
 
 import math
 from dataclasses import replace
@@ -16,14 +17,13 @@ from fedcpr.federation import (
     ProtocolError,
     RoundUpload,
     comm_cost,
-    buffer_draw,
     server_aggregate,
     tree_mean,
 )
 from fedcpr.harness import parse_config
 from fedcpr.losses import IDENTITY_OUTER, OuterFnSpec, PairwiseLossSpec
 from fedcpr.model import ScorerSpec
-from fedcpr.rng import substream, substreams
+from fedcpr.rng import buffer_positions, substream
 
 
 def _block(n_clients, k=1):
@@ -40,6 +40,13 @@ def _table(models, k=2, momenta=None):
         h2=_block(len(models), k),
         momenta=None if momenta is None else np.asarray(momenta, dtype=float),
     )
+
+
+def _draw(seed, side, size, count):
+    """One client's ``count`` positions into a block of ``size`` records,
+    from stream (side, 0, 0), and the wraps."""
+    at, wraps = buffer_positions(seed, side, 0, 1, size, 1, count)
+    return at.reshape(-1), wraps
 
 
 def _with_u(table):
@@ -101,44 +108,44 @@ class TestServerAggregate:
 
 class TestBuffer:
     def test_single_entry(self):
-        drawn, wraps = buffer_draw(substream(0, "t"), 1, 1)
+        drawn, wraps = _draw(0, "t", 1, 1)
         assert list(drawn) == [0]
         assert wraps == 0
 
     def test_same_stream_same_permutation(self):
-        a, _ = buffer_draw(substream(3, "perm"), 52, 52)
-        b, _ = buffer_draw(substream(3, "perm"), 52, 52)
+        a, _ = _draw(3, "perm", 52, 52)
+        b, _ = _draw(3, "perm", 52, 52)
         np.testing.assert_array_equal(a, b)
 
     def test_entries_are_a_permutation(self):
-        drawn, wraps = buffer_draw(substream(4, "perm"), 52, 52)
+        drawn, wraps = _draw(4, "perm", 52, 52)
         assert sorted(drawn) == list(range(52))
         assert wraps == 0
 
     def test_sequential_draws_without_repeats(self):
-        drawn, _ = buffer_draw(substream(5, "seq"), 5, 4)
+        drawn, _ = _draw(5, "seq", 5, 4)
         first, second = drawn[:2], drawn[2:]
         assert len(set(first) | set(second)) == 4
 
     def test_each_entry_exactly_once_over_k_draws(self):
         k = 9
-        drawn, wraps = buffer_draw(substream(6, "k"), k, k)
-        assert sorted(drawn) == list(range(k))
+        at, wraps = buffer_positions(6, "k", 0, 1, k, k, 1)  # K = k steps of one
+        assert sorted(at.ravel()) == list(range(k))
         assert wraps == 0
 
     def test_wraparound_reshuffles_and_continues(self):
-        out, wraps = buffer_draw(substream(7, "wrap"), 3, 5)
+        out, wraps = _draw(7, "wrap", 3, 5)
         assert sorted(out[:3]) == [0, 1, 2]
         assert set(out[3:]) <= {0, 1, 2}
         assert wraps == 1
 
     def test_empty_refill_rejected(self):
-        with pytest.raises(ProtocolError):
-            buffer_draw(substream(8, "e"), 0, 1)
+        with pytest.raises(ValueError, match="empty aggregate"):
+            _draw(8, "e", 0, 1)
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ValueError):
-            buffer_draw(substream(8, "c"), 3, 0)
+            _draw(8, "c", 3, 0)
 
 
 class TestCommCost:
@@ -276,7 +283,7 @@ class TestBufferProperties:
     @given(_draw_plans)
     def test_each_lap_is_a_permutation(self, plan):
         n, sizes, seed = plan
-        drawn, _ = buffer_draw(substream(seed, "prop"), n, sum(sizes))
+        drawn, _ = _draw(seed, "prop", n, sum(sizes))
         for start in range(0, len(drawn), n):
             lap = drawn[start:start + n]
             assert len(set(lap)) == len(lap)  # no repeats within a lap
@@ -286,7 +293,7 @@ class TestBufferProperties:
     @given(_draw_plans)
     def test_wraps_count_the_laps_crossed(self, plan):
         n, sizes, seed = plan
-        _, wraps = buffer_draw(substream(seed, "prop"), n, sum(sizes))
+        _, wraps = _draw(seed, "prop", n, sum(sizes))
         assert wraps == math.ceil(sum(sizes) / n) - 1
 
     @given(_draw_plans)
@@ -294,10 +301,10 @@ class TestBufferProperties:
         # The reference buffers draw in the plan's chunks and one position
         # at a time: both must equal the one-call draw, wraps included.
         n, sizes, seed = plan
-        drawn, wraps = buffer_draw(substream(seed, "prop"), n, sum(sizes))
+        drawn, wraps = _draw(seed, "prop", n, sum(sizes))
         a, b = Buffer(), Buffer()
-        a.refill(np.zeros(n), substream(seed, "prop"))
-        b.refill(np.ones(n), substream(seed, "prop"))
+        a.refill(np.zeros(n), substream(seed, "prop", 0, 0))
+        b.refill(np.ones(n), substream(seed, "prop", 0, 0))
         chunks = []
         for c in sizes:
             chunks.append(a.draw(c))
@@ -306,40 +313,44 @@ class TestBufferProperties:
         assert a.wraps == b.wraps == wraps
         np.testing.assert_array_equal(np.concatenate(chunks), drawn)
         # Each lap is the substream's next permutation of the block.
-        rng = substream(seed, "prop")
+        rng = substream(seed, "prop", 0, 0)
         laps = np.concatenate([rng.permutation(n) for _ in range(wraps + 1)])
         np.testing.assert_array_equal(drawn, laps[:sum(sizes)])
 
 
 @st.composite
 def _batched_plans(draw):
-    """(size, count) with count below, at or above the block length (two or
-    three laps), for a few clients of one side and round."""
+    """(size, K, n, N, seed) with K·n below, at or above the block length
+    (up to three laps), for a few clients of one side and round."""
     size = draw(st.integers(1, 60))
-    count = draw(st.one_of(
-        st.integers(1, size), st.just(size),
-        st.integers(size + 1, 3 * size) if size > 1 else st.integers(2, 3),
-    ))
-    return size, count, draw(st.integers(1, 5)), draw(st.integers(-(2**63), 2**63 - 1))
+    K = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max(1, 3 * size // K)))
+    return size, K, n, draw(st.integers(1, 5)), draw(st.integers(-(2**63), 2**63 - 1))
 
 
 class TestBatchedBufferDraws:
     @settings(max_examples=60, deadline=None)
     @given(_batched_plans(), st.sampled_from(["buffer-pos", "buffer-neg"]), st.integers(0, 99))
     def test_equal_substream_and_reference_buffer(self, plan, side, r):
-        size, count, n_clients, seed = plan
-        streams = [(side, i, r) for i in range(n_clients)]
-        got = [buffer_draw(g, size, count) for g in substreams(seed, streams)]
-        for (drawn, wraps), tags in zip(got, streams):
-            want, want_wraps = buffer_draw(substream(seed, *tags), size, count)
-            np.testing.assert_array_equal(drawn, want)
-            assert wraps == want_wraps == math.ceil(count / size) - 1
+        size, K, n, n_clients, seed = plan
+        at, wraps = buffer_positions(seed, side, r, n_clients, size, K, n)
+        assert at.shape == (K, n_clients, n) and at.dtype == np.int64
+        assert at.base is None  # the positions own their memory, no lap outlives the call
+        count = K * n
+        assert wraps == n_clients * ((count - 1) // size)
+        for i in range(n_clients):
+            drawn = at[:, i].ravel()  # client i's positions, step after step
+            for start in range(0, count, size):
+                lap = drawn[start:start + size]
+                assert len(set(lap)) == len(lap) and 0 <= lap.min() and lap.max() < size
+            g = substream(seed, side, i, r)
+            laps = np.concatenate([g.permutation(size) for _ in range(-(-count // size))])
+            np.testing.assert_array_equal(drawn, laps[:count])
+            # The reference buffer, drawn as the K steps draw: n at a time.
             ref = Buffer()
-            ref.refill(np.zeros(size), substream(seed, *tags))
-            np.testing.assert_array_equal(ref.draw(count), drawn)
-            assert ref.wraps == wraps
-            # The positions own their memory: no whole lap is kept alive.
-            assert drawn.base is None and drawn.nbytes == count * drawn.itemsize
+            ref.refill(np.zeros(size), substream(seed, side, i, r))
+            np.testing.assert_array_equal(np.concatenate([ref.draw(n) for _ in range(K)]), drawn)
+            assert ref.wraps == (count - 1) // size
 
 
 def _fed_table(n_clients, d, K, B1, B2, nonlinear, rng):

@@ -563,6 +563,20 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert "hyper.K" in res.stderr
 
+    def test_empty_output_path_in_config_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY + "output_path =\n")
+        res = _cli(["run", "--config", str(cfg_path)], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "config error: output_path: must not be empty" in res.stderr
+
+    def test_empty_out_flag_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        res = _cli(["run", "--config", str(cfg_path), "--out", ""], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "config error: output_path: must not be empty" in res.stderr
+
     def test_seed_override_outside_signed_64_bits_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY)

@@ -1,5 +1,8 @@
-"""The batched minibatch draw against numpy's ``Generator.choice``."""
+"""The round draws (minibatches and buffer positions) against numpy's own
+per-stream ``Generator`` calls, and the names they are kept out of."""
 
+import ast
+import inspect
 import re
 
 import numpy as np
@@ -7,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcpr import rng
-from fedcpr.rng import choices, derive_key, substream, substreams
+from fedcpr import algorithms, federation, rng
+from fedcpr.rng import batches, buffer_positions, choices, derive_key, substream
 
 
 def _one_by_one(seed, streams, specs):
@@ -159,10 +162,9 @@ _tags = st.lists(st.one_of(
 def test_batched_seeding_equals_substream(seed, streams):
     start = rng._start(rng._keys(seed, streams))
     words = rng._words(start, 6)
-    for s, (g, tags) in enumerate(zip(substreams(seed, streams), streams)):
+    for s, tags in enumerate(streams):
         want = substream(seed, *tags).bit_generator
         state = want.state["state"]
-        assert g.bit_generator.state == want.state
         assert int(start[0, s]) << 64 | int(start[1, s]) == state["state"]
         assert int(start[2, s]) << 64 | int(start[3, s]) == state["inc"]
         raw = want.random_raw(3)
@@ -176,6 +178,44 @@ def test_bad_tags_rejected_like_derive_key(bad):
         derive_key(0, "ok", bad)
     msg = re.escape(str(err.value))
     with pytest.raises(TypeError, match=msg):
-        substreams(0, [("ok", 1), ("ok", bad)])
-    with pytest.raises(TypeError, match=msg):
         choices(0, [("ok", 1), ("ok", bad)], [(4, 4)])
+    with pytest.raises(TypeError, match=msg):
+        batches(0, [(4, 4)], 1, 2, "ok", bad)
+    for side, round_idx in ((bad, 1), ("ok", bad)):
+        with pytest.raises(TypeError, match=msg):
+            buffer_positions(0, side, round_idx, 2, 4, 1, 4)
+
+
+@pytest.mark.parametrize("sizes", [[(10, 3), (6, 6), (7, 2)], [(4, 9), (5, 5)]])
+def test_batches_equal_per_stream_choice(sizes):
+    # pop > batch takes the per-stream route; a batch above its population
+    # is clamped to it. Row (k, i) is stream ("step", i, 4, k).
+    K, N = 3, 4
+    got = batches(9, sizes, K, N, "step", 4)
+    for k, i in np.ndindex(K, N):
+        g = substream(9, "step", i, 4, k)
+        for (pop, batch), drawn in zip(sizes, got):
+            assert drawn.shape == (K, N, min(pop, batch))
+            want = g.choice(pop, min(pop, batch), replace=False)
+            assert np.array_equal(drawn[k, i], want), (k, i, pop, batch)
+
+
+@pytest.mark.parametrize("module", [algorithms, federation])
+def test_round_draws_stay_in_rng(module):
+    # The engine and the exchange take every round draw from rng's
+    # batches and buffer_positions; neither seeds nor draws on its own.
+    forbidden = {"choices", "substreams", "substream", "permutation"}
+    named = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+            named.add(ast.unparse(node))
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            named.add(node.module or "")
+    dotted = {name for name in named if name.split(".")[:2] in (["np", "random"],
+                                                              ["numpy", "random"])}
+    assert not (named & forbidden) and not dotted, sorted((named & forbidden) | dotted)
