@@ -139,39 +139,35 @@ def theory_schedule(
     target_eps: float,
     n_clients: int,
     max_shard: int = 1,
-    scale: float = 1.0,
 ) -> HyperParams:
     """Hyperparameters from the convergence-guarantee schedules.
 
-    ``fedx1``: R = ceil(scale/eps^3), eta = scale*N*eps^2,
-    K = max(1, ceil(1/(N*eps))).
-    ``fedx2`` (M = largest positive shard): R = ceil(scale*sqrt(M)/eps^3),
-    eta = scale*eps^2/M, gamma = scale*eps^2, beta = scale*eps^2/sqrt(M),
-    K = max(1, ceil(sqrt(M)/eps)); gamma and beta clamped to (0, 1].
+    ``fedx1``: R = ceil(1/eps^3), eta = N*eps^2, K = max(1, ceil(1/(N*eps))).
+    ``fedx2`` (M = largest positive shard): R = ceil(sqrt(M)/eps^3),
+    eta = eps^2/M, gamma = eps^2, beta = eps^2/sqrt(M),
+    K = max(1, ceil(sqrt(M)/eps)).
     """
     if not (0.0 < target_eps < 1.0):
         raise ValueError("target_eps must be in (0, 1)")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     for name, value in (("n_clients", n_clients), ("max_shard", max_shard)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     eps = target_eps
     if kind == "fedx1":
         return HyperParams(
-            eta=scale * n_clients * eps**2,
+            eta=n_clients * eps**2,
             K=max(1, _ceil(1.0 / (n_clients * eps))),
-            R=max(1, _ceil(scale / eps**3)),
+            R=max(1, _ceil(1.0 / eps**3)),
         )
     if kind == "fedx2":
         m = max_shard
         root_m = math.sqrt(m)
         return HyperParams(
-            eta=scale * eps**2 / m,
+            eta=eps**2 / m,
             K=max(1, _ceil(root_m / eps)),
-            R=max(1, _ceil(scale * root_m / eps**3)),
-            gamma=min(1.0, scale * eps**2),
-            beta=min(1.0, scale * eps**2 / root_m),
+            R=max(1, _ceil(root_m / eps**3)),
+            gamma=eps**2,
+            beta=eps**2 / root_m,
         )
     raise ValueError(f"unknown schedule kind: {kind!r}")
 
@@ -314,7 +310,7 @@ class PairwiseProgram:
     """
 
     # What each local step checks for non-finite entries, in this order.
-    WATCHED = ("pair-loss estimate", "u-value", "gradient estimate", "model")
+    WATCHED = ("pair-loss estimate", "u-value", "gradient estimate", "emitted u-value", "model")
 
     def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
         self.settings = settings
@@ -324,9 +320,7 @@ class PairwiseProgram:
         self.rows = np.arange(self.n_clients)[:, None]  # pairs with (N, n) positions
         self.model = np.tile(initial_model(settings.scorer, settings.seed), (self.n_clients, 1))
         self.lazy = settings.algorithm in ("fedx1", "fedx2")
-        # local_sgd's update has no outer function; the configured one only
-        # enters the reported objective.
-        self.nonlinear = settings.outer.kind != "identity" and settings.algorithm != "local_sgd"
+        self.nonlinear = settings.outer.kind != "identity"
         # fedx2's records score emission batches of their own unless "reuse".
         self.separate = self.lazy and self.nonlinear and settings.hyper.history_samples != "reuse"
         self.momentum = np.zeros_like(self.model) if self.nonlinear else None
@@ -439,8 +433,9 @@ class PairwiseProgram:
         non-finite entry (``len(WATCHED)`` where there is none), both in
         client order."""
         loss_est, u, grad = self.local_step(k, eta)
+        emitted_u = None if self.h1_u is None else self.h1_u[k]
         first = np.full(self.n_clients, len(self.WATCHED))
-        watched = enumerate((loss_est, u, grad, self.model))
+        watched = enumerate((loss_est, u, grad, emitted_u, self.model))
         for q, value in reversed(list(watched)):  # the earliest one wins
             if value is not None and not np.isfinite(value).all():
                 first[~np.isfinite(value.reshape(self.n_clients, -1)).all(axis=1)] = q
@@ -461,6 +456,11 @@ class LocalSGDProgram(PairwiseProgram):
     """Per-sample logistic loss on local data, model averaging each round.
     The configured pairwise loss and outer function are used only for
     objective reporting."""
+
+    def __init__(self, settings: RunSettings, dataset: FederatedDataset) -> None:
+        super().__init__(settings, dataset)
+        # The logistic update has no outer function: no tracker, no momentum.
+        self.nonlinear, self.momentum, self.u_table = False, None, None
 
     def _prepare(self, download: RoundDownload, round_idx: int) -> int:
         h = self.settings.hyper
@@ -561,12 +561,13 @@ def simulate(
 
     Raises ValueError for an unknown algorithm or one that does not run
     with ``outer`` (see :data:`REQUIRED_OUTER`) and for a held-out split
-    with no positive or too few negatives for a cap of :data:`PAUC_FPRS`,
-    before any work; and FloatingPointError at the first non-finite oracle
-    value or quantity of a local step (:attr:`PairwiseProgram.WATCHED`).
+    with no positive row or too few negative rows for a cap of
+    :data:`PAUC_FPRS`, before any work; and FloatingPointError at the first
+    non-finite oracle value or quantity of a local step
+    (:attr:`PairwiseProgram.WATCHED`), whose numpy warnings are silenced.
     """
     check_algorithm(algorithm, outer)
-    n_pos, n_neg = len(dataset.eval_pos_ids), len(dataset.eval_neg_ids)
+    n_pos, n_neg = len(dataset.eval_pos_X), len(dataset.eval_neg_X)
     need = max(math.ceil(1 / f) for f in PAUC_FPRS)  # floor(f * n_neg) >= 1
     if n_pos < 1 or n_neg < need:
         raise ValueError(f"held-out split: {n_pos} positives and {n_neg} negatives, "
@@ -620,11 +621,14 @@ def simulate(
         estimates = np.empty((K, n))
         first_bad = np.full(n, K)  # first non-finite iteration per client
         what = np.empty(n, dtype=int)  # and its first non-finite quantity
-        for k, eta_k in enumerate(etas):
-            estimates[k], bad = program.step(k, eta_k)
-            fresh = (bad < len(program.WATCHED)) & (first_bad == K)
-            first_bad[fresh] = k
-            what[fresh] = bad[fresh]
+        # A diverging client's only signal is the error below: the step
+        # watches its quantities, so numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k, eta_k in enumerate(etas):
+                estimates[k], bad = program.step(k, eta_k)
+                fresh = (bad < len(program.WATCHED)) & (first_bad == K)
+                first_bad[fresh] = k
+                what[fresh] = bad[fresh]
         if (first_bad < K).any():
             # The lowest-index client that diverged, at its first
             # non-finite iteration: what running the clients one after

@@ -29,6 +29,10 @@ from .rng import substream
 
 # Evaluation split size as a multiple of the total per-class training count.
 EVAL_MULTIPLIER = 4
+# The distance between the two cluster means and each cluster's per-feature
+# standard deviation.
+CLUSTER_SEP = 1.9
+CLUSTER_STD = 1.0
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,6 @@ class DataConfig:
     hetero_var: float = 0.04
     flip_fraction: float = 0.0
     seed: int = 0
-    cluster_sep: float = 1.9
-    cluster_std: float = 1.0
 
     def __post_init__(self) -> None:
         # Each message starts with the field's config key name.
@@ -55,8 +57,6 @@ class DataConfig:
             raise ValueError("flip_fraction must be in [0, 1]")
         if self.hetero_var < 0:
             raise ValueError("hetero_var must be >= 0")
-        if self.cluster_std <= 0:
-            raise ValueError("cluster_std must be positive")
         if not -(2**63) <= self.seed < 2**63:
             raise ValueError("seed must be a signed 64-bit integer")
 
@@ -75,7 +75,7 @@ class FederatedDataset:
     n_pos) and ``pos_X`` (N, n_pos, d) for its positive side (S1), and
     ``neg_ids`` (N, n_neg) and ``neg_X`` (N, n_neg, d) for its negative side
     (S2), so every client holds as many of each side. The held-out split is
-    flat: (n,) ids and (n, d) features per side.
+    flat: (n, d) features per side.
 
     Raises ValueError, its message starting with the field at fault, when
     the training fields' shapes disagree or a field's client rows differ
@@ -86,9 +86,7 @@ class FederatedDataset:
     pos_X: np.ndarray
     neg_ids: np.ndarray
     neg_X: np.ndarray
-    eval_pos_ids: np.ndarray
     eval_pos_X: np.ndarray
-    eval_neg_ids: np.ndarray
     eval_neg_X: np.ndarray
 
     def __post_init__(self) -> None:
@@ -117,7 +115,7 @@ class FederatedDataset:
 
 
 def _cluster_means(config: DataConfig) -> tuple[np.ndarray, np.ndarray]:
-    half = 0.5 * config.cluster_sep / np.sqrt(config.input_dim)
+    half = 0.5 * CLUSTER_SEP / np.sqrt(config.input_dim)
     mean = np.full(config.input_dim, half)
     return mean, -mean
 
@@ -130,28 +128,20 @@ def generate(config: DataConfig) -> FederatedDataset:
 
     def draw(tag: str, count: int, mean: np.ndarray) -> np.ndarray:
         g = substream(config.seed, "data", tag)
-        return mean + config.cluster_std * g.standard_normal((count, config.input_dim))
+        return mean + CLUSTER_STD * g.standard_normal((count, config.input_dim))
 
     pos_X = draw("pos", total_pos, pos_mean)
     neg_X = draw("neg", total_neg, neg_mean)
     eval_pos_X = draw("eval-pos", EVAL_MULTIPLIER * total_pos, pos_mean)
     eval_neg_X = draw("eval-neg", EVAL_MULTIPLIER * total_neg, neg_mean)
 
-    next_id = 0
-
-    def ids(count: int) -> np.ndarray:
-        nonlocal next_id
-        out = np.arange(next_id, next_id + count, dtype=np.int64)
-        next_id += count
-        return out
-
-    pos_ids, neg_ids = ids(total_pos), ids(total_neg)
-    eval_pos_ids, eval_neg_ids = ids(eval_pos_X.shape[0]), ids(eval_neg_X.shape[0])
+    pos_ids = np.arange(total_pos, dtype=np.int64)
+    neg_ids = np.arange(total_pos, total_pos + total_neg, dtype=np.int64)
     # Contiguous partition: client i holds rows i*n .. (i+1)*n - 1 of each pool.
     n, p, q = config.n_clients, config.n_pos_per_client, config.n_neg_per_client
     return FederatedDataset(
         pos_ids.reshape(n, p), pos_X.reshape(n, p, -1), neg_ids.reshape(n, q),
-        neg_X.reshape(n, q, -1), eval_pos_ids, eval_pos_X, eval_neg_ids, eval_neg_X,
+        neg_X.reshape(n, q, -1), eval_pos_X, eval_neg_X,
     )
 
 

@@ -313,8 +313,6 @@ def sweep(
     axis: str,
     values: list[int],
     out_dir: str | Path,
-    *,
-    quiet: bool = True,
 ) -> list[dict]:
     """Run one config per value of K or N and tabulate the final metrics.
 
@@ -364,7 +362,7 @@ def sweep(
                         n_neg_per_client=total_neg // value,
                     ),
                 )
-            trace = run(cfg, out=out_dir / f"trace_{axis}{value}.csv", quiet=quiet)
+            trace = run(cfg, out=out_dir / f"trace_{axis}{value}.csv", quiet=True)
             final = trace.final_round()
             pauc = final.pauc or {}
             cells = (value, final.objective, pauc.get(0.3), pauc.get(0.5),

@@ -42,7 +42,6 @@ Losses, each evaluated with its slope dl/db (= -dl/da) from one exp by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,8 @@ from .model import ScorerSpec, score_grad_many
 
 LOSS_KINDS = ("psm_sigmoid", "kl_opauc", "square")
 OUTER_KINDS = ("identity", "kl_log")
+# kl_log's clamp for f and f' near 0.
+U_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class PairwiseLossSpec:
 class OuterFnSpec:
     kind: str
     lam: float = 1.0  # kl_log only
-    u_floor: float = 1e-8  # kl_log only; clamp for f and f' near 0
 
     def __post_init__(self) -> None:
         check_numbers(self)
@@ -80,8 +80,6 @@ class OuterFnSpec:
             raise ValueError(f"kind must be one of {OUTER_KINDS}, got {self.kind!r}")
         if self.kind == "kl_log" and self.lam <= 0:
             raise ValueError("lambda must be positive for kl_log")
-        if self.kind == "kl_log" and self.u_floor <= 0:
-            raise ValueError("u_floor must be positive for kl_log")
 
 
 IDENTITY_OUTER = OuterFnSpec("identity")
@@ -122,22 +120,22 @@ def loss(spec: PairwiseLossSpec, a, b):
 
 
 def outer_value(spec: OuterFnSpec, s):
-    """f(s): identity, or lambda * log(max(s, u_floor))."""
+    """f(s): identity, or lambda * log(max(s, U_FLOOR))."""
     s = np.asarray(s, dtype=float)
     if spec.kind == "identity":
         out = s
     else:
-        out = spec.lam * np.log(np.maximum(s, spec.u_floor))
+        out = spec.lam * np.log(np.maximum(s, U_FLOOR))
     return float(out) if out.ndim == 0 else out
 
 
 def outer_deriv(spec: OuterFnSpec, s):
-    """f'(s): 1, or lambda / max(s, u_floor)."""
+    """f'(s): 1, or lambda / max(s, U_FLOOR)."""
     s = np.asarray(s, dtype=float)
     if spec.kind == "identity":
         out = np.ones_like(s)
     else:
-        out = spec.lam / np.maximum(s, spec.u_floor)
+        out = spec.lam / np.maximum(s, U_FLOOR)
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,11 +149,12 @@ def _kl_log_block(loss_spec, outer, a, b1, inert):
 
     a holds ascending positives; b1 holds the ascending negatives + 1 past
     the ``inert`` columns the block skips, whose pairs have m = 0. With
-    t = m^2/lambda_loss, log g_p = max_q t + log(mean_q exp(t - max_q t))
-    and L_p = max(log g_p, log u_floor), so f(g_p) = lambda_outer * L_p and
-    f'(g_p) * dl/db = lambda_outer * exp(t - L_p) * 2m/lambda_loss: finite
-    wherever the objective is, though exp(t) alone may overflow. A skipped
-    pair adds exp(0 - max_q t) to the mean, and nothing to the slopes.
+    t = m^2/lambda_loss, log g_p = max_q t + log(mean_q exp(t - max_q t)),
+    so f(g_p) = lambda_outer * log g_p and f'(g_p) * dl/db = lambda_outer *
+    exp(t - log g_p) * 2m/lambda_loss: finite wherever the objective is,
+    though exp(t) alone may overflow. A skipped pair adds exp(0 - max_q t)
+    to the mean, and nothing to the slopes. No clamp at U_FLOOR: every
+    kl_opauc loss is at least 1, so g_p is.
     """
     m = np.maximum(b1[None, :] - a[:, None], 0.0)
     t = np.multiply(m, m)
@@ -165,8 +164,7 @@ def _kl_log_block(loss_spec, outer, a, b1, inert):
     e = np.exp(t, out=t)
     total = e.sum(axis=1) + inert * np.exp(-t_max)
     log_g = t_max + np.log(total / (inert + b1.shape[0]))
-    log_g = np.maximum(log_g, math.log(outer.u_floor))
-    # exp(t - L_p) * 2m/lambda_loss = [exp(t_max - L_p) * 2/lambda_loss] * e * m
+    # exp(t - log g_p) * 2m/lambda_loss = [exp(t_max - log g_p) * 2/lambda_loss] * e * m
     scale = outer.lam * np.exp(t_max - log_g) * (2.0 / loss_spec.lam)
     e *= m
     return outer.lam * log_g, scale, e

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import RunConfig, parse_config, run
-from .losses import OuterFnSpec, PairwiseLossSpec, exact_objective, exact_oracle
+from .losses import OuterFnSpec, PairwiseLossSpec, exact_oracle
 from .model import ScorerSpec, finite_diff_grad
 from .rng import batches, buffer_positions, substream
 
@@ -131,7 +131,7 @@ def _oracle_vs_finite_differences(name, scorer, lam, pos, neg, w) -> CheckResult
     if not (np.isfinite(obj) and np.all(np.isfinite(g))):
         return CheckResult(name, False, "non-finite")
     fd = finite_diff_grad(
-        lambda v: exact_objective(loss_spec, outer, scorer, v, pos, neg), w, 1e-5
+        lambda v: exact_oracle(loss_spec, outer, scorer, v, pos, neg)[0], w, 1e-5
     )
     err = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
     return CheckResult(name, bool(err <= 1e-5), f"objective {obj:.4g}, rel err {err:.2e}")

@@ -128,7 +128,7 @@ def small_dataset(n_clients: int, n_pos: int, n_neg: int, held_out, seed: int) -
     and a held-out split of ``held_out`` (positives, negatives). Rows are
     drawn client by client, positives before negatives, then the held-out
     split, as 4 standard normal features shifted by +0.7 on positives and
-    -0.7 on negatives; ids number the rows in that order."""
+    -0.7 on negatives; ids number the training rows in that order."""
     rng, start = np.random.default_rng(seed), 0
 
     def rows(count: int, shift: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +139,7 @@ def small_dataset(n_clients: int, n_pos: int, n_neg: int, held_out, seed: int) -
 
     clients = [(*rows(n_pos, 0.7), *rows(n_neg, -0.7)) for _ in range(n_clients)]
     return FederatedDataset(*(np.stack(column) for column in zip(*clients)),
-                            *rows(held_out[0], 0.7), *rows(held_out[1], -0.7))
+                            rows(held_out[0], 0.7)[1], rows(held_out[1], -0.7)[1])
 
 
 # ------------------------------------------------------------ pairwise metrics
@@ -505,8 +505,9 @@ def reference_rounds(
 ) -> list[ReferenceRound]:
     """Round 0 and rounds 1..R, each client's K steps one after another in
     client order. Raises FloatingPointError at the first step with a
-    non-finite pair-loss estimate, u-value, gradient estimate or model,
-    checked in that order, naming it, its client, round and iteration."""
+    non-finite pair-loss estimate, u-value, gradient estimate, emitted
+    u-value or model, checked in that order, naming it, its client, round
+    and iteration."""
     program = ReferenceProgram(RunSettings(algorithm, scorer, loss_spec, outer, hyper))
     states = program.init_states(dataset)
 
@@ -523,8 +524,10 @@ def reference_rounds(
             program.begin_round(st, rounds[-1].download, r)
             for k in range(hyper.K):
                 est, u, grad = program.local_step(st, r, k, hyper.eta_at((r - 1) * hyper.K + k))
+                emitted_u = st.out["h1_u"][-1] if "h1_u" in st.out else None
                 watched = (("pair-loss estimate", est), ("u-value", u),
-                           ("gradient estimate", grad), ("model", st.model))
+                           ("gradient estimate", grad), ("emitted u-value", emitted_u),
+                           ("model", st.model))
                 for name, value in watched:
                     if value is not None and not np.all(np.isfinite(value)):
                         raise FloatingPointError(f"diverged: non-finite {name} on client {st.index} "

@@ -326,7 +326,7 @@ def test_criterion_5_fedx2_stationarity_trend():
     t0 = time.perf_counter()
     M, R, K, N = 8, 200, 8, 4
     eps = (math.sqrt(M) / R) ** (1.0 / 3.0)
-    sched = theory_schedule("fedx2", eps, n_clients=N, max_shard=M, scale=1.0)
+    sched = theory_schedule("fedx2", eps, n_clients=N, max_shard=M)
     kl = PairwiseLossSpec("kl_opauc", lam=2.0)
     outer = OuterFnSpec("kl_log", lam=2.0)
     scorer = ScorerSpec("mlp1", 6, hidden_dim=8)

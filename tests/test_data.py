@@ -52,9 +52,7 @@ class TestGenerate:
 
     def test_ids_unique_across_federation(self):
         ds = generate(clean_config())
-        all_ids = np.concatenate(
-            [ds.pos_ids.ravel(), ds.neg_ids.ravel(), ds.eval_pos_ids, ds.eval_neg_ids]
-        )
+        all_ids = np.concatenate([ds.pos_ids.ravel(), ds.neg_ids.ravel()])
         assert all_ids.size == np.unique(all_ids).size
 
     def test_same_global_pool_for_any_client_count(self):
@@ -96,8 +94,7 @@ class TestStackedShape:
         as lists, and a held-out split."""
         rows = [(np.arange(p), np.zeros((p, 2)), np.arange(q), np.zeros((q, 2)))
                 for p, q in zip(n_pos, n_neg)]
-        return [list(column) for column in zip(*rows)] + [
-            np.arange(4), np.zeros((4, 2)), np.arange(4), np.zeros((4, 2))]
+        return [list(column) for column in zip(*rows)] + [np.zeros((4, 2)), np.zeros((4, 2))]
 
     def test_equal_rows_stack(self):
         ds = FederatedDataset(*self._arrays())

@@ -45,9 +45,8 @@ INTS = _fields("int", "int | None")
 def test_every_float_field_is_covered():
     assert {p.id for p in FLOATS} >= {
         "HyperParams.eta", "HyperParams.lr_decay_factor", "DataConfig.hetero_step",
-        "DataConfig.hetero_base", "DataConfig.hetero_var", "DataConfig.cluster_sep",
-        "DataConfig.cluster_std", "PairwiseLossSpec.lam", "OuterFnSpec.lam",
-        "OuterFnSpec.u_floor",
+        "DataConfig.hetero_base", "DataConfig.hetero_var", "PairwiseLossSpec.lam",
+        "OuterFnSpec.lam",
     }
 
 

@@ -129,9 +129,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^line 2: expected 'key = value', got 'hyper.K 4'"):
             parse_config("# comment\nhyper.K 4\n")
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("hyper.learning_rate = 0.1\n")
+    def test_unknown_key_rejected(self, tmp_path):
+        # The last three were keys once; their values are constants now.
+        for key in ("hyper.learning_rate", "data.cluster_sep", "data.cluster_std",
+                    "outer.u_floor"):
+            with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(key)}'$"):
+                parse_config(f"{key} = 0.1\n")
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(f"{key} = 0.1\n")
+            res = _cli(["run", "--config", str(cfg_path)], tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert res.stderr == f"config error: unknown key '{key}'\n"
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="more than once"):
@@ -180,14 +188,12 @@ INVALID_VALUES = [
     ("data.n_clients", "data.n_clients = 0"),
     ("data.flip_fraction", "data.flip_fraction = 1.5"),
     ("data.hetero_var", "data.hetero_var = -1"),
-    ("data.cluster_std", "data.cluster_std = 0"),
     ("scorer.kind", "scorer.kind = x"),
     ("scorer.hidden_dim", "scorer.kind = mlp1\nscorer.hidden_dim = 0"),
     ("loss.kind", "loss.kind = x"),
     ("loss.lambda", "loss.kind = kl_opauc\nloss.lambda = 0"),
     ("outer.kind", "algorithm = local_pair\nouter.kind = x"),
     ("outer.lambda", "algorithm = fedx2\nouter.kind = kl_log\nouter.lambda = 0"),
-    ("outer.u_floor", "algorithm = fedx2\nouter.kind = kl_log\nouter.u_floor = 0"),
     ("hyper.eta", "hyper.eta = -0.1"),
     ("hyper.K", "hyper.K = 0"),
     ("hyper.R", "hyper.R = 0"),
@@ -225,8 +231,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "key",
-        ["data.cluster_sep", "data.hetero_step", "loss.lambda", "outer.u_floor",
-         "hyper.eta", "hyper.lr_decay_factor"],
+        ["data.hetero_step", "loss.lambda", "outer.lambda", "hyper.eta",
+         "hyper.lr_decay_factor"],
     )
     def test_non_finite_float_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite"):
@@ -262,15 +268,12 @@ def _config_texts(draw):
         "data.hetero_var": draw(_finite(min_value=0.0)),
         "data.flip_fraction": draw(_finite(min_value=0.0, max_value=1.0)),
         "data.seed": draw(seed),
-        "data.cluster_sep": draw(_finite()),
-        "data.cluster_std": draw(positive),
         "scorer.kind": draw(st.sampled_from(["linear", "mlp1"])),
         "scorer.hidden_dim": draw(count),
         "loss.kind": loss_kind,
         "loss.lambda": draw(positive if loss_kind == "kl_opauc" else _finite()),
         "outer.kind": outer_kind,
         "outer.lambda": draw(positive if outer_kind == "kl_log" else _finite()),
-        "outer.u_floor": draw(positive if outer_kind == "kl_log" else _finite()),
         "hyper.eta": draw(_finite(min_value=0.0)),
         "hyper.K": draw(count),
         "hyper.R": draw(count),
@@ -620,17 +623,20 @@ class TestCli:
         assert res.returncode == 3, res.stderr
         assert "objective" in res.stderr and "round 0" in res.stderr
 
-    def test_divergence_names_the_non_finite_quantity(self, tmp_path):
+    def test_divergence_names_the_non_finite_quantity(self, tmp_path, monkeypatch):
         # local_pair with kl_opauc + kl_log on the default data: at round 1,
         # iteration 1 client 0's pair-loss estimate and u-values are still
-        # finite and its gradient estimate is not.
+        # finite and its gradient estimate is not. The error is the only
+        # output: any numpy warning would fail the child.
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("algorithm = local_pair\nloss.kind = kl_opauc\n"
-                            "outer.kind = kl_log\nhyper.eta = 0.01\n")
+                            "outer.kind = kl_log\nhyper.eta = 0.01\nhyper.R = 2\n")
         res = _cli(["run", "--config", str(cfg_path), "--out",
                     str(tmp_path / "t.csv")], tmp_path)
         assert res.returncode == 3, res.stderr
-        assert "diverged: non-finite gradient estimate on client 0 at round 1, iteration 1" in res.stderr
+        assert res.stderr == ("error: diverged: non-finite gradient estimate "
+                              "on client 0 at round 1, iteration 1\n")
 
     def test_oracle_prints_exact_values(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

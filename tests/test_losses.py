@@ -305,13 +305,18 @@ class TestExactOracleSweep:
             _assert_matches_direct(loss_spec, outer, LIN3, w, pos, neg)
 
     def test_u_floor_clamp_branch(self):
+        # psm_sigmoid at a far point: the positives scored far above every
+        # negative have an inner mean below U_FLOOR, the others above it.
         rng = np.random.default_rng(11)
-        outer = OuterFnSpec("kl_log", lam=2.0, u_floor=3.0)
         pos, neg = _instance(rng, 40, 30)
-        w = rng.standard_normal(3)
-        inner = np.array([exact_inner(KL, LIN3, w, x, neg) for x in pos])
-        assert (inner < 3.0).any() and (inner > 3.0).any()  # both branches
-        _assert_matches_direct(KL, outer, LIN3, w, pos, neg)
+        pos[:, 0] += 2.0
+        w = np.array([20.0, 0.0, 0.0])
+        inner = np.array([exact_inner(PSM, LIN3, w, x, neg) for x in pos])
+        assert (inner < losses.U_FLOOR).any() and (inner > losses.U_FLOOR).any()
+        want = np.mean([KL_LOG.lam * math.log(max(g, losses.U_FLOOR)) for g in inner])
+        obj, _ = exact_oracle(PSM, KL_LOG, LIN3, w, pos, neg)
+        assert abs(obj - want) <= 1e-12 * abs(want)
+        _assert_matches_direct(PSM, KL_LOG, LIN3, w, pos, neg)
 
     def test_finite_at_stress_point(self):
         # w = -10 (mu+ - mu-)/||mu+ - mu-|| on 1024 x 5120 pairs: every positive
