@@ -532,6 +532,19 @@ def check_algorithm(algorithm: str, outer: OuterFnSpec) -> None:
         raise ValueError(f"outer.kind must be {required} for {algorithm}, got {outer.kind!r}")
 
 
+def checked_oracle(loss_spec, outer, scorer, w, dataset: FederatedDataset, at: str):
+    """:func:`~fedcpr.losses.exact_oracle` at ``w`` on ``dataset``, and the
+    squared gradient norm; FloatingPointError naming ``at`` if non-finite."""
+    with np.errstate(all="ignore"):  # the check below names a non-finite value
+        objective, grad = exact_oracle(loss_spec, outer, scorer, w, dataset.pos_union()[1],
+                                       dataset.neg_union()[1])
+        grad_sq = float(np.dot(grad, grad))
+    for name, value in (("objective", objective), ("grad_norm_sq", grad_sq)):
+        if not math.isfinite(value):
+            raise FloatingPointError(f"exact {name} is non-finite ({value}) at {at}")
+    return objective, grad, grad_sq
+
+
 def _due(round_idx: int, last_round: int, every: int) -> bool:
     if round_idx in (0, last_round):
         return True
@@ -563,7 +576,8 @@ def simulate(
     with ``outer`` (see :data:`REQUIRED_OUTER`) and for a held-out split
     with no positive row or too few negative rows for a cap of
     :data:`PAUC_FPRS`, before any work; and FloatingPointError at the first
-    non-finite oracle value or quantity of a local step
+    non-finite emitted u-value of the bootstrap, oracle value
+    (:func:`checked_oracle`) or quantity of a local step
     (:attr:`PairwiseProgram.WATCHED`), whose numpy warnings are silenced.
     """
     check_algorithm(algorithm, outer)
@@ -574,8 +588,6 @@ def simulate(
                          f"needs at least 1 and {need} (pAUC@{min(PAUC_FPRS)})")
     settings = RunSettings(algorithm, scorer, loss_spec, outer, hyper)
     program = PROGRAMS[algorithm](settings, dataset)
-    _, pos_X = dataset.pos_union()
-    _, neg_X = dataset.neg_union()
     trace = RunTrace()
 
     def emit_round(idx, t_start, download, table, wraps):
@@ -584,11 +596,8 @@ def simulate(
         objective = grad_sq = auc_val = pauc_val = None
         w = download.model
         if _due(idx, hyper.R, oracle_every):
-            objective, grad = exact_oracle(loss_spec, outer, scorer, w, pos_X, neg_X)
-            grad_sq = float(np.dot(grad, grad))
-            for name, value in (("objective", objective), ("grad_norm_sq", grad_sq)):
-                if not math.isfinite(value):
-                    raise FloatingPointError(f"exact {name} is non-finite ({value}) at round {idx}")
+            objective, _, grad_sq = checked_oracle(loss_spec, outer, scorer, w, dataset,
+                                                   f"round {idx}")
         if _due(idx, hyper.R, eval_every):
             ev = ScoredEval(score_many(scorer, w, dataset.eval_pos_X),
                             score_many(scorer, w, dataset.eval_neg_X))
@@ -608,8 +617,23 @@ def simulate(
         if trace_sink is not None:
             trace_sink.on_round(rec)
 
+    def watch(r, bad):
+        # bad[k, i]: the WATCHED index of client i's first non-finite quantity
+        # at iteration k, len(WATCHED) if none. Running the clients one after
+        # another meets the lowest-index one first, at its first such k.
+        hit = bad < len(program.WATCHED)
+        if hit.any():
+            i = int(np.argmax(hit.any(axis=0)))
+            k = int(np.argmax(hit[:, i]))
+            raise FloatingPointError(f"diverged: non-finite {program.WATCHED[bad[k, i]]} "
+                                     f"on client {i} at round {r}, iteration {k}")
+
     t_start = time.perf_counter()
-    table = program.bootstrap_uploads()
+    with np.errstate(all="ignore"):  # watched below
+        table = program.bootstrap_uploads()
+    if table.h1_u is not None:
+        finite = np.isfinite(table.h1_u).all(axis=2).T  # (K, N)
+        watch(0, np.where(finite, len(program.WATCHED), program.WATCHED.index("emitted u-value")))
     download = server_aggregate(table)
     emit_round(0, t_start, download, table, 0)
 
@@ -618,26 +642,11 @@ def simulate(
         t_start = time.perf_counter()
         wraps = program.begin_round(download, r)
         etas = [hyper.eta_at((r - 1) * K + k) for k in range(K)]
-        estimates = np.empty((K, n))
-        first_bad = np.full(n, K)  # first non-finite iteration per client
-        what = np.empty(n, dtype=int)  # and its first non-finite quantity
-        # A diverging client's only signal is the error below: the step
-        # watches its quantities, so numpy's warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        estimates, bad = np.empty((K, n)), np.empty((K, n), dtype=int)
+        with np.errstate(all="ignore"):  # the step watches its quantities
             for k, eta_k in enumerate(etas):
-                estimates[k], bad = program.step(k, eta_k)
-                fresh = (bad < len(program.WATCHED)) & (first_bad == K)
-                first_bad[fresh] = k
-                what[fresh] = bad[fresh]
-        if (first_bad < K).any():
-            # The lowest-index client that diverged, at its first
-            # non-finite iteration: what running the clients one after
-            # another would have met first.
-            i = int(np.argmax(first_bad < K))
-            raise FloatingPointError(
-                f"diverged: non-finite {program.WATCHED[what[i]]} on client {i} "
-                f"at round {r}, iteration {first_bad[i]}"
-            )
+                estimates[k], bad[k] = program.step(k, eta_k)
+        watch(r, bad)
         table = program.uploads()
         download = server_aggregate(table)
         trace.loss_estimates.append(estimates)

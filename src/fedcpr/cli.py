@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
+from .algorithms import checked_oracle
 from .data import build_dataset
 from .harness import ConfigError, parse_config_file, run, sweep
-from .losses import exact_oracle
 from .model import initial_model
 from .selftest import run_selftest
 
@@ -80,11 +78,10 @@ def _cmd_oracle(args) -> int:
     config = parse_config_file(args.config)
     dataset = build_dataset(config.data)
     w0 = initial_model(config.scorer, config.hyper.seed)
-    _, pos_X = dataset.pos_union()
-    _, neg_X = dataset.neg_union()
-    obj, grad = exact_oracle(config.loss, config.outer, config.scorer, w0, pos_X, neg_X)
+    obj, grad, grad_sq = checked_oracle(config.loss, config.outer, config.scorer, w0, dataset,
+                                        "the initial model")
     print(f"objective = {obj:.17g}")
-    print(f"grad_norm_sq = {float(np.dot(grad, grad)):.17g}")
+    print(f"grad_norm_sq = {grad_sq:.17g}")
     print("grad = " + ",".join(format(v, ".17g") for v in grad))
     return 0
 

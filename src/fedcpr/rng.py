@@ -36,19 +36,19 @@ Port contract (what an alternate-language port needs besides PCG64):
   regime ``pop > 10000 and size > pop // 50``, where numpy shuffles the tail
   of a full ``arange(pop)`` instead.
 
-Batched seeding restates the Key and Seeding steps for S tag tuples at once
-and adds nothing to the contract: the SHA-256 inputs are the bytes
-:func:`derive_key` hashes, the pool mixing runs on (S, 4) uint32 arrays, and
-128-bit numbers are (high, low) uint64 halves. All streams then advance
-together, one PCG64 step ``state * M + inc`` per 64-bit output, followed by
-its XSL-RR output. :func:`buffer_positions` resets one shared generator to
-each stream's start, and :func:`choices` draws whole-population minibatches
-(``pop == size``) of many streams from those words, bit for bit what
-``Generator.choice`` gives.
+Batched seeding restates the Seeding step for S tag tuples at once and adds
+nothing to the contract: the keys are :func:`derive_key`'s digest bytes, the
+pool mixing runs on (S, 4) uint32 arrays, and 128-bit numbers are (high, low)
+uint64 halves. All streams then advance together, one PCG64 step
+``state * M + inc`` per 64-bit output, followed by its XSL-RR output.
+:func:`buffer_positions` resets one shared generator to each stream's start,
+and :func:`choices` draws whole-population minibatches (``pop == size``) of
+many streams from those words, bit for bit what ``Generator.choice`` gives.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -82,6 +82,7 @@ _STATE_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True never gets 1's entry
 def _tag_bytes(tag: Tag) -> bytes:
     if isinstance(tag, bool):  # bool is an int subclass; reject ambiguity
         raise TypeError("bool tags are not allowed")
@@ -92,10 +93,18 @@ def _tag_bytes(tag: Tag) -> bytes:
     raise TypeError(f"unsupported tag type: {type(tag).__name__}")
 
 
+def _digest(seed: int, tags: tuple[Tag, ...]) -> bytes:
+    """The SHA-256 digest of the Key step's bytes for (seed, tags)."""
+    try:
+        body = b"".join(map(_tag_bytes, tags))
+    except TypeError:  # an unhashable tag misses the memo; encoding it names it
+        body = b"".join(map(_tag_bytes.__wrapped__, tags))
+    return hashlib.sha256(int(seed).to_bytes(8, "big", signed=True) + body).digest()
+
+
 def derive_key(seed: int, *tags: Tag) -> int:
     """Map (seed, tags) to a 128-bit integer key. Pure function."""
-    buf = int(seed).to_bytes(8, "big", signed=True) + b"".join(map(_tag_bytes, tags))
-    return int.from_bytes(hashlib.sha256(buf).digest()[:16], "big", signed=False)
+    return int.from_bytes(_digest(seed, tags)[:16], "big", signed=False)
 
 
 def substream(seed: int, *tags: Tag) -> np.random.Generator:
@@ -105,24 +114,8 @@ def substream(seed: int, *tags: Tag) -> np.random.Generator:
 
 def _keys(seed: int, streams: list[tuple[Tag, ...]]) -> np.ndarray:
     """``derive_key(seed, *tags)`` of every tag tuple, as (S, 4) uint32:
-    each key's little-endian 32-bit words."""
-    head = int(seed).to_bytes(8, "big", signed=True)
-    encoded: dict[Tag, bytes] = {}
-
-    def enc(tag: Tag) -> bytes:
-        # Only exact int and str tags are kept: True == 1 and
-        # np.int64(3) == 3 must still reach _tag_bytes and be rejected.
-        if type(tag) not in (int, str):
-            return _tag_bytes(tag)
-        if tag not in encoded:
-            encoded[tag] = _tag_bytes(tag)
-        return encoded[tag]
-
-    # digest[15::-1]: the key's 16 bytes, little-endian.
-    keys = b"".join(
-        hashlib.sha256(head + b"".join([enc(t) for t in tags])).digest()[15::-1]
-        for tags in streams
-    )
+    each key's little-endian 32-bit words, from its 16 digest bytes reversed."""
+    keys = b"".join(_digest(seed, tags)[15::-1] for tags in streams)
     return np.frombuffer(keys, "<u4").reshape(len(streams), 4)
 
 

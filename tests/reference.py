@@ -35,7 +35,7 @@ from fedcpr.data import FederatedDataset
 from fedcpr.federation import ProtocolError, RoundDownload, RoundUpload, server_aggregate
 from fedcpr.losses import PairwiseLossSpec, expit, loss, loss_and_slope, outer_deriv
 from fedcpr.metrics import ScoredEval
-from fedcpr.model import ScorerSpec, init_params, score_grad_many, score_many
+from fedcpr.model import ScorerSpec, initial_model, score_grad_many, score_many
 from fedcpr.rng import substream
 
 
@@ -334,7 +334,7 @@ class ReferenceProgram:
             shards = [Shard(*dataset.pos_union(), *dataset.neg_union())]
         else:
             shards = [client_shard(dataset, i) for i in range(dataset.n_clients)]
-        w0 = init_params(s.scorer, substream(s.seed, "init"))
+        w0 = initial_model(s.scorer, s.seed)
         states = []
         for i, shard in enumerate(shards):
             st = ClientState(index=i, shard=shard, settings=s, model=w0.copy())
@@ -504,17 +504,28 @@ def reference_rounds(
     hyper: HyperParams,
 ) -> list[ReferenceRound]:
     """Round 0 and rounds 1..R, each client's K steps one after another in
-    client order. Raises FloatingPointError at the first step with a
-    non-finite pair-loss estimate, u-value, gradient estimate, emitted
-    u-value or model, checked in that order, naming it, its client, round
-    and iteration."""
+    client order. Raises FloatingPointError at the first non-finite
+    emitted u-value of the bootstrap, or at the first step with a non-finite
+    pair-loss estimate, u-value, gradient estimate, emitted u-value or
+    model, checked in that order, naming it, its client, round and
+    iteration."""
     program = ReferenceProgram(RunSettings(algorithm, scorer, loss_spec, outer, hyper))
     states = program.init_states(dataset)
 
     def wraps() -> int:
         return sum(b.wraps for st in states for b in (st.pos_buffer, st.neg_buffer) if b)
 
-    table, ids = stack_uploads([program.bootstrap_upload(st) for st in states])
+    def watch(st, r, k, watched):
+        for name, value in watched:
+            if value is not None and not np.all(np.isfinite(value)):
+                raise FloatingPointError(f"diverged: non-finite {name} on client {st.index} "
+                                         f"at round {r}, iteration {k}")
+
+    uploads = [program.bootstrap_upload(st) for st in states]
+    for st, up in zip(states, uploads):
+        for k in range(hyper.K if up.h1_u is not None else 0):
+            watch(st, 0, k, [("emitted u-value", up.h1_u[k])])
+    table, ids = stack_uploads(uploads)
     rounds = [ReferenceRound(table, ids, server_aggregate(table), np.empty((0, len(states))), 0)]
     for r in range(1, hyper.R + 1):
         before = wraps()
@@ -525,13 +536,9 @@ def reference_rounds(
             for k in range(hyper.K):
                 est, u, grad = program.local_step(st, r, k, hyper.eta_at((r - 1) * hyper.K + k))
                 emitted_u = st.out["h1_u"][-1] if "h1_u" in st.out else None
-                watched = (("pair-loss estimate", est), ("u-value", u),
-                           ("gradient estimate", grad), ("emitted u-value", emitted_u),
-                           ("model", st.model))
-                for name, value in watched:
-                    if value is not None and not np.all(np.isfinite(value)):
-                        raise FloatingPointError(f"diverged: non-finite {name} on client {st.index} "
-                                                 f"at round {r}, iteration {k}")
+                watch(st, r, k, [("pair-loss estimate", est), ("u-value", u),
+                                 ("gradient estimate", grad), ("emitted u-value", emitted_u),
+                                 ("model", st.model)])
                 estimates[k, st.index] = est
             uploads.append(program.build_upload(st))
         table, ids = stack_uploads(uploads)

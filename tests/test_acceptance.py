@@ -46,7 +46,7 @@ from fedcpr.metrics import ScoredEval, auc, partial_auc
 from fedcpr.model import (
     ScorerSpec,
     finite_diff_grad,
-    init_params,
+    initial_model,
     score_grad_many,
     score_many,
 )
@@ -111,7 +111,7 @@ def _unbias_fixture(seed=42):
                      seed=seed)
     ds = build_dataset(cfg)
     scorer = ScorerSpec("linear", 6)
-    w0 = init_params(scorer, substream(seed, "init"))
+    w0 = initial_model(scorer, seed)
     return ds, scorer, w0
 
 
@@ -300,7 +300,7 @@ def test_criterion_4_convex_convergence():
     diffs = pos_X[:, None, :] - neg_X[None, :, :]
     hess = 2.0 * np.einsum("pqi,pqj->ij", diffs, diffs) / diffs.shape[0] / diffs.shape[1]
     eta_gd = 1.0 / np.linalg.eigvalsh(hess).max()
-    w = init_params(scorer, substream(1, "init"))
+    w = initial_model(scorer, 1)
     for _ in range(10_000):
         w = w - eta_gd * exact_grad(sq, IDENTITY_OUTER, scorer, w, pos_X, neg_X)
     f_opt = exact_objective(sq, IDENTITY_OUTER, scorer, w, pos_X, neg_X)

@@ -37,7 +37,7 @@ from fedcpr.losses import (
     loss,
     loss_and_slope,
 )
-from fedcpr.model import ScorerSpec, finite_diff_grad, init_params, score_grad_many, score_many
+from fedcpr.model import ScorerSpec, finite_diff_grad, initial_model, score_grad_many, score_many
 from fedcpr.rng import substream
 
 PSM = PairwiseLossSpec("psm_sigmoid")
@@ -276,7 +276,7 @@ class TestFedX1Run:
         ds = _dataset(n_clients=1)
         hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, seed=5)
         trace = simulate("fedx1", ds, ScorerSpec("linear", 3), SQ, IDENTITY_OUTER, hyper)
-        w0 = init_params(ScorerSpec("linear", 3), substream(5, "init"))
+        w0 = initial_model(ScorerSpec("linear", 3), 5)
         np.testing.assert_array_equal(trace.final_model, w0)
 
     def test_deterministic_replay(self):
@@ -423,7 +423,7 @@ class TestFedX2Run:
         scorer = ScorerSpec("linear", 3)
         t_fed = simulate("fedx2", ds, scorer, KL, KL_LOG, hyper)
         t_cen = simulate("centralized", ds, scorer, KL, KL_LOG, hyper)
-        w0 = init_params(scorer, substream(24, "init"))
+        w0 = initial_model(scorer, 24)
         assert not np.array_equal(t_fed.final_model, w0)  # a real step happened
         np.testing.assert_allclose(t_fed.final_model, t_cen.final_model, rtol=1e-15)
 
@@ -433,7 +433,7 @@ class TestFedX2Run:
         # the deviation from the exact gradient without gating on it.
         ds = _dataset(n_clients=2, n_pos=4, n_neg=6, seed=25)
         scorer = ScorerSpec("linear", 3)
-        w0 = init_params(scorer, substream(25, "init"))
+        w0 = initial_model(scorer, 25)
         hyper = HyperParams(eta=0.0, K=1, R=1, B1=1, B2=1, gamma=1.0, beta=1.0,
                             seed=25)
         settings = RunSettings("fedx2", scorer, KL, KL_LOG, hyper)
@@ -505,7 +505,7 @@ class TestBaselines:
         scorer = ScorerSpec("linear", 3)
         t_lp = simulate("local_pair", ds, scorer, SQ, IDENTITY_OUTER, hyper)
         t_ce = simulate("centralized", ds, scorer, SQ, IDENTITY_OUTER, hyper)
-        w0 = init_params(scorer, substream(16, "init"))
+        w0 = initial_model(scorer, 16)
         np.testing.assert_array_equal(t_lp.final_model, w0)
         np.testing.assert_array_equal(t_ce.final_model, w0)
 

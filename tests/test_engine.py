@@ -10,6 +10,7 @@ from fedcpr import algorithms
 from fedcpr.algorithms import PROGRAMS, HyperParams, RunSettings, simulate
 from fedcpr.data import DataConfig, build_dataset
 from fedcpr.federation import server_aggregate
+from fedcpr.harness import parse_config
 from fedcpr.losses import IDENTITY_OUTER, OuterFnSpec, PairwiseLossSpec
 from fedcpr.model import ScorerSpec
 
@@ -155,6 +156,23 @@ def test_divergence_names_a_non_finite_emitted_u_value():
         simulate(*args, eval_every=0, oracle_every=0)
     assert str(got.value) == str(want.value) == (
         "diverged: non-finite emitted u-value on client 0 at round 1, iteration 2")
+
+
+def test_divergence_names_a_non_finite_bootstrap_u_value():
+    # The bootstrap's u-values of clients 9 and 15 overflow, client 9's
+    # first at iteration 0; round 1 would next meet client 0's pair-loss
+    # estimate at iteration 1.
+    cfg = parse_config("algorithm = fedx2\nloss.kind = kl_opauc\nloss.lambda = 0.05\n"
+                       "outer.kind = kl_log\nhyper.R = 3\nhyper.eta = 0.01\nhyper.K = 4\n"
+                       "data.seed = 1\nhyper.seed = 1\n")
+    args = (cfg.algorithm, build_dataset(cfg.data), cfg.scorer, cfg.loss, cfg.outer, cfg.hyper)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError) as want:
+            reference_rounds(*args)
+    with pytest.raises(FloatingPointError) as got:
+        simulate(*args, eval_every=0, oracle_every=0)
+    assert str(got.value) == str(want.value) == (
+        "diverged: non-finite emitted u-value on client 9 at round 0, iteration 0")
 
 
 @st.composite

@@ -599,29 +599,34 @@ class TestCli:
         res = _cli(["run", "--config", str(tmp_path / "nope.cfg")], tmp_path)
         assert res.returncode == 3, res.stderr
 
-    def test_oracle_overflow_is_runtime_error(self, tmp_path):
+    def test_oracle_overflow_is_runtime_error(self, tmp_path, monkeypatch):
         # kl_opauc + identity at lambda = 0.001: at the initial model some
         # pair has m^2/lambda far above log(float max), so the true objective
         # exceeds float64 and the run stops at round 0 rather than record inf.
+        # `run` and `oracle` name it in one line: a numpy warning would fail
+        # the child.
         text = TINY + "loss.kind = kl_opauc\nloss.lambda = 0.001\n"
         cfg = parse_config(text)
         from fedcpr.data import build_dataset
-        from fedcpr.model import init_params, score_many
-        from fedcpr.rng import substream
+        from fedcpr.model import initial_model, score_many
 
         ds = build_dataset(cfg.data)
-        w0 = init_params(cfg.scorer, substream(cfg.hyper.seed, "init"))
+        w0 = initial_model(cfg.scorer, cfg.hyper.seed)
         a = score_many(cfg.scorer, w0, ds.pos_union()[1])
         b = score_many(cfg.scorer, w0, ds.neg_union()[1])
         m = max(b.max() + 1.0 - a.min(), 0.0)
         assert m * m / 0.001 - np.log(a.size * b.size) > np.log(np.finfo(float).max)
 
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text)
         res = _cli(["run", "--config", str(cfg_path), "--out",
                     str(tmp_path / "t.csv")], tmp_path)
         assert res.returncode == 3, res.stderr
-        assert "objective" in res.stderr and "round 0" in res.stderr
+        assert res.stderr == "error: exact objective is non-finite (inf) at round 0\n"
+        res = _cli(["oracle", "--config", str(cfg_path)], tmp_path)
+        assert (res.returncode, res.stdout) == (3, ""), res.stderr
+        assert res.stderr == "error: exact objective is non-finite (inf) at the initial model\n"
 
     def test_divergence_names_the_non_finite_quantity(self, tmp_path, monkeypatch):
         # local_pair with kl_opauc + kl_log on the default data: at round 1,
@@ -652,8 +657,7 @@ class TestCli:
     def test_oracle_matches_library(self, tmp_path):
         from fedcpr.data import build_dataset
         from fedcpr.losses import exact_objective
-        from fedcpr.model import init_params
-        from fedcpr.rng import substream
+        from fedcpr.model import initial_model
 
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY)
@@ -661,7 +665,7 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         cfg = parse_config(TINY)
         ds = build_dataset(cfg.data)
-        w0 = init_params(cfg.scorer, substream(cfg.hyper.seed, "init"))
+        w0 = initial_model(cfg.scorer, cfg.hyper.seed)
         expected = exact_objective(
             cfg.loss, cfg.outer, cfg.scorer, w0, ds.pos_union()[1], ds.neg_union()[1]
         )

@@ -10,9 +10,11 @@ from fedcpr.model import (
     ScorerSpec,
     finite_diff_grad,
     init_params,
+    initial_model,
     score_grad_many,
     score_many,
 )
+from fedcpr.rng import substream
 
 LINEAR = ScorerSpec("linear", 4)
 MLP = ScorerSpec("mlp1", 4, hidden_dim=2)
@@ -213,6 +215,12 @@ class TestInit:
             w2 = init_params(spec, rng2)
             assert w1.shape == (spec.param_count,)
             np.testing.assert_array_equal(w1, w2)
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP])
+    @pytest.mark.parametrize("seed", [0, 7, -(2**63)])
+    def test_initial_model_is_init_params_on_the_init_stream(self, spec, seed):
+        want = init_params(spec, substream(seed, "init"))
+        assert initial_model(spec, seed).tobytes() == want.tobytes()
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):

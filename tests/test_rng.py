@@ -2,6 +2,7 @@
 per-stream ``Generator`` calls, and the names they are kept out of."""
 
 import ast
+import enum
 import inspect
 import re
 
@@ -150,11 +151,44 @@ def test_no_streams(specs):
         assert got.shape == (0, size) and got.dtype == np.int64
 
 
+class _Side(enum.IntEnum):
+    POS = 1
+    NEG = -(2**63)
+
+
 _tags = st.lists(st.one_of(
     st.integers(-(2**63), 2**63 - 1),
-    st.sampled_from(["", "step", "buffer-pos", "é", "ключ", "\x00", "🙂"]),
+    st.sampled_from([0, -1, 2**31, 2**32 - 1, 2**63 - 1, -(2**63), _Side.POS, _Side.NEG]),
+    st.sampled_from(["", "step", "buffer-pos", "é", "ключ", "\x00", "🙂", np.str_("step")]),
     st.text(max_size=6),
 ), max_size=4).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(-(2**63), 2**63 - 1), streams=st.lists(_tags, max_size=5))
+def test_batched_keys_are_derive_key_words(seed, streams):
+    # Row s: derive_key's 16 bytes, read as four little-endian words.
+    keys = rng._keys(seed, streams)
+    assert keys.shape == (len(streams), 4) and keys.dtype == np.uint32
+    for row, tags in zip(keys, streams):
+        assert row.tobytes() == derive_key(seed, *tags).to_bytes(16, "little")
+
+
+# derive_key's answers before the batched draws shared its digest.
+KNOWN_KEYS = [
+    (0, (), 0xaf5570f5a1810b7af78caf4bc70a660f),
+    (0, ("init",), 0xacc01b0c2de23f1ae6df3bf807339e92),
+    (-1, ("step", 3, 2, 7), 0x68f420deec89ba0d03cad0e5c368075d),
+    (2**63 - 1, (-(2**63), "é🙂", 2**63 - 1), 0xc43bf0a7a4b2df4c501dcb8c6db16954),
+    (7, ("bootstrap", 3, 5), 0xdf8b91186b58e43c4f871ba8e41b08d1),
+    (-5, ("", 0, "\x00"), 0x5c18c25a47b4236749ac607a1352cc13),
+]
+
+
+@pytest.mark.parametrize("seed, tags, key", KNOWN_KEYS)
+def test_derive_key_known_answers(seed, tags, key):
+    assert derive_key(seed, *tags) == key
+    assert rng._keys(seed, [tags]).tobytes() == key.to_bytes(16, "little")
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,8 +206,9 @@ def test_batched_seeding_equals_substream(seed, streams):
         assert np.array_equal(words[s], np.stack([low, high], axis=-1).reshape(-1))
 
 
-@pytest.mark.parametrize("bad", [True, 1.5, np.int64(3)])
+@pytest.mark.parametrize("bad", [True, 1.5, np.int64(3), [1]])
 def test_bad_tags_rejected_like_derive_key(bad):
+    derive_key(0, 1, 3)  # True == 1 and np.int64(3) == 3: the memo must not serve them
     with pytest.raises(TypeError) as err:
         derive_key(0, "ok", bad)
     msg = re.escape(str(err.value))
