@@ -41,12 +41,7 @@ from .losses import (
     outer_deriv,
     outer_value,
 )
-from .metrics import (
-    ScoredEval,
-    auc,
-    auc_and_partial_aucs,
-    partial_auc,
-)
+from .metrics import auc, auc_and_partial_aucs, partial_auc
 from .model import ScorerSpec, finite_diff_grad, score_grad_many, score_many
 from .rng import substream
 

@@ -76,7 +76,7 @@ from .losses import (
     loss_and_slope,
     outer_deriv,
 )
-from .metrics import ScoredEval, auc_and_partial_aucs
+from .metrics import auc_and_partial_aucs
 from .model import ScorerSpec, _vecmat, initial_model, score_grad_many, score_many
 from .rng import batches, buffer_positions
 
@@ -238,9 +238,6 @@ class RoundRecord:
 @dataclass
 class RunTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
-    # Round r's (K, N) loss estimates and K step sizes, r = 1..R.
-    loss_estimates: list[np.ndarray] = field(default_factory=list)
-    step_sizes: list[np.ndarray] = field(default_factory=list)
     final_model: np.ndarray | None = None
     # Floats sent over the run: every client, both directions, every round.
     total_floats: int = 0
@@ -461,14 +458,15 @@ class LocalSGDProgram(PairwiseProgram):
         super().__init__(settings, dataset)
         # The logistic update has no outer function: no tracker, no momentum.
         self.nonlinear, self.momentum, self.u_table = False, None, None
+        # Each client's samples, positives then negatives, and their ±1 labels.
+        self.union = np.concatenate([self.pos_X, self.neg_X], axis=1)
+        self.labels = np.concatenate([np.ones(self.n_pos), -np.ones(self.n_neg)])
 
     def _prepare(self, download: RoundDownload, round_idx: int) -> int:
         h = self.settings.hyper
         (idx,) = batches(h.seed, [(self.n_pos + self.n_neg, h.B1 + h.B2)], h.K, self.n_clients,
                          "step", round_idx)
-        union = np.concatenate([self.pos_X, self.neg_X], axis=1)
-        labels = np.concatenate([np.ones(self.n_pos), -np.ones(self.n_neg)])
-        self.x, self.y = union[self.rows, idx], labels[idx]
+        self.x, self.y = self.union[self.rows, idx], self.labels[idx]
         return 0
 
     def local_step(self, k: int, eta: float) -> StepResult:
@@ -567,8 +565,9 @@ def simulate(
     rounds of ``hyper.K`` local steps per client.
 
     ``trace_sink`` sees each round's record (``on_round``), after that
-    round's (K, N) loss estimates and K step sizes (``on_iteration``); the
-    returned trace holds both, and the run's :attr:`RunTrace.total_floats`.
+    round's (K, N) loss estimates and K step sizes (``on_iteration``), which
+    only the sink sees; the returned trace holds the round records, the
+    final model and the run's :attr:`RunTrace.total_floats`.
     The exact oracle and the held-out metrics are taken at rounds 0 and R
     and every ``oracle_every``/``eval_every`` rounds (0 = never between).
 
@@ -599,9 +598,9 @@ def simulate(
             objective, _, grad_sq = checked_oracle(loss_spec, outer, scorer, w, dataset,
                                                    f"round {idx}")
         if _due(idx, hyper.R, eval_every):
-            ev = ScoredEval(score_many(scorer, w, dataset.eval_pos_X),
-                            score_many(scorer, w, dataset.eval_neg_X))
-            auc_val, pauc_val = auc_and_partial_aucs(ev, PAUC_FPRS)
+            auc_val, pauc_val = auc_and_partial_aucs(score_many(scorer, w, dataset.eval_pos_X),
+                                                     score_many(scorer, w, dataset.eval_neg_X),
+                                                     PAUC_FPRS)
         rec = RoundRecord(
             round=idx,
             wall_seconds=time.perf_counter() - t_start,
@@ -649,10 +648,8 @@ def simulate(
         watch(r, bad)
         table = program.uploads()
         download = server_aggregate(table)
-        trace.loss_estimates.append(estimates)
-        trace.step_sizes.append(np.array(etas))
         if trace_sink is not None:
-            trace_sink.on_iteration(r, estimates, trace.step_sizes[-1])
+            trace_sink.on_iteration(r, estimates, etas)
         emit_round(r, t_start, download, table, wraps)
 
     trace.final_model = download.model.copy()

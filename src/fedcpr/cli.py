@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algorithms import checked_oracle
+from .algorithms import PAUC_FPRS, checked_oracle
 from .data import build_dataset
 from .harness import ConfigError, parse_config_file, run, sweep
 from .model import initial_model
@@ -60,17 +60,15 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = parse_config_file(args.config)
     try:
-        values = [int(v) for v in args.values.split(",") if v.strip()]
+        values = [int(v) for v in args.values.split(",")]  # int("") fails too
     except ValueError:
         raise ConfigError(f"values: expected integers, got {args.values!r}") from None
     rows = sweep(config, args.axis, values, args.out_dir)
-    print(f"{args.axis} value  objective     pauc@0.3  pauc@0.5  floats")
+    print(f"{args.axis} value  objective   " + "".join(f"  pauc@{f:g}" for f in PAUC_FPRS)
+          + "  floats")
     for row in rows:
-        print(
-            f"{row['value']:>8} {row['final_objective']:.6g} "
-            f"{row['final_pauc_0.3']:.4f} {row['final_pauc_0.5']:.4f} "
-            f"{row['total_floats']}"
-        )
+        paucs = "".join(f"{row[f'final_pauc_{f:g}']:.4f} " for f in PAUC_FPRS)
+        print(f"{row['value']:>8} {row['final_objective']:.6g} {paucs}{row['total_floats']}")
     return 0
 
 

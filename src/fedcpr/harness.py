@@ -293,18 +293,15 @@ def run(
         sink.close()
     if not quiet:
         final = trace.final_round()
-        pauc = (final.pauc or {}).get(0.5)
-        print(
-            f"{config.algorithm}: final objective={_fmt(final.objective)} "
-            f"final pauc@0.5={_fmt(pauc)} "
-            f"floats={trace.total_floats}"
-        )
+        paucs = "".join(f"final pauc@{f:g}={_fmt(final.pauc[f])} " for f in PAUC_FPRS)
+        print(f"{config.algorithm}: final objective={_fmt(final.objective)} {paucs}"
+              f"floats={trace.total_floats}")
     return trace
 
 
 # The columns of summary.csv, and the keys of each row ``sweep`` returns.
 SUMMARY_COLUMNS = (
-    "value", "final_objective", "final_pauc_0.3", "final_pauc_0.5", "total_floats"
+    "value", "final_objective", *(f"final_pauc_{f:g}" for f in PAUC_FPRS), "total_floats"
 )
 
 
@@ -364,8 +361,7 @@ def sweep(
                 )
             trace = run(cfg, out=out_dir / f"trace_{axis}{value}.csv", quiet=True)
             final = trace.final_round()
-            pauc = final.pauc or {}
-            cells = (value, final.objective, pauc.get(0.3), pauc.get(0.5),
+            cells = (value, final.objective, *(final.pauc[f] for f in PAUC_FPRS),
                      trace.total_floats)
             rows.append(dict(zip(SUMMARY_COLUMNS, cells)))
             summary.write(",".join(_fmt(v) for v in cells) + "\n")

@@ -14,24 +14,19 @@ definitions in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ScoredEval:
-    pos_scores: np.ndarray
-    neg_scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos_scores", np.asarray(self.pos_scores, dtype=float))
-        object.__setattr__(self, "neg_scores", np.asarray(self.neg_scores, dtype=float))
-
-
-def _check_nonempty(ev: ScoredEval) -> None:
-    if ev.pos_scores.size == 0 or ev.neg_scores.size == 0:
-        raise ValueError("both score sides must be nonempty")
+def _scores(pos, neg) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides as 1-D float arrays, a scalar as one score; ValueError
+    for a side that is empty or has more than one dimension."""
+    sides = tuple(np.atleast_1d(np.asarray(s, dtype=float)) for s in (pos, neg))
+    for name, a in zip(("pos", "neg"), sides):
+        if a.ndim > 1:
+            raise ValueError(f"{name} scores must be 1-D, got shape {a.shape}")
+        if a.size == 0:
+            raise ValueError("both score sides must be nonempty")
+    return sides
 
 
 def _keep_count(q: int, fpr_max: float) -> int:
@@ -46,16 +41,16 @@ def _keep_count(q: int, fpr_max: float) -> int:
     return keep
 
 
-def _win_rates(ev: ScoredEval, keeps) -> list[float]:
+def _win_rates(pos: np.ndarray, neg: np.ndarray, keeps) -> list[float]:
     """Win rate of the positives against the top ``keep`` negatives, for
     each keep, from one sort: the top keep of the ascending negatives are
     the suffix past off = Q - keep, so a positive's wins there are its
     wins overall less off, floored at 0."""
-    if np.isnan(ev.pos_scores).any() or np.isnan(ev.neg_scores).any():
+    if np.isnan(pos).any() or np.isnan(neg).any():
         return [float("nan")] * len(keeps)  # a NaN score has no rank
-    neg = np.sort(ev.neg_scores)
-    left = np.searchsorted(neg, ev.pos_scores, side="left")  # strict wins
-    right = np.searchsorted(neg, ev.pos_scores, side="right")  # wins + ties
+    neg = np.sort(neg)
+    left = np.searchsorted(neg, pos, side="left")  # strict wins
+    right = np.searchsorted(neg, pos, side="right")  # wins + ties
     rates = []
     for keep in keeps:
         off = neg.size - keep
@@ -63,25 +58,24 @@ def _win_rates(ev: ScoredEval, keeps) -> list[float]:
         not_above = np.maximum(right - off, 0).sum()
         # Integer and half-integer counts are exact in floating point.
         wins = below + 0.5 * (not_above - below)
-        rates.append(float(wins / (ev.pos_scores.size * keep)))
+        rates.append(float(wins / (pos.size * keep)))
     return rates
 
 
-def auc(ev: ScoredEval) -> float:
+def auc(pos, neg) -> float:
     """Probability a positive outranks a negative, ties counting 0.5."""
-    _check_nonempty(ev)
-    return _win_rates(ev, [ev.neg_scores.size])[0]
+    pos, neg = _scores(pos, neg)
+    return _win_rates(pos, neg, [neg.size])[0]
 
 
-def partial_auc(ev: ScoredEval, fpr_max: float) -> float:
+def partial_auc(pos, neg, fpr_max: float) -> float:
     """One-way partial AUC against the hardest fpr_max fraction of negatives."""
-    _check_nonempty(ev)
-    return _win_rates(ev, [_keep_count(ev.neg_scores.size, fpr_max)])[0]
+    pos, neg = _scores(pos, neg)
+    return _win_rates(pos, neg, [_keep_count(neg.size, fpr_max)])[0]
 
 
-def auc_and_partial_aucs(ev: ScoredEval, fprs) -> tuple[float, dict[float, float]]:
-    """auc(ev) and {f: partial_auc(ev, f) for f in fprs}, sorting once."""
-    _check_nonempty(ev)
-    q = ev.neg_scores.size
-    rates = _win_rates(ev, [q] + [_keep_count(q, f) for f in fprs])
+def auc_and_partial_aucs(pos, neg, fprs) -> tuple[float, dict[float, float]]:
+    """auc(pos, neg) and {f: partial_auc(pos, neg, f) for f in fprs}, sorting once."""
+    pos, neg = _scores(pos, neg)
+    rates = _win_rates(pos, neg, [neg.size] + [_keep_count(neg.size, f) for f in fprs])
     return rates[0], dict(zip(fprs, rates[1:]))

@@ -34,7 +34,6 @@ from fedcpr.algorithms import HyperParams, RunSettings, UTable, momentum_update
 from fedcpr.data import FederatedDataset
 from fedcpr.federation import ProtocolError, RoundDownload, RoundUpload, server_aggregate
 from fedcpr.losses import PairwiseLossSpec, expit, loss, loss_and_slope, outer_deriv
-from fedcpr.metrics import ScoredEval
 from fedcpr.model import ScorerSpec, initial_model, score_grad_many, score_many
 from fedcpr.rng import substream
 
@@ -144,18 +143,19 @@ def small_dataset(n_clients: int, n_pos: int, n_neg: int, held_out, seed: int) -
 
 # ------------------------------------------------------------ pairwise metrics
 
-def auc_bruteforce(ev: ScoredEval) -> float:
+def auc_bruteforce(pos, neg) -> float:
     """Literal pairwise definition of AUC, ties counting 0.5."""
-    if ev.pos_scores.size == 0 or ev.neg_scores.size == 0:
+    pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
+    if pos.size == 0 or neg.size == 0:
         raise ValueError("both score sides must be nonempty")
     wins = 0.0
-    for s in ev.pos_scores:
-        for t in ev.neg_scores:
+    for s in pos:
+        for t in neg:
             if s > t:
                 wins += 1.0
             elif s == t:
                 wins += 0.5
-    return wins / (ev.pos_scores.size * ev.neg_scores.size)
+    return wins / (pos.size * neg.size)
 
 
 def _hardest_negatives(neg_scores: np.ndarray, fpr_max: float) -> np.ndarray:
@@ -170,11 +170,9 @@ def _hardest_negatives(neg_scores: np.ndarray, fpr_max: float) -> np.ndarray:
     return neg_scores[order[:keep]]
 
 
-def partial_auc_bruteforce(ev: ScoredEval, fpr_max: float) -> float:
+def partial_auc_bruteforce(pos, neg, fpr_max: float) -> float:
     """auc_bruteforce against the hardest fpr_max fraction of negatives."""
-    return auc_bruteforce(
-        ScoredEval(ev.pos_scores, _hardest_negatives(ev.neg_scores, fpr_max))
-    )
+    return auc_bruteforce(pos, _hardest_negatives(np.asarray(neg, dtype=float), fpr_max))
 
 
 class Buffer:

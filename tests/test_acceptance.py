@@ -42,7 +42,7 @@ from fedcpr.losses import (
     loss_and_slope,
     outer_deriv,
 )
-from fedcpr.metrics import ScoredEval, auc, partial_auc
+from fedcpr.metrics import auc, partial_auc
 from fedcpr.model import (
     ScorerSpec,
     finite_diff_grad,
@@ -394,18 +394,16 @@ def test_criterion_6_reduction_identities():
     # (c) partial_auc at full FPR equals auc, exactly.
     eq_c = True
     for _ in range(50):
-        ev = ScoredEval(rng.normal(1, 1, int(rng.integers(1, 40))),
-                        rng.normal(0, 1, int(rng.integers(1, 40))))
-        eq_c = eq_c and partial_auc(ev, 1.0) == auc(ev)
+        pos = rng.normal(1, 1, int(rng.integers(1, 40)))
+        neg = rng.normal(0, 1, int(rng.integers(1, 40)))
+        eq_c = eq_c and partial_auc(pos, neg, 1.0) == auc(pos, neg)
 
     # (d) sorted AUC equals the O(P*Q) definition, exactly, with ties.
     eq_d = True
     for _ in range(60):
-        ev = ScoredEval(
-            rng.integers(0, 7, int(rng.integers(1, 51))).astype(float),
-            rng.integers(0, 7, int(rng.integers(1, 51))).astype(float),
-        )
-        eq_d = eq_d and auc(ev) == auc_bruteforce(ev)
+        pos = rng.integers(0, 7, int(rng.integers(1, 51))).astype(float)
+        neg = rng.integers(0, 7, int(rng.integers(1, 51))).astype(float)
+        eq_d = eq_d and auc(pos, neg) == auc_bruteforce(pos, neg)
     elapsed = time.perf_counter() - t0
     _report(
         6, "reduction identities",

@@ -11,7 +11,7 @@ from fedcpr.data import (
     flip_labels,
     generate,
 )
-from fedcpr.metrics import ScoredEval, auc
+from fedcpr.metrics import auc
 from fedcpr.model import ScorerSpec, score_many
 
 
@@ -71,10 +71,8 @@ class TestGenerate:
         ds = generate(cfg)
         spec = ScorerSpec("linear", 6)
         w = np.ones(6)  # aligned with the separation direction
-        ev = ScoredEval(
-            score_many(spec, w, ds.eval_pos_X), score_many(spec, w, ds.eval_neg_X)
-        )
-        assert 0.85 <= auc(ev) <= 0.95
+        pos, neg = score_many(spec, w, ds.eval_pos_X), score_many(spec, w, ds.eval_neg_X)
+        assert 0.85 <= auc(pos, neg) <= 0.95
 
     def test_eval_split_sizes(self):
         ds = generate(clean_config())

@@ -1,10 +1,11 @@
 """Config parsing, trace output, sweeps, and the CLI surface."""
 
+import inspect
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,18 @@ from hypothesis import strategies as st
 from reference import small_dataset
 
 import fedcpr
-from fedcpr import harness
-from fedcpr.algorithms import ALGORITHMS, REQUIRED_OUTER, HyperParams, simulate
+from fedcpr import cli, harness
+from fedcpr.algorithms import (
+    ALGORITHMS,
+    PAUC_FPRS,
+    REQUIRED_OUTER,
+    HyperParams,
+    RunTrace,
+    simulate,
+)
 from fedcpr.data import build_dataset
 from fedcpr.harness import (
+    SUMMARY_COLUMNS,
     ConfigError,
     CsvTraceSink,
     RunConfig,
@@ -362,8 +371,6 @@ class TestRun:
     def test_all_algorithms_dispatch(self, algorithm, tmp_path):
         base = TINY_FEDX2 if algorithm == "fedx2" else TINY
         text = base.replace("algorithm = fedx1", f"algorithm = {algorithm}")
-        if algorithm == "local_pair":
-            text = text  # identity outer is fine
         cfg = parse_config(text)
         trace = run(cfg, out=tmp_path / "t.csv", quiet=True)
         assert np.all(np.isfinite(trace.final_model))
@@ -371,16 +378,21 @@ class TestRun:
     def test_iteration_trace_sidecar(self, tmp_path):
         cfg = parse_config(TINY)
         out = tmp_path / "t.csv"
-        trace = run(cfg, out=out, iteration_trace=True, quiet=True)
+        run(cfg, out=out, iteration_trace=True, quiet=True)
         side = tmp_path / "t.csv.iters.csv"
         lines = side.read_text().splitlines()
         assert lines[0] == "client,round,iteration,loss_estimate,step_size"
         n, K, R = cfg.data.n_clients, cfg.hyper.K, cfg.hyper.R
         assert len(lines) == 1 + n * K * R
-        # One (K, N) block of estimates and K step sizes per round.
-        assert [e.shape for e in trace.loss_estimates] == [(K, n)] * R
-        assert [e.shape for e in trace.step_sizes] == [(K,)] * R
-        assert sum(e.size for e in trace.loss_estimates) == n * K * R
+        # One (K, N) block of estimates per round, client by client, and the
+        # K step sizes of the round, the same for every client.
+        rows = [line.split(",") for line in lines[1:]]
+        assert [tuple(int(v) for v in row[:3]) for row in rows] == [
+            (i, r, k) for r in range(1, R + 1) for i in range(n) for k in range(K)]
+        assert all(np.isfinite(float(row[3])) for row in rows)
+        assert [float(row[4]) for row in rows] == [
+            cfg.hyper.eta_at((r - 1) * K + k)
+            for r in range(1, R + 1) for _ in range(n) for k in range(K)]
 
     def test_iteration_rows_on_disk_once_their_round_is(self, tmp_path):
         cfg = parse_config(TINY)
@@ -410,13 +422,24 @@ class TestRun:
         )
         assert trace.total_floats == expected
 
-    def test_simulate_keeps_the_iteration_blocks(self):
+    def test_simulate_hands_the_iteration_blocks_to_the_sink(self):
         cfg = parse_config(TINY)
+        seen = []
+
+        class Recorder:
+            def on_round(self, rec):
+                seen.append(rec.round)
+
+            def on_iteration(self, round_idx, estimates, step_sizes):
+                seen.append((round_idx, estimates.shape, np.shape(step_sizes)))
+
         trace = simulate(cfg.algorithm, build_dataset(cfg.data), cfg.scorer, cfg.loss,
-                         cfg.outer, cfg.hyper)
+                         cfg.outer, cfg.hyper, trace_sink=Recorder())
         n, K, R = cfg.data.n_clients, cfg.hyper.K, cfg.hyper.R
-        assert [e.shape for e in trace.loss_estimates] == [(K, n)] * R
-        assert [e.shape for e in trace.step_sizes] == [(K,)] * R
+        # One (K, N) block of estimates and K step sizes per round, before
+        # the round's record; the returned trace keeps no copy.
+        assert seen == [0] + [e for r in range(1, R + 1) for e in ((r, (K, n), (K,)), r)]
+        assert [f.name for f in fields(RunTrace)] == ["rounds", "final_model", "total_floats"]
 
     def test_centralized_total_floats_count_its_one_worker(self, tmp_path):
         cfg = parse_config(TINY.replace("algorithm = fedx1", "algorithm = centralized"))
@@ -697,6 +720,52 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "trace_K1.csv").exists()
+
+    def test_sweep_table_header_for_the_shipped_caps(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        args = ["sweep", "--config", str(cfg_path), "--axis", "K", "--values", "1",
+                "--out-dir", str(tmp_path / "out")]
+        assert cli.main(args) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "K value  objective     pauc@0.3  pauc@0.5  floats"
+
+    def test_report_follows_one_cap_list(self, tmp_path, capsys):
+        caps = [f"{f:g}" for f in PAUC_FPRS]
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(cfg_path), "--axis", "K", "--values", "1",
+                "--out-dir", str(out)]
+        assert cli.main(args) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert [c.removeprefix("pauc_") for c in trace_columns() if "pauc" in c] == caps
+        assert [c.removeprefix("final_pauc_") for c in SUMMARY_COLUMNS if "pauc" in c] == caps
+        assert re.findall(r"pauc@(\S+)", header) == caps
+        # The summary cells and the table cells are the trace's final pAUCs.
+        trace = (out / "trace_K1.csv").read_text().splitlines()
+        final = dict(zip(trace[1].split(","), trace[-1].split(",")))
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == ",".join(SUMMARY_COLUMNS)
+        cells = dict(zip(SUMMARY_COLUMNS, summary[1].split(",")))
+        assert [cells[f"final_pauc_{c}"] for c in caps] == [final[f"pauc_{c}"] for c in caps]
+        assert row.split()[2:-1] == [f"{float(final[f'pauc_{c}']):.4f}" for c in caps]
+        # Where the report is built, no cap is restated as a literal.
+        for module in (harness, cli):
+            assert not [f for f in PAUC_FPRS if repr(f) in inspect.getsource(module)]
+
+    @pytest.mark.parametrize("values", ["1,,2", "1,2,", " ,1"])
+    def test_sweep_empty_value_is_config_error(self, tmp_path, values):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY)
+        res = _cli(
+            ["sweep", "--config", str(cfg_path), "--axis", "K",
+             "--values", values, "--out-dir", str(tmp_path / "out")],
+            tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert "values:" in res.stderr
+        assert not (tmp_path / "out").exists()  # rejected before any run
 
     @pytest.mark.parametrize("axis,value", [("N", "0"), ("N", "-4"), ("K", "0")])
     def test_sweep_nonpositive_value_is_config_error(self, tmp_path, axis, value):
