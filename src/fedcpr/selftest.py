@@ -176,8 +176,9 @@ def _check_batched_draws() -> CheckResult:
 
 
 def _check_batched_seeding() -> CheckResult:
-    # The one-pass seeding restates numpy's SeedSequence and PCG64; an
-    # installed numpy that seeds differently fails here.
+    # The one-pass seeding restates numpy's SeedSequence mixing and hands
+    # its words to numpy's PCG64; an installed numpy that seeds differently
+    # fails here.
     name = "batched seeding equals substream"
     N, size, K, n = 50, 52, 2, 40  # two laps per client
     for side in ("buffer-pos", "buffer-neg"):

@@ -26,10 +26,11 @@ def _one_by_one(seed, streams, specs):
     return out
 
 
-def _start(keys):
-    """The batched PCG64 start of integer keys, as ``PCG64(key)`` seeds them."""
+def _seeds(keys):
+    """The batched PCG64 seed words of integer keys, as ``PCG64(key)`` asks
+    SeedSequence for them."""
     entropy = b"".join(k.to_bytes(16, "little") for k in keys)
-    return rng._start(np.frombuffer(entropy, "<u4").reshape(len(keys), 4))
+    return rng._seed_words(np.frombuffer(entropy, "<u4").reshape(len(keys), 4))
 
 
 def _assert_same(seed, streams, specs):
@@ -74,14 +75,14 @@ def test_lemire_rejections_and_running_out_of_words(monkeypatch):
     # Generator.integers with dtype uint32 reads the same Lemire draws.
     j = 3 * 2**30 - 1
     keys = [derive_key(5, "reject", i) for i in range(200)]
-    start = _start(keys)
-    first = rng._words(start, 2)[:, 0]
+    seeds = _seeds(keys)
+    first = rng._words(seeds, 2)[:, 0]
     rejected = ((first * np.uint64(j + 1)) & np.uint64(0xFFFFFFFF)) < (2**32 - 1 - j) % (j + 1)
     assert 20 < rejected.sum() < 80
     counts = []
     words = rng._words
-    monkeypatch.setattr(rng, "_words", lambda st, n: counts.append(n) or words(st, n))
-    got = rng._bounded(start, np.full(12, j, dtype=np.uint64))
+    monkeypatch.setattr(rng, "_words", lambda sw, n: counts.append(n) or words(sw, n))
+    got = rng._bounded(seeds, np.full(12, j, dtype=np.uint64))
     assert len(counts) > 1
     for row, key in zip(got, keys):
         g = np.random.Generator(np.random.PCG64(key))
@@ -104,7 +105,7 @@ def test_route_boundaries(specs):
 def test_batched_seeding_equals_pcg64(key):
     raw = np.random.PCG64(key).random_raw(5)
     want = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=-1).reshape(-1)
-    got = rng._words(_start([key, 3, key]), 10)
+    got = rng._words(_seeds([key, 3, key]), 10)
     assert got.shape == (3, 10)
     assert np.array_equal(got[0], want) and np.array_equal(got[2], want)
 
@@ -194,16 +195,67 @@ def test_derive_key_known_answers(seed, tags, key):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(-(2**63), 2**63 - 1), streams=st.lists(_tags, min_size=1, max_size=5))
 def test_batched_seeding_equals_substream(seed, streams):
-    start = rng._start(rng._keys(seed, streams))
-    words = rng._words(start, 6)
+    seeds = rng._seed_words(rng._keys(seed, streams))
+    words = rng._words(seeds, 6)
     for s, tags in enumerate(streams):
+        key = derive_key(seed, *tags)
+        assert np.array_equal(seeds[s], np.random.SeedSequence(key).generate_state(4, np.uint64))
         want = substream(seed, *tags).bit_generator
         state = want.state["state"]
-        assert int(start[0, s]) << 64 | int(start[1, s]) == state["state"]
-        assert int(start[2, s]) << 64 | int(start[3, s]) == state["inc"]
+        start = np.random.PCG64(rng._SeedWords(seeds[s])).state["state"]
+        assert start["state"] == state["state"]
+        assert start["inc"] == state["inc"]
         raw = want.random_raw(3)
         low, high = raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)
         assert np.array_equal(words[s], np.stack([low, high], axis=-1).reshape(-1))
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                             (8, np.uint64), (4, np.int64)])
+def test_seed_words_refuse_other_requests(n_words, dtype):
+    # PCG64 asks for (4, uint64); a request for anything else is not one
+    # the held words answer.
+    words = rng._seed_words(rng._keys(0, [("x",)]))[0]
+    assert rng._SeedWords(words).generate_state(4, np.uint64) is words
+    with pytest.raises(ValueError, match="holds 4 uint64 seed words"):
+        rng._SeedWords(words).generate_state(n_words, dtype)
+
+
+# Every public way a seed and an integer tag reach the Key step.
+_ROUTES = [
+    lambda seed, tag: derive_key(seed, "x", tag),
+    lambda seed, tag: substream(seed, "x", tag).bit_generator.random_raw(2),
+    lambda seed, tag: choices(seed, [("x", tag)], [(4, 4)])[0],
+    lambda seed, tag: batches(seed, [(4, 4)], 1, 2, "x", tag)[0],
+    lambda seed, tag: buffer_positions(seed, "x", tag, 2, 4, 1, 4)[0],
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, np.float64(2.0), np.bool_(True), "1", None])
+def test_bad_seeds_rejected(bad):
+    # int() would make 1.5 and True the stream of seed 1.
+    for route in _ROUTES:
+        with pytest.raises(TypeError, match="unsupported seed type"):
+            route(bad, 1)
+
+
+@pytest.mark.parametrize("seed, tag, named", [
+    (2**63, 1, "seed 9223372036854775808"),
+    (-(2**63) - 1, 1, "seed -9223372036854775809"),
+    (0, 2**63, "tag 9223372036854775808"),
+    (0, -(2**63) - 1, "tag -9223372036854775809"),
+])
+def test_seed_and_int_tags_outside_int64_named(seed, tag, named):
+    for route in _ROUTES:
+        with pytest.raises(ValueError, match=re.escape(f"{named} is outside [-2**63, 2**63)")):
+            route(seed, tag)
+
+
+@pytest.mark.parametrize("seed", [np.int64(-5), np.uint32(7), np.int8(3), np.uint64(2**63 - 1),
+                                  np.int64(-(2**63))])
+def test_numpy_integer_seeds_are_their_int(seed):
+    for route in _ROUTES:
+        assert np.array_equal(route(seed, 2), route(int(seed), 2))
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, np.int64(3), [1]])
