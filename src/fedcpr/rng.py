@@ -4,7 +4,8 @@ Every random draw in the package flows through a named substream, so it
 replays bitwise given the same seed, whatever order clients run in. Every
 round-engine draw after the initial model is made here: :func:`batches`
 draws the minibatches, and :func:`buffer_positions` the positions at which
-clients read the aggregate.
+clients read the aggregate, a ``permutation`` per full lap and a ``choice``
+(below) for a last, partial lap.
 
 Port contract (what an alternate-language port needs besides PCG64):
 
@@ -254,10 +255,12 @@ def buffer_positions(
     """The (K, N, n) int64 positions at which N clients read a received
     block of ``size`` records in round ``round_idx``, and the wraps.
 
-    Client i reads the laps of stream ``(side, i, round_idx)``, each the
-    generator's next ``permutation(size)``, one after another; its first
-    K·n positions, in order, fill column i. Every lap past a client's first
-    is a wrap. The N streams are seeded in one pass.
+    Client i reads K·n positions, in order, from laps of stream ``(side,
+    i, round_idx)``, and they fill column i. Each full lap is the
+    generator's next ``permutation(size)``; a last, partial lap of m
+    positions is its ``choice(size, m, replace=False)``, so a client draws
+    O(K·n), not O(size). Every lap past a client's first is a wrap. The N
+    streams are seeded in one pass.
     """
     if size < 1:
         raise ValueError("cannot draw from an empty aggregate")
@@ -270,6 +273,8 @@ def buffer_positions(
     for i, words in enumerate(seeds):
         gen = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         for done in range(0, count, size):
-            row[done:done + size] = gen.permutation(size)[:count - done]
+            m = count - done
+            row[done:done + size] = (gen.permutation(size) if m >= size
+                                     else gen.choice(size, m, replace=False))
         at[:, i] = row.reshape(K, n)
     return at, N * ((count - 1) // size)

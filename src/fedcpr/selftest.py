@@ -177,15 +177,16 @@ def _check_batched_draws() -> CheckResult:
 
 def _check_batched_seeding() -> CheckResult:
     # The one-pass seeding restates numpy's SeedSequence mixing and hands
-    # its words to numpy's PCG64; an installed numpy that seeds differently
-    # fails here.
+    # its words to numpy's PCG64, whose permutation and choice give the
+    # laps; an installed numpy that seeds or draws differently fails here.
     name = "batched seeding equals substream"
-    N, size, K, n = 50, 52, 2, 40  # two laps per client
+    N, size, K, n = 50, 52, 2, 40  # a full lap and a partial one per client
     for side in ("buffer-pos", "buffer-neg"):
         at, _ = buffer_positions(1, side, 3, N, size, K, n)
         for i in range(N):
             g = substream(1, side, i, 3)
-            laps = np.concatenate([g.permutation(size), g.permutation(size)])
+            laps = np.concatenate([g.permutation(size),
+                                   g.choice(size, K * n - size, replace=False)])
             if not np.array_equal(at[:, i].ravel(), laps[:K * n]):
                 return CheckResult(name, False, f"stream {(side, i, 3)}")
     return CheckResult(name, True, f"{2 * N} streams")

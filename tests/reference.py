@@ -179,7 +179,9 @@ class Buffer:
     """Shuffled queue of positions into a received score block, drawn
     sequentially without replacement. If a draw exhausts the buffer
     mid-round it reshuffles the same positions and continues (wrap-around);
-    ``wraps`` counts those events.
+    ``wraps`` counts those events. A round reads ``count`` positions in
+    all: each full lap is the generator's next ``permutation(size)``, and a
+    last, partial lap of m positions its ``choice(size, m, replace=False)``.
     """
 
     def __init__(self) -> None:
@@ -188,21 +190,26 @@ class Buffer:
         self.cursor = 0
         self.wraps = 0
 
-    def refill(self, block: np.ndarray, rng: np.random.Generator, u=None) -> None:
-        """Flush and replace contents with a permutation of ``block``'s
-        positions; ``u`` holds the u-value at each of them."""
+    def refill(self, block: np.ndarray, rng: np.random.Generator, count: int, u=None) -> None:
+        """Flush and replace contents with the first lap over ``block``'s
+        positions, for a round that draws ``count`` of them; ``u`` holds
+        the u-value at each of them."""
         if not len(block):
             raise ProtocolError("cannot refill a buffer from an empty aggregate")
         self.block, self.u = block, u
-        self._rng = rng
+        self._rng, self._left = rng, count
         self._reshuffle()
 
     def _reshuffle(self) -> None:
-        self._order = self._rng.permutation(len(self.block))
+        size = len(self.block)
+        self._order = (self._rng.permutation(size) if self._left >= size
+                       else self._rng.choice(size, self._left, replace=False))
         self.cursor = 0
 
     def draw(self, count: int) -> np.ndarray:
         """Positions in ``block`` of the next ``count`` entries."""
+        if count > self._left:
+            raise ProtocolError(f"draw of {count} past the round's {self._left} left")
         parts = []
         while count:
             if self.cursor >= len(self._order):
@@ -211,6 +218,7 @@ class Buffer:
             part = self._order[self.cursor:self.cursor + count]
             parts.append(part)
             self.cursor += len(part)
+            self._left -= len(part)
             count -= len(part)
         return np.concatenate(parts)
 
@@ -373,9 +381,12 @@ class ReferenceProgram:
         if self.uses_momentum:
             st.momentum = download.momentum.copy()
         if self.shares_histories:
+            # The round's K steps read min(B2, n_neg) and min(B1, n_pos) a step.
+            K = s.hyper.K
             st.pos_buffer.refill(download.r1, substream(s.seed, "buffer-pos", st.index, r),
-                                 download.r1_u)
-            st.neg_buffer.refill(download.r2, substream(s.seed, "buffer-neg", st.index, r))
+                                 K * min(s.hyper.B2, st.shard.n_neg), download.r1_u)
+            st.neg_buffer.refill(download.r2, substream(s.seed, "buffer-neg", st.index, r),
+                                 K * min(s.hyper.B1, st.shard.n_pos))
 
     def local_step(self, st: ClientState, r: int, k: int, eta: float):
         """One local step of one client. Returns its pair-loss estimate,

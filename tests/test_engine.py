@@ -142,11 +142,12 @@ def test_divergence_names_the_per_client_first_failure():
 
 def test_divergence_names_a_non_finite_emitted_u_value():
     # Round 1 of this run: client 0's emitted u-value is non-finite at
-    # iteration 2, while every other watched quantity is finite until its
-    # pair-loss estimate at iteration 3.
+    # iteration 3, while its other watched quantities stay finite all round.
+    # Client 2's gradient estimate is non-finite earlier, at iteration 1,
+    # but one client after another, client 0 fails first.
     ds = build_dataset(DataConfig(n_pos_per_client=20, n_neg_per_client=40, input_dim=4,
                                   n_clients=4, seed=10))
-    hyper = HyperParams(eta=0.01, K=8, R=4, B1=2, B2=3, seed=10)
+    hyper = HyperParams(eta=0.01, K=8, R=4, B1=2, B2=3, seed=5)
     kl1, kl_log1 = PairwiseLossSpec("kl_opauc", lam=1.0), OuterFnSpec("kl_log", lam=1.0)
     args = ("fedx2", ds, ScorerSpec("linear", 4), kl1, kl_log1, hyper)
     with np.errstate(all="ignore"):
@@ -155,7 +156,7 @@ def test_divergence_names_a_non_finite_emitted_u_value():
     with pytest.raises(FloatingPointError) as got:
         simulate(*args, eval_every=0, oracle_every=0)
     assert str(got.value) == str(want.value) == (
-        "diverged: non-finite emitted u-value on client 0 at round 1, iteration 2")
+        "diverged: non-finite emitted u-value on client 0 at round 1, iteration 3")
 
 
 def test_divergence_names_a_non_finite_bootstrap_u_value():

@@ -49,6 +49,15 @@ def _draw(seed, side, size, count):
     return at.reshape(-1), wraps
 
 
+def _laps(g, size, count):
+    """``count`` positions of generator ``g``'s laps over ``size`` records:
+    ``permutation(size)`` per full lap, ``choice(size, m, replace=False)``
+    for a last lap of m < size."""
+    return np.concatenate([g.permutation(size) if count - done >= size
+                           else g.choice(size, count - done, replace=False)
+                           for done in range(0, count, size)])
+
+
 def _with_u(table):
     """The table with u-values on its positive-side scores."""
     return replace(table, h1_u=np.ones_like(table.h1))
@@ -303,8 +312,8 @@ class TestBufferProperties:
         n, sizes, seed = plan
         drawn, wraps = _draw(seed, "prop", n, sum(sizes))
         a, b = Buffer(), Buffer()
-        a.refill(np.zeros(n), substream(seed, "prop", 0, 0))
-        b.refill(np.ones(n), substream(seed, "prop", 0, 0))
+        a.refill(np.zeros(n), substream(seed, "prop", 0, 0), sum(sizes))
+        b.refill(np.ones(n), substream(seed, "prop", 0, 0), sum(sizes))
         chunks = []
         for c in sizes:
             chunks.append(a.draw(c))
@@ -312,10 +321,9 @@ class TestBufferProperties:
             np.testing.assert_array_equal(chunks[-1], one_by_one)
         assert a.wraps == b.wraps == wraps
         np.testing.assert_array_equal(np.concatenate(chunks), drawn)
-        # Each lap is the substream's next permutation of the block.
-        rng = substream(seed, "prop", 0, 0)
-        laps = np.concatenate([rng.permutation(n) for _ in range(wraps + 1)])
-        np.testing.assert_array_equal(drawn, laps[:sum(sizes)])
+        # Each full lap is the substream's next permutation of the block,
+        # and a last, partial lap its choice of the positions left to draw.
+        np.testing.assert_array_equal(drawn, _laps(substream(seed, "prop", 0, 0), n, sum(sizes)))
 
 
 @st.composite
@@ -343,12 +351,10 @@ class TestBatchedBufferDraws:
             for start in range(0, count, size):
                 lap = drawn[start:start + size]
                 assert len(set(lap)) == len(lap) and 0 <= lap.min() and lap.max() < size
-            g = substream(seed, side, i, r)
-            laps = np.concatenate([g.permutation(size) for _ in range(-(-count // size))])
-            np.testing.assert_array_equal(drawn, laps[:count])
+            np.testing.assert_array_equal(drawn, _laps(substream(seed, side, i, r), size, count))
             # The reference buffer, drawn as the K steps draw: n at a time.
             ref = Buffer()
-            ref.refill(np.zeros(size), substream(seed, side, i, r))
+            ref.refill(np.zeros(size), substream(seed, side, i, r), count)
             np.testing.assert_array_equal(np.concatenate([ref.draw(n) for _ in range(K)]), drawn)
             assert ref.wraps == (count - 1) // size
 

@@ -1,10 +1,13 @@
 """The round draws (minibatches and buffer positions) against numpy's own
-per-stream ``Generator`` calls, and the names they are kept out of."""
+per-stream ``Generator`` calls, the memory and law of a buffer's partial
+lap, and the names the draws are kept out of."""
 
 import ast
 import enum
 import inspect
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +288,47 @@ def test_batches_equal_per_stream_choice(sizes):
             assert drawn.shape == (K, N, min(pop, batch))
             want = g.choice(pop, min(pop, batch), replace=False)
             assert np.array_equal(drawn[k, i], want), (k, i, pop, batch)
+
+
+def test_buffer_draws_are_o_of_the_count():
+    # 8 steps of 10 reads of a 10**7-record aggregate: one partial lap of
+    # 80 positions, not a permutation of 10**7 (80 MB).
+    buffer_positions(1, "buffer-neg", 3, 4, 64, 8, 10)  # fills the tag memo
+    tracemalloc.start()
+    try:
+        buffer_positions(1, "buffer-neg", 3, 4, 10**7, 8, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def _chi2_sf(x, df):
+    """Upper tail of the chi-square law at x, by the Wilson-Hilferty cube-root
+    normal approximation (close at the hundreds of degrees of freedom here)."""
+    z = ((x / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+@pytest.mark.parametrize("size, K, n, N, bins", [
+    (20000, 8, 50, 500, 10),  # Floyd's sample above 10000 records: m = 400 = size // 50
+    (20000, 8, 100, 100, 10),  # numpy's tail shuffle: m = 800 > size // 50
+    (40, 5, 11, 2000, 40),  # a full lap, then Floyd's sample of m = 15
+])
+def test_partial_lap_positions_are_uniform(size, K, n, N, bins):
+    # Client i's last lap, slot j: uniform over [0, size) for every j (a
+    # chi-square over slot x bin counts), and distinct within the lap.
+    at, _ = buffer_positions(11, "buffer-pos", 2, N, size, K, n)
+    count = K * n
+    lap = at.transpose(1, 0, 2).reshape(N, count)[:, count // size * size:]
+    m = lap.shape[1]
+    assert 0 < m < size and (np.diff(np.sort(lap), axis=1) > 0).all()
+    assert 0 <= lap.min() and lap.max() < size
+    cells = np.arange(m) * bins + lap * bins // size  # (slot, bin), equal-width bins
+    seen = np.bincount(cells.ravel(), minlength=m * bins)
+    expected = N / bins
+    stat = float(((seen - expected) ** 2).sum() / expected)
+    assert _chi2_sf(stat, m * (bins - 1)) > 1e-3, stat
 
 
 @pytest.mark.parametrize("module", [algorithms, federation])
